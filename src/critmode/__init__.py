@@ -7,88 +7,17 @@ eigenvalue splitting under stiffness perturbations; and constructs critical
 two-oscillator designs in closed form.
 """
 
-from .linalg import (
-    ArgumentError,
-    ConvergenceError,
-    InconsistentSystemError,
-    Tolerances,
-    char_poly,
-    companion_roots,
-    numeric_rank_and_nullspace,
-    poly_from_roots,
-    poly_roots,
-    solve_affine,
-)
-from .model import (
-    OscillatorSystem,
-    bilinear,
-    build_system,
-    evolution_operator,
-    load_system,
-    metric,
-    metric_conjugate,
-    save_system,
-    system_from_json,
-    system_to_json,
-)
-from .jordan import (
-    JordanBlock,
-    Spectrum,
-    VerificationError,
-    biorthogonalize_crossing,
-    build_chain,
-    compute_spectrum,
-    dual_basis,
-    enforce_conjugation,
-    normalize_block,
-    single_block_shortcut,
-    spectrum_to_json,
-    verify_representations,
-    verify_spectrum,
-)
+from .design import catalog, catalog_system
 from .dynamics import (
-    CancellationReport,
-    NonDiagonalizableError,
-    SumRuleReport,
     check_sum_rules,
     cluster_cancellation_experiment,
-    evolution_coefficient,
-    evolve_basis_vector,
     evolve_state,
-    GreensSample,
     greens_freq,
-    greens_sample,
-    greens_samples_csv,
     greens_time,
     rk4_evolve,
 )
-from .perturb import (
-    HigherOrderNonGenericError,
-    J1Result,
-    NonGenericPerturbationError,
-    NonGenericPrediction,
-    Perturbation,
-    SplitPrediction,
-    deltaH_prime_matrix,
-    exact_perturbed_spectrum,
-    fit_splitting_exponent,
-    j1_coefficient,
-    predict_splitting,
-    predict_splitting_nongeneric,
-    xi_generic,
-    xi_prime,
-)
-from .design import (
-    CatalogEntry,
-    DesignError,
-    catalog,
-    catalog_entry,
-    catalog_system,
-    cubic_critical,
-    double2_critical,
-    newton_design,
-    quartic_critical,
-    scale_system,
-)
+from .jordan import VerificationError, compute_spectrum
+from .model import build_system
+from .perturb import predict_splitting
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,7 @@ from .perturb import (
     loglog_slope,
     predict_splitting,
     predict_splitting_nongeneric,
+    spectral_gap,
     xi_generic,
 )
 
@@ -104,25 +105,11 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-@dataclass
-class RunConfig:
-    """Resolved command configuration (tolerances, grids, output)."""
-
-    command: str
-    system_ref: str | None = None
-    tol: Tolerances = field(default_factory=Tolerances)
-    eps0: float = 1e-4
-    eps_power: int = 4
-    eps_count: int = 9
-    out_dir: Path = Path(".")
-    out_format: str = "csv"
-
-    def eps_grid(self) -> np.ndarray:
-        """Figure-style grid eps_n = n^p * eps0 for n = 0..count-1."""
-        if self.eps_count < 1:
-            raise ArgumentError("epsilon grid must be nonempty")
-        n = np.arange(0, self.eps_count)
-        return (n.astype(float) ** self.eps_power) * self.eps0
+def _eps_grid(eps0: float, power: int, count: int) -> np.ndarray:
+    """Figure-style grid eps_n = n^p * eps0 for n = 0..count-1."""
+    if count < 1:
+        raise ArgumentError("epsilon grid must be nonempty")
+    return np.arange(count, dtype=float) ** power * eps0
 
 
 def _resolve_tol(args) -> Tolerances:
@@ -286,13 +273,10 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(system, spectrum, block, delta_k, eps_values, tol):
+def _sweep_rows(system, spectrum, block, delta_k, eps_values):
     """Numerical vs predicted eigenvalue tracks; one row per (eps, mode)."""
     rows = []
-    gap = min(
-        (abs(block.omega - b.omega) for b in spectrum.blocks if b is not block),
-        default=np.inf,
-    )
+    gap = spectral_gap(spectrum, block)
     generic = None
     for eps in eps_values:
         if eps == 0.0:
@@ -311,7 +295,7 @@ def _sweep_rows(system, spectrum, block, delta_k, eps_values, tol):
             ng = predict_splitting_nongeneric(block, delta_k, eps)
             predicted = ng.eigenvalues
             generic = False
-        evals = exact_perturbed_spectrum(system, delta_k, eps, tol)
+        evals = exact_perturbed_spectrum(system, delta_k, eps)
         shifts = cluster_shifts(evals, block.omega, block.size, gap)
         numerical = block.omega + shifts
         perm = assign_predictions(numerical, predicted)
@@ -348,19 +332,13 @@ def cmd_perturb(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     delta_k = _parse_delta_k(args.dk, system.N)
-    config = RunConfig(
-        command="perturb",
-        tol=tol,
-        eps0=args.eps0,
-        eps_power=args.eps_power,
-        eps_count=args.eps_count,
-    )
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
     if block.size < 2:
         raise ArgumentError("perturb needs a critical system (a block with M >= 2)")
     rows, generic = _sweep_rows(
-        system, spectrum, block, delta_k, config.eps_grid(), tol
+        system, spectrum, block, delta_k,
+        _eps_grid(args.eps0, args.eps_power, args.eps_count),
     )
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     xi = xi_generic(block, delta_k)
@@ -404,7 +382,7 @@ def cmd_design(args) -> int:
 
 # Exponent and accuracy fits use dedicated small-epsilon grids where
 # first-order theory dominates but the eigenvalue shifts still stand well
-# clear of the root-finder noise floor; the display grid follows the n^p
+# clear of the eigensolver noise floor; the display grid follows the n^p
 # convention of the figures themselves.  Figure 4's window sits higher
 # because its moving pair splits only like eps**(1/2).
 FIGURES = {
@@ -425,21 +403,18 @@ def _figure_fit_grid(eps0: float, decades=(-8, -4)) -> np.ndarray:
     return np.sign(eps0) * np.logspace(decades[0], decades[1], 9)
 
 
-def figure_summary(system, spectrum, block, delta_k, eps0, tol, nongeneric,
+def figure_summary(system, spectrum, block, delta_k, eps0, nongeneric,
                    fit_decades=(-8, -4)):
     """Exponent fits, equiangularity, and first-order accuracy diagnostics."""
     fit_grid = _figure_fit_grid(eps0, fit_decades)
-    gap = min(
-        (abs(block.omega - b.omega) for b in spectrum.blocks if b is not block),
-        default=np.inf,
-    )
+    gap = spectral_gap(spectrum, block)
     m = block.size
     moving_mags = []
     errors = []
     lams = []
     last_shifts = None
     for eps in fit_grid:
-        evals = exact_perturbed_spectrum(system, delta_k, eps, tol)
+        evals = exact_perturbed_spectrum(system, delta_k, eps)
         shifts = cluster_shifts(evals, block.omega, m, gap)
         order = np.argsort(np.abs(shifts))
         if nongeneric:
@@ -486,7 +461,7 @@ def figure_summary(system, spectrum, block, delta_k, eps0, tol, nongeneric,
         statics = []
         eps_disp = np.sign(eps0) * np.logspace(-5, -2, 8)
         for eps in eps_disp:
-            evals = exact_perturbed_spectrum(system, delta_k, eps, tol)
+            evals = exact_perturbed_spectrum(system, delta_k, eps)
             shifts = cluster_shifts(evals, block.omega, m, gap)
             statics.append(float(np.min(np.abs(shifts))))
         static_slope, _ = loglog_slope(np.abs(eps_disp), statics)
@@ -499,25 +474,19 @@ def cmd_reproduce_figure(args) -> int:
     if args.figure not in FIGURES:
         raise ArgumentError("figure id must be 1..5")
     fig = FIGURES[args.figure]
-    config = RunConfig(
-        command="reproduce-figure",
-        tol=tol,
-        eps0=args.eps0,
-        eps_power=fig["power"],
-        eps_count=args.eps_count,
-    )
-    if config.eps_power not in (2, 3, 4):
-        raise ArgumentError("figure grids use powers 2, 3, or 4")
     system = catalog_entry(fig["system"]).system
     delta_k = _parse_delta_k(fig["dk"], system.N)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
-    rows, _ = _sweep_rows(system, spectrum, block, delta_k, config.eps_grid(), tol)
+    rows, _ = _sweep_rows(
+        system, spectrum, block, delta_k,
+        _eps_grid(args.eps0, fig["power"], args.eps_count),
+    )
     _write_csv(out / f"figure{args.figure}.csv", SWEEP_HEADER, rows)
     summary = figure_summary(
-        system, spectrum, block, delta_k, config.eps0, tol, fig["nongeneric"],
+        system, spectrum, block, delta_k, args.eps0, fig["nongeneric"],
         fig["fit_decades"],
     )
     if not fig["nongeneric"]:
@@ -528,7 +497,7 @@ def cmd_reproduce_figure(args) -> int:
             eps = row[0]
             if eps == 0.0:
                 continue
-            n = round(abs(eps / config.eps0) ** (1.0 / config.eps_power))
+            n = round(abs(eps / args.eps0) ** (1.0 / fig["power"]))
             shift = abs(complex(row[2], row[3]) - block.omega)
             per_n.setdefault(n, []).append(shift)
         ratios = np.array(
@@ -538,8 +507,8 @@ def cmd_reproduce_figure(args) -> int:
             np.max(np.abs(ratios / np.mean(ratios) - 1.0))
         )
     summary["figure"] = args.figure
-    summary["eps0"] = config.eps0
-    summary["eps_power"] = config.eps_power
+    summary["eps0"] = args.eps0
+    summary["eps_power"] = fig["power"]
     _write_json(out / f"figure{args.figure}_summary.json", summary)
     print(
         f"figure {args.figure}: exponent {summary['exponent']:.4f}, "
@@ -629,12 +598,21 @@ def _add_common(p, system_required=True):
     p.add_argument("--tol-cluster", type=float, default=None)
     p.add_argument("--tol-residual", type=float, default=None)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   dest="out_format")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads '-3e-05' as a value, not an option.
+
+    argparse's own pattern for negative numbers has no exponent part.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critmode",
         description="Jordan-basis analysis of critically damped oscillator "
         "networks",

@@ -29,7 +29,8 @@ import numpy as np
 
 from .jordan import JordanBlock, Spectrum, compute_spectrum
 from .linalg import ArgumentError, Tolerances
-from .model import OscillatorSystem, bilinear, build_system, evolution_operator
+from .model import OscillatorSystem, bilinear
+from .perturb import exact_perturbed_spectrum, predict_splitting
 
 _EPS = np.finfo(float).eps
 
@@ -119,26 +120,6 @@ def greens_freq(spectrum: Spectrum, omega: complex) -> np.ndarray:
                     b.chain[n - l] * (1j / (omega - b.omega) ** (l + 1)), bra
                 )
     return g
-
-
-@dataclass(frozen=True)
-class GreensSample:
-    """A tagged Green's-function sample: domain, argument, 2N x 2N matrix."""
-
-    domain: str  # "time" | "frequency"
-    argument: complex
-    matrix: np.ndarray
-
-
-def greens_sample(spectrum: Spectrum, domain: str, argument) -> GreensSample:
-    """Tagged sample of the Green's function in either domain."""
-    if domain == "time":
-        matrix = greens_time(spectrum, float(np.real(argument)))
-    elif domain == "frequency":
-        matrix = greens_freq(spectrum, complex(argument))
-    else:
-        raise ArgumentError("domain must be 'time' or 'frequency'")
-    return GreensSample(domain=domain, argument=complex(argument), matrix=matrix)
 
 
 @dataclass
@@ -318,8 +299,6 @@ def cluster_cancellation_experiment(
     an exact eigensolve guards that precondition and its cluster eigenvalues
     are recorded for reference.
     """
-    from .perturb import predict_splitting  # deferred: avoids import cycle
-
     tol = tol or Tolerances()
     spectrum = spectrum or compute_spectrum(sys, tol)
     nontrivial = [b for b in spectrum.blocks if b.size >= 2]
@@ -333,11 +312,7 @@ def cluster_cancellation_experiment(
     phi = np.asarray(phi, dtype=complex).ravel()
     t_grid = np.asarray(t_grid, dtype=float)
 
-    pert = build_system(
-        sys.K + eps * np.asarray(delta_k, dtype=float), sys.Gamma
-    )
-    hp = evolution_operator(pert)
-    evals = np.linalg.eigvals(hp)
+    evals = exact_perturbed_spectrum(sys, delta_k, eps)
     order = np.argsort(np.abs(evals - block.omega))
     w_exact = evals[order[:m]]
     scale = 1.0 + float(np.max(np.abs(evals)))

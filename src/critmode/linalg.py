@@ -14,7 +14,6 @@ fallback.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,8 +343,3 @@ def orthonormal_columns(vectors, tol: Tolerances | None = None) -> np.ndarray:
         return np.zeros((v.shape[0], 0), dtype=complex)
     keep = int(np.sum(s > tol.rank_tol * s[0]))
     return u[:, :keep]
-
-
-def log_factorial(n: int) -> float:
-    """log(n!) without overflow."""
-    return math.lgamma(n + 1.0)

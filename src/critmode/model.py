@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class OscillatorSystem:
     K: np.ndarray
     Gamma: np.ndarray
     label: str | None = None
-    symmetry_defect: float = field(default=0.0, compare=False)
 
     @property
     def N(self) -> int:
@@ -58,8 +57,7 @@ class OscillatorSystem:
         return 2 * self.K.shape[0]
 
 
-def build_system(K, Gamma, label: str | None = None,
-                 check_k_positive: bool = False) -> OscillatorSystem:
+def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
     """Validate and build an oscillator system.
 
     K and Gamma must be real, square, equal-size, and symmetric to 1e-12.
@@ -77,13 +75,11 @@ def build_system(K, Gamma, label: str | None = None,
         raise ArgumentError(
             f"size mismatch: K is {K.shape}, Gamma is {Gamma.shape}"
         )
-    defect = 0.0
     for name, m in (("K", K), ("Gamma", Gamma)):
         scale = max(1.0, float(np.max(np.abs(m))))
         d = float(np.max(np.abs(m - m.T)))
         if d > SYMMETRY_TOL * scale:
             raise ArgumentError(f"{name} is asymmetric (defect {d:.3e})")
-        defect = max(defect, d)
     gamma_eigs = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))
     if gamma_eigs.size and gamma_eigs[0] < -1e-12 * max(1.0, abs(gamma_eigs[-1])):
         warnings.warn(
@@ -91,14 +87,8 @@ def build_system(K, Gamma, label: str | None = None,
             f"{gamma_eigs[0]:.3e}); the formalism tolerates this",
             stacklevel=2,
         )
-    if check_k_positive:
-        k_eigs = np.linalg.eigvalsh(0.5 * (K + K.T))
-        if k_eigs.size and k_eigs[0] <= 0.0:
-            raise ArgumentError(
-                f"K is not positive definite (min eigenvalue {k_eigs[0]:.3e})"
-            )
     return OscillatorSystem(K=0.5 * (K + K.T), Gamma=0.5 * (Gamma + Gamma.T),
-                            label=label, symmetry_defect=defect)
+                            label=label)
 
 
 def evolution_operator(sys: OscillatorSystem) -> np.ndarray:
@@ -119,16 +109,6 @@ def metric(sys: OscillatorSystem) -> np.ndarray:
     g[:n, n:] = np.eye(n)
     g[n:, :n] = np.eye(n)
     return 1j * g
-
-
-def x_part(phi, n: int) -> np.ndarray:
-    """Position components of a phase-space vector."""
-    return np.asarray(phi, dtype=complex).ravel()[:n]
-
-
-def p_part(phi, n: int) -> np.ndarray:
-    """Momentum components of a phase-space vector."""
-    return np.asarray(phi, dtype=complex).ravel()[n:]
 
 
 def bilinear(sys: OscillatorSystem, psi, phi) -> complex:

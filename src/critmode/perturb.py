@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .jordan import JordanBlock, Spectrum, compute_spectrum
-from .linalg import ArgumentError, Tolerances, char_poly, poly_roots
+from .linalg import ArgumentError, Tolerances
 from .model import OscillatorSystem, bilinear, build_system, evolution_operator
 
 GENERICITY_FACTOR = 1e-8
@@ -106,12 +105,6 @@ def _genericity_scale(block: JordanBlock, delta_k) -> float:
     dk = np.asarray(delta_k, dtype=float)
     return float(
         np.linalg.norm(dk, 2) * np.linalg.norm(block.chain[0]) ** 2
-    )
-
-
-def is_generic(block: JordanBlock, delta_k) -> bool:
-    return abs(xi_generic(block, delta_k)) > GENERICITY_FACTOR * _genericity_scale(
-        block, delta_k
     )
 
 
@@ -314,15 +307,20 @@ def j1_coefficient(
 # numerical truth and fits
 # ---------------------------------------------------------------------------
 
-def exact_perturbed_spectrum(
-    sys: OscillatorSystem, delta_k, eps: float, tol: Tolerances | None = None
-) -> np.ndarray:
-    """Eigenvalues of H(K + eps*DK, Gamma), sorted by (real, imag)."""
-    tol = tol or Tolerances()
+def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps: float) -> np.ndarray:
+    """Eigenvalues of H(K + eps*DK, Gamma) from LAPACK, sorted by (real, imag)."""
     pert = build_system(
         sys.K + eps * np.asarray(delta_k, dtype=float), sys.Gamma
     )
-    return poly_roots(char_poly(evolution_operator(pert)), tol)
+    return np.sort_complex(np.linalg.eigvals(evolution_operator(pert)))
+
+
+def spectral_gap(spectrum: Spectrum, block: JordanBlock) -> float:
+    """Distance from block.omega to the nearest eigenvalue of another block."""
+    return min(
+        (abs(block.omega - b.omega) for b in spectrum.blocks if b is not block),
+        default=np.inf,
+    )
 
 
 def cluster_shifts(
@@ -351,6 +349,9 @@ def assign_predictions(numerical: np.ndarray, predicted: np.ndarray) -> np.ndarr
     Hungarian assignment on the distance matrix; deterministic pairing for
     error metrics.
     """
+    # imported here: scipy would otherwise dominate the time of import critmode
+    from scipy.optimize import linear_sum_assignment
+
     numerical = np.asarray(numerical, dtype=complex)
     predicted = np.asarray(predicted, dtype=complex)
     cost = np.abs(numerical[:, None] - predicted[None, :])
@@ -392,13 +393,10 @@ def fit_splitting_exponent(
         raise ArgumentError("epsilon grid must span at least three decades")
     spectrum = spectrum or compute_spectrum(sys, tol)
     block = spectrum.largest_block()
-    gap = min(
-        (abs(block.omega - b.omega) for b in spectrum.blocks if b is not block),
-        default=np.inf,
-    )
+    gap = spectral_gap(spectrum, block)
     mean_shift = []
     for eps in eps_grid:
-        evals = exact_perturbed_spectrum(sys, delta_k, eps, tol)
+        evals = exact_perturbed_spectrum(sys, delta_k, eps)
         shifts = cluster_shifts(evals, block.omega, block.size, gap)
         mean_shift.append(float(np.mean(np.abs(shifts))))
     return loglog_slope(np.abs(eps_grid), mean_shift)

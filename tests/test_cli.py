@@ -208,6 +208,16 @@ def test_figure_rejects_bad_id(tmp_path):
     assert run(["reproduce-figure", "--figure", "7", "--out", str(tmp_path)]) == 2
 
 
+def test_figure_negative_eps0_in_exponent_notation(tmp_path):
+    # repr(-3e-05) is what scripts/reproduce_figures.py passes for eps0 < 1e-4
+    assert run([
+        "reproduce-figure", "--figure", "5", "--eps0", "-3e-05",
+        "--out", str(tmp_path),
+    ]) == 0
+    summary = json.loads((tmp_path / "figure5_summary.json").read_text())
+    assert summary["eps0"] == -3e-05
+
+
 def test_cancellation_cubic(tmp_path):
     code = run([
         "cancellation", "--system", "catalog:cubic-jb3", "--phi", "1,0,0,0",

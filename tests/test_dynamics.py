@@ -230,19 +230,6 @@ def test_greens_freq_is_fourier_transform_of_greens_time(catalog_spectra):
         assert np.max(np.abs(ft - direct)) <= 1e-4
 
 
-def test_greens_sample_tagged(catalog_spectra):
-    from critmode.dynamics import greens_sample
-
-    spec = catalog_spectra["quartic-jb4"]
-    t_sample = greens_sample(spec, "time", 0.5)
-    assert t_sample.domain == "time"
-    assert np.allclose(t_sample.matrix, greens_time(spec, 0.5))
-    f_sample = greens_sample(spec, "frequency", 1.0 + 1.0j)
-    assert np.allclose(f_sample.matrix, greens_freq(spec, 1.0 + 1.0j))
-    with pytest.raises(ArgumentError):
-        greens_sample(spec, "laplace", 1.0)
-
-
 def test_greens_samples_csv(tmp_path, catalog_spectra):
     from critmode.dynamics import greens_samples_csv
 

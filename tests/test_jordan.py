@@ -4,6 +4,7 @@ import pytest
 from critmode.jordan import (
     ChainError,
     DegenerateChainError,
+    VerificationError,
     block_sizes_at,
     biorthogonalize_crossing,
     build_chain,
@@ -378,6 +379,17 @@ def test_chain_residuals_catalog(catalog_spectra):
     for name, spec in catalog_spectra.items():
         report = verify_spectrum(spec, strict=False)
         assert report["chain_residual"] <= 1e-9, name
+
+
+def test_strict_verification_raises_despite_flagged_cluster(catalog_entries):
+    # K + 1e-8 e11 demotes the double root to a flagged cluster of two simple
+    # blocks whose completeness residual misses residual_tol; the flag
+    # exempts only their chain residuals
+    sys = catalog_entries["single-critical"].system
+    dk = np.zeros((sys.N, sys.N))
+    dk[0, 0] = 1.0
+    with pytest.raises(VerificationError):
+        compute_spectrum(build_system(sys.K + 1e-8 * dk, sys.Gamma))
 
 
 # --- export ------------------------------------------------------------------

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import critmode
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
 from critmode.model import build_system, evolution_operator
@@ -250,13 +258,33 @@ def test_exact_perturbed_spectrum_at_zero(catalog_spectra):
     assert np.max(np.abs(evals + 1j)) <= 1e-3  # fourfold root scatter
 
 
+def _mpmath_eigvals(h, dps=30):
+    """Eigenvalues of h from mpmath at dps digits, rounded to complex."""
+    with mpmath.workdps(dps):
+        evals = mpmath.eig(mpmath.matrix(h.tolist()), left=False, right=False)
+    return np.array([complex(z) for z in evals])
+
+
 def test_exact_perturbed_spectrum_vs_dense_oracle(catalog_spectra):
-    sys = catalog_spectra["quartic-jb4"].system
-    eps = 1e-4
-    got = exact_perturbed_spectrum(sys, E11, eps)
-    pert = build_system(sys.K + eps * E11, sys.Gamma)
-    want = np.sort_complex(np.linalg.eigvals(evolution_operator(pert)))
-    assert np.max(np.abs(np.sort_complex(got) - want)) <= 1e-8
+    cases = [
+        ("quartic-jb4", 1e-4, 1e-8),
+        # a defective double eigenvalue persists under e11, which double
+        # precision resolves only to about sqrt(machine epsilon)
+        ("crossed-pair", 1e-4, 1e-6),
+        ("crossed-pair", 1e-6, 1e-6),
+        ("crossed-pair", 1e-8, 1e-6),
+    ]
+    for name, eps, bound in cases:
+        sys = catalog_spectra[name].system
+        got = exact_perturbed_spectrum(sys, E11, eps)
+        assert np.array_equal(got, np.sort_complex(got))
+        pert = build_system(sys.K + eps * E11, sys.Gamma)
+        want = _mpmath_eigvals(evolution_operator(pert))
+        cost = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert rows.size == want.size == got.size
+        assert np.max(cost[rows, cols]) <= bound, (name, eps)
+    got = exact_perturbed_spectrum(catalog_spectra["quartic-jb4"].system, E11, 1e-4)
     radii = np.abs(got + 1j)
     assert np.all(np.abs(radii - 0.1189) < 3e-3)
 
@@ -286,6 +314,20 @@ def test_assign_predictions_is_optimal_permutation():
     pred = np.array([-1.01, 0.99, 1.02j])
     perm = assign_predictions(num, pred)
     assert list(perm) == [1, 2, 0]
+
+
+def test_import_critmode_loads_no_scipy():
+    # scipy is imported by assign_predictions on first use only
+    code = (
+        "import sys, critmode; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(critmode.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_splitting_exponent_m2(catalog_spectra):
