@@ -52,7 +52,13 @@ from .jordan import (
     verify_spectrum,
 )
 from .linalg import ArgumentError, ConvergenceError, Tolerances
-from .model import OscillatorSystem, load_system, save_system, system_to_json
+from .model import (
+    OscillatorSystem,
+    bilinear,
+    load_system,
+    save_system,
+    system_to_json,
+)
 from .perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
@@ -65,6 +71,7 @@ from .perturb import (
     predict_splitting_nongeneric,
     spectral_gap,
     xi_generic,
+    xi_prime,
 )
 
 EXIT_OK = 0
@@ -109,6 +116,8 @@ def _eps_grid(eps0: float, power: int, count: int) -> np.ndarray:
     """Figure-style grid eps_n = n^p * eps0 for n = 0..count-1."""
     if count < 1:
         raise ArgumentError("epsilon grid must be nonempty")
+    if eps0 == 0.0:
+        raise ArgumentError("--eps0 must be nonzero")
     return np.arange(count, dtype=float) ** power * eps0
 
 
@@ -248,7 +257,7 @@ def cmd_evolve(args) -> int:
     deviation = 0.0
     oracle = None
     if args.oracle:
-        oracle = rk4_evolve(system, phi, times[times >= 0.0])
+        oracle = rk4_evolve(system, phi, times)
         header += [f"rk_c{i}_{p}" for i in range(system.dim) for p in ("re", "im")]
     for it, t in enumerate(times):
         row = [t]
@@ -332,14 +341,12 @@ def cmd_perturb(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     delta_k = _parse_delta_k(args.dk, system.N)
+    eps_values = _eps_grid(args.eps0, args.eps_power, args.eps_count)
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
     if block.size < 2:
         raise ArgumentError("perturb needs a critical system (a block with M >= 2)")
-    rows, generic = _sweep_rows(
-        system, spectrum, block, delta_k,
-        _eps_grid(args.eps0, args.eps_power, args.eps_count),
-    )
+    rows, generic = _sweep_rows(system, spectrum, block, delta_k, eps_values)
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     xi = xi_generic(block, delta_k)
     summary = {
@@ -349,8 +356,6 @@ def cmd_perturb(args) -> int:
         "generic": bool(generic),
     }
     if not generic:
-        from .perturb import xi_prime
-
         summary["xi_prime"] = complex(xi_prime(block, delta_k))
     _write_json(out / "prediction.json", summary)
     print(f"perturb: wrote sweep.csv ({len(rows)} rows), generic={generic}")
@@ -476,14 +481,12 @@ def cmd_reproduce_figure(args) -> int:
     fig = FIGURES[args.figure]
     system = catalog_entry(fig["system"]).system
     delta_k = _parse_delta_k(fig["dk"], system.N)
+    eps_values = _eps_grid(args.eps0, fig["power"], args.eps_count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
-    rows, _ = _sweep_rows(
-        system, spectrum, block, delta_k,
-        _eps_grid(args.eps0, fig["power"], args.eps_count),
-    )
+    rows, _ = _sweep_rows(system, spectrum, block, delta_k, eps_values)
     _write_csv(out / f"figure{args.figure}.csv", SWEEP_HEADER, rows)
     summary = figure_summary(
         system, spectrum, block, delta_k, args.eps0, fig["nongeneric"],
@@ -525,6 +528,8 @@ def cmd_cancellation(args) -> int:
     delta_k = _parse_delta_k(args.dk, system.N)
     phi = _parse_phi(args.phi, system.dim, args.seed)
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
+    if args.eps_min <= 0.0 or args.eps_max <= 0.0:
+        raise ArgumentError("--eps-min and --eps-max must be positive")
     eps_values = np.logspace(
         np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count
     )
@@ -534,8 +539,6 @@ def cmd_cancellation(args) -> int:
     if not nontrivial:
         # Far from criticality every mode stands alone: per-mode weights are
         # O(1) and there is no small denominator to cancel.
-        from .model import bilinear
-
         for b in spectrum.blocks:
             w = bilinear(system, b.chain[0], phi)  # (f,f) = 1 after normalization
             rows.append([0.0, b.label, abs(w), 0.0, 0.0])

@@ -10,9 +10,19 @@ function is theta(t) * sum f_{j,n}(t) <f^{j,n}|; its Fourier transform is the
 pole expansion with i/(omega - omega_j)^(l+1) replacing theta(t) C_l, and it
 solves (H - omega) G(omega) = -i * I.
 
-Separating the completeness relation into coordinates and momenta yields four
-sum rules on the position parts alone (the second summing to the identity,
-the rest to zero); these are checked verbatim in check_sum_rules.
+In matrix form, with the chain vectors as the columns of F, the duals as the
+columns of D and J the block-diagonal Jordan form (H F = F J, D^H F = I),
+
+    G(t) = F e^{-iJt} D^H,        G(omega) = i F (omega - J)^{-1} D^H,
+
+where block j of either middle factor is the upper-triangular Toeplitz
+matrix with C_l(omega_j, t), or i/(omega - omega_j)^(l+1), on its l-th
+superdiagonal.
+
+Separating the completeness relation F P F^T g = I (P the block
+anti-identity) into coordinates and momenta yields four sum rules on the
+position rows U of F alone (the second summing to the identity, the rest to
+zero); check_sum_rules evaluates them as products of U, J and P.
 
 The cancellation experiment probes time evolution near criticality: the
 per-mode weights of the naive modal sum diverge as the splitting scale lambda
@@ -27,9 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jordan import JordanBlock, Spectrum, compute_spectrum
+from .jordan import (
+    JordanBlock,
+    Spectrum,
+    _basis_matrices,
+    _jordan_matrices,
+    compute_spectrum,
+)
 from .linalg import ArgumentError, Tolerances
-from .model import OscillatorSystem, bilinear
+from .model import OscillatorSystem, metric
 from .perturb import exact_perturbed_spectrum, predict_splitting
 
 _EPS = np.finfo(float).eps
@@ -65,10 +81,29 @@ def evolve_basis_vector(block: JordanBlock, n: int, t: float) -> np.ndarray:
     return out
 
 
-def block_coefficients(block: JordanBlock, phi) -> np.ndarray:
-    """Expansion coefficients <f^{j,n}|phi> of a state on one block."""
-    phi = np.asarray(phi, dtype=complex).ravel()
-    return np.array([np.vdot(block.duals[n], phi) for n in range(block.size)])
+def _jordan_kernel(blocks, coeff) -> np.ndarray:
+    """F T D^H on the span of the blocks, with T_j[k, k+l] = coeff(l, omega_j).
+
+    T = f(J) for any f with f^(l)(omega_j) / l! = coeff(l, omega_j), so the
+    result is f(H) on that span (Higham, Functions of Matrices, ch. 1).
+    """
+    f_mat, d_mat = _basis_matrices(blocks)
+    dim = f_mat.shape[1]
+    t_flat = np.zeros(dim * dim, dtype=complex)
+    pos = 0
+    for b in blocks:
+        for l in range(b.size):
+            # T[pos + k, pos + k + l] for k < size - l: a stride of dim + 1
+            start = pos * (dim + 1) + l
+            stop = start + (b.size - l) * (dim + 1)
+            t_flat[start:stop:dim + 1] = coeff(l, b.omega)
+        pos += b.size
+    return f_mat @ t_flat.reshape(dim, dim) @ d_mat.conj().T
+
+
+def _propagator(blocks, t: float) -> np.ndarray:
+    """F e^{-iJt} D^H: exp(-iHt) on the span of the blocks."""
+    return _jordan_kernel(blocks, lambda l, w: evolution_coefficient(l, w, t))
 
 
 def evolve_state(spectrum: Spectrum, phi, t: float) -> np.ndarray:
@@ -78,25 +113,15 @@ def evolve_state(spectrum: Spectrum, phi, t: float) -> np.ndarray:
         raise ArgumentError(
             f"state must have length {spectrum.system.dim}, got {phi.size}"
         )
-    out = np.zeros_like(phi)
-    for b in spectrum.blocks:
-        coeffs = block_coefficients(b, phi)
-        for n in range(b.size):
-            if coeffs[n] != 0.0:
-                out = out + coeffs[n] * evolve_basis_vector(b, n, t)
-    return out
+    return _propagator(spectrum.blocks, t) @ phi
 
 
 def greens_time(spectrum: Spectrum, t: float) -> np.ndarray:
     """Retarded Green's function at time t (zero matrix for t < 0)."""
-    dim = spectrum.system.dim
     if t < 0.0:
+        dim = spectrum.system.dim
         return np.zeros((dim, dim), dtype=complex)
-    g = np.zeros((dim, dim), dtype=complex)
-    for b in spectrum.blocks:
-        for n in range(b.size):
-            g += np.outer(evolve_basis_vector(b, n, t), np.conj(b.duals[n]))
-    return g
+    return _propagator(spectrum.blocks, t)
 
 
 def greens_freq(spectrum: Spectrum, omega: complex) -> np.ndarray:
@@ -110,16 +135,9 @@ def greens_freq(spectrum: Spectrum, omega: complex) -> np.ndarray:
             raise ArgumentError(
                 f"omega={omega} is within cluster_tol of the pole at {b.omega}"
             )
-    dim = spectrum.system.dim
-    g = np.zeros((dim, dim), dtype=complex)
-    for b in spectrum.blocks:
-        for n in range(b.size):
-            bra = np.conj(b.duals[n])
-            for l in range(n + 1):
-                g += np.outer(
-                    b.chain[n - l] * (1j / (omega - b.omega) ** (l + 1)), bra
-                )
-    return g
+    return _jordan_kernel(
+        spectrum.blocks, lambda l, w: 1j / (omega - w) ** (l + 1)
+    )
 
 
 @dataclass
@@ -138,35 +156,22 @@ class SumRuleReport:
 def check_sum_rules(spectrum: Spectrum, threshold: float | None = None) -> SumRuleReport:
     """Evaluate the four sum rules on the position parts of the basis.
 
-    Rule conventions: n' = M_j - 1 - n and f_{j,-1} = f_{j,-2} = 0; the
-    second rule must sum to the identity, the others to zero.
+    With U the position rows of F the rules read U P U^T = 0,
+    U J P U^T = I, U J^2 P U^T + i U J P U^T Gamma = 0 and U P U^T Gamma = 0.
     """
     sys = spectrum.system
-    n_osc = sys.N
     thr = threshold if threshold is not None else spectrum.tol.residual_tol
-    r1 = np.zeros((n_osc, n_osc), dtype=complex)
-    r2 = np.zeros((n_osc, n_osc), dtype=complex)
-    r3 = np.zeros((n_osc, n_osc), dtype=complex)
-    r4 = np.zeros((n_osc, n_osc), dtype=complex)
-    for b in spectrum.blocks:
-        m = b.size
-        w = b.omega
-
-        def u(k):
-            if k < 0:
-                return np.zeros(n_osc, dtype=complex)
-            return b.chain[k][:n_osc]
-
-        for n in range(m):
-            np_ = m - 1 - n
-            r1 += np.outer(u(n), u(np_))
-            r2 += np.outer(w * u(n) + u(n - 1), u(np_))
-            r3 += np.outer(
-                w**2 * u(n) + 2.0 * w * u(n - 1) + u(n - 2), u(np_)
-            ) + 1j * np.outer(w * u(n) + u(n - 1), sys.Gamma @ u(np_))
-            r4 += np.outer(u(n), sys.Gamma @ u(np_))
-    r2 -= np.eye(n_osc)
-    residuals = [r1, r2, r3, r4]
+    f_mat, _ = _basis_matrices(spectrum.blocks)
+    j_mat, p_mat = _jordan_matrices(spectrum.blocks)
+    u = f_mat[: sys.N]
+    upu = u @ p_mat @ u.T
+    ujpu = u @ j_mat @ p_mat @ u.T
+    residuals = [
+        upu,
+        ujpu - np.eye(sys.N),
+        u @ j_mat @ j_mat @ p_mat @ u.T + 1j * ujpu @ sys.Gamma,
+        upu @ sys.Gamma,
+    ]
     return SumRuleReport(
         residuals=residuals,
         max_abs=[float(np.max(np.abs(r))) for r in residuals],
@@ -325,29 +330,11 @@ def cluster_cancellation_experiment(
         )
 
     pred = predict_splitting(block, delta_k, eps)
-    weights = np.array(
-        [
-            bilinear(sys, pred.split_vectors[k], phi) / pred.norms[k]
-            for k in range(m)
-        ]
-    )
-
-    coeffs = block_coefficients(block, phi)
-    naive = np.zeros((t_grid.size, sys.dim), dtype=complex)
-    jordan = np.zeros((t_grid.size, sys.dim), dtype=complex)
-    for it, t in enumerate(t_grid):
-        acc = np.zeros(sys.dim, dtype=complex)
-        for k in range(m):
-            acc += (
-                np.exp(-1j * pred.eigenvalues[k] * t)
-                * weights[k]
-                * pred.split_vectors[k]
-            )
-        naive[it] = acc
-        jb = np.zeros(sys.dim, dtype=complex)
-        for n in range(m):
-            jb += coeffs[n] * evolve_basis_vector(block, n, t)
-        jordan[it] = jb
+    weights = pred.split_vectors @ metric(sys) @ phi / pred.norms
+    naive = (
+        np.exp(-1j * np.outer(t_grid, pred.eigenvalues)) * weights
+    ) @ pred.split_vectors
+    jordan = np.array([_propagator([block], t) @ phi for t in t_grid])
     diffs = np.linalg.norm(naive - jordan, axis=1)
     return CancellationReport(
         eps=eps,

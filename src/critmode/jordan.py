@@ -129,8 +129,6 @@ class Spectrum:
     system: OscillatorSystem
     blocks: list
     tol: Tolerances
-    char_coeffs: np.ndarray = field(repr=False, default=None)
-    roots: np.ndarray = field(repr=False, default=None)
     crossing_groups: list = field(default_factory=list)
     near_critical_clusters: list = field(default_factory=list)
 
@@ -634,20 +632,37 @@ def dual_basis(spectrum: Spectrum) -> Spectrum:
     return spectrum
 
 
-def _basis_matrices(spectrum: Spectrum):
-    """(F, D): columns of all chain vectors and duals in block order."""
-    f_cols = []
-    d_cols = []
-    for b in spectrum.blocks:
-        for n in range(b.size):
-            f_cols.append(b.chain[n])
-            d_cols.append(b.duals[n])
-    return np.column_stack(f_cols), np.column_stack(d_cols)
+def _basis_matrices(blocks):
+    """(F, D): chain vectors and duals of the blocks as columns, in block order."""
+    return (
+        np.concatenate([b.chain for b in blocks]).T,
+        np.concatenate([b.duals for b in blocks]).T,
+    )
+
+
+def _jordan_matrices(blocks):
+    """(J, P): block-diagonal Jordan form and block anti-identity.
+
+    In the normalized basis H F = F J, F^T g F = P and D^H = P F^T g.
+    """
+    dim = sum(b.size for b in blocks)
+    j_mat = np.zeros((dim, dim), dtype=complex)
+    p_mat = np.zeros((dim, dim))
+    pos = 0
+    for b in blocks:
+        m = b.size
+        span = slice(pos, pos + m)
+        j_mat[span, span] = b.omega * np.eye(m) + np.eye(m, k=1)
+        p_mat[span, span] = np.fliplr(np.eye(m))
+        pos += m
+    return j_mat, p_mat
 
 
 def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     """Residuals of the chain relation, pairings, duals, and completeness.
 
+    With F, D, J, P from the blocks these are H F - F J (per column, scaled
+    by (|H| + |omega|) max(1, |f|)), F^T g F - P, D^H F - I and F P F^T g - I.
     With strict=True raises VerificationError when max_residual exceeds
     residual_tol.  The chain residuals of blocks demoted from near-critical
     clusters (whose accuracy is limited by the cluster diameter) are
@@ -656,46 +671,28 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     """
     sys = spectrum.system
     tol = spectrum.tol
+    blocks = spectrum.blocks
     h = spectrum.operator()
-    hnorm = float(np.linalg.norm(h, 2))
-    dim = sys.dim
-
-    chain_res = 0.0
-    flagged_chain_res = 0.0
-    for b in spectrum.blocks:
-        a = h - b.omega * np.eye(dim)
-        for n in range(b.size):
-            prev = b.chain[n - 1] if n > 0 else np.zeros(dim, dtype=complex)
-            r = np.linalg.norm(a @ b.chain[n] - prev)
-            r /= (hnorm + abs(b.omega)) * max(1.0, np.linalg.norm(b.chain[n]))
-            if b.near_critical:
-                flagged_chain_res = max(flagged_chain_res, r)
-            else:
-                chain_res = max(chain_res, r)
-
-    f_mat, d_mat = _basis_matrices(spectrum)
     g = metric(sys)
-    gram = f_mat.T @ g @ f_mat
-    expected = np.zeros_like(gram)
-    pos = 0
-    for b in spectrum.blocks:
-        m = b.size
-        expected[pos : pos + m, pos : pos + m] = np.fliplr(np.eye(m))
-        pos += m
-    gram_res = float(np.max(np.abs(gram - expected)))
+    dim = sys.dim
+    f_mat, d_mat = _basis_matrices(blocks)
+    j_mat, p_mat = _jordan_matrices(blocks)
+
+    chain_cols = np.linalg.norm(h @ f_mat - f_mat @ j_mat, axis=0) / (
+        (np.linalg.norm(h, 2) + np.abs(np.diag(j_mat)))
+        * np.maximum(1.0, np.linalg.norm(f_mat, axis=0))
+    )
+    flagged = np.repeat([b.near_critical for b in blocks], [b.size for b in blocks])
+    chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
+    flagged_chain_res = float(np.max(chain_cols[flagged], initial=0.0))
+    gram_res = float(np.max(np.abs(f_mat.T @ g @ f_mat - p_mat)))
     dual_res = float(np.max(np.abs(d_mat.conj().T @ f_mat - np.eye(dim))))
+    comp_res = float(np.max(np.abs(f_mat @ p_mat @ f_mat.T @ g - np.eye(dim))))
 
-    comp = np.zeros((dim, dim), dtype=complex)
-    for b in spectrum.blocks:
-        m = b.size
-        for n in range(m):
-            comp += np.outer(b.chain[n], g @ b.chain[m - 1 - n])
-    comp_res = float(np.max(np.abs(comp - np.eye(dim))))
-
-    sizes_ok = sum(b.size for b in spectrum.blocks) == dim
+    sizes_ok = sum(b.size for b in blocks) == dim
     report = {
-        "chain_residual": float(chain_res),
-        "chain_residual_flagged": float(flagged_chain_res),
+        "chain_residual": chain_res,
+        "chain_residual_flagged": flagged_chain_res,
         "bilinear_gram_residual": gram_res,
         "dual_biorthogonality_residual": dual_res,
         "completeness_residual": comp_res,
@@ -717,54 +714,36 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
 def verify_representations(spectrum: Spectrum) -> dict:
     """Per-block metric and operator representations and their deviations.
 
-    In the normalized basis the pairing matrix must be the anti-identity,
-    the mixed-index operator the usual Jordan form, and the lowered-index
-    operator the symmetric anti-triangular form (omega on the anti-diagonal,
-    ones just below it).  Report only; never raises.
+    In the normalized basis the pairing matrix F^T g F must be the
+    anti-identity P, the mixed-index operator D^H H F the Jordan form J, and
+    the lowered-index operator F^T g H F the symmetric anti-triangular form
+    P J (omega on the anti-diagonal, ones just below it).  Report only;
+    never raises.
     """
-    sys = spectrum.system
     h = spectrum.operator()
-    g = metric(sys)
+    g = metric(spectrum.system)
+    blocks = spectrum.blocks
+    f_mat, d_mat = _basis_matrices(blocks)
+    j_mat, p_mat = _jordan_matrices(blocks)
+    gf = f_mat.T @ g
+    pairs = {
+        "gbar_deviation": (gf @ f_mat, p_mat),
+        "h_mixed_deviation": (d_mat.conj().T @ h @ f_mat, j_mat),
+        "h_lowered_deviation": (gf @ h @ f_mat, p_mat @ j_mat),
+    }
     out = {"blocks": [], "max_deviation": 0.0}
-    for b in spectrum.blocks:
-        m = b.size
-        fl = np.fliplr(np.eye(m))
-        gbar = np.array(
-            [[b.chain[n] @ g @ b.chain[k] for k in range(m)] for n in range(m)]
-        )
-        h_low = np.array(
-            [[b.chain[n] @ g @ (h @ b.chain[k]) for k in range(m)] for n in range(m)]
-        )
-        h_mix = np.array(
-            [
-                [np.vdot(b.duals[n], h @ b.chain[k]) for k in range(m)]
-                for n in range(m)
-            ]
-        )
-        jordan = b.omega * np.eye(m) + np.diag(np.ones(m - 1), 1)
-        low_expect = np.zeros((m, m), dtype=complex)
-        for n in range(m):
-            for k in range(m):
-                if n + k == m - 1:
-                    low_expect[n, k] = b.omega
-                elif n + k == m:
-                    low_expect[n, k] = 1.0
-        dev = max(
-            float(np.max(np.abs(gbar - fl))),
-            float(np.max(np.abs(h_mix - jordan))),
-            float(np.max(np.abs(h_low - low_expect))),
-        )
+    pos = 0
+    for b in blocks:
+        span = slice(pos, pos + b.size)
+        pos += b.size
+        devs = {
+            key: float(np.max(np.abs(got[span, span] - want[span, span])))
+            for key, (got, want) in pairs.items()
+        }
         out["blocks"].append(
-            {
-                "label": b.label,
-                "omega": complex(b.omega),
-                "size": m,
-                "gbar_deviation": float(np.max(np.abs(gbar - fl))),
-                "h_mixed_deviation": float(np.max(np.abs(h_mix - jordan))),
-                "h_lowered_deviation": float(np.max(np.abs(h_low - low_expect))),
-            }
+            {"label": b.label, "omega": complex(b.omega), "size": b.size, **devs}
         )
-        out["max_deviation"] = max(out["max_deviation"], dev)
+        out["max_deviation"] = max(out["max_deviation"], *devs.values())
     return out
 
 
@@ -839,8 +818,6 @@ def compute_spectrum(sys: OscillatorSystem,
         system=sys,
         blocks=blocks,
         tol=tol,
-        char_coeffs=coeffs,
-        roots=roots,
         crossing_groups=crossing_groups,
         near_critical_clusters=flagged,
     )

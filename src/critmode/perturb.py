@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jordan import JordanBlock, Spectrum, compute_spectrum
+from .jordan import JordanBlock, Spectrum, _basis_matrices, compute_spectrum
 from .linalg import ArgumentError, Tolerances
 from .model import OscillatorSystem, bilinear, build_system, evolution_operator
 
@@ -417,29 +417,13 @@ def deltaH_prime_matrix(block: JordanBlock, delta_k, lam: complex) -> np.ndarray
     if lam == 0:
         raise ArgumentError("lambda must be nonzero")
     m = block.size
-    dh = delta_h(delta_k)
-    d = np.array(
-        [
-            [np.vdot(block.duals[n], dh @ block.chain[k]) for k in range(m)]
-            for n in range(m)
-        ]
-    )
+    f_mat, d_mat = _basis_matrices([block])
+    d = d_mat.conj().T @ delta_h(delta_k) @ f_mat
     d[m - 1, 0] = 0.0  # the xi element, absorbed into H0'
-    zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    out = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        for kp in range(m):
-            acc = 0.0 + 0.0j
-            for n in range(m):
-                for npp in range(m):
-                    acc += (
-                        zeta[kp] ** npp
-                        * zeta[k] ** (-n)
-                        * lam ** (npp - n)
-                        * d[n, npp]
-                    )
-            out[k, kp] = acc / m
-    return out
+    # split basis V[n, k] = (lambda zeta_k)^n; the zeta_k are the m-th roots
+    # of unity, so V^{-1} = (1/V^T)/m elementwise
+    v = (lam * np.exp(2j * np.pi * np.arange(m) / m)) ** np.arange(m)[:, None]
+    return (1.0 / v.T) @ d @ v / m
 
 
 def second_order_eigenvalues(block: JordanBlock, delta_k, eps: float) -> np.ndarray:

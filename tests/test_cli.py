@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,34 @@ def test_evolve_oracle_random_double(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "evolve_summary.json").read_text())
     assert summary["max_oracle_deviation"] <= 1e-8
+
+
+def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
+    code = run([
+        "evolve", "--system", "catalog:single-critical", "--phi", "1,0",
+        "--times=-1,0,1", "--oracle", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11",
+          "--eps0", "0"], "--eps0"),
+        (["reproduce-figure", "--figure", "1", "--eps0", "0"], "--eps0"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--eps-min=-1e-8"], "--eps-min"),
+    ],
+    ids=["perturb", "reproduce-figure", "cancellation"],
+)
+def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args + ["--out", str(tmp_path)]) == 2
+    assert option in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_deterministic_output(tmp_path):

@@ -401,8 +401,26 @@ def test_deltaH_prime_removed_element(catalog_spectra):
     assert abs(d[3, 0] - xi_generic(block, E11)) <= 1e-12
     # a rank-one direction built to carry only that element keeps the split
     # basis exactly diagonal at this order
-    mat = deltaH_prime_matrix(block, E11, 0.1 + 0.05j)
+    lam = 0.1 + 0.05j
+    mat = deltaH_prime_matrix(block, E11, lam)
     assert np.all(np.isfinite(mat))
+    # reference: the double sum over chain orders without the xi element
+    d[3, 0] = 0.0
+    split = lam * np.exp(2j * np.pi * np.arange(4) / 4)
+    want = np.array(
+        [
+            [
+                sum(
+                    split[k] ** (-n) * d[n, npp] * split[kp] ** npp
+                    for n in range(4)
+                    for npp in range(4)
+                ) / 4
+                for kp in range(4)
+            ]
+            for k in range(4)
+        ]
+    )
+    assert np.max(np.abs(mat - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_second_order_improves_on_first(catalog_spectra):
