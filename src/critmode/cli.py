@@ -10,9 +10,10 @@ reproduce-figure the five reference splitting diagrams as CSV + summary
 cancellation     small-denominator experiment across an epsilon sweep
 
 Systems are given as ``--system path.json`` or ``--system catalog:<name>``
-with names single-critical, quartic-jb4, cubic-jb3, double-jb2, crossed-pair.
-Tolerances come from defaults, then the CRITMODE_TOL_OVERRIDE environment
-variable (a JSON object), then explicit flags.
+with names single-critical, quartic-jb4, cubic-jb3, double-jb2, crossed-pair
+(reproduce-figure takes none; design only for --family scale).  Tolerances
+come from defaults, then the CRITMODE_TOL_OVERRIDE environment variable (a
+JSON object), then explicit flags (every subcommand but design).
 
 Output is data, not plots: CSV files with 17-significant-digit floats (byte
 deterministic for a fixed configuration) plus JSON summaries.  Exit codes:
@@ -114,8 +115,8 @@ def _json_default(obj):
 
 def _eps_grid(eps0: float, power: int, count: int) -> np.ndarray:
     """Figure-style grid eps_n = n^p * eps0 for n = 0..count-1."""
-    if count < 1:
-        raise ArgumentError("epsilon grid must be nonempty")
+    if count < 2:
+        raise ArgumentError("--eps-count must be at least 2")
     if eps0 == 0.0:
         raise ArgumentError("--eps0 must be nonzero")
     return np.arange(count, dtype=float) ** power * eps0
@@ -521,6 +522,12 @@ def cmd_reproduce_figure(args) -> int:
 
 
 def cmd_cancellation(args) -> int:
+    if args.eps_min <= 0.0 or args.eps_max <= 0.0:
+        raise ArgumentError("--eps-min and --eps-max must be positive")
+    if args.eps_count < 2:
+        raise ArgumentError("--eps-count must be at least 2")
+    if args.t_steps < 1:
+        raise ArgumentError("--t-steps must be at least 1")
     tol = _resolve_tol(args)
     system = _resolve_system(args.system)
     out = Path(args.out)
@@ -528,8 +535,6 @@ def cmd_cancellation(args) -> int:
     delta_k = _parse_delta_k(args.dk, system.N)
     phi = _parse_phi(args.phi, system.dim, args.seed)
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
-    if args.eps_min <= 0.0 or args.eps_max <= 0.0:
-        raise ArgumentError("--eps-min and --eps-max must be positive")
     eps_values = np.logspace(
         np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count
     )
@@ -591,15 +596,15 @@ def cmd_cancellation(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, system_required=True):
-    if system_required:
+def _add_common(p, system=True, tolerances=True):
+    """--out, plus --system and the tolerance flags if the command reads them."""
+    if system:
         p.add_argument("--system", required=True,
                        help="system JSON path or catalog:<name>")
-    else:
-        p.add_argument("--system", help="system JSON path or catalog:<name>")
-    p.add_argument("--tol-rank", type=float, default=None)
-    p.add_argument("--tol-cluster", type=float, default=None)
-    p.add_argument("--tol-residual", type=float, default=None)
+    if tolerances:
+        p.add_argument("--tol-rank", type=float, default=None)
+        p.add_argument("--tol-cluster", type=float, default=None)
+        p.add_argument("--tol-residual", type=float, default=None)
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -647,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("design", help="build critical systems")
-    _add_common(p, system_required=False)
+    _add_common(p, system=False, tolerances=False)
+    p.add_argument("--system", help="system to rescale (--family scale)")
     p.add_argument("--family", required=True,
                    choices=("quartic", "cubic", "double2", "scale", "catalog"))
     p.add_argument("--x", type=float, default=0.0)
@@ -659,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("reproduce-figure", help="reference splitting diagrams")
-    _add_common(p, system_required=False)
+    _add_common(p, system=False)
     p.add_argument("--figure", type=int, required=True)
     p.add_argument("--eps0", type=float, default=1e-4)
     p.add_argument("--eps-count", type=int, default=9)

@@ -20,8 +20,9 @@ gets its argument in (-pi/2, pi/2]).
 
 Blocks sharing one eigenvalue (level crossing) additionally need cross-block
 mixing; see :func:`biorthogonalize_crossing`.  Eigenvalues off the negative
-imaginary axis come in pairs (omega, -conj(omega)); the partner chain is
-rebuilt from the conjugation rule f_{-j,n} = +/- i^M (-1)^n conj(f_{j,n}).
+imaginary axis come in pairs (omega, -conj(omega)); only the block with
+Re(omega) > 0 is built, and its partner follows from the conjugation rule
+f_{-j,n} = +/- i^M (-1)^n conj(f_{j,n}).
 Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 """
@@ -29,6 +30,7 @@ identity used by the dynamics module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 
@@ -45,8 +47,6 @@ from .linalg import (
     solve_affine,
 )
 from .model import OscillatorSystem, bilinear, evolution_operator, metric, metric_conjugate
-
-_EPS = np.finfo(float).eps
 
 
 class ChainError(RuntimeError):
@@ -95,7 +95,8 @@ class JordanBlock:
     label follows the pairing convention: +j / -j for mirror pairs, 0 for
     blocks on the negative imaginary axis.  conj_sign records which sign of
     the conjugation rule the block realizes (None if the basis breaks the
-    symmetry, possible after complex crossing mixes).
+    symmetry, possible after complex crossing mixes).  A -j partner carries
+    no ledger: it is derived from its mirror, not normalized.
     """
 
     omega: complex
@@ -105,7 +106,6 @@ class JordanBlock:
     label: int = 0
     ledger: NormalizationLedger | None = None
     conj_sign: int | None = None
-    crossing_group: int | None = None
     near_critical: bool = False
 
 
@@ -115,7 +115,6 @@ class CrossingGroup:
 
     omega: complex
     sizes: list
-    block_indices: list
 
     @property
     def L(self) -> int:
@@ -175,21 +174,20 @@ def _single_linkage(roots: np.ndarray, radius: float):
     return [np.array(idx) for idx in groups.values()]
 
 
-def _nullity_sequence(a: np.ndarray, max_power: int, tol: Tolerances):
-    """Nullities of a^k for k = 0..max_power with power-scaled thresholds."""
-    dim = a.shape[0]
-    smax = float(np.linalg.norm(a, 2))
-    base = max(smax, 1e-6)
-    nullities = [0]
-    ak = np.eye(dim, dtype=complex)
-    for k in range(1, max_power + 1):
+def _kernel_sequence(a: np.ndarray, tol: Tolerances):
+    """Yield (A^k, ker A^k) for k = 1, 2, ...: the one rank decision on powers.
+
+    ker A^k is an orthonormal basis (as columns) of the right singular
+    vectors of A^k whose singular values stay at or below the power-scaled
+    threshold rank_tol * max(|A|_2, 1e-6)^k.
+    """
+    base = max(float(np.linalg.norm(a, 2)), 1e-6)
+    ak = np.eye(a.shape[0], dtype=complex)
+    for k in count(1):
         ak = ak @ a
-        s = np.linalg.svd(ak, compute_uv=False)
-        thresh = tol.rank_tol * base**k
-        nullities.append(int(dim - np.sum(s > thresh)))
-        if nullities[-1] == nullities[-2]:
-            break
-    return nullities
+        _, s, vh = np.linalg.svd(ak)
+        rank = int(np.sum(s > tol.rank_tol * base**k))
+        yield ak, vh[rank:].conj().T
 
 
 def block_sizes_at(h: np.ndarray, omega: complex, multiplicity: int,
@@ -205,7 +203,11 @@ def block_sizes_at(h: np.ndarray, omega: complex, multiplicity: int,
     tol = tol or DEFAULT_TOL
     dim = h.shape[0]
     a = h - omega * np.eye(dim)
-    nullities = _nullity_sequence(a, multiplicity, tol)
+    nullities = [0]
+    for _, kernel in islice(_kernel_sequence(a, tol), multiplicity):
+        nullities.append(kernel.shape[1])
+        if nullities[-1] == nullities[-2]:
+            break
     total = nullities[-1]
     if total != multiplicity or nullities[1] == 0:
         return None
@@ -217,8 +219,6 @@ def block_sizes_at(h: np.ndarray, omega: complex, multiplicity: int,
         nxt = counts[k] if k < len(counts) else 0
         sizes.extend([k] * (c - nxt))
     sizes.sort(reverse=True)
-    if sum(sizes) != multiplicity:
-        return None
     return sizes
 
 
@@ -375,8 +375,13 @@ def normalize_block(chain, sys: OscillatorSystem,
 
 
 def _sign_fix(f0: np.ndarray) -> int:
-    """+1 to keep, -1 to flip: largest entry's argument goes in (-pi/2, pi/2]."""
-    idx = int(np.argmax(np.abs(f0)))
+    """+1 to keep, -1 to flip: largest entry's argument goes in (-pi/2, pi/2].
+
+    Among entries of equal magnitude up to a relative 1e-8 the first one
+    decides, so rounding noise cannot pick the entry.
+    """
+    mags = np.abs(f0)
+    idx = int(np.argmax(mags >= (1.0 - 1e-8) * mags.max()))
     a = f0[idx]
     tiny = 1e-12 * abs(a)
     if a.real > tiny:
@@ -392,40 +397,28 @@ def single_block_shortcut(sys: OscillatorSystem, tol: Tolerances | None = None):
     When exactly one Jordan block of size M >= 2 exists, the metric conjugate
     of its eigenvector, orthogonalized (in the bilinear sense) against all
     simple eigenvectors, is a valid top vector; the chain follows by
-    iterating (H - omega).  Returns the normalized JordanBlock.  Refuses when
-    the number of nontrivial blocks differs from one.
+    iterating (H - omega).  The eigenvalue and the eigenvectors come from
+    compute_spectrum.  Returns the normalized JordanBlock.  Refuses when the
+    number of nontrivial blocks differs from one.
     """
     tol = tol or DEFAULT_TOL
-    h = evolution_operator(sys)
-    coeffs = char_poly(h)
-    roots = poly_roots(coeffs, tol)
-    groups, _ = _eigenstructure(h, coeffs, roots, tol)
-    nontrivial = [(w, s) for w, sizes in groups for s in sizes if s >= 2]
+    spectrum = compute_spectrum(sys, tol)
+    nontrivial = [b for b in spectrum.blocks if b.size >= 2]
     if len(nontrivial) != 1:
         raise ArgumentError(
             f"shortcut needs exactly one nontrivial block, found "
             f"{len(nontrivial)}"
         )
-    omega_j, m = nontrivial[0]
-    dim = sys.dim
-    a = h - omega_j * np.eye(dim)
-    _, null = numeric_rank_and_nullspace(a, tol)
-    f_j = null[:, 0]
-    psi = metric_conjugate(sys, f_j)
-    for omega_o, sizes in groups:
-        if omega_o == omega_j:
-            continue
-        for _ in sizes:
-            _, onull = numeric_rank_and_nullspace(
-                h - omega_o * np.eye(dim), tol
-            )
-            for col in range(onull.shape[1]):
-                e = onull[:, col]
-                psi = psi - e * (bilinear(sys, e, psi) / bilinear(sys, e, e))
-    chain = chain_from_top(a, psi, m)
-    chain, ledger = normalize_block(chain, sys, tol)
-    return JordanBlock(omega=omega_j, size=m, chain=np.array(chain),
-                       ledger=ledger)
+    block = nontrivial[0]
+    a = spectrum.operator() - block.omega * np.eye(sys.dim)
+    psi = metric_conjugate(sys, block.chain[0])
+    for other in spectrum.blocks:
+        if other is not block:
+            e = other.chain[0]
+            psi = psi - e * (bilinear(sys, e, psi) / bilinear(sys, e, e))
+    chain, ledger = normalize_block(chain_from_top(a, psi, block.size), sys, tol)
+    return JordanBlock(omega=block.omega, size=block.size,
+                       chain=np.array(chain), ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +434,11 @@ def _raw_crossing_chains(h: np.ndarray, omega: complex, sizes, tol: Tolerances):
     """
     dim = h.shape[0]
     a = h - omega * np.eye(dim)
-    mmax = max(sizes)
-    smax = max(float(np.linalg.norm(a, 2)), 1e-6)
     powers = [np.eye(dim, dtype=complex)]
-    for _ in range(mmax):
-        powers.append(powers[-1] @ a)
     kernels = [np.zeros((dim, 0), dtype=complex)]
-    for k in range(1, mmax + 1):
-        _, s, vh = np.linalg.svd(powers[k])
-        rank = int(np.sum(s > tol.rank_tol * smax**k))
-        kernels.append(vh[rank:].conj().T)
+    for ak, kernel in islice(_kernel_sequence(a, tol), max(sizes)):
+        powers.append(ak)
+        kernels.append(kernel)
     chains = []
     tall_tops = []  # (height, top)
     for m in sorted(set(sizes), reverse=True):
@@ -572,52 +560,42 @@ def _detect_self_conjugation(chain: np.ndarray) -> int | None:
     return None
 
 
-def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
-    """Pair mirror blocks and rebuild each partner from the conjugation rule.
+def _axis_tol(tol: Tolerances, omegas) -> float:
+    """Half-width of the band around the negative imaginary axis."""
+    return tol.cluster_tol * (1.0 + max(abs(w) for w in omegas))
 
-    Blocks with Re(omega) > 0 keep their computed chains and get labels
-    j = 1, 2, ...; their partners at -conj(omega) are replaced by the
-    conjugated chains (sign +) and labeled -j.  Blocks on the negative
-    imaginary axis are labeled 0 and carry the detected self-symmetry sign.
+
+def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
+    """Label the built blocks and append partners from the conjugation rule.
+
+    The spectrum holds the blocks with Re(omega) >= -axis_tol, in order.
+    Blocks on the negative imaginary axis are labeled 0 and carry the
+    detected self-symmetry sign.  The others get labels j = 1, 2, ... and a
+    partner at -conj(omega) with the conjugated chain (sign +), labeled -j,
+    without a ledger.  The blocks are sorted afterwards, so each +j comes
+    before its -j.
     """
-    tol = spectrum.tol
-    scale = 1.0 + max(abs(b.omega) for b in spectrum.blocks)
-    axis_tol = tol.cluster_tol * scale
-    blocks = spectrum.blocks
-    used = set()
-    next_label = 1
-    for i, b in enumerate(blocks):
+    axis_tol = _axis_tol(spectrum.tol, [b.omega for b in spectrum.blocks])
+    partners = []
+    for b in spectrum.blocks:
         if abs(b.omega.real) <= axis_tol:
             b.label = 0
             b.conj_sign = _detect_self_conjugation(b.chain)
             continue
-        if i in used or b.omega.real < 0:
-            continue
-        partner = None
-        for j, other in enumerate(blocks):
-            if j == i or j in used or other.omega.real >= 0:
-                continue
-            if (
-                abs(other.omega + np.conj(b.omega)) <= 10.0 * axis_tol
-                and other.size == b.size
-            ):
-                partner = j
-                break
-        if partner is None:
-            raise PairingError(
-                f"eigenvalue {b.omega} has no mirror partner at "
-                f"{-np.conj(b.omega)}"
-            )
-        b.label = next_label
-        p = blocks[partner]
-        p.omega = -np.conj(b.omega)
-        p.chain = conjugate_chain(b.chain)
-        p.label = -next_label
-        p.conj_sign = 1
+        b.label = len(partners) + 1
         b.conj_sign = 1
-        used.add(i)
-        used.add(partner)
-        next_label += 1
+        partners.append(
+            JordanBlock(
+                omega=-np.conj(b.omega),
+                size=b.size,
+                chain=conjugate_chain(b.chain),
+                label=-b.label,
+                conj_sign=1,
+                near_critical=b.near_critical,
+            )
+        )
+    spectrum.blocks.extend(partners)
+    _sort_blocks(spectrum.blocks)
     return spectrum
 
 
@@ -752,9 +730,42 @@ def _sort_blocks(blocks):
     return blocks
 
 
+def _unmirrored_groups(groups, axis_tol: float):
+    """The (omega, sizes) groups with Re(omega) >= -axis_tol.
+
+    Every group with Re(omega) > axis_tol must have one mirror group at
+    -conj(omega), within 10 axis_tol and with the same block sizes, and every
+    group with Re(omega) < -axis_tol must be such a mirror; otherwise
+    PairingError.
+    """
+    kept = [(w, sizes) for w, sizes in groups if w.real >= -axis_tol]
+    mirrors = [(w, sizes) for w, sizes in groups if w.real < -axis_tol]
+    for omega, sizes in kept:
+        if omega.real > axis_tol:
+            match = [
+                i for i, (w, s) in enumerate(mirrors)
+                if abs(w + np.conj(omega)) <= 10.0 * axis_tol and s == sizes
+            ]
+            if not match:
+                raise PairingError(
+                    f"eigenvalue {omega} has no mirror partner at "
+                    f"{-np.conj(omega)}"
+                )
+            del mirrors[match[0]]
+    if mirrors:
+        raise PairingError(
+            f"eigenvalue {mirrors[0][0]} is the mirror of no eigenvalue at "
+            f"{-np.conj(mirrors[0][0])}"
+        )
+    return kept
+
+
 def compute_spectrum(sys: OscillatorSystem,
                      tol: Tolerances | None = None) -> Spectrum:
     """Full Jordan decomposition: detect, build, normalize, pair, verify.
+
+    Chains are built for the eigenvalues with Re(omega) >= -axis_tol only;
+    their mirrors follow from the conjugation rule (enforce_conjugation).
 
     Raises VerificationError when the constructed basis misses its
     invariants at residual_tol (never silently returns a bad basis).
@@ -767,58 +778,35 @@ def compute_spectrum(sys: OscillatorSystem,
     flagged_omegas = {
         complex(r) for cl in flagged for r in cl["roots"]
     }
+    axis_tol = _axis_tol(tol, [w for w, _ in groups])
 
     blocks = []
-    crossing_groups = []
-    for omega, sizes in groups:
-        near = complex(omega) in flagged_omegas
+    for omega, sizes in _unmirrored_groups(groups, axis_tol):
         if len(sizes) == 1:
             chain = build_chain(h, omega, sizes[0], tol)
-            chain, ledger = normalize_block(chain, sys, tol)
-            blocks.append(
-                JordanBlock(
-                    omega=omega,
-                    size=sizes[0],
-                    chain=np.array(chain),
-                    ledger=ledger,
-                    near_critical=near,
-                )
-            )
+            built = [normalize_block(chain, sys, tol)]
         else:
             raw = _raw_crossing_chains(h, omega, sizes, tol)
-            processed = biorthogonalize_crossing(raw, sys, h, omega, tol)
-            gid = len(crossing_groups)
-            first = len(blocks)
-            for chain, ledger in processed:
-                blocks.append(
-                    JordanBlock(
-                        omega=omega,
-                        size=len(chain),
-                        chain=np.array(chain),
-                        ledger=ledger,
-                        crossing_group=gid,
-                        near_critical=near,
-                    )
-                )
-            crossing_groups.append(
-                CrossingGroup(
-                    omega=omega,
-                    sizes=sorted(sizes, reverse=True),
-                    block_indices=list(range(first, first + len(sizes))),
-                )
+            built = biorthogonalize_crossing(raw, sys, h, omega, tol)
+        blocks.extend(
+            JordanBlock(
+                omega=omega,
+                size=len(chain),
+                chain=np.array(chain),
+                ledger=ledger,
+                near_critical=complex(omega) in flagged_omegas,
             )
-    _sort_blocks(blocks)
-    for g in crossing_groups:
-        g.block_indices = [
-            i for i, b in enumerate(blocks)
-            if b.crossing_group is not None
-            and crossing_groups[b.crossing_group] is g
-        ]
+            for chain, ledger in built
+        )
     spectrum = Spectrum(
         system=sys,
-        blocks=blocks,
+        blocks=_sort_blocks(blocks),
         tol=tol,
-        crossing_groups=crossing_groups,
+        crossing_groups=[
+            CrossingGroup(omega=w, sizes=sorted(sizes, reverse=True))
+            for w, sizes in groups
+            if len(sizes) > 1
+        ],
         near_critical_clusters=flagged,
     )
     enforce_conjugation(spectrum)

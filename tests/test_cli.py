@@ -138,8 +138,20 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
         (["reproduce-figure", "--figure", "1", "--eps0", "0"], "--eps0"),
         (["cancellation", "--system", "catalog:quartic-jb4",
           "--eps-min=-1e-8"], "--eps-min"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11",
+          "--eps-count", "1"], "--eps-count"),
+        (["reproduce-figure", "--figure", "1", "--eps-count", "1"],
+         "--eps-count"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--eps-count", "0"], "--eps-count"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--eps-count", "1"], "--eps-count"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--t-steps", "0"], "--t-steps"),
     ],
-    ids=["perturb", "reproduce-figure", "cancellation"],
+    ids=["perturb", "reproduce-figure", "cancellation", "perturb-count-1",
+         "reproduce-figure-count-1", "cancellation-count-0",
+         "cancellation-count-1", "cancellation-t-steps-0"],
 )
 def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option):
     with warnings.catch_warnings():
@@ -147,6 +159,22 @@ def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option)
         assert run(args + ["--out", str(tmp_path)]) == 2
     assert option in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reproduce-figure", "--figure", "1", "--system", "catalog:cubic-jb3"],
+        ["design", "--family", "quartic", "--tol-rank", "1e-8"],
+        ["design", "--family", "quartic", "--tol-cluster", "1e-8"],
+        ["design", "--family", "quartic", "--tol-residual", "1e-8"],
+    ],
+    ids=["reproduce-figure-system", "design-tol-rank", "design-tol-cluster",
+         "design-tol-residual"],
+)
+def test_flags_a_subcommand_ignores_are_rejected(tmp_path, args):
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_deterministic_output(tmp_path):

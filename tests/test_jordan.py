@@ -4,7 +4,9 @@ import pytest
 from critmode.jordan import (
     ChainError,
     DegenerateChainError,
+    PairingError,
     VerificationError,
+    _unmirrored_groups,
     block_sizes_at,
     biorthogonalize_crossing,
     build_chain,
@@ -172,6 +174,21 @@ def test_normalize_block_scrambled_quartic_recovers_fixture():
     assert diff <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["cubic-jb3", "single-critical"])
+def test_sign_fix_ignores_rounding_ties(catalog_entries, name):
+    # f_0 has entries of equal magnitude; a 1e-12 perturbation must not let
+    # rounding noise pick another entry and flip the block's sign
+    sys = catalog_entries[name].system
+    dk = np.zeros((sys.N, sys.N))
+    dk[0, 0] = 1.0
+    f0 = [
+        compute_spectrum(build_system(sys.K + eps * dk, sys.Gamma))
+        .largest_block().chain[0]
+        for eps in (0.0, 1e-12)
+    ]
+    assert np.max(np.abs(f0[0] - f0[1])) <= 1e-9
+
+
 def test_normalize_block_degenerate_rejected():
     sys = build_system(np.eye(2), np.zeros((2, 2)))
     # two vectors with vanishing mutual pairing: not a valid chain
@@ -294,6 +311,36 @@ def test_conjugation_double_block(catalog_spectra):
     want = conjugate_chain(plus.chain)
     assert np.max(np.abs(minus.chain - want)) <= 1e-12
     assert abs(minus.omega + np.conj(plus.omega)) < 1e-12
+    # the partner is derived, not normalized: no ledger of its own
+    assert minus.ledger is None
+    assert np.array_equal(minus.chain, conjugate_chain(plus.chain))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2, 1e-3, 1e-4, -1e-4])
+def test_mirror_pairs_ordered_plus_first(catalog_entries, eps):
+    # the pair order must not follow rounding noise in the mirror roots
+    sys = catalog_entries["double-jb2"].system
+    dk = np.zeros((sys.N, sys.N))
+    dk[0, 0] = 1.0
+    spec = compute_spectrum(build_system(sys.K + eps * dk, sys.Gamma))
+    labels = [b.label for b in spec.blocks]
+    for j in labels:
+        if j > 0:
+            assert labels.index(j) < labels.index(-j), labels
+    assert spec.largest_block().label > 0
+
+
+def test_unmirrored_groups_pairs_or_raises():
+    axis, right, left = (-2j, [1]), (1.0 - 1j, [2]), (-1.0 - 1j, [2])
+    assert _unmirrored_groups([left, axis, right], 1e-9) == [axis, right]
+    for groups in (
+        [axis, right],               # no mirror for Re(omega) > 0
+        [axis, left],                # a mirror of nothing
+        [right, (-1.0 - 1j, [1, 1])],  # mirror with other block sizes
+        [right, (-1.1 - 1j, [2])],     # mirror too far from -conj(omega)
+    ):
+        with pytest.raises(PairingError):
+            _unmirrored_groups(groups, 1e-9)
 
 
 def test_conjugation_quartic_alternation(catalog_spectra):
