@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import design as design_mod
-from .design import catalog_entry, catalog_to_json
+from .design import DesignError, catalog_entry, catalog_to_json
 from .dynamics import (
     NonDiagonalizableError,
     check_sum_rules,
@@ -117,6 +117,8 @@ def _eps_grid(eps0: float, power: int, count: int) -> np.ndarray:
     """Figure-style grid eps_n = n^p * eps0 for n = 0..count-1."""
     if count < 2:
         raise ArgumentError("--eps-count must be at least 2")
+    if power < 1:
+        raise ArgumentError("--eps-power must be at least 1")
     if eps0 == 0.0:
         raise ArgumentError("--eps0 must be nonzero")
     return np.arange(count, dtype=float) ** power * eps0
@@ -161,6 +163,8 @@ def _resolve_system(ref: str) -> OscillatorSystem:
 
 def _parse_phi(spec: str, dim: int, seed: int = 0) -> np.ndarray:
     if spec == "random":
+        if seed < 0:
+            raise ArgumentError("--seed must be nonnegative")
         rng = np.random.default_rng(seed)
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     try:
@@ -239,16 +243,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+def _parse_times(spec: str) -> np.ndarray:
+    try:
+        times = np.array(sorted(float(t) for t in spec.split(",")))
+    except ValueError as exc:
+        raise ArgumentError(f"cannot parse --times {spec!r}: {exc}") from exc
+    if not np.all(np.isfinite(times)):
+        raise ArgumentError(f"--times must be finite, got {spec!r}")
+    return times
+
+
 def cmd_evolve(args) -> int:
+    if args.t_steps < 1:
+        raise ArgumentError("--t-steps must be at least 1")
     tol = _resolve_tol(args)
     system = _resolve_system(args.system)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     phi = _parse_phi(args.phi, system.dim, args.seed)
     if args.times:
-        times = np.array(sorted(float(t) for t in args.times.split(",")))
+        times = _parse_times(args.times)
     else:
         times = np.linspace(0.0, args.t_max, args.t_steps)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     states = np.array([evolve_state(spectrum, phi, t) for t in times])
     header = ["t"]
@@ -284,7 +300,10 @@ def cmd_evolve(args) -> int:
 
 
 def _sweep_rows(system, spectrum, block, delta_k, eps_values):
-    """Numerical vs predicted eigenvalue tracks; one row per (eps, mode)."""
+    """Numerical vs predicted eigenvalue tracks, one row per (eps, mode).
+
+    Also returns whether xi is nonzero along delta_k (the generic case).
+    """
     rows = []
     gap = spectral_gap(spectrum, block)
     generic = None
@@ -339,10 +358,10 @@ SWEEP_HEADER = [
 def cmd_perturb(args) -> int:
     tol = _resolve_tol(args)
     system = _resolve_system(args.system)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     delta_k = _parse_delta_k(args.dk, system.N)
     eps_values = _eps_grid(args.eps0, args.eps_power, args.eps_count)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
     if block.size < 2:
@@ -392,15 +411,15 @@ def cmd_design(args) -> int:
 # convention of the figures themselves.  Figure 4's window sits higher
 # because its moving pair splits only like eps**(1/2).
 FIGURES = {
-    1: {"system": "quartic-jb4", "dk": "e11", "power": 4, "nongeneric": False,
+    1: {"system": "quartic-jb4", "dk": "e11", "power": 4,
         "fit_decades": (-8, -4)},
     2: {"system": "quartic-jb4", "dk": "mu:1,-1.5,2", "power": 3,
-        "nongeneric": True, "fit_decades": (-8, -4)},
-    3: {"system": "cubic-jb3", "dk": "e11", "power": 3, "nongeneric": False,
+        "fit_decades": (-8, -4)},
+    3: {"system": "cubic-jb3", "dk": "e11", "power": 3,
         "fit_decades": (-8, -4)},
     4: {"system": "cubic-jb3", "dk": "mu:-2,0.5,1", "power": 2,
-        "nongeneric": True, "fit_decades": (-6, -3)},
-    5: {"system": "double-jb2", "dk": "e11", "power": 2, "nongeneric": False,
+        "fit_decades": (-6, -3)},
+    5: {"system": "double-jb2", "dk": "e11", "power": 2,
         "fit_decades": (-8, -4)},
 }
 
@@ -409,9 +428,13 @@ def _figure_fit_grid(eps0: float, decades=(-8, -4)) -> np.ndarray:
     return np.sign(eps0) * np.logspace(decades[0], decades[1], 9)
 
 
-def figure_summary(system, spectrum, block, delta_k, eps0, nongeneric,
+def figure_summary(system, spectrum, block, delta_k, eps0, generic,
                    fit_decades=(-8, -4)):
-    """Exponent fits, equiangularity, and first-order accuracy diagnostics."""
+    """Exponent fits, equiangularity, and first-order accuracy diagnostics.
+
+    ``generic`` says whether xi is nonzero (as ``_sweep_rows`` decided it):
+    if not, the M-1 moving modes are fitted and the static one separately.
+    """
     fit_grid = _figure_fit_grid(eps0, fit_decades)
     gap = spectral_gap(spectrum, block)
     m = block.size
@@ -423,16 +446,13 @@ def figure_summary(system, spectrum, block, delta_k, eps0, nongeneric,
         evals = exact_perturbed_spectrum(system, delta_k, eps)
         shifts = cluster_shifts(evals, block.omega, m, gap)
         order = np.argsort(np.abs(shifts))
-        if nongeneric:
-            moving = shifts[order[1:]]
-            ng = predict_splitting_nongeneric(block, delta_k, eps)
-            predicted = ng.shifts
-            lam = abs(complex(2.0 * eps * ng.xi_prime) ** (1.0 / (m - 1)))
-        else:
+        if generic:
             moving = shifts
-            pred = predict_splitting(block, delta_k, eps)
-            predicted = pred.shifts
-            lam = abs(pred.lam)
+            predicted = predict_splitting(block, delta_k, eps).shifts
+        else:
+            moving = shifts[order[1:]]
+            predicted = predict_splitting_nongeneric(block, delta_k, eps).shifts
+        lam = float(abs(predicted[0]))  # zeta_0 = 1: the splitting scale
         moving_mags.append(float(np.mean(np.abs(moving))))
         perm = assign_predictions(moving, predicted)
         errors.append(
@@ -461,7 +481,7 @@ def figure_summary(system, spectrum, block, delta_k, eps0, nongeneric,
         "equiangular_allowance": 5.0 * lams[0],
         "lambda_smallest": lams[0],
     }
-    if nongeneric:
+    if not generic:
         # The static mode moves at O(eps); fit it on a higher grid where it
         # stands clear of the eigensolver noise floor.
         statics = []
@@ -487,13 +507,13 @@ def cmd_reproduce_figure(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
-    rows, _ = _sweep_rows(system, spectrum, block, delta_k, eps_values)
+    rows, generic = _sweep_rows(system, spectrum, block, delta_k, eps_values)
     _write_csv(out / f"figure{args.figure}.csv", SWEEP_HEADER, rows)
     summary = figure_summary(
-        system, spectrum, block, delta_k, args.eps0, fig["nongeneric"],
+        system, spectrum, block, delta_k, args.eps0, generic,
         fig["fit_decades"],
     )
-    if not fig["nongeneric"]:
+    if generic:
         # the caption grids make |shift| proportional to n; report how
         # closely the numerical tracks follow that spacing
         per_n = {}
@@ -524,16 +544,18 @@ def cmd_reproduce_figure(args) -> int:
 def cmd_cancellation(args) -> int:
     if args.eps_min <= 0.0 or args.eps_max <= 0.0:
         raise ArgumentError("--eps-min and --eps-max must be positive")
+    if args.eps_min >= args.eps_max:
+        raise ArgumentError("--eps-min must be below --eps-max")
     if args.eps_count < 2:
         raise ArgumentError("--eps-count must be at least 2")
     if args.t_steps < 1:
         raise ArgumentError("--t-steps must be at least 1")
     tol = _resolve_tol(args)
     system = _resolve_system(args.system)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     delta_k = _parse_delta_k(args.dk, system.N)
     phi = _parse_phi(args.phi, system.dim, args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
     eps_values = np.logspace(
         np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count
@@ -694,7 +716,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ArgumentError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ArgumentError, DesignError, KeyError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except VerificationError as exc:

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ArgumentError, Tolerances, char_poly, poly_from_roots
-from .model import OscillatorSystem, build_system, evolution_operator
+from .linalg import ArgumentError
+from .model import OscillatorSystem, build_system
 
 CONSTRAINT_TOL = 1e-12
 
@@ -56,67 +56,42 @@ class DesignError(RuntimeError):
     """No real solution exists for the requested design parameters."""
 
 
-def _half_gamma(sys: OscillatorSystem) -> np.ndarray:
-    return 0.5 * sys.Gamma
+def _invariants(sys: OscillatorSystem) -> np.ndarray:
+    """Left-hand sides of the four constraints, in the module docstring's order."""
+    k = sys.K
+    g = 0.5 * sys.Gamma
+    return np.array(
+        [
+            k[0, 0] * k[1, 1] - k[0, 1] ** 2,
+            g[0, 0] + g[1, 1],
+            k[0, 0] + k[1, 1] + 4.0 * (g[0, 0] * g[1, 1] - g[0, 1] ** 2),
+            k[0, 0] * g[1, 1] + k[1, 1] * g[0, 0] - 2.0 * k[0, 1] * g[0, 1],
+        ]
+    )
 
 
 def quartic_constraint_residuals(sys: OscillatorSystem) -> np.ndarray:
     """Absolute residuals of the four (w+i)^4 constraints."""
-    k = sys.K
-    g = _half_gamma(sys)
-    return np.abs(
-        np.array(
-            [
-                k[0, 0] * k[1, 1] - k[0, 1] ** 2 - 1.0,
-                g[0, 0] + g[1, 1] - 2.0,
-                k[0, 0] + k[1, 1] + 4.0 * (g[0, 0] * g[1, 1] - g[0, 1] ** 2) - 6.0,
-                k[0, 0] * g[1, 1] + k[1, 1] * g[0, 0] - 2.0 * k[0, 1] * g[0, 1] - 2.0,
-            ]
-        )
-    )
+    return np.abs(_invariants(sys) - np.array([1.0, 2.0, 6.0, 2.0]))
 
 
 def cubic_constraint_residuals(sys: OscillatorSystem, b: float) -> np.ndarray:
     """Absolute residuals of the (w+i)^3 (w+ib) constraints."""
-    k = sys.K
-    g = _half_gamma(sys)
-    return np.abs(
-        np.array(
-            [
-                k[0, 0] * k[1, 1] - k[0, 1] ** 2 - b,
-                g[0, 0] + g[1, 1] - (3.0 + b) / 2.0,
-                k[0, 0] + k[1, 1] + 4.0 * (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
-                - 3.0 * (1.0 + b),
-                k[0, 0] * g[1, 1] + k[1, 1] * g[0, 0] - 2.0 * k[0, 1] * g[0, 1]
-                - (1.0 + 3.0 * b) / 2.0,
-            ]
-        )
-    )
+    targets = [b, (3.0 + b) / 2.0, 3.0 * (1.0 + b), (1.0 + 3.0 * b) / 2.0]
+    return np.abs(_invariants(sys) - np.array(targets))
 
 
 def double2_constraint_residuals(sys: OscillatorSystem, b: float) -> np.ndarray:
     """Absolute residuals of the (w+i-b)^2 (w+i+b)^2 constraints."""
-    k = sys.K
-    g = _half_gamma(sys)
     c = 1.0 + b * b
-    return np.abs(
-        np.array(
-            [
-                k[0, 0] * k[1, 1] - k[0, 1] ** 2 - c * c,
-                g[0, 0] + g[1, 1] - 2.0,
-                k[0, 0] + k[1, 1] + 4.0 * (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
-                - (6.0 + 2.0 * b * b),
-                k[0, 0] * g[1, 1] + k[1, 1] * g[0, 0] - 2.0 * k[0, 1] * g[0, 1]
-                - 2.0 * c,
-            ]
-        )
-    )
+    targets = [c * c, 2.0, 6.0 + 2.0 * b * b, 2.0 * c]
+    return np.abs(_invariants(sys) - np.array(targets))
 
 
-def _check(residuals: np.ndarray, what: str) -> None:
+def _check(residuals: np.ndarray, sys: OscillatorSystem) -> None:
     worst = float(np.max(residuals))
     if worst > CONSTRAINT_TOL:
-        raise DesignError(f"{what}: constraint residual {worst:.3e}")
+        raise DesignError(f"{sys.label}: constraint residual {worst:.3e}")
 
 
 def quartic_critical(x: float, y: float) -> OscillatorSystem:
@@ -186,7 +161,7 @@ def quartic_critical(x: float, y: float) -> OscillatorSystem:
         warnings.simplefilter("ignore")
         sys = build_system(np.array([[a, b], [b, c]]), 2.0 * gamma,
                            label=f"quartic(x={x:g},y={y:g})")
-    _check(quartic_constraint_residuals(sys), "quartic design")
+    _check(quartic_constraint_residuals(sys), sys)
     return sys
 
 
@@ -221,7 +196,7 @@ def cubic_critical(b: float, gamma11: float) -> OscillatorSystem:
             np.array([[2.0 * g11, 0.0], [0.0, 2.0 * g22]]),
             label=f"cubic(b={b:g},gamma11={gamma11:g})",
         )
-    _check(cubic_constraint_residuals(sys, b), "cubic design")
+    _check(cubic_constraint_residuals(sys, b), sys)
     return sys
 
 
@@ -242,7 +217,7 @@ def double2_critical(b: float) -> OscillatorSystem:
             np.array([[4.0, 0.0], [0.0, 0.0]]),
             label=f"double2(b={b:g})",
         )
-    _check(double2_constraint_residuals(sys, b), "double-block design")
+    _check(double2_constraint_residuals(sys, b), sys)
     return sys
 
 
@@ -532,93 +507,3 @@ def catalog_to_json(entry: CatalogEntry) -> dict:
             for p in entry.perturbations
         ],
     }
-
-
-# ---------------------------------------------------------------------------
-# general designer (beyond the closed-form families; experimental utility)
-# ---------------------------------------------------------------------------
-
-def newton_design(
-    target_roots,
-    n: int,
-    x0: np.ndarray | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-    positivity_weight: float = 1.0,
-    seed: int = 0,
-) -> OscillatorSystem:
-    """Gauss-Newton search for (K, Gamma) matching a target root multiset.
-
-    Experimental: minimizes the characteristic-coefficient residual with
-    hinge penalties on negative Gamma eigenvalues.  The target multiset must
-    be closed under w -> -conj(w) or no real system can realize it.
-    """
-    roots = np.asarray(target_roots, dtype=complex)
-    if roots.size != 2 * n:
-        raise ArgumentError(f"need exactly {2 * n} target roots")
-    mirrored = np.sort_complex(-np.conj(roots))
-    if not np.allclose(np.sort_complex(roots), mirrored, atol=1e-9):
-        raise ArgumentError(
-            "target roots must be closed under reflection w -> -conj(w)"
-        )
-    target = poly_from_roots(roots)
-    tri = np.triu_indices(n)
-    npar = 2 * tri[0].size
-
-    def unpack(theta):
-        k = np.zeros((n, n))
-        g = np.zeros((n, n))
-        k[tri] = theta[: tri[0].size]
-        g[tri] = theta[tri[0].size :]
-        k = k + np.triu(k, 1).T
-        g = g + np.triu(g, 1).T
-        return k, g
-
-    def residual(theta):
-        k, g = unpack(theta)
-        h = np.zeros((2 * n, 2 * n), dtype=complex)
-        h[:n, n:] = np.eye(n)
-        h[n:, :n] = -k
-        h[n:, n:] = -g
-        coeffs = char_poly(1j * h)
-        diff = coeffs[:-1] - target[:-1]
-        geig = np.linalg.eigvalsh(g)
-        pen = positivity_weight * np.minimum(geig, 0.0)
-        return np.concatenate([diff.real, diff.imag, pen])
-
-    rng = np.random.default_rng(seed)
-    theta = (
-        np.asarray(x0, dtype=float)
-        if x0 is not None
-        else rng.standard_normal(npar)
-    )
-    for _ in range(max_iter):
-        r = residual(theta)
-        if np.linalg.norm(r) < tol:
-            break
-        jac = np.zeros((r.size, npar))
-        h = 1e-7
-        for j in range(npar):
-            step = np.zeros(npar)
-            step[j] = h
-            jac[:, j] = (residual(theta + step) - r) / h
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        best, best_norm = theta, np.linalg.norm(r)
-        for damp in (1.0, 0.5, 0.25, 0.1):
-            cand = theta + damp * delta
-            cn = np.linalg.norm(residual(cand))
-            if cn < best_norm:
-                best, best_norm = cand, cn
-                break
-        if best is theta:
-            break
-        theta = best
-    r = residual(theta)
-    if np.linalg.norm(r) > 1e3 * tol:
-        raise DesignError(
-            f"designer did not converge (residual {np.linalg.norm(r):.3e})"
-        )
-    k, g = unpack(theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_system(k, g, label="newton-design")

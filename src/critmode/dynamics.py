@@ -179,29 +179,6 @@ def check_sum_rules(spectrum: Spectrum, threshold: float | None = None) -> SumRu
     )
 
 
-def greens_samples_csv(spectrum: Spectrum, omegas, path) -> None:
-    """Write frequency-domain samples: omega_re, omega_im, entries flattened.
-
-    Matrix entries follow row-major order, re/im interleaved.
-    """
-    dim = spectrum.system.dim
-    header = ["omega_re", "omega_im"]
-    for i in range(dim):
-        for j in range(dim):
-            header += [f"g{i}{j}_re", f"g{i}{j}_im"]
-    lines = [",".join(header)]
-    for w in omegas:
-        w = complex(w)
-        g = greens_freq(spectrum, w)
-        row = [w.real, w.imag]
-        for i in range(dim):
-            for j in range(dim):
-                row += [g[i, j].real, g[i, j].imag]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def rk4_evolve(sys: OscillatorSystem, phi0, times, step: float = 1e-4) -> np.ndarray:
     """Classic fixed-step RK4 for x'' + Gamma x' + K x = 0.
 

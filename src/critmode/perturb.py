@@ -53,21 +53,9 @@ class MatchingAmbiguityError(RuntimeError):
     """Eigenvalue shifts too large to assign to the unperturbed cluster."""
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """A stiffness-only perturbation direction and magnitude."""
-
-    delta_k: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        dk = np.asarray(self.delta_k, dtype=float)
-        if dk.ndim != 2 or dk.shape[0] != dk.shape[1]:
-            raise ArgumentError("delta_k must be square")
-        if np.max(np.abs(dk - dk.T)) > 1e-12 * max(1.0, np.max(np.abs(dk))):
-            raise ArgumentError("delta_k must be symmetric")
-        object.__setattr__(self, "delta_k", dk)
-
+# ---------------------------------------------------------------------------
+# xi, xi' and the leading-order splitting predictions
+# ---------------------------------------------------------------------------
 
 def delta_h(delta_k) -> np.ndarray:
     """Phase-space form of a stiffness perturbation: i[[0,0],[-DK,0]]."""
@@ -304,7 +292,7 @@ def j1_coefficient(
 
 
 # ---------------------------------------------------------------------------
-# numerical truth and fits
+# numerical truth: exact perturbed spectra, cluster matching, log-log slopes
 # ---------------------------------------------------------------------------
 
 def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps: float) -> np.ndarray:
@@ -368,38 +356,6 @@ def loglog_slope(x, y):
     coeff = np.polyfit(lx, ly, 1)
     fit = np.polyval(coeff, lx)
     return float(coeff[0]), float(np.sqrt(np.mean((ly - fit) ** 2)))
-
-
-def fit_splitting_exponent(
-    sys: OscillatorSystem,
-    delta_k,
-    eps_grid,
-    spectrum: Spectrum | None = None,
-    tol: Tolerances | None = None,
-):
-    """Fit log mean |shift| against log |eps| over an epsilon sweep.
-
-    The grid must keep one sign and span at least three decades.  Returns
-    (slope, rms residual).
-    """
-    tol = tol or Tolerances()
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size < 3:
-        raise ArgumentError("need at least three epsilon values")
-    if not (np.all(eps_grid > 0) or np.all(eps_grid < 0)):
-        raise ArgumentError("epsilon grid must keep a single sign")
-    mags = np.abs(eps_grid)
-    if np.max(mags) / np.min(mags) < 1e3:
-        raise ArgumentError("epsilon grid must span at least three decades")
-    spectrum = spectrum or compute_spectrum(sys, tol)
-    block = spectrum.largest_block()
-    gap = spectral_gap(spectrum, block)
-    mean_shift = []
-    for eps in eps_grid:
-        evals = exact_perturbed_spectrum(sys, delta_k, eps)
-        shifts = cluster_shifts(evals, block.omega, block.size, gap)
-        mean_shift.append(float(np.mean(np.abs(shifts))))
-    return loglog_slope(np.abs(eps_grid), mean_shift)
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,35 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
           "--eps-count", "1"], "--eps-count"),
         (["cancellation", "--system", "catalog:quartic-jb4",
           "--t-steps", "0"], "--t-steps"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--t-steps", "-1"], "--t-steps"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--t-steps", "0"], "--t-steps"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--times", ",1"], "--times"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--times", "1,nan"], "--times"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--seed", "-1"], "--seed"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--seed", "-3"], "--seed"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11",
+          "--eps-power", "-1"], "--eps-power"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11",
+          "--eps-power", "0"], "--eps-power"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--eps-min", "1e-6", "--eps-max", "1e-6"], "--eps-min"),
+        # b = 4, Gamma11 = 3 would need k12^2 = -8
+        (["design", "--family", "cubic", "--gamma11", "3"], "gamma11"),
     ],
     ids=["perturb", "reproduce-figure", "cancellation", "perturb-count-1",
          "reproduce-figure-count-1", "cancellation-count-0",
-         "cancellation-count-1", "cancellation-t-steps-0"],
+         "cancellation-count-1", "cancellation-t-steps-0",
+         "evolve-t-steps-negative", "evolve-t-steps-0", "evolve-times-empty",
+         "evolve-times-nan", "evolve-seed-negative",
+         "cancellation-seed-negative", "perturb-power-negative",
+         "perturb-power-0", "cancellation-empty-range",
+         "design-no-solution"],
 )
 def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option):
     with warnings.catch_warnings():
@@ -255,10 +280,20 @@ def test_figure_grid_follows_caption_convention(tmp_path):
     assert np.allclose(eps_values, want)
 
 
-def test_figure1_equal_spacing(tmp_path):
-    assert run(["reproduce-figure", "--figure", "1", "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / "figure1_summary.json").read_text())
-    assert summary["spacing_linearity_max_dev"] <= 0.05
+@pytest.mark.parametrize("figure", [1, 2, 3, 4, 5])
+def test_figure_spacing_or_static_mode(tmp_path, figure):
+    # xi != 0 (figures 1, 3, 5): tracks equally spaced in n, no static mode;
+    # xi = 0 (figures 2, 4): a static mode, and no spacing check
+    assert run([
+        "reproduce-figure", "--figure", str(figure), "--out", str(tmp_path),
+    ]) == 0
+    summary = json.loads((tmp_path / f"figure{figure}_summary.json").read_text())
+    if figure in (1, 3, 5):
+        assert summary["spacing_linearity_max_dev"] <= 0.05
+        assert "static_mode_slope" not in summary
+    else:
+        assert "static_mode_slope" in summary
+        assert "spacing_linearity_max_dev" not in summary
 
 
 def test_figure_rejects_bad_id(tmp_path):

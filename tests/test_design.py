@@ -12,7 +12,6 @@ from critmode.design import (
     cubic_constraint_residuals,
     double2_critical,
     double2_constraint_residuals,
-    newton_design,
     quartic_critical,
     quartic_constraint_residuals,
     scale_system,
@@ -239,17 +238,3 @@ def test_catalog_fixture_rows_export():
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog_entry("no-such-entry")
-
-
-# --- general designer -----------------------------------------------------------------
-
-def test_newton_design_quartic_target():
-    sys = newton_design([-1j] * 4, 2, x0=np.array([5.0, -2.0, 1.0, 4.2, 0.1, 0.1]))
-    assert np.max(quartic_constraint_residuals(sys)) <= 1e-8
-    spec = compute_spectrum(sys)
-    assert [b.size for b in spec.blocks] == [4]
-
-
-def test_newton_design_rejects_unbalanced_roots():
-    with pytest.raises(ArgumentError):
-        newton_design([1.0 - 1j, 1.0 - 1j, 2.0 - 1j, 2.0 - 1j], 2)

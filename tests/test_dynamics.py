@@ -237,23 +237,6 @@ def test_greens_freq_is_fourier_transform_of_greens_time(catalog_spectra):
         assert np.max(np.abs(ft - direct)) <= 1e-4
 
 
-def test_greens_samples_csv(tmp_path, catalog_spectra):
-    from critmode.dynamics import greens_samples_csv
-
-    spec = catalog_spectra["quartic-jb4"]
-    path = tmp_path / "greens.csv"
-    omegas = [1.0 + 1.0j, -0.5 + 2.0j]
-    greens_samples_csv(spec, omegas, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("omega_re,omega_im,g00_re,g00_im")
-    assert len(lines) == 1 + len(omegas)
-    row = [float(v) for v in lines[1].split(",")]
-    assert row[:2] == [1.0, 1.0]
-    g = greens_freq(spec, 1.0 + 1.0j)
-    assert row[2] == pytest.approx(g[0, 0].real, rel=1e-15)
-    assert len(row) == 2 + 2 * 16
-
-
 # --- sum rules ------------------------------------------------------------------
 
 def test_sum_rules_catalog(catalog_spectra):

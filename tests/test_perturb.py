@@ -16,12 +16,10 @@ from critmode.perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
     NonGenericPerturbationError,
-    Perturbation,
     assign_predictions,
     cluster_shifts,
     deltaH_prime_matrix,
     exact_perturbed_spectrum,
-    fit_splitting_exponent,
     j1_coefficient,
     loglog_slope,
     predict_splitting,
@@ -72,12 +70,6 @@ def test_xi_bilinear_equals_coordinate_form(catalog_spectra):
             want = xi_generic(block, dk)
             got = xi_bilinear(spec.system, block, dk)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
-
-
-def test_perturbation_dataclass_validation():
-    Perturbation(np.array([[1.0, 0.5], [0.5, 2.0]]), 1e-4)
-    with pytest.raises(ArgumentError):
-        Perturbation(np.array([[1.0, 0.2], [0.0, 2.0]]), 1e-4)
 
 
 # --- generic splitting -----------------------------------------------------------
@@ -328,24 +320,6 @@ def test_import_critmode_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
-
-
-def test_fit_splitting_exponent_m2(catalog_spectra):
-    spec = catalog_spectra["single-critical"]
-    slope, resid = fit_splitting_exponent(
-        spec.system, np.array([[1.0]]), np.logspace(-8, -4, 9), spectrum=spec
-    )
-    assert slope == pytest.approx(0.5, abs=0.01)
-    assert resid <= 1e-3
-
-
-def test_fit_splitting_exponent_grid_validation(catalog_spectra):
-    spec = catalog_spectra["single-critical"]
-    dk = np.array([[1.0]])
-    with pytest.raises(ArgumentError):
-        fit_splitting_exponent(spec.system, dk, [1e-6, 1e-5, 1e-4], spectrum=spec)
-    with pytest.raises(ArgumentError):
-        fit_splitting_exponent(spec.system, dk, [-1e-8, 1e-6, 1e-4], spectrum=spec)
 
 
 def test_equiangular_directions_numerical(catalog_spectra):
