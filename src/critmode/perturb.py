@@ -30,6 +30,7 @@ lambda^2 per eigenvalue.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .linalg import ArgumentError, Tolerances
 from .model import OscillatorSystem, bilinear, build_system, evolution_operator
 
 GENERICITY_FACTOR = 1e-8
+MAX_ASSIGNMENT_SIZE = 8
 
 
 class NonGenericPerturbationError(RuntimeError):
@@ -334,19 +336,28 @@ def cluster_shifts(
 def assign_predictions(numerical: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Permutation p minimizing sum |numerical[i] - predicted[p[i]]|.
 
-    Hungarian assignment on the distance matrix; deterministic pairing for
-    error metrics.
+    Exact: every assignment is scored and the first of least total distance,
+    in lexicographic order, is taken; deterministic pairing for error
+    metrics.  Enumeration limits the size to MAX_ASSIGNMENT_SIZE predicted
+    points (8! = 40320 assignments); the blocks of the catalog and the
+    design families have M <= 4.
     """
-    # imported here: scipy would otherwise dominate the time of import critmode
-    from scipy.optimize import linear_sum_assignment
-
     numerical = np.asarray(numerical, dtype=complex)
     predicted = np.asarray(predicted, dtype=complex)
+    m, n = numerical.size, predicted.size
+    if m > n:
+        raise ArgumentError(
+            f"cannot assign {m} numerical points to {n} predictions"
+        )
+    if n > MAX_ASSIGNMENT_SIZE:
+        raise ArgumentError(
+            f"assign_predictions enumerates assignments and takes at most "
+            f"{MAX_ASSIGNMENT_SIZE} predictions, got M = {n}"
+        )
     cost = np.abs(numerical[:, None] - predicted[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(numerical.size, dtype=int)
-    perm[rows] = cols
-    return perm
+    perms = np.array(list(itertools.permutations(range(n), m)), dtype=int)
+    totals = cost[np.arange(m), perms].sum(axis=1)
+    return perms[int(np.argmin(totals))]
 
 
 def loglog_slope(x, y):

@@ -67,6 +67,18 @@ def test_quartic_outside_region_warns():
         quartic_critical(2.5, 0.0)
 
 
+@pytest.mark.parametrize("x", [4.0, 5.0, 6.0])
+def test_quartic_outside_region_same_outcome_at_any_scale(x):
+    # K entries grow like e^(2x) (about 1e4 at x = 5); the constraints are
+    # judged relative to their terms, so rounding does not decide between a
+    # system and a DesignError
+    with pytest.warns(UserWarning):
+        sys = quartic_critical(x, x)
+    assert np.min(np.linalg.eigvalsh(sys.Gamma)) < 0.0
+    k_max = float(np.max(np.abs(sys.K)))
+    assert np.max(quartic_constraint_residuals(sys)) <= 1e-14 * k_max**2
+
+
 def test_quartic_geometric_multiplicity():
     # one eigenvector away from the origin, two at x = y = 0
     sys = quartic_critical(X_REF, Y_REF)
@@ -233,6 +245,17 @@ def test_catalog_fixture_rows_export():
     back = np.array([r + 1j * i for r, i in row["num"]])
     back = back * np.sqrt(row["surd"]) / row["den"] * np.exp(1j * np.pi / 4)
     assert np.allclose(back, entry.chain_array(0)[0], atol=1e-15)
+
+
+def test_catalog_entry_matches_catalog():
+    entries = catalog()
+    assert [e.name for e in entries] == [
+        "single-critical", "quartic-jb4", "cubic-jb3", "double-jb2", "crossed-pair",
+    ]
+    for entry in entries:
+        one = catalog_entry(entry.name)
+        assert catalog_to_json(one) == catalog_to_json(entry)
+        assert one.crossing == entry.crossing
 
 
 def test_catalog_unknown_name():

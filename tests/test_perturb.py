@@ -308,18 +308,51 @@ def test_assign_predictions_is_optimal_permutation():
     assert list(perm) == [1, 2, 0]
 
 
-def test_import_critmode_loads_no_scipy():
-    # scipy is imported by assign_predictions on first use only
-    code = (
-        "import sys, critmode; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+@pytest.mark.parametrize("m", range(1, 9))
+def test_assign_predictions_cost_matches_hungarian_oracle(m):
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        num = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        pred = num[rng.permutation(m)] + 0.3 * (
+            rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        )
+        cost = np.abs(num[:, None] - pred[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        perm = assign_predictions(num, pred)
+        assert sorted(perm) == list(range(m))
+        assert cost[np.arange(m), perm].sum() == pytest.approx(
+            cost[rows, cols].sum(), rel=1e-12
+        )
+
+
+def test_assign_predictions_rejects_large_m():
+    with pytest.raises(ArgumentError, match="M = 9"):
+        assign_predictions(np.zeros(9), np.arange(9.0))
+
+
+def _scipy_modules_after(code):
     src = str(Path(critmode.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c",
+         code + "; import sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_critmode_loads_no_scipy():
+    assert _scipy_modules_after("import critmode") == "[]"
+
+
+def test_reproduce_figure_loads_no_scipy(tmp_path):
+    # figure 1 pairs numerical and predicted eigenvalues with assign_predictions
+    code = (
+        "from critmode.cli import main; "
+        f"assert main(['reproduce-figure', '--figure', '1', '--out', {str(tmp_path)!r}]) == 0"
+    )
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_equiangular_directions_numerical(catalog_spectra):
