@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys as _sys
@@ -253,9 +254,15 @@ def _parse_times(spec: str) -> np.ndarray:
     return times
 
 
+def _check_t_max(t_max: float) -> None:
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ArgumentError(f"--t-max must be finite and positive, got {t_max}")
+
+
 def cmd_evolve(args) -> int:
     if args.t_steps < 1:
         raise ArgumentError("--t-steps must be at least 1")
+    _check_t_max(args.t_max)
     tol = _resolve_tol(args)
     system = _resolve_system(args.system)
     phi = _parse_phi(args.phi, system.dim, args.seed)
@@ -266,7 +273,7 @@ def cmd_evolve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
-    states = np.array([evolve_state(spectrum, phi, t) for t in times])
+    states = evolve_state(spectrum, phi, times)
     header = ["t"]
     for i in range(system.dim):
         header += [f"c{i}_re", f"c{i}_im"]
@@ -550,6 +557,7 @@ def cmd_cancellation(args) -> int:
         raise ArgumentError("--eps-count must be at least 2")
     if args.t_steps < 1:
         raise ArgumentError("--t-steps must be at least 1")
+    _check_t_max(args.t_max)
     tol = _resolve_tol(args)
     system = _resolve_system(args.system)
     delta_k = _parse_delta_k(args.dk, system.N)

@@ -13,11 +13,20 @@ solves (H - omega) G(omega) = -i * I.
 In matrix form, with the chain vectors as the columns of F, the duals as the
 columns of D and J the block-diagonal Jordan form (H F = F J, D^H F = I),
 
-    G(t) = F e^{-iJt} D^H,        G(omega) = i F (omega - J)^{-1} D^H,
+    G(t) = F e^{-iJt} D^H,        G(omega) = i F (omega - J)^{-1} D^H.
 
-where block j of either middle factor is the upper-triangular Toeplitz
-matrix with C_l(omega_j, t), or i/(omega - omega_j)^(l+1), on its l-th
-superdiagonal.
+Writing J = diag(omega) + N, with omega_k the eigenvalue of column k and N
+the nilpotent part (ones on the first superdiagonal inside each block),
+each middle factor is a phase, or pole, times a polynomial in N:
+
+    e^{-iJt}            = diag(exp(-i omega t)) sum_l ((-i t)^l / l!) N^l,
+    i (omega - J)^{-1}  = sum_l diag(i / (omega - omega_k)^(l+1)) N^l,
+
+with l below the largest block size.  The kernels evaluate these on a grid
+of times or frequencies (a scalar is a grid of one) from the matrices the
+spectrum stores (Spectrum.matrices: F, the stack N^l D^H, the column
+eigenvalues), so nothing is rebuilt per call and the matrices that
+compute_spectrum verified are the ones the kernels propagate with.
 
 Separating the completeness relation F P F^T g = I (P the block
 anti-identity) into coordinates and momenta yields four sum rules on the
@@ -39,9 +48,9 @@ import numpy as np
 
 from .jordan import (
     JordanBlock,
+    MatrixForm,
     Spectrum,
-    _basis_matrices,
-    _jordan_matrices,
+    _matrix_form,
     compute_spectrum,
 )
 from .linalg import ArgumentError, Tolerances
@@ -49,6 +58,14 @@ from .model import OscillatorSystem, metric
 from .perturb import exact_perturbed_spectrum, predict_splitting
 
 _EPS = np.finfo(float).eps
+# Orders l, 1/l! and log l! of the Taylor coefficients of e^{-iJt}, for
+# Jordan blocks of up to 1024 vectors (N = 512 oscillators in one chain);
+# 1/l! is below the smallest normal float past l = 170 and is kept as 0
+_ORDERS = np.arange(1025, dtype=complex)
+_INV_FACTORIALS = np.array(
+    [1 / math.factorial(l) if l <= 170 else 0.0 for l in range(1024)], dtype=complex
+)
+_LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
 
 
 class NonDiagonalizableError(RuntimeError):
@@ -81,63 +98,117 @@ def evolve_basis_vector(block: JordanBlock, n: int, t: float) -> np.ndarray:
     return out
 
 
-def _jordan_kernel(blocks, coeff) -> np.ndarray:
-    """F T D^H on the span of the blocks, with T_j[k, k+l] = coeff(l, omega_j).
+def _grid(values, name: str, dtype) -> tuple:
+    """(values as a 1-D grid, whether a scalar was given, largest magnitude).
 
-    T = f(J) for any f with f^(l)(omega_j) / l! = coeff(l, omega_j), so the
-    result is f(H) on that span (Higham, Functions of Matrices, ch. 1).
+    Raises ArgumentError unless every value is finite.
     """
-    f_mat, d_mat = _basis_matrices(blocks)
-    dim = f_mat.shape[1]
-    t_flat = np.zeros(dim * dim, dtype=complex)
-    pos = 0
-    for b in blocks:
-        for l in range(b.size):
-            # T[pos + k, pos + k + l] for k < size - l: a stride of dim + 1
-            start = pos * (dim + 1) + l
-            stop = start + (b.size - l) * (dim + 1)
-            t_flat[start:stop:dim + 1] = coeff(l, b.omega)
-        pos += b.size
-    return f_mat @ t_flat.reshape(dim, dim) @ d_mat.conj().T
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim > 1:
+        raise ArgumentError(f"{name} must be a scalar or a 1-D grid")
+    grid = arr.reshape(-1)
+    peak = abs(arr.item()) if arr.ndim == 0 else float(np.abs(grid).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ArgumentError(f"{name} must be finite, got {values!r}")
+    return grid, arr.ndim == 0, peak
 
 
-def _propagator(blocks, t: float) -> np.ndarray:
-    """F e^{-iJt} D^H: exp(-iHt) on the span of the blocks."""
-    return _jordan_kernel(blocks, lambda l, w: evolution_coefficient(l, w, t))
+def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
+                            peak: float) -> np.ndarray:
+    """C_l(omega_k, t) for every time, order l and column k: shape (T, L, dim).
+
+    (-i t)^l / l! times exp(-i omega_k t), except at the times with
+    |t| >= 1e3 (and every nonzero time once a block is longer than 21),
+    which take evolution_coefficient's log-space form
+    exp(l log(-i t) - log l! - i omega_k t).  The choice is made per time,
+    so a grid gives each time the values a grid of one gives it.
+    """
+    size = form.duals.shape[0]
+    mit = -1j * times[:, None]
+    far = None
+    if peak >= 1e3 or size > 21:
+        far = (np.abs(times) >= 1e3) | ((size > 21) & (times != 0.0))
+    direct = mit if far is None else np.where(far[:, None], 0.0, mit)
+    coef = (direct ** _ORDERS[:size] * _INV_FACTORIALS[:size])[:, :, None] * np.exp(
+        direct * form.omega
+    )[:, None, :]
+    if far is not None:
+        log_c = _ORDERS[:size] * np.log(mit[far]) - _LOG_FACTORIALS[:size]
+        coef[far] = np.exp(log_c[:, :, None] + mit[far, :, None] * form.omega)
+    return coef
 
 
-def evolve_state(spectrum: Spectrum, phi, t: float) -> np.ndarray:
-    """Propagate phi to time t through the Jordan-basis expansion."""
+def _jordan_function(form: MatrixForm, coef: np.ndarray) -> np.ndarray:
+    """F T_x D^H with T_x = sum_l diag(coef[x, l]) N^l, for each grid point x.
+
+    T_x = f(J) for any f with f^(l)(omega_k) / l! = coef[x, l, k], so the
+    result is f(H) on the span of the basis (Higham, Functions of Matrices,
+    ch. 1).  With the duals stack N^l D^H it is one product per point:
+    [F diag(coef[x, 0]) | F diag(coef[x, 1]) | ...] times the stacked rows.
+    """
+    points, size, dim = coef.shape
+    lifted = (form.f[:, None, :] * coef[:, None, :, :]).reshape(points, -1, size * dim)
+    return lifted @ form.duals.reshape(size * dim, -1)
+
+
+def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
+            peak: float) -> np.ndarray:
+    """F e^{-iJt} D^H phi per time, with the N^l D^H phi formed once."""
+    coef = _evolution_coefficients(form, times, peak)
+    # one product per time, so that every row is computed as a grid of one
+    return ((coef * (form.duals @ phi)).sum(axis=1)[:, None, :] @ form.f.T)[:, 0]
+
+
+def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
+    """Propagate phi to time t through the Jordan-basis expansion.
+
+    t may be a scalar or a 1-D grid, which gives one state per row.
+    Raises ArgumentError for a time that is not finite.
+    """
     phi = np.asarray(phi, dtype=complex).ravel()
     if phi.size != spectrum.system.dim:
         raise ArgumentError(
             f"state must have length {spectrum.system.dim}, got {phi.size}"
         )
-    return _propagator(spectrum.blocks, t) @ phi
+    times, scalar, peak = _grid(t, "t", float)
+    states = _evolve(spectrum.matrices, phi, times, peak)
+    return states[0] if scalar else states
 
 
-def greens_time(spectrum: Spectrum, t: float) -> np.ndarray:
-    """Retarded Green's function at time t (zero matrix for t < 0)."""
-    if t < 0.0:
-        dim = spectrum.system.dim
-        return np.zeros((dim, dim), dtype=complex)
-    return _propagator(spectrum.blocks, t)
+def greens_time(spectrum: Spectrum, t) -> np.ndarray:
+    """Retarded Green's function at time t (zero matrix for t < 0).
+
+    t may be a scalar or a 1-D grid; raises ArgumentError if not finite.
+    """
+    times, scalar, peak = _grid(t, "t", float)
+    form = spectrum.matrices
+    coef = _evolution_coefficients(form, np.maximum(times, 0.0), peak)
+    coef[times < 0.0] = 0.0
+    out = _jordan_function(form, coef)
+    return out[0] if scalar else out
 
 
-def greens_freq(spectrum: Spectrum, omega: complex) -> np.ndarray:
+def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     """Frequency-domain Green's function (resolvent form) at omega.
 
-    Raises when omega sits within cluster_tol of a pole.
+    omega may be a scalar or a 1-D grid.  Raises ArgumentError when omega
+    is not finite or sits within cluster_tol of a pole.
     """
-    scale = 1.0 + max(abs(b.omega) for b in spectrum.blocks)
-    for b in spectrum.blocks:
-        if abs(omega - b.omega) <= spectrum.tol.cluster_tol * scale:
-            raise ArgumentError(
-                f"omega={omega} is within cluster_tol of the pole at {b.omega}"
-            )
-    return _jordan_kernel(
-        spectrum.blocks, lambda l, w: 1j / (omega - w) ** (l + 1)
-    )
+    freqs, scalar, _ = _grid(omega, "omega", complex)
+    form = spectrum.matrices
+    gap = freqs[:, None] - form.omega
+    radius = spectrum.tol.cluster_tol * form.scale
+    dist = np.abs(gap)
+    if dist.min(initial=np.inf) <= radius:
+        x, k = np.argwhere(dist <= radius)[0]
+        raise ArgumentError(
+            f"omega={freqs[x]} is within cluster_tol of the pole at {form.omega[k]}"
+        )
+    # i (omega - J)^{-1} = sum_l diag(i / (omega - omega_k)^(l+1)) N^l
+    size = form.duals.shape[0]
+    coef = 1j / gap[:, None, :] ** _ORDERS[1 : size + 1, None]
+    out = _jordan_function(form, coef)
+    return out[0] if scalar else out
 
 
 @dataclass
@@ -161,9 +232,9 @@ def check_sum_rules(spectrum: Spectrum, threshold: float | None = None) -> SumRu
     """
     sys = spectrum.system
     thr = threshold if threshold is not None else spectrum.tol.residual_tol
-    f_mat, _ = _basis_matrices(spectrum.blocks)
-    j_mat, p_mat = _jordan_matrices(spectrum.blocks)
-    u = f_mat[: sys.N]
+    form = spectrum.matrices
+    j_mat, p_mat = form.j, form.p
+    u = form.f[: sys.N]
     upu = u @ p_mat @ u.T
     ujpu = u @ j_mat @ p_mat @ u.T
     residuals = [
@@ -190,8 +261,13 @@ def rk4_evolve(sys: OscillatorSystem, phi0, times, step: float = 1e-4) -> np.nda
     (ha)^4/24, built once per span; I + d is never formed, as storing it
     would round away the low bits of d.  ``times`` must be nonnegative and
     ascending; returns the phase-space states at those times (phi0
-    corresponds to t=0).
+    corresponds to t=0).  Raises ArgumentError for a step that is not finite
+    and positive and for a time that is not finite.
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ArgumentError(f"step must be finite and positive, got {step}")
+    if not np.isfinite(np.asarray(times, dtype=float)).all():
+        raise ArgumentError("times must be finite")
     n = sys.N
     y = np.asarray(phi0, dtype=complex).ravel()
     if y.size != 2 * n:
@@ -290,7 +366,7 @@ def cluster_cancellation_experiment(
     block = nontrivial[0]
     m = block.size
     phi = np.asarray(phi, dtype=complex).ravel()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, _, peak = _grid(t_grid, "t_grid", float)
 
     evals = exact_perturbed_spectrum(sys, delta_k, eps)
     order = np.argsort(np.abs(evals - block.omega))
@@ -309,7 +385,7 @@ def cluster_cancellation_experiment(
     naive = (
         np.exp(-1j * np.outer(t_grid, pred.eigenvalues)) * weights
     ) @ pred.split_vectors
-    jordan = np.array([_propagator([block], t) @ phi for t in t_grid])
+    jordan = _evolve(_matrix_form([block]), phi, t_grid, peak)
     diffs = np.linalg.norm(naive - jordan, axis=1)
     return CancellationReport(
         eps=eps,

@@ -121,15 +121,40 @@ class CrossingGroup:
         return len(self.sizes)
 
 
+@dataclass(frozen=True)
+class MatrixForm:
+    """The Jordan basis as matrices, columns in block order.
+
+    In the normalized basis H F = F J, D^H F = I and F^T g F = P, with J
+    block-diagonal and P the block anti-identity.  J = diag(omega) + N:
+    omega holds each column's eigenvalue and N, with ones on the first
+    superdiagonal inside each block, is nilpotent.  duals stacks N^l D^H for
+    l = 0 .. max M - 1: the conjugated duals as rows, moved up l places
+    inside each block, so duals[0] is D^H.  scale is 1 + max |omega|.
+    """
+
+    f: np.ndarray
+    duals: np.ndarray
+    j: np.ndarray
+    p: np.ndarray
+    omega: np.ndarray
+    scale: float
+
+
 @dataclass
 class Spectrum:
-    """Complete Jordan decomposition of one system."""
+    """Complete Jordan decomposition of one system.
+
+    matrices is the basis in matrix form, assembled once by compute_spectrum
+    after the duals; verification and the dynamics kernels all read it.
+    """
 
     system: OscillatorSystem
     blocks: list
     tol: Tolerances
     crossing_groups: list = field(default_factory=list)
     near_critical_clusters: list = field(default_factory=list)
+    matrices: MatrixForm | None = None
 
     @property
     def nu(self) -> int:
@@ -618,29 +643,39 @@ def _basis_matrices(blocks):
     )
 
 
-def _jordan_matrices(blocks):
-    """(J, P): block-diagonal Jordan form and block anti-identity.
-
-    In the normalized basis H F = F J, F^T g F = P and D^H = P F^T g.
-    """
-    dim = sum(b.size for b in blocks)
-    j_mat = np.zeros((dim, dim), dtype=complex)
-    p_mat = np.zeros((dim, dim))
+def _matrix_form(blocks) -> MatrixForm:
+    """F, the N^l D^H stack, J, P and the column eigenvalues of the blocks."""
+    f_mat, d_mat = _basis_matrices(blocks)
+    d_h = d_mat.conj().T
+    sizes = [b.size for b in blocks]
+    omega = np.repeat(np.array([b.omega for b in blocks], dtype=complex), sizes)
+    j_mat = np.diag(omega)
+    p_mat = np.zeros(j_mat.shape)
+    duals = np.zeros((max(sizes),) + d_h.shape, dtype=complex)
     pos = 0
-    for b in blocks:
-        m = b.size
-        span = slice(pos, pos + m)
-        j_mat[span, span] = b.omega * np.eye(m) + np.eye(m, k=1)
-        p_mat[span, span] = np.fliplr(np.eye(m))
+    for m in sizes:
+        for k in range(pos, pos + m):
+            if k + 1 < pos + m:
+                j_mat[k, k + 1] = 1.0
+            p_mat[k, 2 * pos + m - 1 - k] = 1.0
+            duals[: pos + m - k, k] = d_h[k : pos + m]
         pos += m
-    return j_mat, p_mat
+    return MatrixForm(
+        f=f_mat,
+        duals=duals,
+        j=j_mat,
+        p=p_mat,
+        omega=omega,
+        scale=1.0 + float(np.abs(omega).max()),
+    )
 
 
 def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     """Residuals of the chain relation, pairings, duals, and completeness.
 
-    With F, D, J, P from the blocks these are H F - F J (per column, scaled
-    by (|H| + |omega|) max(1, |f|)), F^T g F - P, D^H F - I and F P F^T g - I.
+    With F, D, J, P from spectrum.matrices these are H F - F J (per column,
+    scaled by (|H| + |omega|) max(1, |f|)), F^T g F - P, D^H F - I and
+    F P F^T g - I.
     With strict=True raises VerificationError when max_residual exceeds
     residual_tol.  The chain residuals of blocks demoted from near-critical
     clusters (whose accuracy is limited by the cluster diameter) are
@@ -653,8 +688,8 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     h = spectrum.operator()
     g = metric(sys)
     dim = sys.dim
-    f_mat, d_mat = _basis_matrices(blocks)
-    j_mat, p_mat = _jordan_matrices(blocks)
+    form = spectrum.matrices
+    f_mat, j_mat, p_mat = form.f, form.j, form.p
 
     chain_cols = np.linalg.norm(h @ f_mat - f_mat @ j_mat, axis=0) / (
         (np.linalg.norm(h, 2) + np.abs(np.diag(j_mat)))
@@ -664,7 +699,7 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
     flagged_chain_res = float(np.max(chain_cols[flagged], initial=0.0))
     gram_res = float(np.max(np.abs(f_mat.T @ g @ f_mat - p_mat)))
-    dual_res = float(np.max(np.abs(d_mat.conj().T @ f_mat - np.eye(dim))))
+    dual_res = float(np.max(np.abs(form.duals[0] @ f_mat - np.eye(dim))))
     comp_res = float(np.max(np.abs(f_mat @ p_mat @ f_mat.T @ g - np.eye(dim))))
 
     sizes_ok = sum(b.size for b in blocks) == dim
@@ -701,12 +736,12 @@ def verify_representations(spectrum: Spectrum) -> dict:
     h = spectrum.operator()
     g = metric(spectrum.system)
     blocks = spectrum.blocks
-    f_mat, d_mat = _basis_matrices(blocks)
-    j_mat, p_mat = _jordan_matrices(blocks)
+    form = spectrum.matrices
+    f_mat, j_mat, p_mat = form.f, form.j, form.p
     gf = f_mat.T @ g
     pairs = {
         "gbar_deviation": (gf @ f_mat, p_mat),
-        "h_mixed_deviation": (d_mat.conj().T @ h @ f_mat, j_mat),
+        "h_mixed_deviation": (form.duals[0] @ h @ f_mat, j_mat),
         "h_lowered_deviation": (gf @ h @ f_mat, p_mat @ j_mat),
     }
     out = {"blocks": [], "max_deviation": 0.0}
@@ -811,6 +846,7 @@ def compute_spectrum(sys: OscillatorSystem,
     )
     enforce_conjugation(spectrum)
     dual_basis(spectrum)
+    spectrum.matrices = _matrix_form(spectrum.blocks)
     verify_spectrum(spectrum, strict=True)
     return spectrum
 

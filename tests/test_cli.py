@@ -168,6 +168,14 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
           "--eps-min", "1e-6", "--eps-max", "1e-6"], "--eps-min"),
         # b = 4, Gamma11 = 3 would need k12^2 = -8
         (["design", "--family", "cubic", "--gamma11", "3"], "gamma11"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--t-max", "nan"], "--t-max"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--t-max", "inf"], "--t-max"),
+        (["evolve", "--system", "catalog:single-critical",
+          "--t-max", "0"], "--t-max"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--t-max", "nan"], "--t-max"),
     ],
     ids=["perturb", "reproduce-figure", "cancellation", "perturb-count-1",
          "reproduce-figure-count-1", "cancellation-count-0",
@@ -176,7 +184,8 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
          "evolve-times-nan", "evolve-seed-negative",
          "cancellation-seed-negative", "perturb-power-negative",
          "perturb-power-0", "cancellation-empty-range",
-         "design-no-solution"],
+         "design-no-solution", "evolve-t-max-nan", "evolve-t-max-inf",
+         "evolve-t-max-0", "cancellation-t-max-nan"],
 )
 def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option):
     with warnings.catch_warnings():
@@ -184,6 +193,7 @@ def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option)
         assert run(args + ["--out", str(tmp_path)]) == 2
     assert option in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*.json"))
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,22 @@ from critmode.dynamics import (
     greens_time,
     rk4_evolve,
 )
+from critmode.design import scale_system
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
 from critmode.model import build_system, evolution_operator
 
 from conftest import well_separated_system
+
+
+@pytest.fixture(scope="module")
+def kernel_spectra(catalog_spectra):
+    """The catalog spectra and one random well-separated system per N = 1..5."""
+    rng = np.random.default_rng(11)
+    spectra = dict(catalog_spectra)
+    for n in range(1, 6):
+        spectra[f"random N={n}"] = compute_spectrum(well_separated_system(rng, n))
+    return spectra
 
 
 # --- evolution coefficients ---------------------------------------------------
@@ -153,6 +164,58 @@ def test_rk4_rejects_descending_times(catalog_spectra):
         rk4_evolve(sys, np.zeros(2), [1.0, 0.5])
 
 
+@pytest.mark.parametrize(
+    "times, step",
+    [([0.1], 0.0), ([0.1], -1e-3), ([0.1], np.nan), ([0.1], np.inf),
+     ([0.1, np.nan, 0.2], 1e-4), ([0.1, np.inf], 1e-4)],
+    ids=["step-0", "step-negative", "step-nan", "step-inf", "times-nan",
+         "times-inf"],
+)
+def test_rk4_rejects_bad_step_and_times(catalog_spectra, times, step):
+    # step 0 used to divide by zero, a negative step took one RK4 step
+    # across the whole span, and a NaN time repeated the previous state
+    sys = catalog_spectra["single-critical"].system
+    with pytest.raises(ArgumentError):
+        rk4_evolve(sys, np.array([1.0, 0.0]), times, step=step)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_kernels_reject_non_finite_inputs(catalog_spectra, value):
+    spec = catalog_spectra["quartic-jb4"]
+    phi = np.ones(4, dtype=complex)
+    with pytest.raises(ArgumentError):
+        evolve_state(spec, phi, value)
+    with pytest.raises(ArgumentError):
+        evolve_state(spec, phi, [0.0, 1.0, value])
+    with pytest.raises(ArgumentError):
+        greens_time(spec, value)
+    with pytest.raises(ArgumentError):
+        greens_freq(spec, value)
+    with pytest.raises(ArgumentError):
+        greens_freq(spec, complex(0.5, value))
+
+
+def test_grid_call_equals_scalar_calls(kernel_spectra):
+    # a scalar call is a grid of one: every grid row must be the scalar
+    # call's result bit for bit, including rows on the log-space branch
+    rng = np.random.default_rng(12)
+    times = np.array([-1.0, 0.0, 0.3, 1.7, 5.0, 1e3, 2e3])
+    freqs = np.array([0.5 + 0.2j, -1.5 + 0.0j, 3.0 - 0.1j])
+    for name, spec in kernel_spectra.items():
+        dim = spec.system.dim
+        phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        states = evolve_state(spec, phi, times)
+        greens = greens_time(spec, times)
+        resolvents = greens_freq(spec, freqs)
+        assert states.shape == (times.size, dim), name
+        assert greens.shape == (times.size, dim, dim), name
+        for i, t in enumerate(times):
+            assert np.array_equal(states[i], evolve_state(spec, phi, t)), name
+            assert np.array_equal(greens[i], greens_time(spec, t)), name
+        for i, w in enumerate(freqs):
+            assert np.array_equal(resolvents[i], greens_freq(spec, w)), name
+
+
 # --- Green's functions ----------------------------------------------------------
 
 def test_greens_time_retardation_and_identity(catalog_spectra):
@@ -161,20 +224,40 @@ def test_greens_time_retardation_and_identity(catalog_spectra):
     assert np.max(np.abs(greens_time(spec, 0.0) - np.eye(4))) <= 1e-9
 
 
-def test_greens_time_matches_evolve_state(catalog_spectra):
+def test_greens_time_matches_evolve_state(kernel_spectra):
     # both share the Jordan-basis propagator, so check each against the
-    # matrix exponential of the operator itself
+    # matrix exponential of the operator itself, on a grid over [0, 5]
     rng = np.random.default_rng(5)
-    for name, spec in catalog_spectra.items():
+    times = np.linspace(0.0, 5.0, 21)
+    for name, spec in kernel_spectra.items():
         h = evolution_operator(spec.system)
         phi = rng.standard_normal(spec.system.dim) + 0j
-        for t in (0.5, 2.0, 5.0):
+        greens = greens_time(spec, times)
+        states = evolve_state(spec, phi, times)
+        for t, g, got in zip(times, greens, states):
             prop = scipy.linalg.expm(-1j * h * t)
-            g = greens_time(spec, t)
             assert np.max(np.abs(g - prop)) <= 1e-10 * max(1.0, np.max(np.abs(prop))), name
             want = prop @ phi
-            got = evolve_state(spec, phi, t)
             assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want)), name
+
+
+@pytest.mark.parametrize("name", ["single-critical", "quartic-jb4"])
+@pytest.mark.parametrize("t", [1e3, 2e3])
+def test_log_space_branch_matches_basis_vector_evolution(catalog_entries, name, t):
+    # at |t| >= 1e3 the kernel takes the log-space coefficients; on a
+    # slowly damped critical system (eigenvalue -0.05i, scaled from the
+    # catalog) the states stay finite and nonzero there and must match the
+    # chain-by-chain evolution of each basis vector, up to rounding of
+    # the size the propagator's norm sets
+    spec = compute_spectrum(scale_system(catalog_entries[name].system, 0.05))
+    scale = np.linalg.norm(greens_time(spec, t), 2)
+    for b in spec.blocks:
+        for n in range(b.size):
+            want = evolve_basis_vector(b, n, t)
+            got = evolve_state(spec, b.chain[n], t)
+            assert np.all(np.isfinite(got)) and np.linalg.norm(want) > 0.0
+            bound = 1e-12 * scale * np.linalg.norm(b.chain[n])
+            assert np.linalg.norm(got - want) <= bound
 
 
 def test_greens_freq_solves_resolvent_equation(catalog_spectra):

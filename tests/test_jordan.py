@@ -6,6 +6,7 @@ from critmode.jordan import (
     DegenerateChainError,
     PairingError,
     VerificationError,
+    _basis_matrices,
     _unmirrored_groups,
     block_sizes_at,
     biorthogonalize_crossing,
@@ -391,6 +392,35 @@ def test_completeness_on_random_vectors(catalog_spectra):
                         spec.system, b.chain[m - 1 - n], phi
                     )
             assert np.linalg.norm(rec - phi) <= 1e-9 * np.linalg.norm(phi), name
+
+
+def test_stored_matrix_form_is_the_block_basis(catalog_spectra):
+    # verification and the dynamics kernels read spectrum.matrices, so it
+    # must be the basis of the blocks: F, D^H, and duals[l] = N^l D^H (the
+    # dual rows moved up l places inside each block, zero past its end)
+    for name, spec in catalog_spectra.items():
+        f_mat, d_mat = _basis_matrices(spec.blocks)
+        dh = d_mat.conj().T
+        form = spec.matrices
+        assert np.array_equal(form.f, f_mat), name
+        assert np.array_equal(form.duals[0], dh), name
+        dim = f_mat.shape[1]
+        want_j = np.zeros((dim, dim), dtype=complex)
+        pos = 0
+        for b in spec.blocks:
+            for k in range(b.size):
+                want_j[pos + k, pos + k] = b.omega
+                if k + 1 < b.size:
+                    want_j[pos + k, pos + k + 1] = 1.0
+                for l in range(1, form.duals.shape[0]):
+                    row = form.duals[l, pos + k]
+                    if k + l < b.size:
+                        assert np.array_equal(row, dh[pos + k + l]), name
+                    else:
+                        assert not row.any(), name
+            pos += b.size
+        assert np.array_equal(form.j, want_j), name
+        assert np.array_equal(form.omega, np.diag(want_j)), name
 
 
 def test_representations_catalog(catalog_spectra):
