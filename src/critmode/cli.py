@@ -12,8 +12,8 @@ cancellation     small-denominator experiment across an epsilon sweep
 Systems are given as ``--system path.json`` or ``--system catalog:<name>``
 with names single-critical, quartic-jb4, cubic-jb3, double-jb2, crossed-pair
 (reproduce-figure takes none; design only for --family scale).  Tolerances
-come from defaults, then the CRITMODE_TOL_OVERRIDE environment variable (a
-JSON object), then explicit flags (every subcommand but design).
+come from defaults, overridden by the --tol-rank, --tol-cluster and
+--tol-residual flags (every subcommand but design).
 
 Output is data, not plots: CSV files with 17-significant-digit floats (byte
 deterministic for a fixed configuration) plus JSON summaries.  Exit codes:
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys as _sys
 from pathlib import Path
@@ -81,8 +80,6 @@ EXIT_CONFIG = 2
 EXIT_VERIFICATION = 3
 EXIT_NUMERICAL = 4
 
-ENV_TOL = "CRITMODE_TOL_OVERRIDE"
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -126,30 +123,13 @@ def _eps_grid(eps0: float, power: int, count: int) -> np.ndarray:
 
 
 def _resolve_tol(args) -> Tolerances:
-    values = {
-        "rank_tol": Tolerances.rank_tol,
-        "cluster_tol": Tolerances.cluster_tol,
-        "residual_tol": Tolerances.residual_tol,
+    """The default tolerances, each replaced by its --tol-* flag when given."""
+    flags = {
+        "rank_tol": getattr(args, "tol_rank", None),
+        "cluster_tol": getattr(args, "tol_cluster", None),
+        "residual_tol": getattr(args, "tol_residual", None),
     }
-    env = os.environ.get(ENV_TOL)
-    if env:
-        try:
-            overrides = json.loads(env)
-        except json.JSONDecodeError as exc:
-            raise ArgumentError(f"cannot parse {ENV_TOL}: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ArgumentError(f"{ENV_TOL} must hold a JSON object")
-        for key, val in overrides.items():
-            if key not in values:
-                raise ArgumentError(f"unknown tolerance {key!r} in {ENV_TOL}")
-            values[key] = float(val)
-    if getattr(args, "tol_rank", None) is not None:
-        values["rank_tol"] = args.tol_rank
-    if getattr(args, "tol_cluster", None) is not None:
-        values["cluster_tol"] = args.tol_cluster
-    if getattr(args, "tol_residual", None) is not None:
-        values["residual_tol"] = args.tol_residual
-    return Tolerances(**values)
+    return Tolerances(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _resolve_system(ref: str) -> OscillatorSystem:

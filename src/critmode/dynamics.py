@@ -153,17 +153,30 @@ def _jordan_function(form: MatrixForm, coef: np.ndarray) -> np.ndarray:
 
 def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
             peak: float) -> np.ndarray:
-    """F e^{-iJt} D^H phi per time, with the N^l D^H phi formed once."""
+    """F e^{-iJt} D^H phi per time, with the N^l D^H phi formed once.
+
+    Raises ArgumentError naming the first time whose state is not finite:
+    going back in time the modes grow like e^{|Im omega| |t|}, which
+    overflows float64 once |Im omega| |t| passes about 709.
+    """
     coef = _evolution_coefficients(form, times, peak)
     # one product per time, so that every row is computed as a grid of one
-    return ((coef * (form.duals @ phi)).sum(axis=1)[:, None, :] @ form.f.T)[:, 0]
+    states = ((coef * (form.duals @ phi)).sum(axis=1)[:, None, :] @ form.f.T)[:, 0]
+    if not np.isfinite(states).all():
+        lost = times[~np.isfinite(states).all(axis=1)]
+        raise ArgumentError(
+            f"the state at t={lost[0]:g} is not finite: e^(-iJt) overflows "
+            "float64 there"
+        )
+    return states
 
 
 def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
     """Propagate phi to time t through the Jordan-basis expansion.
 
     t may be a scalar or a 1-D grid, which gives one state per row.
-    Raises ArgumentError for a time that is not finite.
+    Raises ArgumentError for a time that is not finite or whose state is
+    not (a time far in the past).
     """
     phi = np.asarray(phi, dtype=complex).ravel()
     if phi.size != spectrum.system.dim:
@@ -355,6 +368,9 @@ def cluster_cancellation_experiment(
     an exact eigensolve guards that precondition and its cluster eigenvalues
     are recorded for reference.
     """
+    t_grid, _, peak = _grid(t_grid, "t_grid", float)
+    if t_grid.size == 0:
+        raise ArgumentError("t_grid must hold at least one time")
     tol = tol or Tolerances()
     spectrum = spectrum or compute_spectrum(sys, tol)
     nontrivial = [b for b in spectrum.blocks if b.size >= 2]
@@ -366,7 +382,6 @@ def cluster_cancellation_experiment(
     block = nontrivial[0]
     m = block.size
     phi = np.asarray(phi, dtype=complex).ravel()
-    t_grid, _, peak = _grid(t_grid, "t_grid", float)
 
     evals = exact_perturbed_spectrum(sys, delta_k, eps)
     order = np.argsort(np.abs(evals - block.omega))

@@ -6,8 +6,10 @@ parameter values, leaving Jordan blocks: chains f_{j,0..M-1} obeying
     (H - omega_j) f_{j,n} = f_{j,n-1},     f_{j,-1} = 0.
 
 This module detects the block structure {(omega_j, M_j)} from rank sequences
-of (H - omega)^k, builds the chains, and normalizes them so that the bilinear
-pairings take the canonical anti-diagonal form
+of (H - omega)^k, builds the chains top-down from the kernels of those powers
+(one builder for simple eigenvalues, Jordan blocks and crossings), and
+normalizes them so that the bilinear pairings take the canonical
+anti-diagonal form
 
     (f_{j,n}, f_{j',n'}) = delta_{jj'} delta_{n+n', M_j-1}.
 
@@ -37,20 +39,17 @@ import numpy as np
 from .linalg import (
     ArgumentError,
     DEFAULT_TOL,
-    InconsistentSystemError,
     Tolerances,
     char_poly,
-    numeric_rank_and_nullspace,
     orthonormal_columns,
     polish_root,
     poly_roots,
-    solve_affine,
 )
 from .model import OscillatorSystem, bilinear, evolution_operator, metric, metric_conjugate
 
 
 class ChainError(RuntimeError):
-    """Raised when a Jordan chain cannot be built or extended as detected."""
+    """Raised when the kernels of (H - omega)^k do not fit the block sizes."""
 
 
 class DegenerateChainError(RuntimeError):
@@ -204,15 +203,17 @@ def _kernel_sequence(a: np.ndarray, tol: Tolerances):
 
     ker A^k is an orthonormal basis (as columns) of the right singular
     vectors of A^k whose singular values stay at or below the power-scaled
-    threshold rank_tol * max(|A|_2, 1e-6)^k.
+    threshold rank_tol * max(|A|_2, 1e-6)^k; |A|_2 is the largest singular
+    value of the first decomposition.
     """
-    base = max(float(np.linalg.norm(a, 2)), 1e-6)
-    ak = np.eye(a.shape[0], dtype=complex)
+    ak = a
     for k in count(1):
-        ak = ak @ a
         _, s, vh = np.linalg.svd(ak)
+        if k == 1:
+            base = max(float(s[0]), 1e-6)
         rank = int(np.sum(s > tol.rank_tol * base**k))
         yield ak, vh[rank:].conj().T
+        ak = ak @ a
 
 
 def block_sizes_at(h: np.ndarray, omega: complex, multiplicity: int,
@@ -295,47 +296,60 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
 # chain construction
 # ---------------------------------------------------------------------------
 
-def build_chain(h: np.ndarray, omega: complex, size: int,
+def build_chain(h: np.ndarray, omega: complex, sizes,
                 tol: Tolerances | None = None):
-    """Raw Jordan chain at omega, unnormalized.
+    """Raw Jordan chains of the blocks at omega, unnormalized, tallest first.
 
-    Starts from the eigenvector and ascends with minimum-norm solves of
-    (H - omega) f_n = f_{n-1}; afterwards verifies the chain cannot be
-    extended past the requested size.
+    Reads the kernels ker A^k of A = H - omega for k = 1 .. max(sizes) + 1
+    from _kernel_sequence and raises ChainError unless their nullities are
+    sum_j min(M_j, k), the values blocks of the given sizes leave.  Top
+    vectors of height M are taken in ker(A^M), independent of ker(A^(M-1))
+    and of the images of taller chains at that height (where there is
+    nothing to project out, the kernel basis itself); lower members follow
+    by iterating A (Golub & Wilkinson, SIAM Rev. 18, 1976).
     """
     tol = tol or DEFAULT_TOL
     h = np.asarray(h, dtype=complex)
     dim = h.shape[0]
-    if not 1 <= size <= dim:
-        raise ArgumentError(f"block size {size} out of range for dim {dim}")
+    sizes = sorted(sizes, reverse=True)
+    if not sizes or sizes[-1] < 1 or sum(sizes) > dim:
+        raise ArgumentError(f"block sizes {sizes} out of range for dim {dim}")
     a = h - omega * np.eye(dim)
-    _, null = numeric_rank_and_nullspace(a, tol)
-    if null.shape[1] == 0:
-        raise ChainError(f"omega={omega} is not an eigenvalue at this tolerance")
-    if null.shape[1] > 1:
+    powers = [np.eye(dim, dtype=complex)]
+    kernels = [np.zeros((dim, 0), dtype=complex)]
+    for ak, kernel in islice(_kernel_sequence(a, tol), sizes[0] + 1):
+        powers.append(ak)
+        kernels.append(kernel)
+    found = [kernel.shape[1] for kernel in kernels[1:]]
+    expected = [sum(min(m, k) for m in sizes) for k in range(1, sizes[0] + 2)]
+    if found != expected:
         raise ChainError(
-            "geometric multiplicity exceeds one; use the crossing construction"
+            f"nullities of (H - omega)^k, k = 1..{sizes[0] + 1}, at "
+            f"omega={omega} are {found}; block sizes {sizes} need {expected}"
         )
-    chain = [null[:, 0]]
-    for n in range(1, size):
-        try:
-            x, _ = solve_affine(a, chain[-1], tol)
-        except InconsistentSystemError as exc:
-            raise ChainError(
-                f"no Jordan chain extension at step {n} (block smaller than "
-                f"{size}): {exc}"
-            ) from exc
-        chain.append(x)
-    extendable = True
-    try:
-        solve_affine(a, chain[-1], tol)
-    except InconsistentSystemError:
-        extendable = False
-    if extendable:
-        raise ChainError(
-            f"chain at omega={omega} extends beyond the detected size {size}"
+    chains = []
+    tall_tops = []  # (height, top)
+    for m in sorted(set(sizes), reverse=True):
+        copies = sizes.count(m)
+        forbidden = np.hstack(
+            [kernels[m - 1]] + [powers[hm - m] @ t[:, None] for hm, t in tall_tops]
         )
-    return [np.asarray(v, dtype=complex) for v in chain]
+        tops = kernels[m]
+        if forbidden.shape[1]:
+            f_basis = orthonormal_columns(forbidden, tol)
+            proj = tops - f_basis @ (f_basis.conj().T @ tops)
+            tops, s, _ = np.linalg.svd(proj, full_matrices=False)
+            avail = int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
+            if avail < copies:
+                raise ChainError(
+                    f"could not seed {copies} independent chains of height {m} "
+                    f"at omega={omega}"
+                )
+        for col in range(copies):
+            top = tops[:, col]
+            chains.append(chain_from_top(a, top, m))
+            tall_tops.append((m, top))
+    return chains
 
 
 def chain_from_top(a: np.ndarray, top: np.ndarray, size: int):
@@ -416,77 +430,9 @@ def _sign_fix(f0: np.ndarray) -> int:
     return 1 if a.imag > 0 else -1
 
 
-def single_block_shortcut(sys: OscillatorSystem, tol: Tolerances | None = None):
-    """Build the one nontrivial block without solving the chain relation.
-
-    When exactly one Jordan block of size M >= 2 exists, the metric conjugate
-    of its eigenvector, orthogonalized (in the bilinear sense) against all
-    simple eigenvectors, is a valid top vector; the chain follows by
-    iterating (H - omega).  The eigenvalue and the eigenvectors come from
-    compute_spectrum.  Returns the normalized JordanBlock.  Refuses when the
-    number of nontrivial blocks differs from one.
-    """
-    tol = tol or DEFAULT_TOL
-    spectrum = compute_spectrum(sys, tol)
-    nontrivial = [b for b in spectrum.blocks if b.size >= 2]
-    if len(nontrivial) != 1:
-        raise ArgumentError(
-            f"shortcut needs exactly one nontrivial block, found "
-            f"{len(nontrivial)}"
-        )
-    block = nontrivial[0]
-    a = spectrum.operator() - block.omega * np.eye(sys.dim)
-    psi = metric_conjugate(sys, block.chain[0])
-    for other in spectrum.blocks:
-        if other is not block:
-            e = other.chain[0]
-            psi = psi - e * (bilinear(sys, e, psi) / bilinear(sys, e, e))
-    chain, ledger = normalize_block(chain_from_top(a, psi, block.size), sys, tol)
-    return JordanBlock(omega=block.omega, size=block.size,
-                       chain=np.array(chain), ledger=ledger)
-
-
 # ---------------------------------------------------------------------------
 # level crossing
 # ---------------------------------------------------------------------------
-
-def _raw_crossing_chains(h: np.ndarray, omega: complex, sizes, tol: Tolerances):
-    """Independent raw chains for all blocks sharing one eigenvalue.
-
-    Top vectors of height M are taken in ker(A^M), independent of
-    ker(A^(M-1)) and of the images of taller chains at that height; lower
-    members follow by iterating A.
-    """
-    dim = h.shape[0]
-    a = h - omega * np.eye(dim)
-    powers = [np.eye(dim, dtype=complex)]
-    kernels = [np.zeros((dim, 0), dtype=complex)]
-    for ak, kernel in islice(_kernel_sequence(a, tol), max(sizes)):
-        powers.append(ak)
-        kernels.append(kernel)
-    chains = []
-    tall_tops = []  # (height, top)
-    for m in sorted(set(sizes), reverse=True):
-        count = sizes.count(m)
-        forbidden = [kernels[m - 1]]
-        forbidden += [powers[hm - m] @ t[:, None] for hm, t in tall_tops]
-        f_basis = orthonormal_columns(np.hstack(forbidden), tol)
-        s_basis = kernels[m]
-        proj = s_basis - f_basis @ (f_basis.conj().T @ s_basis)
-        u, s, _ = np.linalg.svd(proj, full_matrices=False)
-        avail = int(np.sum(s > tol.rank_tol * max(1.0, s[0] if s.size else 0.0)))
-        if avail < count:
-            raise ChainError(
-                f"could not seed {count} independent chains of height {m} "
-                f"at omega={omega}"
-            )
-        for col in range(count):
-            top = u[:, col]
-            chains.append(chain_from_top(a, top, m))
-            tall_tops.append((m, top))
-    chains.sort(key=lambda c: -len(c))
-    return chains
-
 
 def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
                              omega: complex, tol: Tolerances | None = None):
@@ -817,12 +763,8 @@ def compute_spectrum(sys: OscillatorSystem,
 
     blocks = []
     for omega, sizes in _unmirrored_groups(groups, axis_tol):
-        if len(sizes) == 1:
-            chain = build_chain(h, omega, sizes[0], tol)
-            built = [normalize_block(chain, sys, tol)]
-        else:
-            raw = _raw_crossing_chains(h, omega, sizes, tol)
-            built = biorthogonalize_crossing(raw, sys, h, omega, tol)
+        raw = build_chain(h, omega, sizes, tol)
+        built = biorthogonalize_crossing(raw, sys, h, omega, tol)
         blocks.extend(
             JordanBlock(
                 omega=omega,

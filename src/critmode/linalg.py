@@ -32,11 +32,7 @@ class ConvergenceError(RuntimeError):
 
 
 class InconsistentSystemError(ValueError):
-    """Raised when a linear system has no solution within tolerance.
-
-    In chain construction this signals that a Jordan chain cannot be
-    extended past its top vector.
-    """
+    """Raised by solve_affine when A x = b has no solution within tolerance."""
 
 
 @dataclass(frozen=True)

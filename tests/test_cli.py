@@ -53,16 +53,10 @@ def test_exit_code_parse_error(tmp_path):
     assert run(["analyze", "--system", "catalog:nope", "--out", str(tmp_path)]) == 2
 
 
-def test_exit_code_env_tolerance_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("CRITMODE_TOL_OVERRIDE", "not json")
-    assert run(["analyze", "--system", "catalog:quartic-jb4",
-                "--out", str(tmp_path)]) == 2
-
-
-def test_exit_code_verification_failure(tmp_path, monkeypatch):
+def test_exit_code_verification_failure(tmp_path):
     # an absurd residual tolerance turns healthy output into a failure
-    monkeypatch.setenv("CRITMODE_TOL_OVERRIDE", json.dumps({"residual_tol": 1e-15}))
-    code = run(["analyze", "--system", "catalog:quartic-jb4", "--out", str(tmp_path)])
+    code = run(["analyze", "--system", "catalog:quartic-jb4",
+                "--tol-residual", "1e-15", "--out", str(tmp_path)])
     assert code == 3
 
 
@@ -76,11 +70,9 @@ def test_exit_code_numerical_failure(tmp_path):
     assert code == 4
 
 
-def test_env_tolerance_override_applies(tmp_path, monkeypatch):
-    monkeypatch.setenv(
-        "CRITMODE_TOL_OVERRIDE", json.dumps({"cluster_tol": 1e-5})
-    )
-    code = run(["analyze", "--system", "catalog:quartic-jb4", "--out", str(tmp_path)])
+def test_tolerance_flag_applies(tmp_path):
+    code = run(["analyze", "--system", "catalog:quartic-jb4",
+                "--tol-cluster", "1e-5", "--out", str(tmp_path)])
     assert code == 0
     spectrum = json.loads((tmp_path / "spectrum.json").read_text())
     assert spectrum["tolerances"]["cluster_tol"] == 1e-5

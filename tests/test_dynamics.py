@@ -16,6 +16,7 @@ from critmode.dynamics import (
     greens_time,
     rk4_evolve,
 )
+from critmode import dynamics
 from critmode.design import scale_system
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
@@ -195,6 +196,20 @@ def test_kernels_reject_non_finite_inputs(catalog_spectra, value):
         greens_freq(spec, complex(0.5, value))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_evolve_state_rejects_overflowing_past_times(catalog_spectra):
+    # going back in time the modes grow like e^{|Im omega| |t|}: at t = -1e3
+    # that overflows, and the time is named instead of a NaN state
+    spec = catalog_spectra["quartic-jb4"]
+    phi = np.ones(4, dtype=complex)
+    assert np.isfinite(evolve_state(spec, phi, -50.0)).all()
+    with pytest.raises(ArgumentError, match="t=-1000"):
+        evolve_state(spec, phi, -1e3)
+    with pytest.raises(ArgumentError, match="t=-1000"):
+        evolve_state(spec, phi, [0.0, -50.0, -1e3])
+
+
 def test_grid_call_equals_scalar_calls(kernel_spectra):
     # a scalar call is a grid of one: every grid row must be the scalar
     # call's result bit for bit, including rows on the log-space branch
@@ -371,6 +386,20 @@ def test_cancellation_needs_single_nontrivial_block(catalog_spectra):
     with pytest.raises(ArgumentError):
         cluster_cancellation_experiment(
             spec.system, np.eye(2), 1e-8, np.ones(4), [0.0], spectrum=spec
+        )
+
+
+def test_cancellation_rejects_empty_time_grid(catalog_entries, monkeypatch):
+    # refused before any eigensolve
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the time grid was checked")
+
+    monkeypatch.setattr(dynamics, "compute_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
+    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ArgumentError, match="t_grid"):
+        cluster_cancellation_experiment(
+            catalog_entries["quartic-jb4"].system, e11, 1e-6, np.ones(4), []
         )
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from critmode.jordan import (
     ChainError,
+    CrossingError,
     DegenerateChainError,
     PairingError,
     VerificationError,
@@ -15,25 +16,14 @@ from critmode.jordan import (
     compute_spectrum,
     conjugate_chain,
     normalize_block,
-    single_block_shortcut,
     spectrum_to_json,
     verify_representations,
     verify_spectrum,
 )
-from critmode.linalg import ArgumentError, Tolerances
-from critmode.model import bilinear, build_system, evolution_operator, metric
+from critmode.linalg import ArgumentError, ConvergenceError, Tolerances
+from critmode.model import bilinear, build_system, evolution_operator
 
 from conftest import well_separated_system
-
-
-def block_projector(sys, chain):
-    """Spectral projector sum f_{j,n} (f_{j,M-1-n}, . ): basis independent."""
-    g = metric(sys)
-    m = len(chain)
-    p = np.zeros((sys.dim, sys.dim), dtype=complex)
-    for n in range(m):
-        p += np.outer(chain[n], g @ chain[m - 1 - n])
-    return p
 
 
 # --- structure detection -----------------------------------------------------
@@ -97,7 +87,7 @@ def test_block_structure_vs_dense_eigensolver_oracle():
 def test_build_chain_single_critical():
     sys = build_system([[1.0]], [[2.0]])
     h = evolution_operator(sys)
-    chain = build_chain(h, -1j, 2)
+    [chain] = build_chain(h, -1j, [2])
     # f0 along (1,-1); f1 = c0 (-i, 0) + c1 (1, -1)
     f0, f1 = chain
     assert abs(abs(np.vdot(f0, [1, -1]) / np.linalg.norm(f0) / np.sqrt(2)) - 1) < 1e-10
@@ -108,14 +98,15 @@ def test_build_chain_single_critical():
 def test_build_chain_simple_block():
     sys = build_system(np.diag([1.0, 4.0]), np.zeros((2, 2)))
     h = evolution_operator(sys)
-    chain = build_chain(h, 1.0, 1)
+    [chain] = build_chain(h, 1.0, [1])
     assert len(chain) == 1
     assert np.linalg.norm((h - np.eye(4)) @ chain[0]) < 1e-10
 
 
 def test_build_chain_quartic_spans_phase_space():
     sys = build_system([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]])
-    chain = build_chain(evolution_operator(sys), -1j, 4)
+    [chain] = build_chain(evolution_operator(sys), -1j, [4])
+    assert len(chain) == 4
     assert np.linalg.matrix_rank(np.array(chain)) == 4
 
 
@@ -123,9 +114,25 @@ def test_build_chain_wrong_size_rejected():
     sys = build_system([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]])
     h = evolution_operator(sys)
     with pytest.raises(ChainError):
-        build_chain(h, -1j, 3)  # chain extends further: size too small
+        build_chain(h, -1j, [3])  # chain extends further: size too small
     with pytest.raises(ChainError):
-        build_chain(h, 5.0, 2)  # not an eigenvalue
+        build_chain(h, 5.0, [2])  # not an eigenvalue
+
+
+def test_build_chain_crossing_needs_the_sizes_its_kernels_fit(catalog_entries):
+    # crossed-pair at -i: nullities of (H + i)^k are 2, 4, 4, which two
+    # blocks of size 2 leave and no other size list does
+    h = evolution_operator(catalog_entries["crossed-pair"].system)
+    a = h + 1j * np.eye(4)
+    chains = build_chain(h, -1j, [2, 2])
+    assert [len(c) for c in chains] == [2, 2]
+    assert np.linalg.matrix_rank(np.concatenate(chains)) == 4
+    for f0, f1 in chains:
+        assert np.linalg.norm(a @ f1 - f0) <= 1e-10
+        assert np.linalg.norm(a @ f0) <= 1e-10
+    for sizes in ([1], [2], [2, 1]):
+        with pytest.raises(ChainError, match=r"are \[2, 4"):
+            build_chain(h, -1j, sizes)
 
 
 # --- normalization -----------------------------------------------------------
@@ -147,7 +154,7 @@ def test_normalize_block_single_critical_ledger():
 def test_normalize_block_m1_unit_norm():
     sys = build_system(np.diag([1.0, 4.0]), np.zeros((2, 2)))
     h = evolution_operator(sys)
-    raw = build_chain(h, 1.0, 1)
+    [raw] = build_chain(h, 1.0, [1])
     chain, _ = normalize_block([3.7 * raw[0]], sys)
     assert abs(bilinear(sys, chain[0], chain[0]) - 1.0) < 1e-12
 
@@ -198,43 +205,6 @@ def test_normalize_block_degenerate_rejected():
         normalize_block([v, v], sys)
 
 
-# --- single-block shortcut ---------------------------------------------------
-
-def test_shortcut_matches_chain_route_quartic():
-    sys = build_system([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]])
-    spec = compute_spectrum(sys)
-    direct = spec.largest_block()
-    short = single_block_shortcut(sys)
-    p1 = block_projector(sys, direct.chain)
-    p2 = block_projector(sys, short.chain)
-    assert np.max(np.abs(p1 - p2)) <= 1e-9
-
-
-def test_shortcut_matches_chain_route_cubic():
-    sys = build_system(np.array([[41.0, 8.0], [8.0, 4.0]]) / 5.0,
-                       [[6.0, 0.0], [0.0, 1.0]])
-    spec = compute_spectrum(sys)
-    direct = spec.largest_block()
-    short = single_block_shortcut(sys)
-    assert short.size == 3
-    p1 = block_projector(sys, direct.chain)
-    p2 = block_projector(sys, short.chain)
-    assert np.max(np.abs(p1 - p2)) <= 1e-9
-
-
-def test_shortcut_refuses_diagonalizable():
-    sys = build_system(np.diag([1.0, 4.0]), np.zeros((2, 2)))
-    with pytest.raises(ArgumentError):
-        single_block_shortcut(sys)
-
-
-def test_shortcut_refuses_two_blocks():
-    sys = build_system(np.array([[61.0, -30.0], [-30.0, 25.0]]) / 9.0,
-                       [[4.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ArgumentError):
-        single_block_shortcut(sys)
-
-
 # --- level crossing ----------------------------------------------------------
 
 def crossing_gram_residual(sys, chains):
@@ -263,8 +233,7 @@ def test_crossing_two_identical_oscillators(catalog_spectra):
 def test_crossing_single_block_passthrough():
     sys = build_system([[1.0]], [[2.0]])
     h = evolution_operator(sys)
-    raw = build_chain(h, -1j, 2)
-    out = biorthogonalize_crossing([raw], sys, h, -1j)
+    out = biorthogonalize_crossing(build_chain(h, -1j, [2]), sys, h, -1j)
     assert len(out) == 1
     chain, _ = out[0]
     assert abs(bilinear(sys, chain[0], chain[1]) - 1.0) <= 1e-12
@@ -495,6 +464,30 @@ def test_near_critical_sweep_verifies(catalog_entries, name, eps):
     spec = compute_spectrum(build_system(sys.K + eps * dk, sys.Gamma))
     assert verify_spectrum(spec, strict=False)["pass"]
     assert sum(b.size for b in spec.blocks) == sys.dim
+
+
+ERROR_TYPES = (
+    ChainError, DegenerateChainError, CrossingError, PairingError,
+    VerificationError, ArgumentError, ConvergenceError,
+)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2, -1e-2, 1e-4, -1e-4, 1e-6, -1e-6,
+                                 1e-8, -1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("name", list(VERIFIED_SWEEP))
+def test_catalog_sweep_verifies_or_raises_typed(catalog_entries, name, eps):
+    # every input ends in a verified basis or in a typed error naming the
+    # failed decision; far from (1e-2) and close to (1e-10, 1e-12) the
+    # critical point, and at it, the basis must verify
+    sys = catalog_entries[name].system
+    dk = np.zeros((sys.N, sys.N))
+    dk[0, 0] = 1.0
+    try:
+        spec = compute_spectrum(build_system(sys.K + eps * dk, sys.Gamma))
+    except ERROR_TYPES:
+        assert eps not in (0.0, 1e-2, 1e-10, 1e-12)
+        return
+    assert verify_spectrum(spec, strict=False)["pass"]
 
 
 # --- export ------------------------------------------------------------------
