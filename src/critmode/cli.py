@@ -58,7 +58,7 @@ from .model import (
     bilinear,
     load_system,
     save_system,
-    system_to_json,
+    symmetric_matrix,
 )
 from .perturb import (
     HigherOrderNonGenericError,
@@ -67,6 +67,7 @@ from .perturb import (
     assign_predictions,
     cluster_shifts,
     exact_perturbed_spectrum,
+    is_generic,
     loglog_slope,
     predict_splitting,
     predict_splitting_nongeneric,
@@ -117,8 +118,8 @@ def _eps_grid(eps0: float, power: int, count: int) -> np.ndarray:
         raise ArgumentError("--eps-count must be at least 2")
     if power < 1:
         raise ArgumentError("--eps-power must be at least 1")
-    if eps0 == 0.0:
-        raise ArgumentError("--eps0 must be nonzero")
+    if eps0 == 0.0 or not math.isfinite(eps0):
+        raise ArgumentError(f"--eps0 must be finite and nonzero, got {eps0}")
     return np.arange(count, dtype=float) ** power * eps0
 
 
@@ -158,28 +159,24 @@ def _parse_phi(spec: str, dim: int, seed: int = 0) -> np.ndarray:
 
 
 def _parse_delta_k(spec: str, n: int) -> np.ndarray:
-    """e11 | mu:a,b,c (2x2 symmetric) | path to a JSON matrix."""
+    """e11 | mu:a,b,c (2x2 symmetric) | path to a JSON matrix; n x n."""
     if spec == "e11":
         dk = np.zeros((n, n))
         dk[0, 0] = 1.0
-        return dk
-    if spec.startswith("mu:"):
+    elif spec.startswith("mu:"):
         try:
             m11, m12, m22 = (float(t) for t in spec[3:].split(","))
         except ValueError as exc:
             raise ArgumentError(f"cannot parse {spec!r}: {exc}") from exc
         if n != 2:
             raise ArgumentError("mu:... shorthand needs a two-oscillator system")
-        return np.array([[m11, m12], [m12, m22]])
-    path = Path(spec)
-    if not path.exists():
-        raise ArgumentError(f"no such perturbation file: {spec}")
-    dk = np.asarray(json.loads(path.read_text(encoding="utf-8")), dtype=float)
-    if dk.shape != (n, n):
-        raise ArgumentError(f"perturbation must be {n}x{n}, got {dk.shape}")
-    if np.max(np.abs(dk - dk.T)) > 1e-12 * max(1.0, float(np.max(np.abs(dk)))):
-        raise ArgumentError("perturbation matrix must be symmetric")
-    return dk
+        dk = [[m11, m12], [m12, m22]]
+    else:
+        path = Path(spec)
+        if not path.exists():
+            raise ArgumentError(f"no such perturbation file: {spec}")
+        dk = json.loads(path.read_text(encoding="utf-8"))
+    return symmetric_matrix("--dk", dk, n)
 
 
 # ---------------------------------------------------------------------------
@@ -286,49 +283,40 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(system, spectrum, block, delta_k, eps_values):
+def _track(spectrum, block, delta_k, eps_values, predict):
+    """(eps, prediction or None, cluster shifts) for each eps of a grid.
+
+    One exact_perturbed_spectrum call solves the grid; cluster_shifts checks
+    each row against the spectral gap.  At each eps predict runs before the
+    matching, so a direction without a prediction raises its own error.
+    """
+    gap = spectral_gap(spectrum, block)
+    evals = exact_perturbed_spectrum(spectrum.system, delta_k, eps_values)
+    return [
+        (eps, predict(block, delta_k, eps) if predict else None,
+         cluster_shifts(row, block.omega, block.size, gap))
+        for eps, row in zip(eps_values, evals)
+    ]
+
+
+def _sweep_rows(spectrum, block, delta_k, eps_values, generic):
     """Numerical vs predicted eigenvalue tracks, one row per (eps, mode).
 
-    Also returns whether xi is nonzero along delta_k (the generic case).
+    eps_values is an _eps_grid, whose first point (n = 0, as in the caption
+    grids) is the unperturbed one: both columns hold omega there.
     """
-    rows = []
-    gap = spectral_gap(spectrum, block)
-    generic = None
-    for eps in eps_values:
-        if eps == 0.0:
-            # the unperturbed point: the caption grids start at n = 0
-            for k in range(block.size):
-                rows.append(
-                    [0.0, k, block.omega.real, block.omega.imag,
-                     block.omega.real, block.omega.imag, 0.0]
-                )
-            continue
-        try:
-            pred = predict_splitting(block, delta_k, eps)
-            predicted = pred.eigenvalues
-            generic = True
-        except NonGenericPerturbationError:
-            ng = predict_splitting_nongeneric(block, delta_k, eps)
-            predicted = ng.eigenvalues
-            generic = False
-        evals = exact_perturbed_spectrum(system, delta_k, eps)
-        shifts = cluster_shifts(evals, block.omega, block.size, gap)
-        numerical = block.omega + shifts
-        perm = assign_predictions(numerical, predicted)
-        for k in range(block.size):
-            p = predicted[perm[k]]
-            rows.append(
-                [
-                    eps,
-                    k,
-                    numerical[k].real,
-                    numerical[k].imag,
-                    p.real,
-                    p.imag,
-                    abs(numerical[k] - p),
-                ]
-            )
-    return rows, generic
+    w = block.omega
+    rows = [[0.0, k, w.real, w.imag, w.real, w.imag, 0.0]
+            for k in range(block.size)]
+    predict = predict_splitting if generic else predict_splitting_nongeneric
+    for eps, pred, shifts in _track(spectrum, block, delta_k, eps_values[1:],
+                                    predict):
+        numerical = w + shifts
+        predicted = pred.eigenvalues
+        predicted = predicted[assign_predictions(numerical, predicted)]
+        rows += [[eps, k, z.real, z.imag, p.real, p.imag, abs(z - p)]
+                 for k, (z, p) in enumerate(zip(numerical, predicted))]
+    return rows
 
 
 SWEEP_HEADER = [
@@ -353,13 +341,19 @@ def cmd_perturb(args) -> int:
     block = spectrum.largest_block()
     if block.size < 2:
         raise ArgumentError("perturb needs a critical system (a block with M >= 2)")
-    rows, generic = _sweep_rows(system, spectrum, block, delta_k, eps_values)
+    for group in spectrum.crossing_groups:
+        if group.omega == block.omega:  # split by a matrix of DH, not one xi
+            raise ArgumentError(
+                f"perturb needs an isolated block: omega = {block.omega:.6g} "
+                f"is a level crossing of blocks of sizes {group.sizes}"
+            )
+    generic = is_generic(block, delta_k)
+    rows = _sweep_rows(spectrum, block, delta_k, eps_values, generic)
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
-    xi = xi_generic(block, delta_k)
     summary = {
         "omega": complex(block.omega),
         "M": block.size,
-        "xi": complex(xi),
+        "xi": complex(xi_generic(block, delta_k)),
         "generic": bool(generic),
     }
     if not generic:
@@ -411,52 +405,34 @@ FIGURES = {
 }
 
 
-def _figure_fit_grid(eps0: float, decades=(-8, -4)) -> np.ndarray:
-    return np.sign(eps0) * np.logspace(decades[0], decades[1], 9)
-
-
-def figure_summary(system, spectrum, block, delta_k, eps0, generic,
-                   fit_decades=(-8, -4)):
+def figure_summary(spectrum, block, delta_k, eps0, generic, fit_decades):
     """Exponent fits, equiangularity, and first-order accuracy diagnostics.
 
-    ``generic`` says whether xi is nonzero (as ``_sweep_rows`` decided it):
-    if not, the M-1 moving modes are fitted and the static one separately.
+    ``generic`` says whether xi is nonzero (``is_generic``): if not, the
+    M-1 moving modes are fitted and the static one separately.
     """
-    fit_grid = _figure_fit_grid(eps0, fit_decades)
-    gap = spectral_gap(spectrum, block)
-    m = block.size
-    moving_mags = []
-    errors = []
-    lams = []
-    last_shifts = None
-    for eps in fit_grid:
-        evals = exact_perturbed_spectrum(system, delta_k, eps)
-        shifts = cluster_shifts(evals, block.omega, m, gap)
-        order = np.argsort(np.abs(shifts))
-        if generic:
-            moving = shifts
-            predicted = predict_splitting(block, delta_k, eps).shifts
-        else:
-            moving = shifts[order[1:]]
-            predicted = predict_splitting_nongeneric(block, delta_k, eps).shifts
-        lam = float(abs(predicted[0]))  # zeta_0 = 1: the splitting scale
-        moving_mags.append(float(np.mean(np.abs(moving))))
-        perm = assign_predictions(moving, predicted)
-        errors.append(
-            float(np.mean(np.abs(moving - predicted[perm])))
-        )
-        lams.append(lam)
-        last_shifts = moving if eps == fit_grid[0] else last_shifts
-    exponent, exp_res = loglog_slope(np.abs(fit_grid), moving_mags)
+    fit_grid = np.sign(eps0) * np.logspace(fit_decades[0], fit_decades[1], 9)
+    movings, errors, lams = [], [], []
+    predict = predict_splitting if generic else predict_splitting_nongeneric
+    for _, pred, shifts in _track(spectrum, block, delta_k, fit_grid, predict):
+        moving = shifts if generic else shifts[np.argsort(np.abs(shifts))[1:]]
+        predicted = pred.shifts[assign_predictions(moving, pred.shifts)]
+        movings.append(moving)
+        errors.append(float(np.mean(np.abs(moving - predicted))))
+        lams.append(float(abs(pred.shifts[0])))  # zeta_0 = 1: the splitting scale
+    exponent, exp_res = loglog_slope(
+        np.abs(fit_grid), [float(np.mean(np.abs(m))) for m in movings]
+    )
     error_slope, _ = loglog_slope(lams, errors)
 
     # Equiangularity at the smallest epsilon of the fit grid.
-    n_dir = len(last_shifts)
+    first = movings[0]
+    n_dir = len(first)
     sector = 2.0 * np.pi / max(n_dir, 1)
     worst_ang = 0.0
     for i in range(n_dir):
         for j in range(i + 1, n_dir):
-            d = np.angle(last_shifts[i] / last_shifts[j])
+            d = np.angle(first[i] / first[j])
             worst_ang = max(
                 worst_ang, abs(d - sector * round(d / sector))
             )
@@ -471,12 +447,12 @@ def figure_summary(system, spectrum, block, delta_k, eps0, generic,
     if not generic:
         # The static mode moves at O(eps); fit it on a higher grid where it
         # stands clear of the eigensolver noise floor.
-        statics = []
         eps_disp = np.sign(eps0) * np.logspace(-5, -2, 8)
-        for eps in eps_disp:
-            evals = exact_perturbed_spectrum(system, delta_k, eps)
-            shifts = cluster_shifts(evals, block.omega, m, gap)
-            statics.append(float(np.min(np.abs(shifts))))
+        statics = [
+            float(np.min(np.abs(shifts)))
+            for _, _, shifts in _track(spectrum, block, delta_k, eps_disp,
+                                       None)
+        ]
         static_slope, _ = loglog_slope(np.abs(eps_disp), statics)
         summary["static_mode_slope"] = static_slope
     return summary
@@ -494,26 +470,20 @@ def cmd_reproduce_figure(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
-    rows, generic = _sweep_rows(system, spectrum, block, delta_k, eps_values)
+    generic = is_generic(block, delta_k)
+    rows = _sweep_rows(spectrum, block, delta_k, eps_values, generic)
     _write_csv(out / f"figure{args.figure}.csv", SWEEP_HEADER, rows)
     summary = figure_summary(
-        system, spectrum, block, delta_k, args.eps0, generic,
-        fig["fit_decades"],
+        spectrum, block, delta_k, args.eps0, generic, fig["fit_decades"]
     )
     if generic:
         # the caption grids make |shift| proportional to n; report how
-        # closely the numerical tracks follow that spacing
-        per_n = {}
-        for row in rows:
-            eps = row[0]
-            if eps == 0.0:
-                continue
-            n = round(abs(eps / args.eps0) ** (1.0 / fig["power"]))
-            shift = abs(complex(row[2], row[3]) - block.omega)
-            per_n.setdefault(n, []).append(shift)
-        ratios = np.array(
-            [np.mean(v) / n for n, v in sorted(per_n.items())]
-        )
+        # closely the numerical tracks follow that spacing (rows hold the
+        # M modes of n = 0, 1, ... in turn)
+        m = block.size
+        shifts = [abs(complex(row[2], row[3]) - block.omega) for row in rows]
+        ratios = np.array([np.mean(shifts[n * m:(n + 1) * m]) / n
+                           for n in range(1, args.eps_count)])
         summary["spacing_linearity_max_dev"] = float(
             np.max(np.abs(ratios / np.mean(ratios) - 1.0))
         )
@@ -529,8 +499,9 @@ def cmd_reproduce_figure(args) -> int:
 
 
 def cmd_cancellation(args) -> int:
-    if args.eps_min <= 0.0 or args.eps_max <= 0.0:
-        raise ArgumentError("--eps-min and --eps-max must be positive")
+    if not all(math.isfinite(e) and e > 0.0
+               for e in (args.eps_min, args.eps_max)):
+        raise ArgumentError("--eps-min and --eps-max must be finite and positive")
     if args.eps_min >= args.eps_max:
         raise ArgumentError("--eps-min must be below --eps-max")
     if args.eps_count < 2:

@@ -53,7 +53,7 @@ from .jordan import (
     _matrix_form,
     compute_spectrum,
 )
-from .linalg import ArgumentError, Tolerances
+from .linalg import ArgumentError, Tolerances, as_grid
 from .model import OscillatorSystem, metric
 from .perturb import exact_perturbed_spectrum, predict_splitting
 
@@ -96,21 +96,6 @@ def evolve_basis_vector(block: JordanBlock, n: int, t: float) -> np.ndarray:
     for l in range(n + 1):
         out = out + evolution_coefficient(l, block.omega, t) * block.chain[n - l]
     return out
-
-
-def _grid(values, name: str, dtype) -> tuple:
-    """(values as a 1-D grid, whether a scalar was given, largest magnitude).
-
-    Raises ArgumentError unless every value is finite.
-    """
-    arr = np.asarray(values, dtype=dtype)
-    if arr.ndim > 1:
-        raise ArgumentError(f"{name} must be a scalar or a 1-D grid")
-    grid = arr.reshape(-1)
-    peak = abs(arr.item()) if arr.ndim == 0 else float(np.abs(grid).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise ArgumentError(f"{name} must be finite, got {values!r}")
-    return grid, arr.ndim == 0, peak
 
 
 def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
@@ -183,7 +168,7 @@ def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
         raise ArgumentError(
             f"state must have length {spectrum.system.dim}, got {phi.size}"
         )
-    times, scalar, peak = _grid(t, "t", float)
+    times, scalar, peak = as_grid(t, "t", float)
     states = _evolve(spectrum.matrices, phi, times, peak)
     return states[0] if scalar else states
 
@@ -193,7 +178,7 @@ def greens_time(spectrum: Spectrum, t) -> np.ndarray:
 
     t may be a scalar or a 1-D grid; raises ArgumentError if not finite.
     """
-    times, scalar, peak = _grid(t, "t", float)
+    times, scalar, peak = as_grid(t, "t", float)
     form = spectrum.matrices
     coef = _evolution_coefficients(form, np.maximum(times, 0.0), peak)
     coef[times < 0.0] = 0.0
@@ -207,7 +192,7 @@ def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     omega may be a scalar or a 1-D grid.  Raises ArgumentError when omega
     is not finite or sits within cluster_tol of a pole.
     """
-    freqs, scalar, _ = _grid(omega, "omega", complex)
+    freqs, scalar, _ = as_grid(omega, "omega", complex)
     form = spectrum.matrices
     gap = freqs[:, None] - form.omega
     radius = spectrum.tol.cluster_tol * form.scale
@@ -237,14 +222,14 @@ class SumRuleReport:
         return all(m <= self.threshold for m in self.max_abs)
 
 
-def check_sum_rules(spectrum: Spectrum, threshold: float | None = None) -> SumRuleReport:
+def check_sum_rules(spectrum: Spectrum) -> SumRuleReport:
     """Evaluate the four sum rules on the position parts of the basis.
 
     With U the position rows of F the rules read U P U^T = 0,
-    U J P U^T = I, U J^2 P U^T + i U J P U^T Gamma = 0 and U P U^T Gamma = 0.
+    U J P U^T = I, U J^2 P U^T + i U J P U^T Gamma = 0 and U P U^T Gamma = 0,
+    each to within the spectrum's residual_tol.
     """
     sys = spectrum.system
-    thr = threshold if threshold is not None else spectrum.tol.residual_tol
     form = spectrum.matrices
     j_mat, p_mat = form.j, form.p
     u = form.f[: sys.N]
@@ -259,7 +244,7 @@ def check_sum_rules(spectrum: Spectrum, threshold: float | None = None) -> SumRu
     return SumRuleReport(
         residuals=residuals,
         max_abs=[float(np.max(np.abs(r))) for r in residuals],
-        threshold=thr,
+        threshold=spectrum.tol.residual_tol,
     )
 
 
@@ -368,7 +353,7 @@ def cluster_cancellation_experiment(
     an exact eigensolve guards that precondition and its cluster eigenvalues
     are recorded for reference.
     """
-    t_grid, _, peak = _grid(t_grid, "t_grid", float)
+    t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
         raise ArgumentError("t_grid must hold at least one time")
     tol = tol or Tolerances()

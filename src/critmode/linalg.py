@@ -16,6 +16,7 @@ step test and the fallback supplies the roots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,21 @@ def _as_square(m) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ArgumentError("matrix entries must be finite")
     return m
+
+
+def as_grid(values, name: str, dtype) -> tuple:
+    """(values as a 1-D grid, whether a scalar was given, largest magnitude).
+
+    Raises ArgumentError unless every value is finite.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim > 1:
+        raise ArgumentError(f"{name} must be a scalar or a 1-D grid")
+    grid = arr.reshape(-1)
+    peak = abs(arr.item()) if arr.ndim == 0 else float(np.abs(grid).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ArgumentError(f"{name} must be finite, got {values!r}")
+    return grid, arr.ndim == 0, peak
 
 
 def char_poly(m) -> np.ndarray:
@@ -272,19 +288,19 @@ def _roots_acceptable(coeffs, roots, tol: Tolerances) -> bool:
     return bool(np.all(vals <= lim))
 
 
-def polish_root(coeffs, z0: complex, multiplicity: int = 1, steps: int = 50) -> complex:
+def polish_root(coeffs, z0: complex, multiplicity: int = 1) -> complex:
     """Refine a root of known multiplicity m via Newton on the (m-1)-th derivative.
 
     An m-fold root of p is a simple root of p^(m-1), where Newton converges
     quadratically; this recovers cluster centers far more accurately than
-    the raw root scatter of a multiple root.
+    the raw root scatter of a multiple root.  At most 50 Newton steps.
     """
     c = np.asarray(coeffs, dtype=complex)
     for _ in range(multiplicity - 1):
         c = polyder(c)
     dc = polyder(c)
     z = complex(z0)
-    for _ in range(steps):
+    for _ in range(50):
         dp = complex(polyval(dc, z))
         if dp == 0.0:
             break

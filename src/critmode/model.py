@@ -57,6 +57,26 @@ class OscillatorSystem:
         return 2 * self.K.shape[0]
 
 
+def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
+    """m as a real array, checked as build_system checks K and Gamma.
+
+    ArgumentError names the matrix unless it is square (size x size when
+    size is given), finite and symmetric to SYMMETRY_TOL.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ArgumentError(f"{name} must be square, got shape {m.shape}")
+    if size is not None and m.shape != (size, size):
+        raise ArgumentError(f"{name} must be {size}x{size}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ArgumentError(f"{name} has non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    d = float(np.max(np.abs(m - m.T)))
+    if d > SYMMETRY_TOL * scale:
+        raise ArgumentError(f"{name} is asymmetric (defect {d:.3e})")
+    return m
+
+
 def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
     """Validate and build an oscillator system.
 
@@ -64,22 +84,12 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
     A Gamma with negative eigenvalues is physically questionable but not
     forbidden by the formalism, so it only triggers a warning.
     """
-    K = np.asarray(K, dtype=float)
-    Gamma = np.asarray(Gamma, dtype=float)
-    for name, m in (("K", K), ("Gamma", Gamma)):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ArgumentError(f"{name} must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ArgumentError(f"{name} has non-finite entries")
+    K = symmetric_matrix("K", K)
+    Gamma = symmetric_matrix("Gamma", Gamma)
     if K.shape != Gamma.shape:
         raise ArgumentError(
             f"size mismatch: K is {K.shape}, Gamma is {Gamma.shape}"
         )
-    for name, m in (("K", K), ("Gamma", Gamma)):
-        scale = max(1.0, float(np.max(np.abs(m))))
-        d = float(np.max(np.abs(m - m.T)))
-        if d > SYMMETRY_TOL * scale:
-            raise ArgumentError(f"{name} is asymmetric (defect {d:.3e})")
     gamma_eigs = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))
     if gamma_eigs.size and gamma_eigs[0] < -1e-12 * max(1.0, abs(gamma_eigs[-1])):
         warnings.warn(

@@ -18,6 +18,10 @@ M (lambda zeta_k)^(M-1).
 When xi vanishes (non-generic direction) one eigenvalue stays put at leading
 order while the other M-1 split like a generic block of size M-1 with
 Delta_omega^(M-1) = 2 eps xi', where xi' = f_{j,1}^x . DK . f_{j,0}^x.
+Which case applies depends on xi, not on eps; is_generic states the test.
+
+The numerical truth is the LAPACK spectrum of H(K + eps DK) = H + eps DH, for
+a scalar eps or a whole grid in one stacked call.
 
 The determinant route offers an independent check: expanding
 det(H(eps) - omega) in eps, the linear coefficient normalized by the
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import JordanBlock, Spectrum, _basis_matrices, compute_spectrum
-from .linalg import ArgumentError, Tolerances
-from .model import OscillatorSystem, bilinear, build_system, evolution_operator
+from .linalg import ArgumentError, Tolerances, as_grid
+from .model import OscillatorSystem, bilinear, evolution_operator, symmetric_matrix
 
 GENERICITY_FACTOR = 1e-8
 MAX_ASSIGNMENT_SIZE = 8
@@ -98,6 +102,13 @@ def _genericity_scale(block: JordanBlock, delta_k) -> float:
     )
 
 
+def is_generic(block: JordanBlock, delta_k) -> bool:
+    """|xi| > GENERICITY_FACTOR |DK|_2 |f_0|^2: the predict_splitting case."""
+    return abs(xi_generic(block, delta_k)) > (
+        GENERICITY_FACTOR * _genericity_scale(block, delta_k)
+    )
+
+
 @dataclass
 class SplitPrediction:
     """First-order splitting of one block under a generic perturbation."""
@@ -115,11 +126,11 @@ class SplitPrediction:
 def predict_splitting(block: JordanBlock, delta_k, eps: float) -> SplitPrediction:
     """Equiangular first-order prediction for a generic perturbation.
 
-    Raises NonGenericPerturbationError when |xi| falls under the scale-aware
-    threshold; callers should then use predict_splitting_nongeneric.
+    Raises NonGenericPerturbationError when the direction is not generic
+    (see is_generic); callers should then use predict_splitting_nongeneric.
     """
     xi = xi_generic(block, delta_k)
-    if abs(xi) <= GENERICITY_FACTOR * _genericity_scale(block, delta_k):
+    if not is_generic(block, delta_k):
         raise NonGenericPerturbationError(
             f"xi = {xi:.3e} is below the genericity threshold; use the "
             "non-generic path"
@@ -171,15 +182,14 @@ def predict_splitting_nongeneric(
     carries an m2_caveat flag for that case.
     """
     xi = xi_generic(block, delta_k)
-    scale = _genericity_scale(block, delta_k)
-    if abs(xi) > GENERICITY_FACTOR * scale:
+    if is_generic(block, delta_k):
         raise ArgumentError(
             f"perturbation is generic (xi = {xi:.3e}); use predict_splitting"
         )
     if block.size < 2:
         raise ArgumentError("non-generic splitting needs M >= 2")
     xp = xi_prime(block, delta_k)
-    if abs(xp) <= GENERICITY_FACTOR * scale:
+    if abs(xp) <= GENERICITY_FACTOR * _genericity_scale(block, delta_k):
         raise HigherOrderNonGenericError(
             "both xi and xi' vanish at this scale; no leading-order "
             "prediction, fall back to exact diagonalization"
@@ -264,7 +274,7 @@ def j1_coefficient(
             "system is not critical: no block of size >= 2 at this tolerance"
         )
     w = block.omega
-    dk = np.asarray(delta_k, dtype=float)
+    dk = symmetric_matrix("DK", delta_k, sys.N)
 
     r_spect = 1.0 + 0.0j
     for b in spectrum.blocks:
@@ -276,13 +286,14 @@ def j1_coefficient(
     sign = (-1.0) ** sys.N
     closed = sign * np.trace(_adjugate(a) @ dk) / r_spect
 
-    def det_at(eps):
-        h = evolution_operator(build_system(sys.K + eps * dk, sys.Gamma))
-        return np.linalg.det(h - w * np.eye(sys.dim))
-
     step = 1e-6 * max(1.0, float(np.linalg.norm(sys.K, 2)))
-    d1 = (det_at(step) - det_at(-step)) / (2.0 * step)
-    d2 = (det_at(step / 2.0) - det_at(-step / 2.0)) / step
+    steps = np.array([step, -step, step / 2.0, -step / 2.0])
+    dets = np.linalg.det(
+        evolution_operator(sys) - w * np.eye(sys.dim)
+        + steps[:, None, None] * delta_h(dk)
+    )
+    d1 = (dets[0] - dets[1]) / (2.0 * step)
+    d2 = (dets[2] - dets[3]) / step
     fd = (4.0 * d2 - d1) / 3.0 / r_spect
 
     return J1Result(
@@ -297,12 +308,18 @@ def j1_coefficient(
 # numerical truth: exact perturbed spectra, cluster matching, log-log slopes
 # ---------------------------------------------------------------------------
 
-def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps: float) -> np.ndarray:
-    """Eigenvalues of H(K + eps*DK, Gamma) from LAPACK, sorted by (real, imag)."""
-    pert = build_system(
-        sys.K + eps * np.asarray(delta_k, dtype=float), sys.Gamma
-    )
-    return np.sort_complex(np.linalg.eigvals(evolution_operator(pert)))
+def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps) -> np.ndarray:
+    """Eigenvalues of H(K + eps*DK, Gamma) = H + eps*DH, sorted by (real, imag).
+
+    eps is a scalar (2N eigenvalues) or a 1-D grid ((E, 2N), one stacked
+    LAPACK call).  ArgumentError for a DK that is not N x N, finite and
+    symmetric, or an eps that is not finite.
+    """
+    dh = delta_h(symmetric_matrix("DK", delta_k, sys.N))
+    grid, scalar, _ = as_grid(eps, "eps", float)
+    ops = evolution_operator(sys) + grid[:, None, None] * dh
+    evals = np.sort_complex(np.linalg.eigvals(ops))
+    return evals[0] if scalar else evals
 
 
 def spectral_gap(spectrum: Spectrum, block: JordanBlock) -> float:

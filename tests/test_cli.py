@@ -168,6 +168,16 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
           "--t-max", "0"], "--t-max"),
         (["cancellation", "--system", "catalog:quartic-jb4",
           "--t-max", "nan"], "--t-max"),
+        (["reproduce-figure", "--figure", "1", "--eps0", "inf"], "--eps0"),
+        (["reproduce-figure", "--figure", "1", "--eps0", "nan"], "--eps0"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11",
+          "--eps0", "inf"], "--eps0"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--eps-max", "inf"], "--eps-max"),
+        (["cancellation", "--system", "catalog:quartic-jb4",
+          "--eps-min", "nan"], "--eps-min"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk",
+          "mu:nan,0,1"], "--dk"),
     ],
     ids=["perturb", "reproduce-figure", "cancellation", "perturb-count-1",
          "reproduce-figure-count-1", "cancellation-count-0",
@@ -177,7 +187,10 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
          "cancellation-seed-negative", "perturb-power-negative",
          "perturb-power-0", "cancellation-empty-range",
          "design-no-solution", "evolve-t-max-nan", "evolve-t-max-inf",
-         "evolve-t-max-0", "cancellation-t-max-nan"],
+         "evolve-t-max-0", "cancellation-t-max-nan",
+         "reproduce-figure-eps0-inf", "reproduce-figure-eps0-nan",
+         "perturb-eps0-inf", "cancellation-eps-max-inf",
+         "cancellation-eps-min-nan", "perturb-dk-nan"],
 )
 def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option):
     with warnings.catch_warnings():
@@ -246,6 +259,19 @@ def test_perturb_nongeneric_direction(tmp_path):
     assert pred["generic"] is False
     assert pred["xi_prime"][0] == pytest.approx(0.0, abs=1e-12)
     assert pred["xi_prime"][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_perturb_refuses_level_crossing(tmp_path, capsys):
+    # two size-2 blocks share omega = -i: one xi cannot set the splitting
+    code = run([
+        "perturb", "--system", "catalog:crossed-pair", "--dk", "e11",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "omega = " in err
+    assert "level crossing of blocks of sizes [2, 2]" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_design_families(tmp_path):

@@ -20,6 +20,7 @@ from critmode.perturb import (
     cluster_shifts,
     deltaH_prime_matrix,
     exact_perturbed_spectrum,
+    is_generic,
     j1_coefficient,
     loglog_slope,
     predict_splitting,
@@ -49,6 +50,7 @@ def test_xi_reference_values(catalog_spectra):
         spec = catalog_spectra[name]
         block = spec.largest_block()
         assert abs(xi_generic(block, dk) - want) <= 1e-12, name
+        assert is_generic(block, dk) == (want != 0), name
 
 
 def test_xi_prime_reference_values(catalog_spectra):
@@ -279,6 +281,43 @@ def test_exact_perturbed_spectrum_vs_dense_oracle(catalog_spectra):
     got = exact_perturbed_spectrum(catalog_spectra["quartic-jb4"].system, E11, 1e-4)
     radii = np.abs(got + 1j)
     assert np.all(np.abs(radii - 0.1189) < 3e-3)
+
+
+GRID_EPS = np.array([0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2, -1e-2])
+
+
+def test_exact_perturbed_spectrum_grid_is_scalar_and_rebuilt_system(catalog_spectra):
+    # each row of a grid call is, bit for bit, the scalar call and the
+    # spectrum of the system rebuilt at K + eps DK
+    for name, spec in catalog_spectra.items():
+        sys = spec.system
+        directions = [E11, MU_QUARTIC, MU_CUBIC] if sys.N == 2 else [np.eye(1)]
+        for dk in directions:
+            grid = exact_perturbed_spectrum(sys, dk, GRID_EPS)
+            assert grid.shape == (GRID_EPS.size, sys.dim)
+            for eps, row in zip(GRID_EPS, grid):
+                assert np.array_equal(row, exact_perturbed_spectrum(sys, dk, eps))
+                rebuilt = build_system(sys.K + eps * dk, sys.Gamma)
+                want = np.sort_complex(np.linalg.eigvals(evolution_operator(rebuilt)))
+                assert np.array_equal(row, want), (name, eps)
+
+
+@pytest.mark.parametrize(
+    "dk, eps",
+    [
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), 1e-4),
+        (np.array([[np.nan, 0.0], [0.0, 0.0]]), 1e-4),
+        (np.eye(3), 1e-4),
+        (E11, np.full((2, 2), 1e-4)),
+        (E11, np.inf),
+        (E11, [1e-4, np.nan]),
+    ],
+    ids=["dk-asymmetric", "dk-nan", "dk-3x3", "eps-2d", "eps-inf",
+         "eps-grid-nan"],
+)
+def test_exact_perturbed_spectrum_rejects_bad_input(catalog_spectra, dk, eps):
+    with pytest.raises(ArgumentError):
+        exact_perturbed_spectrum(catalog_spectra["quartic-jb4"].system, dk, eps)
 
 
 def test_double_family_stays_doubly_degenerate():
