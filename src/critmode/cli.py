@@ -63,7 +63,6 @@ from .model import (
 from .perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
-    NonGenericPerturbationError,
     assign_predictions,
     cluster_shifts,
     exact_perturbed_spectrum,
@@ -120,6 +119,16 @@ def _eps_grid(eps0: float, power: int, count: int) -> np.ndarray:
         raise ArgumentError("--eps-power must be at least 1")
     if eps0 == 0.0 or not math.isfinite(eps0):
         raise ArgumentError(f"--eps0 must be finite and nonzero, got {eps0}")
+    try:
+        peak = float(count - 1) ** power * abs(eps0)
+    except OverflowError:
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise ArgumentError(
+            f"--eps0 {eps0:g}, --eps-power {power} and --eps-count {count} "
+            f"overflow the eps grid: its largest value {count - 1}^{power} * "
+            f"{abs(eps0):g} exceeds the float range"
+        )
     return np.arange(count, dtype=float) ** power * eps0
 
 
@@ -539,6 +548,12 @@ def cmd_cancellation(args) -> int:
         )
         print("cancellation: diagonalizable system, per-mode weights O(1)")
         return EXIT_OK
+    if len(nontrivial) == 1 and not is_generic(nontrivial[0], delta_k):
+        xi = complex(xi_generic(nontrivial[0], delta_k))
+        raise ArgumentError(
+            f"cancellation needs a generic --dk: xi = {xi:.3e} vanishes at "
+            f"this scale, so the block does not split as eps^(1/M)"
+        )
     lams, weights, diffs = [], [], []
     for eps in eps_values:
         rep = cluster_cancellation_experiment(
@@ -696,7 +711,6 @@ def main(argv=None) -> int:
         CrossingError,
         PairingError,
         MatchingAmbiguityError,
-        NonGenericPerturbationError,
         HigherOrderNonGenericError,
         np.linalg.LinAlgError,
     ) as exc:

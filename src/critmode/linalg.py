@@ -7,11 +7,12 @@ stored as 1-D complex arrays of coefficients in ascending degree order, so
 
 The two nonstandard pieces are the characteristic polynomial, computed with
 the Faddeev-LeVerrier recursion so that coefficient-level output is available
-for constraint solving, and a root finder that runs a short, budgeted
-simultaneous iteration (Aberth-Ehrlich) and falls back to the eigenvalues of
-the companion matrix.  Aberth converges on well-separated roots; on the
-clustered roots of a critical or near-critical polynomial it cannot meet its
-step test and the fallback supplies the roots.
+for constraint solving, and a root finder that takes the eigenvalues of the
+companion matrix (LAPACK QR) and polishes them with a few steps of
+simultaneous iteration (Aberth-Ehrlich).  The polish converges on
+well-separated roots of low degree; on the clustered roots of a critical or
+near-critical polynomial it cannot meet its step test, and the companion
+roots are returned as they are.
 """
 
 from __future__ import annotations
@@ -179,43 +180,38 @@ def companion_roots(coeffs) -> np.ndarray:
     return np.linalg.eigvals(companion_matrix(coeffs))
 
 
-# Iteration budget of _aberth.  Near an M-fold root cluster the step test
-# cannot be met: p'(z) ~ 0 there, so the evaluation noise of p, divided by
+# Step budget of the Aberth polish in poly_roots.  Started from companion
+# roots, Aberth either meets its step test in a few steps or not at all: near
+# an M-fold root cluster p'(z) ~ 0, so the evaluation noise of p, divided by
 # p', keeps the relative steps above 4 * _EPS (Bini, Numer. Algorithms 13,
-# 1996), and poly_roots takes the companion-matrix roots instead.
-# Measured over 642 compute_spectrum inputs (the catalog systems at
-# K + eps e11 for 22 eps in [-1e-4, 1e-1], random well-separated systems at
-# N = 1..8 with seeds 0..59, and the 52 random systems of perfbench's
-# generic_spectra at seed 1), Aberth converged on 268 inputs: median 11
-# iterations, 90th percentile 41, maximum 197; on the other 374 it never
-# converged.  Budgets of 16, 20, 25 and 30 leave every input's outcome as at
-# 200 iterations; a budget of 12 turns single-critical at K + 1e-5 e11 and
-# K + 1e-6 e11 into a VerificationError.
-ABERTH_MAX_ITER = 30
+# 1996).  Measured over the 497 inputs of scripts/outcome_sweep.py: it meets
+# the test on 135, within 2 steps on 107, 3 on 114, 4 on 117 and after 5 to
+# 96 steps on the other 18.  It does not within 100 steps on the other 362:
+# 84 of the 92 runs of quartic-jb4, cubic-jb3, double-jb2 and crossed-pair,
+# every design-family point and every random system with N >= 5.  A budget
+# of 2 turns single-critical at K + 1e-6 e11 into a VerificationError (a
+# budget of 1 also K + 1e-5 e11); budgets of 3 to 16 all give the same
+# outcomes.  4 keeps one step above that floor.
+ABERTH_MAX_ITER = 4
 
 
-def _aberth(coeffs):
-    """Aberth-Ehrlich simultaneous iteration for all roots at once.
+def _aberth(coeffs, z):
+    """Aberth-Ehrlich simultaneous iteration for all roots at once, from z.
 
-    Returns (roots, converged) after at most ABERTH_MAX_ITER steps.  Initial
-    guesses sit on a circle of radius 1 + max coefficient ratio, with an
-    angular offset that breaks the symmetry of real and self-inversive
-    polynomials.
+    Returns (roots, converged) after at most ABERTH_MAX_ITER steps; converged
+    means the last step moved every root by less than 4 * _EPS relative to
+    its size.
     """
     c = np.asarray(coeffs, dtype=complex)
-    deg = c.size - 1
     dc = polyder(c)
-    radius = 1.0 + np.max(np.abs(c[:-1] / c[-1])) if deg > 0 else 1.0
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.4) / deg + 0.3
-    z = radius * np.exp(1j * angles)
-    converged = False
+    z = np.asarray(z, dtype=complex)
     for _ in range(ABERTH_MAX_ITER):
         p = polyval(c, z)
         dp = polyval(dc, z)
         # Nudge points that landed on a stationary point.
         bad = np.abs(dp) < _EPS * (1.0 + np.abs(p))
         if np.any(bad):
-            z = z + bad * (1e-6 * radius * (1.0 + 1.0j))
+            z = z + bad * (1e-6 * (1.0 + np.abs(z)) * (1.0 + 1.0j))
             p = polyval(c, z)
             dp = polyval(dc, z)
         newton = p / dp
@@ -228,21 +224,22 @@ def _aberth(coeffs):
         step = newton / denom
         z = z - step
         if np.max(np.abs(step) / (1.0 + np.abs(z))) < 4.0 * _EPS:
-            converged = True
-            break
-    return z, converged
+            return z, True
+    return z, False
 
 
 def poly_roots(coeffs, tol: Tolerances | None = None) -> np.ndarray:
     """All roots of a polynomial, with multiplicity.
 
-    Runs at most ABERTH_MAX_ITER steps of Aberth-Ehrlich simultaneous
-    iteration and falls back to the companion-matrix QR solver if it has not
-    converged or its roots fail the residual check.  Near a multiple root or
-    a tight cluster (a critical or near-critical system) Aberth does not
-    converge and the companion roots are returned.  Each returned
-    root z satisfies ``|p(z)| <= residual_tol * max|coeff|`` (up to the
-    unavoidable evaluation noise at large |z|).
+    Takes the eigenvalues of the companion matrix (LAPACK QR, backward
+    stable) and polishes them with at most ABERTH_MAX_ITER steps of
+    Aberth-Ehrlich simultaneous iteration.  The polished roots are returned
+    when the iteration meets its step test and they pass the residual check;
+    otherwise, as near a multiple root or a tight cluster (a critical or
+    near-critical system), the companion roots are returned unchanged.
+    Each returned root z satisfies ``|p(z)| <= residual_tol * max|coeff|``
+    (up to the unavoidable evaluation noise at large |z|), or
+    ConvergenceError is raised.
 
     Roots are sorted by (real, imag) for deterministic output.
     """
@@ -263,13 +260,14 @@ def poly_roots(coeffs, tol: Tolerances | None = None) -> np.ndarray:
 
     roots = zeros
     if core.size > 1:
-        z, ok = _aberth(core)
+        start = companion_roots(core)
+        z, ok = _aberth(core, start)
         if not ok or not _roots_acceptable(core, z, tol):
-            z = companion_roots(core)
+            z = start
             if not _roots_acceptable(core, z, tol):
                 raise ConvergenceError(
-                    "root finding failed the residual check even after the "
-                    "companion-matrix fallback"
+                    "root finding failed the residual check on both the "
+                    "companion-matrix roots and their Aberth polish"
                 )
         roots = np.concatenate([zeros, z])
     order = np.lexsort((roots.imag, roots.real))

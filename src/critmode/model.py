@@ -63,7 +63,12 @@ def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
     ArgumentError names the matrix unless it is square (size x size when
     size is given), finite and symmetric to SYMMETRY_TOL.
     """
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(
+            f"{name} is not a matrix of real numbers: {exc}"
+        ) from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
     if size is not None and m.shape != (size, size):

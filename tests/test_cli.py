@@ -122,6 +122,10 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+# stands for the path of a --dk file with a non-numeric entry
+NON_NUMERIC_DK = "<non-numeric --dk file>"
+
+
 @pytest.mark.parametrize(
     "args, option",
     [
@@ -178,6 +182,14 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
           "--eps-min", "nan"], "--eps-min"),
         (["perturb", "--system", "catalog:quartic-jb4", "--dk",
           "mu:nan,0,1"], "--dk"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11",
+          "--eps0", "1e305"], "--eps0"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11",
+          "--eps-power", "400"], "--eps-power"),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk",
+          NON_NUMERIC_DK], "--dk"),
+        (["cancellation", "--system", "catalog:quartic-jb4", "--dk",
+          "mu:1,-1.5,2", "--eps-min", "1e-3", "--eps-max", "1e-2"], "--dk"),
     ],
     ids=["perturb", "reproduce-figure", "cancellation", "perturb-count-1",
          "reproduce-figure-count-1", "cancellation-count-0",
@@ -190,9 +202,14 @@ def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
          "evolve-t-max-0", "cancellation-t-max-nan",
          "reproduce-figure-eps0-inf", "reproduce-figure-eps0-nan",
          "perturb-eps0-inf", "cancellation-eps-max-inf",
-         "cancellation-eps-min-nan", "perturb-dk-nan"],
+         "cancellation-eps-min-nan", "perturb-dk-nan", "perturb-eps0-overflow",
+         "perturb-power-overflow", "perturb-dk-non-numeric",
+         "cancellation-dk-nongeneric"],
 )
 def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option):
+    dk_file = tmp_path / "dk.txt"  # not *.json, which the test looks for below
+    dk_file.write_text('[["a", 0], [0, 0]]')
+    args = [str(dk_file) if a == NON_NUMERIC_DK else a for a in args]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(args + ["--out", str(tmp_path)]) == 2

@@ -440,10 +440,11 @@ def test_strict_verification_raises_despite_flagged_cluster(catalog_entries):
 
 # The runs of the catalog sweep K + eps e11, eps = 1e-2, 1e-4, ..., 1e-14, that
 # end in a verified basis (23 of 35; the other 12 raise), plus single-critical
-# at 1e-5.  Their roots come from the budgeted Aberth iteration or, where it
-# does not converge, the companion matrix; too small a budget
-# (linalg.ABERTH_MAX_ITER = 12) turns single-critical at 1e-5 and 1e-6 into a
-# VerificationError.
+# at 1e-5.  Their roots are the companion-matrix roots, polished by Aberth
+# where it converges within linalg.ABERTH_MAX_ITER steps.  The two
+# single-critical runs at 1e-5 and 1e-6 need the polish: a budget of 2 turns
+# 1e-6 into a VerificationError, and a budget of 1 also 1e-5, so these runs
+# hold the budget at 3 or more.
 VERIFIED_SWEEP = {
     "single-critical": (1e-2, 1e-4, 1e-5, 1e-6, 1e-10, 1e-12, 1e-14),
     "quartic-jb4": (1e-2, 1e-10, 1e-12, 1e-14),
