@@ -24,6 +24,7 @@ convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -295,16 +296,18 @@ def cmd_evolve(args) -> int:
 def _track(spectrum, block, delta_k, eps_values, predict):
     """(eps, prediction or None, cluster shifts) for each eps of a grid.
 
-    One exact_perturbed_spectrum call solves the grid; cluster_shifts checks
-    each row against the spectral gap.  At each eps predict runs before the
-    matching, so a direction without a prediction raises its own error.
+    One exact_perturbed_spectrum call solves the grid and one predict call
+    predicts it; cluster_shifts then checks each row against the spectral
+    gap.  predict runs before any matching, so a direction without a
+    prediction raises its own error.
     """
     gap = spectral_gap(spectrum, block)
     evals = exact_perturbed_spectrum(spectrum.system, delta_k, eps_values)
+    preds = (predict(block, delta_k, eps_values) if predict
+             else [None] * len(eps_values))
     return [
-        (eps, predict(block, delta_k, eps) if predict else None,
-         cluster_shifts(row, block.omega, block.size, gap))
-        for eps, row in zip(eps_values, evals)
+        (eps, pred, cluster_shifts(row, block.omega, block.size, gap))
+        for eps, pred, row in zip(eps_values, preds, evals)
     ]
 
 
@@ -682,10 +685,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on first use and shared by every main call.
+
+    parse_args keeps no state between calls: each returns a new namespace.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -42,6 +42,7 @@ of the critical Jordan-basis evolution.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,12 @@ _INV_FACTORIALS = np.array(
     [1 / math.factorial(l) if l <= 170 else 0.0 for l in range(1024)], dtype=complex
 )
 _LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
+# Largest peak |t| * scale (scale = 1 + max |omega|) at which _evolve lets
+# numpy warn.  |(-it)^l / l!| <= e^|t| and |e^{-i omega t}| <= e^{|omega| |t|},
+# so below the bound no coefficient exceeds e^{peak * scale} <= e^300 ~ 2e130
+# and nothing overflows unless |F| |D| |phi| pass about 1e178; above it the
+# kernel runs under np.errstate and the finiteness check alone decides.
+_QUIET_BOUND = 300.0
 
 
 class NonDiagonalizableError(RuntimeError):
@@ -142,11 +149,15 @@ def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
 
     Raises ArgumentError naming the first time whose state is not finite:
     going back in time the modes grow like e^{|Im omega| |t|}, which
-    overflows float64 once |Im omega| |t| passes about 709.
+    overflows float64 once |Im omega| |t| passes about 709.  Where that
+    can happen (peak * scale above _QUIET_BOUND) numpy's overflow warnings
+    are silenced, so the typed error is all the caller sees.
     """
-    coef = _evolution_coefficients(form, times, peak)
-    # one product per time, so that every row is computed as a grid of one
-    states = ((coef * (form.duals @ phi)).sum(axis=1)[:, None, :] @ form.f.T)[:, 0]
+    quiet = peak * form.scale > _QUIET_BOUND
+    with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+        coef = _evolution_coefficients(form, times, peak)
+        # one product per time, so that every row is computed as a grid of one
+        states = ((coef * (form.duals @ phi)).sum(axis=1)[:, None, :] @ form.f.T)[:, 0]
     if not np.isfinite(states).all():
         lost = times[~np.isfinite(states).all(axis=1)]
         raise ArgumentError(

@@ -19,6 +19,8 @@ When xi vanishes (non-generic direction) one eigenvalue stays put at leading
 order while the other M-1 split like a generic block of size M-1 with
 Delta_omega^(M-1) = 2 eps xi', where xi' = f_{j,1}^x . DK . f_{j,0}^x.
 Which case applies depends on xi, not on eps; is_generic states the test.
+The predictors take a scalar eps or a 1-D grid and make that test once per
+call, so a whole sweep is predicted after one genericity decision.
 
 The numerical truth is the LAPACK spectrum of H(K + eps DK) = H + eps DH, for
 a scalar eps or a whole grid in one stacked call.
@@ -123,12 +125,19 @@ class SplitPrediction:
     norms: np.ndarray
 
 
-def predict_splitting(block: JordanBlock, delta_k, eps: float) -> SplitPrediction:
+def predict_splitting(
+    block: JordanBlock, delta_k, eps
+) -> SplitPrediction | list[SplitPrediction]:
     """Equiangular first-order prediction for a generic perturbation.
 
-    Raises NonGenericPerturbationError when the direction is not generic
-    (see is_generic); callers should then use predict_splitting_nongeneric.
+    eps is a scalar (one SplitPrediction) or a 1-D grid (a list with one
+    prediction per eps, each equal to the scalar call bit for bit).  The
+    direction is checked once per call: NonGenericPerturbationError when it
+    is not generic (see is_generic); callers should then use
+    predict_splitting_nongeneric.  ArgumentError for an eps that is not
+    finite or not at most 1-D.
     """
+    grid, scalar, _ = as_grid(eps, "eps", float)
     xi = xi_generic(block, delta_k)
     if not is_generic(block, delta_k):
         raise NonGenericPerturbationError(
@@ -136,26 +145,28 @@ def predict_splitting(block: JordanBlock, delta_k, eps: float) -> SplitPredictio
             "non-generic path"
         )
     m = block.size
-    lam = complex(eps * xi) ** (1.0 / m)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    shifts = lam * zeta
-    vectors = np.array(
-        [
-            sum((lam * z) ** n * block.chain[n] for n in range(m))
-            for z in zeta
-        ]
-    )
-    norms = m * (lam * zeta) ** (m - 1)
-    return SplitPrediction(
-        xi=xi,
-        lam=lam,
-        omega=block.omega,
-        size=m,
-        shifts=shifts,
-        eigenvalues=block.omega + shifts,
-        split_vectors=vectors,
-        norms=norms,
-    )
+    preds = []
+    for e in grid:
+        lam = complex(e * xi) ** (1.0 / m)
+        shifts = lam * zeta
+        vectors = np.array(
+            [
+                sum((lam * z) ** n * block.chain[n] for n in range(m))
+                for z in zeta
+            ]
+        )
+        preds.append(SplitPrediction(
+            xi=xi,
+            lam=lam,
+            omega=block.omega,
+            size=m,
+            shifts=shifts,
+            eigenvalues=block.omega + shifts,
+            split_vectors=vectors,
+            norms=m * (lam * zeta) ** (m - 1),
+        ))
+    return preds[0] if scalar else preds
 
 
 @dataclass
@@ -173,14 +184,21 @@ class NonGenericPrediction:
 
 
 def predict_splitting_nongeneric(
-    block: JordanBlock, delta_k, eps: float
-) -> NonGenericPrediction:
+    block: JordanBlock, delta_k, eps
+) -> NonGenericPrediction | list[NonGenericPrediction]:
     """Reduced splitting Delta_omega^(M-1) = 2 eps xi' plus one static mode.
+
+    eps is a scalar (one NonGenericPrediction) or a 1-D grid (a list with
+    one prediction per eps, each equal to the scalar call bit for bit); xi
+    and xi' are checked once per call.  ArgumentError for a generic
+    direction, M < 2 or an eps that is not finite or not at most 1-D;
+    HigherOrderNonGenericError when xi' vanishes too.
 
     For M = 2 the quadratic term of the characteristic expansion enters at
     the same order, so the prediction is order-of-magnitude only; the report
     carries an m2_caveat flag for that case.
     """
+    grid, scalar, _ = as_grid(eps, "eps", float)
     xi = xi_generic(block, delta_k)
     if is_generic(block, delta_k):
         raise ArgumentError(
@@ -195,19 +213,21 @@ def predict_splitting_nongeneric(
             "prediction, fall back to exact diagonalization"
         )
     m = block.size
-    lam = complex(2.0 * eps * xp) ** (1.0 / (m - 1))
     zeta = np.exp(2j * np.pi * np.arange(m - 1) / (m - 1))
-    shifts = lam * zeta
-    return NonGenericPrediction(
-        xi=xi,
-        xi_prime=xp,
-        omega=block.omega,
-        size=m,
-        unshifted_count=1,
-        shifts=shifts,
-        eigenvalues=np.concatenate([[block.omega], block.omega + shifts]),
-        m2_caveat=(m == 2),
-    )
+    preds = []
+    for e in grid:
+        shifts = complex(2.0 * e * xp) ** (1.0 / (m - 1)) * zeta
+        preds.append(NonGenericPrediction(
+            xi=xi,
+            xi_prime=xp,
+            omega=block.omega,
+            size=m,
+            unshifted_count=1,
+            shifts=shifts,
+            eigenvalues=np.concatenate([[block.omega], block.omega + shifts]),
+            m2_caveat=(m == 2),
+        ))
+    return preds[0] if scalar else preds
 
 
 # ---------------------------------------------------------------------------

@@ -234,13 +234,26 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
-def test_deterministic_output(tmp_path):
+def test_deterministic_output(tmp_path, capsys):
+    # every main call in a process parses with one parser: a parse error, a
+    # foreign flag and --help between two runs must leave no state behind
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    for out in (out1, out2):
-        assert run([
-            "reproduce-figure", "--figure", "5", "--out", str(out),
-        ]) == 0
+    stray = tmp_path / "c"
+    figure = ["reproduce-figure", "--figure", "5"]
+    helps = []
+    assert run(figure + ["--out", str(out1)]) == 0
+    assert run(figure + ["--eps0", "x", "--out", str(stray)]) == 2
+    assert run(figure + ["--system", "catalog:quartic-jb4",
+                         "--out", str(stray)]) == 2
+    assert not stray.exists()
+    for args in (["reproduce-figure", "--help"], figure + ["--out", str(out2)],
+                 ["reproduce-figure", "--help"]):
+        capsys.readouterr()
+        assert run(args) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[2]
+    assert "--eps0" in helps[0]
     assert (out1 / "figure5.csv").read_bytes() == (out2 / "figure5.csv").read_bytes()
     assert (
         (out1 / "figure5_summary.json").read_bytes()

@@ -196,11 +196,11 @@ def test_kernels_reject_non_finite_inputs(catalog_spectra, value):
         greens_freq(spec, complex(0.5, value))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_evolve_state_rejects_overflowing_past_times(catalog_spectra):
     # going back in time the modes grow like e^{|Im omega| |t|}: at t = -1e3
-    # that overflows, and the time is named instead of a NaN state
+    # that overflows, and the time is named instead of a NaN state, with no
+    # numpy RuntimeWarning before the error
     spec = catalog_spectra["quartic-jb4"]
     phi = np.ones(4, dtype=complex)
     assert np.isfinite(evolve_state(spec, phi, -50.0)).all()

@@ -203,6 +203,89 @@ def test_doubly_degenerate_direction_rejected(catalog_spectra):
         predict_splitting_nongeneric(block, np.zeros((2, 2)), 1e-4)
 
 
+# --- predictions on an eps grid ------------------------------------------------
+
+SIGNED_EPS_GRID = np.array([-1e-4, -3e-7, 0.0, 1e-9, 2.5e-6, 1e-4])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_grid_predictions_equal_scalar_calls(catalog_spectra):
+    # a grid call is one scalar call per eps: every field bit for bit, and a
+    # direction without a prediction raises what the scalar call raises
+    compared = 0
+    for name, spec in catalog_spectra.items():
+        n = spec.system.N
+        for block in spec.blocks:
+            for dk in (E11[:n, :n], MU_QUARTIC[:n, :n], MU_CUBIC[:n, :n]):
+                predict = (predict_splitting if is_generic(block, dk)
+                           else predict_splitting_nongeneric)
+                try:
+                    want = [predict(block, dk, eps) for eps in SIGNED_EPS_GRID]
+                except (ArgumentError, HigherOrderNonGenericError) as exc:
+                    with pytest.raises(type(exc)):
+                        predict(block, dk, SIGNED_EPS_GRID)
+                    continue
+                got = predict(block, dk, SIGNED_EPS_GRID)
+                assert isinstance(got, list) and len(got) == SIGNED_EPS_GRID.size
+                for g, w in zip(got, want):
+                    assert type(g) is type(w)
+                    for field, value in vars(w).items():
+                        assert _same_bits(getattr(g, field), value), (
+                            name, block.label, field)
+                compared += 1
+    # 24 cases, three of them non-generic; only crossed-pair's second block
+    # along e11 has neither xi nor xi'
+    assert compared == 23
+
+
+def test_grid_predictions_check_the_direction(catalog_spectra):
+    block = catalog_spectra["quartic-jb4"].largest_block()
+    with pytest.raises(NonGenericPerturbationError):
+        predict_splitting(block, MU_QUARTIC, SIGNED_EPS_GRID)
+    with pytest.raises(ArgumentError):
+        predict_splitting_nongeneric(block, E11, SIGNED_EPS_GRID)
+
+
+@pytest.mark.parametrize(
+    "eps", [np.full((2, 2), 1e-4), np.inf, [1e-4, np.nan]],
+    ids=["eps-2d", "eps-inf", "eps-grid-nan"],
+)
+@pytest.mark.parametrize(
+    "predict, dk",
+    [(predict_splitting, E11), (predict_splitting_nongeneric, MU_QUARTIC)],
+    ids=["generic", "nongeneric"],
+)
+def test_predictions_reject_bad_eps(catalog_spectra, predict, dk, eps):
+    block = catalog_spectra["quartic-jb4"].largest_block()
+    with pytest.raises(ArgumentError):
+        predict(block, dk, eps)
+
+
+@pytest.mark.parametrize("figure", [1, 2])  # generic and non-generic
+def test_track_predicts_each_sweep_in_one_call(tmp_path, monkeypatch, figure):
+    from critmode import cli
+
+    grids = []
+
+    def counted(predict):
+        def wrapper(block, delta_k, eps):
+            grids.append(np.shape(eps))
+            return predict(block, delta_k, eps)
+        return wrapper
+
+    monkeypatch.setattr(cli, "predict_splitting", counted(predict_splitting))
+    monkeypatch.setattr(cli, "predict_splitting_nongeneric",
+                        counted(predict_splitting_nongeneric))
+    assert cli.main(["reproduce-figure", "--figure", str(figure),
+                     "--out", str(tmp_path)]) == 0
+    # the display sweep (n = 1..8 of the caption grid) and the 9-point fit
+    assert grids == [(8,), (9,)]
+
+
 # --- determinant route -------------------------------------------------------------
 
 def test_j1_quartic_reference(catalog_spectra):
