@@ -3,10 +3,13 @@
 
 Each row holds the input's name, its outcome (``ok`` or the class of the
 exception raised), the largest verification residual (``%.3e``; from the
-report of a VerificationError, empty after any other error) and the block
-sizes.  The rows hold no timings, so two versions of the library that reach
-the same outcomes write the same file, and a diff of two runs lists every
-input whose outcome, residual or structure moved.
+report of a VerificationError, empty after any other error), the block
+sizes and a basis digest: the first 16 hex digits of the sha256 of the bytes
+of F and of the stack N^l D^H (Spectrum.matrices) for ``ok``, of the
+exception message otherwise.  The rows hold no timings, so two versions of
+the library that reach the same outcomes write the same file, and a diff of
+two runs lists every input whose outcome, residual, structure or basis
+moved, down to the last bit.
 
 Inputs:
   - each catalog system at K + eps e11, for eps = 0, 1e-1 ... 1e-15 and
@@ -20,6 +23,7 @@ Usage: PYTHONPATH=src python scripts/outcome_sweep.py [--out FILE]
 
 import argparse
 import csv
+import hashlib
 import math
 import sys
 import warnings
@@ -45,7 +49,7 @@ EPS_VALUES = (
     + [10.0 ** -k for k in range(1, 16)]
     + [-(10.0 ** -k) for k in range(4, 11)]
 )
-HEADER = ["input", "outcome", "max_residual", "block_sizes"]
+HEADER = ["input", "outcome", "max_residual", "block_sizes", "basis"]
 
 
 def catalog_inputs():
@@ -98,18 +102,25 @@ def design_inputs():
         yield f"double2 b={b!r}", lambda b=b: double2_critical(b)
 
 
+def digest(*chunks: bytes) -> str:
+    """First 16 hex digits of the sha256 of the concatenated chunks."""
+    return hashlib.sha256(b"".join(chunks)).hexdigest()[:16]
+
+
 def outcome(build) -> list:
-    """[outcome, max residual, block sizes] of compute_spectrum on build()."""
+    """[outcome, max residual, block sizes, basis digest] of compute_spectrum."""
     try:
         spectrum = compute_spectrum(build())
     except VerificationError as exc:
         res = exc.report.get("max_residual")
-        return [type(exc).__name__, "" if res is None else f"{res:.3e}", ""]
+        return [type(exc).__name__, "" if res is None else f"{res:.3e}", "",
+                digest(str(exc).encode())]
     except Exception as exc:  # every exception class is an outcome here
-        return [type(exc).__name__, "", ""]
+        return [type(exc).__name__, "", "", digest(str(exc).encode())]
     res = verify_spectrum(spectrum, strict=False)["max_residual"]
     sizes = " ".join(str(b.size) for b in spectrum.blocks)
-    return ["ok", f"{res:.3e}", sizes]
+    form = spectrum.matrices
+    return ["ok", f"{res:.3e}", sizes, digest(form.f.tobytes(), form.duals.tobytes())]
 
 
 def run(stream) -> None:

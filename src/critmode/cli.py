@@ -165,6 +165,8 @@ def _parse_phi(spec: str, dim: int, seed: int = 0) -> np.ndarray:
         raise ArgumentError(f"cannot parse state {spec!r}: {exc}") from exc
     if len(vals) != dim:
         raise ArgumentError(f"state needs {dim} components, got {len(vals)}")
+    if not np.isfinite(vals).all():
+        raise ArgumentError(f"--phi must be finite, got {spec!r}")
     return np.array(vals, dtype=complex)
 
 

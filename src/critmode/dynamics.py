@@ -41,6 +41,7 @@ of the critical Jordan-basis evolution.
 
 from __future__ import annotations
 
+import cmath
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -167,18 +168,26 @@ def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
     return states
 
 
+def _state(phi, dim: int) -> np.ndarray:
+    """phi as a complex vector; ArgumentError unless it has dim finite entries."""
+    phi = np.asarray(phi, dtype=complex).ravel()
+    if phi.size != dim:
+        raise ArgumentError(f"state must have length {dim}, got {phi.size}")
+    # cmath over the 2N entries costs a third of np.isfinite(phi).all(),
+    # and evolve_state checks its state once per call
+    if not all(map(cmath.isfinite, phi.tolist())):
+        raise ArgumentError("state has non-finite entries")
+    return phi
+
+
 def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
     """Propagate phi to time t through the Jordan-basis expansion.
 
     t may be a scalar or a 1-D grid, which gives one state per row.
-    Raises ArgumentError for a time that is not finite or whose state is
-    not (a time far in the past).
+    Raises ArgumentError for a state that is not finite, and for a time
+    that is not finite or whose state is not (a time far in the past).
     """
-    phi = np.asarray(phi, dtype=complex).ravel()
-    if phi.size != spectrum.system.dim:
-        raise ArgumentError(
-            f"state must have length {spectrum.system.dim}, got {phi.size}"
-        )
+    phi = _state(phi, spectrum.system.dim)
     times, scalar, peak = as_grid(t, "t", float)
     states = _evolve(spectrum.matrices, phi, times, peak)
     return states[0] if scalar else states
@@ -271,16 +280,15 @@ def rk4_evolve(sys: OscillatorSystem, phi0, times, step: float = 1e-4) -> np.nda
     would round away the low bits of d.  ``times`` must be nonnegative and
     ascending; returns the phase-space states at those times (phi0
     corresponds to t=0).  Raises ArgumentError for a step that is not finite
-    and positive and for a time that is not finite.
+    and positive, for a state that is not finite and for a time that is not
+    finite.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ArgumentError(f"step must be finite and positive, got {step}")
     if not np.isfinite(np.asarray(times, dtype=float)).all():
         raise ArgumentError("times must be finite")
     n = sys.N
-    y = np.asarray(phi0, dtype=complex).ravel()
-    if y.size != 2 * n:
-        raise ArgumentError(f"state must have length {2 * n}")
+    y = _state(phi0, 2 * n)
     a = np.block([[np.zeros((n, n)), np.eye(n)], [-sys.K, -sys.Gamma]])
     eye = np.eye(2 * n)
 
@@ -362,11 +370,13 @@ def cluster_cancellation_experiment(
 
     The perturbed system must actually be diagonalizable near the block;
     an exact eigensolve guards that precondition and its cluster eigenvalues
-    are recorded for reference.
+    are recorded for reference.  The state phi and the times are checked
+    (ArgumentError) before any eigensolve.
     """
     t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
         raise ArgumentError("t_grid must hold at least one time")
+    phi = _state(phi, sys.dim)
     tol = tol or Tolerances()
     spectrum = spectrum or compute_spectrum(sys, tol)
     nontrivial = [b for b in spectrum.blocks if b.size >= 2]
@@ -377,7 +387,6 @@ def cluster_cancellation_experiment(
         )
     block = nontrivial[0]
     m = block.size
-    phi = np.asarray(phi, dtype=complex).ravel()
 
     evals = exact_perturbed_spectrum(sys, delta_k, eps)
     order = np.argsort(np.abs(evals - block.omega))

@@ -13,6 +13,12 @@ anti-diagonal form
 
     (f_{j,n}, f_{j',n'}) = delta_{jj'} delta_{n+n', M_j-1}.
 
+compute_spectrum takes the kernels of all its eigenvalue groups from one
+stacked decomposition per power k (_kernel_stack): a single SVD call over
+the A_j^k, A_j = H - omega_j, of every group that still needs level k.  The
+rank rule is the same for each matrix: a singular value of A^k at or below
+rank_tol * max(|A|_2, 1e-6)^k counts as null.
+
 Within one block that takes two steps: a rescale making the top pairing
 A_{M-1} = (f_0, f_{M-1}) equal to one, then chain shears f_m -> f_m + c_n
 f_{m-n} that successively zero A_{M+n-1} = (f_n, f_{M-1}) with c_n =
@@ -32,7 +38,7 @@ identity used by the dynamics module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 
@@ -45,7 +51,7 @@ from .linalg import (
     polish_root,
     poly_roots,
 )
-from .model import OscillatorSystem, bilinear, evolution_operator, metric, metric_conjugate
+from .model import OscillatorSystem, bilinear, evolution_operator, metric
 
 
 class ChainError(RuntimeError):
@@ -198,22 +204,35 @@ def _single_linkage(roots: np.ndarray, radius: float):
     return [np.array(idx) for idx in groups.values()]
 
 
-def _kernel_sequence(a: np.ndarray, tol: Tolerances):
-    """Yield (A^k, ker A^k) for k = 1, 2, ...: the one rank decision on powers.
+def _kernel_stack(h: np.ndarray, omegas, levels, tol: Tolerances):
+    """Yield the kernels of the powers of every A_j = H - omega_j, by level.
 
-    ker A^k is an orthonormal basis (as columns) of the right singular
-    vectors of A^k whose singular values stay at or below the power-scaled
-    threshold rank_tol * max(|A|_2, 1e-6)^k; |A|_2 is the largest singular
-    value of the first decomposition.
+    At level k = 1, 2, ... yields [(j, A_j^k, ker A_j^k)] for each j with
+    levels[j] >= k, from one stacked np.linalg.svd call over those A_j^k,
+    so a caller that stops iterating saves the levels it does not read.
+    The rank rule is the one power-scaled decision per matrix: ker A^k is
+    an orthonormal basis (as columns) of the right singular vectors of A^k
+    whose singular values stay at or below rank_tol * max(|A|_2, 1e-6)^k,
+    |A|_2 being the largest singular value of A at level 1.
     """
-    ak = a
+    # the eigenvalues that need the most levels go first, so the ones that
+    # still need level k are a prefix of the stack
+    order = sorted(range(len(levels)), key=lambda j: -levels[j])
+    shifts = np.array([omegas[j] for j in order], dtype=complex)
+    a = h - shifts[:, None, None] * np.eye(h.shape[0])
     for k in count(1):
+        live = sum(levels[j] >= k for j in order)
+        if not live:
+            return
+        ak = a[:live] if k == 1 else ak[:live] @ a[:live]
         _, s, vh = np.linalg.svd(ak)
         if k == 1:
-            base = max(float(s[0]), 1e-6)
-        rank = int(np.sum(s > tol.rank_tol * base**k))
-        yield ak, vh[rank:].conj().T
-        ak = ak @ a
+            base = [max(float(s1), 1e-6) for s1 in s[:, 0]]
+        level = []
+        for i in range(live):
+            rank = int(np.count_nonzero(s[i] > tol.rank_tol * base[i] ** k))
+            level.append((order[i], ak[i], vh[i, rank:].conj().T))
+        yield level
 
 
 def block_sizes_at(h: np.ndarray, omega: complex, multiplicity: int,
@@ -227,10 +246,8 @@ def block_sizes_at(h: np.ndarray, omega: complex, multiplicity: int,
     (a root cluster is necessary but not sufficient evidence).
     """
     tol = tol or DEFAULT_TOL
-    dim = h.shape[0]
-    a = h - omega * np.eye(dim)
     nullities = [0]
-    for _, kernel in islice(_kernel_sequence(a, tol), multiplicity):
+    for [(_, _, kernel)] in _kernel_stack(h, [omega], [multiplicity], tol):
         nullities.append(kernel.shape[1])
         if nullities[-1] == nullities[-2]:
             break
@@ -297,16 +314,19 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def build_chain(h: np.ndarray, omega: complex, sizes,
-                tol: Tolerances | None = None):
+                tol: Tolerances | None = None, *, kernels=None):
     """Raw Jordan chains of the blocks at omega, unnormalized, tallest first.
 
     Reads the kernels ker A^k of A = H - omega for k = 1 .. max(sizes) + 1
-    from _kernel_sequence and raises ChainError unless their nullities are
-    sum_j min(M_j, k), the values blocks of the given sizes leave.  Top
-    vectors of height M are taken in ker(A^M), independent of ker(A^(M-1))
-    and of the images of taller chains at that height (where there is
-    nothing to project out, the kernel basis itself); lower members follow
-    by iterating A (Golub & Wilkinson, SIAM Rev. 18, 1976).
+    and raises ChainError unless their nullities are sum_j min(M_j, k), the
+    values blocks of the given sizes leave.  kernels is that sequence,
+    [(A, ker A), (A^2, ker A^2), ...] as _kernel_stack yields it for this h
+    and omega (compute_spectrum reads one for all its eigenvalues at once);
+    without it, build_chain computes its own.  Top vectors of height M are
+    taken in ker(A^M), independent of ker(A^(M-1)) and of the images of
+    taller chains at that height (where there is nothing to project out,
+    the kernel basis itself); lower members follow by iterating A (Golub &
+    Wilkinson, SIAM Rev. 18, 1976).
     """
     tol = tol or DEFAULT_TOL
     h = np.asarray(h, dtype=complex)
@@ -314,14 +334,20 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
     sizes = sorted(sizes, reverse=True)
     if not sizes or sizes[-1] < 1 or sum(sizes) > dim:
         raise ArgumentError(f"block sizes {sizes} out of range for dim {dim}")
-    a = h - omega * np.eye(dim)
-    powers = [np.eye(dim, dtype=complex)]
-    kernels = [np.zeros((dim, 0), dtype=complex)]
-    for ak, kernel in islice(_kernel_sequence(a, tol), sizes[0] + 1):
-        powers.append(ak)
-        kernels.append(kernel)
-    found = [kernel.shape[1] for kernel in kernels[1:]]
-    expected = [sum(min(m, k) for m in sizes) for k in range(1, sizes[0] + 2)]
+    levels = sizes[0] + 1
+    if kernels is None:
+        kernels = [
+            (ak, ker) for [(_, ak, ker)] in _kernel_stack(h, [omega], [levels], tol)
+        ]
+    if len(kernels) < levels:
+        raise ArgumentError(
+            f"block sizes {sizes} need {levels} kernel levels, got {len(kernels)}"
+        )
+    powers = [np.eye(dim, dtype=complex)] + [ak for ak, _ in kernels[:levels]]
+    nulls = [np.zeros((dim, 0), dtype=complex)] + [ker for _, ker in kernels[:levels]]
+    a = powers[1]
+    found = [ker.shape[1] for ker in nulls[1:]]
+    expected = [sum(min(m, k) for m in sizes) for k in range(1, levels + 1)]
     if found != expected:
         raise ChainError(
             f"nullities of (H - omega)^k, k = 1..{sizes[0] + 1}, at "
@@ -332,9 +358,9 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
     for m in sorted(set(sizes), reverse=True):
         copies = sizes.count(m)
         forbidden = np.hstack(
-            [kernels[m - 1]] + [powers[hm - m] @ t[:, None] for hm, t in tall_tops]
+            [nulls[m - 1]] + [powers[hm - m] @ t[:, None] for hm, t in tall_tops]
         )
-        tops = kernels[m]
+        tops = nulls[m]
         if forbidden.shape[1]:
             f_basis = orthonormal_columns(forbidden, tol)
             proj = tops - f_basis @ (f_basis.conj().T @ tops)
@@ -374,18 +400,20 @@ def _pairing_diagnostics(sys: OscillatorSystem, chain):
 
 
 def normalize_block(chain, sys: OscillatorSystem,
-                    tol: Tolerances | None = None):
+                    tol: Tolerances | None = None, *, gnorm: float | None = None):
     """Normalize a raw chain to the canonical anti-diagonal pairing.
 
     Returns (chain, ledger).  Raises DegenerateChainError when the top
     pairing A_{M-1} vanishes, which cannot happen for a chain of a valid
-    block and signals broken input.
+    block and signals broken input.  gnorm is |g|_2 of sys (computed when
+    not given), the scale of that test.
     """
     tol = tol or DEFAULT_TOL
     chain = [np.array(v, dtype=complex) for v in chain]
     m = len(chain)
     a_top = bilinear(sys, chain[0], chain[m - 1])
-    gnorm = float(np.linalg.norm(metric(sys), 2))
+    if gnorm is None:
+        gnorm = float(np.linalg.norm(metric(sys), 2))
     scale = gnorm * np.linalg.norm(chain[0]) * np.linalg.norm(chain[m - 1])
     if abs(a_top) <= max(1e-12 * scale, 1e-300):
         raise DegenerateChainError(
@@ -435,21 +463,25 @@ def _sign_fix(f0: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
-                             omega: complex, tol: Tolerances | None = None):
+                             omega: complex, tol: Tolerances | None = None, *,
+                             gnorm: float | None = None):
     """Enforce the anti-diagonal pairing across blocks sharing one eigenvalue.
 
     Implements the recursive construction: secure a normalizable top vector
     for (one of) the largest blocks, normalize that block, mix the remaining
     tops so their pairings with the first block vanish, rebuild them
     downward, and recurse on the rest.  Returns a list of (chain, ledger)
-    pairs sorted by descending size.
+    pairs sorted by descending size.  gnorm is |g|_2 of sys, computed when
+    not given.
     """
     tol = tol or DEFAULT_TOL
     chains = sorted([list(c) for c in chains], key=lambda c: -len(c))
     if not chains:
         return []
+    if gnorm is None:
+        gnorm = float(np.linalg.norm(metric(sys), 2))
     if len(chains) == 1:
-        chain, ledger = normalize_block(chains[0], sys, tol)
+        chain, ledger = normalize_block(chains[0], sys, tol, gnorm=gnorm)
         return [(chain, ledger)]
 
     dim = h.shape[0]
@@ -460,7 +492,6 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
     if len(maxed) > 1:
         tops = [chains[i][-1] for i in maxed]
         apow = np.linalg.matrix_power(a, m1 - 1)
-        gnorm = float(np.linalg.norm(metric(sys), 2))
         anorm = float(np.linalg.norm(apow, 2))
         candidates = list(tops)
         for i in range(len(tops)):
@@ -489,7 +520,7 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         chains = rebuilt + [chains[i] for i in range(len(chains)) if i not in maxed]
         chains.sort(key=lambda c: -len(c))
 
-    first, ledger1 = normalize_block(chains[0], sys, tol)
+    first, ledger1 = normalize_block(chains[0], sys, tol, gnorm=gnorm)
     rest = []
     for c in chains[1:]:
         mj = len(c)
@@ -498,7 +529,9 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
             coeff = bilinear(sys, top, first[n])
             top = top - coeff * first[m1 - 1 - n]
         rest.append(chain_from_top(a, top, mj))
-    return [(first, ledger1)] + biorthogonalize_crossing(rest, sys, h, omega, tol)
+    return [(first, ledger1)] + biorthogonalize_crossing(
+        rest, sys, h, omega, tol, gnorm=gnorm
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +603,16 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
     return spectrum
 
 
-def dual_basis(spectrum: Spectrum) -> Spectrum:
-    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block."""
-    sys = spectrum.system
+def dual_basis(spectrum: Spectrum, *, g: np.ndarray | None = None) -> Spectrum:
+    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block.
+
+    g is the metric of spectrum.system, built when not given.
+    """
+    if g is None:
+        g = metric(spectrum.system)
     for b in spectrum.blocks:
         m = b.size
-        b.duals = np.array(
-            [metric_conjugate(sys, b.chain[m - 1 - n]) for n in range(m)]
-        )
+        b.duals = np.array([np.conj(g @ b.chain[m - 1 - n]) for n in range(m)])
     return spectrum
 
 
@@ -760,11 +795,19 @@ def compute_spectrum(sys: OscillatorSystem,
         complex(r) for cl in flagged for r in cl["roots"]
     }
     axis_tol = _axis_tol(tol, [w for w, _ in groups])
+    kept = _unmirrored_groups(groups, axis_tol)
+    sequences = [[] for _ in kept]
+    omegas = [w for w, _ in kept]
+    for level in _kernel_stack(h, omegas, [max(s) + 1 for _, s in kept], tol):
+        for j, ak, kernel in level:
+            sequences[j].append((ak, kernel))
+    g = metric(sys)
+    gnorm = float(np.linalg.norm(g, 2))
 
     blocks = []
-    for omega, sizes in _unmirrored_groups(groups, axis_tol):
-        raw = build_chain(h, omega, sizes, tol)
-        built = biorthogonalize_crossing(raw, sys, h, omega, tol)
+    for (omega, sizes), kernels in zip(kept, sequences):
+        raw = build_chain(h, omega, sizes, tol, kernels=kernels)
+        built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)
         blocks.extend(
             JordanBlock(
                 omega=omega,
@@ -787,7 +830,7 @@ def compute_spectrum(sys: OscillatorSystem,
         near_critical_clusters=flagged,
     )
     enforce_conjugation(spectrum)
-    dual_basis(spectrum)
+    dual_basis(spectrum, g=g)
     spectrum.matrices = _matrix_form(spectrum.blocks)
     verify_spectrum(spectrum, strict=True)
     return spectrum

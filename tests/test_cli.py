@@ -190,6 +190,10 @@ NON_NUMERIC_DK = "<non-numeric --dk file>"
           NON_NUMERIC_DK], "--dk"),
         (["cancellation", "--system", "catalog:quartic-jb4", "--dk",
           "mu:1,-1.5,2", "--eps-min", "1e-3", "--eps-max", "1e-2"], "--dk"),
+        (["evolve", "--system", "catalog:quartic-jb4", "--phi",
+          "nan,0,0,0"], "--phi"),
+        (["cancellation", "--system", "catalog:quartic-jb4", "--phi",
+          "inf,0,0,0"], "--phi"),
     ],
     ids=["perturb", "reproduce-figure", "cancellation", "perturb-count-1",
          "reproduce-figure-count-1", "cancellation-count-0",
@@ -204,7 +208,7 @@ NON_NUMERIC_DK = "<non-numeric --dk file>"
          "perturb-eps0-inf", "cancellation-eps-max-inf",
          "cancellation-eps-min-nan", "perturb-dk-nan", "perturb-eps0-overflow",
          "perturb-power-overflow", "perturb-dk-non-numeric",
-         "cancellation-dk-nongeneric"],
+         "cancellation-dk-nongeneric", "evolve-phi-nan", "cancellation-phi-inf"],
 )
 def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option):
     dk_file = tmp_path / "dk.txt"  # not *.json, which the test looks for below

@@ -210,6 +210,32 @@ def test_evolve_state_rejects_overflowing_past_times(catalog_spectra):
         evolve_state(spec, phi, [0.0, -50.0, -1e3])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                         ids=["nan", "inf", "-inf", "inf-imag"])
+def test_non_finite_state_is_refused_at_the_door(catalog_spectra, monkeypatch,
+                                                 value):
+    # the state is named, with no numpy RuntimeWarning first; evolve_state
+    # used to blame e^(-iJt) for a NaN state, and rk4_evolve returned NaN
+    spec = catalog_spectra["quartic-jb4"]
+    phi = np.array([value, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ArgumentError, match="state has non-finite entries"):
+        evolve_state(spec, phi, 0.0)
+    with pytest.raises(ArgumentError, match="state has non-finite entries"):
+        evolve_state(spec, phi, [0.0, 1.0])
+    with pytest.raises(ArgumentError, match="state has non-finite entries"):
+        rk4_evolve(spec.system, phi, [0.0, 0.01])
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the state was checked")
+
+    monkeypatch.setattr(dynamics, "compute_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
+    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ArgumentError, match="state has non-finite entries"):
+        cluster_cancellation_experiment(spec.system, e11, 1e-6, phi, [0.0, 1.0])
+
+
 def test_grid_call_equals_scalar_calls(kernel_spectra):
     # a scalar call is a grid of one: every grid row must be the scalar
     # call's result bit for bit, including rows on the log-space branch

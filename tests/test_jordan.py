@@ -7,7 +7,10 @@ from critmode.jordan import (
     DegenerateChainError,
     PairingError,
     VerificationError,
+    _axis_tol,
     _basis_matrices,
+    _eigenstructure,
+    _kernel_stack,
     _unmirrored_groups,
     block_sizes_at,
     biorthogonalize_crossing,
@@ -20,7 +23,15 @@ from critmode.jordan import (
     verify_representations,
     verify_spectrum,
 )
-from critmode.linalg import ArgumentError, ConvergenceError, Tolerances
+from critmode.design import catalog
+from critmode.linalg import (
+    DEFAULT_TOL,
+    ArgumentError,
+    ConvergenceError,
+    Tolerances,
+    char_poly,
+    poly_roots,
+)
 from critmode.model import bilinear, build_system, evolution_operator
 
 from conftest import well_separated_system
@@ -133,6 +144,140 @@ def test_build_chain_crossing_needs_the_sizes_its_kernels_fit(catalog_entries):
     for sizes in ([1], [2], [2, 1]):
         with pytest.raises(ChainError, match=r"are \[2, 4"):
             build_chain(h, -1j, sizes)
+
+
+def _kernel_inputs():
+    """(id, system): the catalog at K + eps e11 and random systems, N = 2, 5, 8."""
+    for entry in catalog():
+        base = entry.system
+        dk = np.zeros((base.N, base.N))
+        dk[0, 0] = 1.0
+        for eps in (0.0, 1e-6):
+            yield f"{entry.name}@{eps:g}", build_system(base.K + eps * dk, base.Gamma)
+    for n in (2, 5, 8):
+        for seed in (0, 1):
+            yield f"random-N{n}-seed{seed}", well_separated_system(
+                np.random.default_rng(seed), n
+            )
+
+
+KERNEL_INPUTS = dict(_kernel_inputs())
+
+
+def _groups(h):
+    """The (omega, sizes) groups compute_spectrum finds for h."""
+    coeffs = char_poly(h)
+    roots = poly_roots(coeffs, DEFAULT_TOL)
+    return _eigenstructure(h, coeffs, roots, DEFAULT_TOL)[0]
+
+
+def _sequences(h, omegas, levels):
+    """_kernel_stack's levels gathered into one [(A^k, ker A^k), ...] per omega."""
+    out = [[] for _ in omegas]
+    for level in _kernel_stack(h, omegas, levels, DEFAULT_TOL):
+        for j, ak, kernel in level:
+            out[j].append((ak, kernel))
+    return out
+
+
+def _power_kernels(a, levels, tol):
+    """Reference: (A^k, ker A^k), k = 1 .. levels, one SVD per power."""
+    out, ak = [], a
+    for k in range(1, levels + 1):
+        _, s, vh = np.linalg.svd(ak)
+        if k == 1:
+            base = max(float(s[0]), 1e-6)
+        out.append((ak, vh[int(np.sum(s > tol.rank_tol * base**k)):].conj().T))
+        ak = ak @ a
+    return out
+
+
+@pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+def test_kernel_stack_matches_single_omega_calls(name):
+    # one stacked SVD per level over every group (with mixed level counts,
+    # so groups drop out of the stack at different levels) gives what one
+    # call per omega and the one-matrix-at-a-time loop give
+    h = evolution_operator(KERNEL_INPUTS[name])
+    groups = _groups(h)
+    omegas = [w for w, _ in groups]
+    levels = [max(sizes) + 1 + j % 2 for j, (_, sizes) in enumerate(groups)]
+    stacked = _sequences(h, omegas, levels)
+    assert [len(seq) for seq in stacked] == levels
+    for w, lv, seq in zip(omegas, levels, stacked):
+        [single] = _sequences(h, [w], [lv])
+        ref = _power_kernels(h - w * np.eye(h.shape[0]), lv, DEFAULT_TOL)
+        for other in (single, ref):
+            assert [k.shape[1] for _, k in seq] == [k.shape[1] for _, k in other]
+            for (ak, ker), (ak_o, ker_o) in zip(seq, other):
+                scale = np.linalg.norm(ak_o)
+                assert np.linalg.norm(ak - ak_o) <= 1e-14 * scale
+                proj = ker @ ker.conj().T - ker_o @ ker_o.conj().T
+                assert np.linalg.norm(proj) <= 1e-14 * max(1.0, ker.shape[1])
+
+
+@pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+def test_build_chain_with_and_without_kernels_agree(name):
+    h = evolution_operator(KERNEL_INPUTS[name])
+    groups = _groups(h)
+    sequences = _sequences(h, [w for w, _ in groups], [max(s) + 1 for _, s in groups])
+    for (w, sizes), seq in zip(groups, sequences):
+        try:
+            own = build_chain(h, w, sizes)
+        except ChainError as exc:
+            with pytest.raises(ChainError) as given:
+                build_chain(h, w, sizes, kernels=seq)
+            assert str(given.value) == str(exc)
+            continue
+        given = build_chain(h, w, sizes, kernels=seq)
+        assert len(given) == len(own)
+        for c1, c2 in zip(own, given):
+            assert np.array_equal(np.array(c1), np.array(c2))
+    with pytest.raises(ArgumentError, match="kernel levels"):
+        build_chain(h, groups[0][0], [1], kernels=sequences[0][:1])
+
+
+def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch):
+    # one stacked SVD per kernel level, |g|_2 once and |H|_2 once: the
+    # parent made 3 SVDs per unmirrored eigenvalue plus one
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    original = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(impl, "svd", counting)  # np.linalg.norm(x, 2)
+    counts = []
+    for n in (2, 8):
+        sys = well_separated_system(np.random.default_rng(0), n)
+        calls.clear()
+        compute_spectrum(sys)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_simple_group_chain_error_is_unchanged(seed):
+    # at N = 10 these systems fail the nullity check of a simple group; the
+    # stacked kernels must leave that error, and which group raises first,
+    # as build_chain alone reports them group by group
+    sys = well_separated_system(np.random.default_rng(seed), 10)
+    h = evolution_operator(sys)
+    groups = _groups(h)
+    axis_tol = _axis_tol(DEFAULT_TOL, [w for w, _ in groups])
+    first = None
+    for w, sizes in _unmirrored_groups(groups, axis_tol):
+        try:
+            build_chain(h, w, sizes)
+        except ChainError as exc:
+            first = (w, sizes, str(exc))
+            break
+    assert first is not None and first[1] == [1]
+    with pytest.raises(ChainError) as raised:
+        compute_spectrum(sys)
+    assert str(raised.value) == first[2]
 
 
 # --- normalization -----------------------------------------------------------
