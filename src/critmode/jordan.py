@@ -322,9 +322,10 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
     values blocks of the given sizes leave.  kernels is that sequence,
     [(A, ker A), (A^2, ker A^2), ...] as _kernel_stack yields it for this h
     and omega (compute_spectrum reads one for all its eigenvalues at once);
-    without it, build_chain computes its own.  Top vectors of height M are
-    taken in ker(A^M), independent of ker(A^(M-1)) and of the images of
-    taller chains at that height (where there is nothing to project out,
+    only the powers A^k with k < max(sizes) are read, the others may be
+    None.  Without it, build_chain computes its own.  Top vectors of height
+    M are taken in ker(A^M), independent of ker(A^(M-1)) and of the images
+    of taller chains at that height (where there is nothing to project out,
     the kernel basis itself); lower members follow by iterating A (Golub &
     Wilkinson, SIAM Rev. 18, 1976).
     """
@@ -603,13 +604,9 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
     return spectrum
 
 
-def dual_basis(spectrum: Spectrum, *, g: np.ndarray | None = None) -> Spectrum:
-    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block.
-
-    g is the metric of spectrum.system, built when not given.
-    """
-    if g is None:
-        g = metric(spectrum.system)
+def dual_basis(spectrum: Spectrum) -> Spectrum:
+    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block."""
+    g = metric(spectrum.system)
     for b in spectrum.blocks:
         m = b.size
         b.duals = np.array([np.conj(g @ b.chain[m - 1 - n]) for n in range(m)])
@@ -797,12 +794,14 @@ def compute_spectrum(sys: OscillatorSystem,
     axis_tol = _axis_tol(tol, [w for w, _ in groups])
     kept = _unmirrored_groups(groups, axis_tol)
     sequences = [[] for _ in kept]
-    omegas = [w for w, _ in kept]
-    for level in _kernel_stack(h, omegas, [max(s) + 1 for _, s in kept], tol):
+    levels = [max(s) + 1 for _, s in kept]
+    for level in _kernel_stack(h, [w for w, _ in kept], levels, tol):
         for j, ak, kernel in level:
-            sequences[j].append((ak, kernel))
-    g = metric(sys)
-    gnorm = float(np.linalg.norm(g, 2))
+            # build_chain reads only the powers below max(sizes); those are
+            # copied out of the stack, so no stacked level outlives this loop
+            read = len(sequences[j]) + 2 < levels[j]
+            sequences[j].append((ak.copy() if read else None, kernel))
+    gnorm = float(np.linalg.norm(metric(sys), 2))
 
     blocks = []
     for (omega, sizes), kernels in zip(kept, sequences):
@@ -830,7 +829,7 @@ def compute_spectrum(sys: OscillatorSystem,
         near_critical_clusters=flagged,
     )
     enforce_conjugation(spectrum)
-    dual_basis(spectrum, g=g)
+    dual_basis(spectrum)
     spectrum.matrices = _matrix_form(spectrum.blocks)
     verify_spectrum(spectrum, strict=True)
     return spectrum
