@@ -13,12 +13,6 @@ anti-diagonal form
 
     (f_{j,n}, f_{j',n'}) = delta_{jj'} delta_{n+n', M_j-1}.
 
-compute_spectrum takes the kernels of all its eigenvalue groups from one
-stacked decomposition per power k (_kernel_stack): a single SVD call over
-the A_j^k, A_j = H - omega_j, of every group that still needs level k.  The
-rank rule is the same for each matrix: a singular value of A^k at or below
-rank_tol * max(|A|_2, 1e-6)^k counts as null.
-
 Within one block that takes two steps: a rescale making the top pairing
 A_{M-1} = (f_0, f_{M-1}) equal to one, then chain shears f_m -> f_m + c_n
 f_{m-n} that successively zero A_{M+n-1} = (f_n, f_{M-1}) with c_n =
@@ -33,6 +27,12 @@ Re(omega) > 0 is built, and its partner follows from the conjugation rule
 f_{-j,n} = +/- i^M (-1)^n conj(f_{j,n}).
 Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
+
+The kernels come from one stacked decomposition per power k (_kernel_stack:
+a single SVD call over the A_j^k, A_j = H - omega_j, of every eigenvalue
+still needing level k, each with the rank rule rank_tol * max(|A|_2,
+1e-6)^k).  The block sizes of a root cluster are read from the nullities of
+the same sequence that build_chain then takes as its kernel bases.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _single_linkage(roots: np.ndarray, radius: float):
 def _kernel_stack(h: np.ndarray, omegas, levels, tol: Tolerances):
     """Yield the kernels of the powers of every A_j = H - omega_j, by level.
 
-    At level k = 1, 2, ... yields [(j, A_j^k, ker A_j^k)] for each j with
+    At level k = 1, 2, ... yields [(j, ker A_j^k)] for each j with
     levels[j] >= k, from one stacked np.linalg.svd call over those A_j^k,
     so a caller that stops iterating saves the levels it does not read.
     The rank rule is the one power-scaled decision per matrix: ker A^k is
@@ -231,66 +231,80 @@ def _kernel_stack(h: np.ndarray, omegas, levels, tol: Tolerances):
         level = []
         for i in range(live):
             rank = int(np.count_nonzero(s[i] > tol.rank_tol * base[i] ** k))
-            level.append((order[i], ak[i], vh[i, rank:].conj().T))
+            level.append((order[i], vh[i, rank:].conj().T))
         yield level
 
 
-def block_sizes_at(h: np.ndarray, omega: complex, multiplicity: int,
-                   tol: Tolerances | None = None):
-    """Block sizes at omega from the rank sequence, or None if inconsistent.
+def block_sizes_at(nullities, multiplicity: int):
+    """Block sizes from a nullity sequence, or None if it is inconsistent.
 
-    The number of blocks of size >= k equals nullity(A^k) - nullity(A^(k-1))
-    for A = H - omega.  Returns the sizes in descending order when the
-    sequence accounts for exactly ``multiplicity`` dimensions; otherwise
+    nullities[k - 1] is nullity(A^k) for A = H - omega, and the number of
+    blocks of size >= k equals nullity(A^k) - nullity(A^(k-1)).  The rule
+    reads the sequence up to its first stall (counting nullity(A^0) = 0),
+    at most ``multiplicity`` levels.  Returns the sizes in descending order
+    when they account for exactly ``multiplicity`` dimensions; otherwise
     None, which callers treat as "no Jordan structure at this tolerance"
     (a root cluster is necessary but not sufficient evidence).
     """
-    tol = tol or DEFAULT_TOL
-    nullities = [0]
-    for [(_, _, kernel)] in _kernel_stack(h, [omega], [multiplicity], tol):
-        nullities.append(kernel.shape[1])
-        if nullities[-1] == nullities[-2]:
+    read = [0]
+    for nullity in nullities[:multiplicity]:
+        read.append(nullity)
+        if read[-1] == read[-2]:
             break
-    total = nullities[-1]
-    if total != multiplicity or nullities[1] == 0:
+    if read[-1] != multiplicity:
         return None
-    counts = [nullities[k] - nullities[k - 1] for k in range(1, len(nullities))]
+    counts = [read[k] - read[k - 1] for k in range(1, len(read))]
     if any(c2 > c1 for c1, c2 in zip(counts, counts[1:])):
         return None
     sizes = []
-    for k, c in enumerate(counts, start=1):
-        nxt = counts[k] if k < len(counts) else 0
+    for k, (c, nxt) in enumerate(zip(counts, counts[1:] + [0]), start=1):
         sizes.extend([k] * (c - nxt))
-    sizes.sort(reverse=True)
-    return sizes
+    return sorted(sizes, reverse=True)
 
 
 def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
                     tol: Tolerances):
     """Cluster roots into eigenvalues and confirm block sizes via ranks.
 
-    Returns (groups, flagged) where groups is a list of (omega, sizes) and
-    flagged collects near-critical clusters the rank test rejected; their
-    member roots are demoted to simple eigenvalues.
+    Returns (groups, flagged) where groups is a list of (omega, sizes,
+    kernels) and flagged collects near-critical clusters the rank test
+    rejected; their member roots are demoted to simple eigenvalues.  The
+    kernels of all clusters come from one _kernel_stack pass, each at its
+    polished centre for up to multiplicity + 1 levels, stopped once every
+    cluster's nullities have stalled.  A Jordan group keeps that sequence as
+    its kernels, for build_chain; a simple group gets an empty list.
     """
     scale = 1.0 + float(np.max(np.abs(roots)))
     # Multiple roots of multiplicity m scatter like eps**(1/m) under any
     # root finder, so the linkage radius must be far wider than cluster_tol;
     # the rank test is authoritative about which clusters are true blocks.
     radius = max(10.0 * tol.cluster_tol, 3e-3 * scale)
+    clusters = [roots[idx] for idx in _single_linkage(roots, radius)]
+    multiple = [members for members in clusters if members.size > 1]
+    centres = [complex(np.mean(members)) for members in multiple]
+    polished = []
+    for members, center in zip(multiple, centres):
+        w = polish_root(coeffs, center, multiplicity=members.size)
+        polished.append(center if abs(w - center) > 2.0 * radius else w)
+    levels = [members.size + 1 for members in multiple]
+    sequences = [[] for _ in multiple]
+    for level in _kernel_stack(h, polished, levels, tol) if multiple else ():
+        for j, kernel in level:
+            sequences[j].append(kernel)
+        nullities = [[0] + [k.shape[1] for k in seq] for seq in sequences]
+        if all(len(n) > lv or any(x == y for x, y in zip(n, n[1:]))
+               for n, lv in zip(nullities, levels)):
+            break
     groups = []
     flagged = []
-    for idx in _single_linkage(roots, radius):
-        members = roots[idx]
+    found = iter(zip(centres, polished, sequences))
+    for members in clusters:
         m = members.size
         if m == 1:
-            groups.append((complex(members[0]), [1]))
+            groups.append((complex(members[0]), [1], []))
             continue
-        center = complex(np.mean(members))
-        polished = polish_root(coeffs, center, multiplicity=m)
-        if abs(polished - center) > 2.0 * radius:
-            polished = center
-        sizes = block_sizes_at(h, polished, m, tol)
+        center, omega, kernels = next(found)
+        sizes = block_sizes_at([k.shape[1] for k in kernels], m)
         diameter = float(np.max(np.abs(members[:, None] - members[None, :])))
         if sizes is None or sizes == [1] * m:
             # No defective structure at this tolerance: demote to simple
@@ -303,9 +317,9 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
                     "multiplicity": m,
                 }
             )
-            groups.extend((complex(r), [1]) for r in members)
+            groups.extend((complex(r), [1], []) for r in members)
             continue
-        groups.append((polished, sizes))
+        groups.append((omega, sizes, kernels))
     return groups, flagged
 
 
@@ -319,15 +333,14 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
 
     Reads the kernels ker A^k of A = H - omega for k = 1 .. max(sizes) + 1
     and raises ChainError unless their nullities are sum_j min(M_j, k), the
-    values blocks of the given sizes leave.  kernels is that sequence,
-    [(A, ker A), (A^2, ker A^2), ...] as _kernel_stack yields it for this h
-    and omega (compute_spectrum reads one for all its eigenvalues at once);
-    only the powers A^k with k < max(sizes) are read, the others may be
-    None.  Without it, build_chain computes its own.  Top vectors of height
-    M are taken in ker(A^M), independent of ker(A^(M-1)) and of the images
-    of taller chains at that height (where there is nothing to project out,
-    the kernel basis itself); lower members follow by iterating A (Golub &
-    Wilkinson, SIAM Rev. 18, 1976).
+    values blocks of the given sizes leave.  kernels is that sequence of
+    kernel bases, [ker A, ker A^2, ...] as _kernel_stack yields it for this
+    h and omega (compute_spectrum reads one for all its eigenvalues at
+    once); without it, build_chain computes its own.  Top vectors of height
+    M are taken in ker(A^M), independent of ker(A^(M-1)) and of the members
+    A^(M'-M) t' = c'[M-1] of the taller chains c' (where there is nothing
+    to project out, the kernel basis itself); lower members follow by
+    iterating A (Golub & Wilkinson, SIAM Rev. 18, 1976).
     """
     tol = tol or DEFAULT_TOL
     h = np.asarray(h, dtype=complex)
@@ -337,16 +350,12 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
         raise ArgumentError(f"block sizes {sizes} out of range for dim {dim}")
     levels = sizes[0] + 1
     if kernels is None:
-        kernels = [
-            (ak, ker) for [(_, ak, ker)] in _kernel_stack(h, [omega], [levels], tol)
-        ]
+        kernels = [ker for [(_, ker)] in _kernel_stack(h, [omega], [levels], tol)]
     if len(kernels) < levels:
         raise ArgumentError(
             f"block sizes {sizes} need {levels} kernel levels, got {len(kernels)}"
         )
-    powers = [np.eye(dim, dtype=complex)] + [ak for ak, _ in kernels[:levels]]
-    nulls = [np.zeros((dim, 0), dtype=complex)] + [ker for _, ker in kernels[:levels]]
-    a = powers[1]
+    nulls = [np.zeros((dim, 0), dtype=complex)] + list(kernels[:levels])
     found = [ker.shape[1] for ker in nulls[1:]]
     expected = [sum(min(m, k) for m in sizes) for k in range(1, levels + 1)]
     if found != expected:
@@ -354,13 +363,11 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
             f"nullities of (H - omega)^k, k = 1..{sizes[0] + 1}, at "
             f"omega={omega} are {found}; block sizes {sizes} need {expected}"
         )
+    a = h - omega * np.eye(dim) if sizes[0] > 1 else None
     chains = []
-    tall_tops = []  # (height, top)
     for m in sorted(set(sizes), reverse=True):
         copies = sizes.count(m)
-        forbidden = np.hstack(
-            [nulls[m - 1]] + [powers[hm - m] @ t[:, None] for hm, t in tall_tops]
-        )
+        forbidden = np.hstack([nulls[m - 1]] + [c[m - 1][:, None] for c in chains])
         tops = nulls[m]
         if forbidden.shape[1]:
             f_basis = orthonormal_columns(forbidden, tol)
@@ -372,10 +379,7 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
                     f"could not seed {copies} independent chains of height {m} "
                     f"at omega={omega}"
                 )
-        for col in range(copies):
-            top = tops[:, col]
-            chains.append(chain_from_top(a, top, m))
-            tall_tops.append((m, top))
+        chains.extend(chain_from_top(a, tops[:, col], m) for col in range(copies))
     return chains
 
 
@@ -744,19 +748,19 @@ def _sort_blocks(blocks):
 
 
 def _unmirrored_groups(groups, axis_tol: float):
-    """The (omega, sizes) groups with Re(omega) >= -axis_tol.
+    """The (omega, sizes, kernels) groups with Re(omega) >= -axis_tol.
 
     Every group with Re(omega) > axis_tol must have one mirror group at
     -conj(omega), within 10 axis_tol and with the same block sizes, and every
     group with Re(omega) < -axis_tol must be such a mirror; otherwise
     PairingError.
     """
-    kept = [(w, sizes) for w, sizes in groups if w.real >= -axis_tol]
-    mirrors = [(w, sizes) for w, sizes in groups if w.real < -axis_tol]
-    for omega, sizes in kept:
+    kept = [g for g in groups if g[0].real >= -axis_tol]
+    mirrors = [g for g in groups if g[0].real < -axis_tol]
+    for omega, sizes, _ in kept:
         if omega.real > axis_tol:
             match = [
-                i for i, (w, s) in enumerate(mirrors)
+                i for i, (w, s, _) in enumerate(mirrors)
                 if abs(w + np.conj(omega)) <= 10.0 * axis_tol and s == sizes
             ]
             if not match:
@@ -788,23 +792,19 @@ def compute_spectrum(sys: OscillatorSystem,
     coeffs = char_poly(h)
     roots = poly_roots(coeffs, tol)
     groups, flagged = _eigenstructure(h, coeffs, roots, tol)
-    flagged_omegas = {
-        complex(r) for cl in flagged for r in cl["roots"]
-    }
-    axis_tol = _axis_tol(tol, [w for w, _ in groups])
+    flagged_omegas = {complex(r) for cl in flagged for r in cl["roots"]}
+    axis_tol = _axis_tol(tol, [w for w, _, _ in groups])
     kept = _unmirrored_groups(groups, axis_tol)
-    sequences = [[] for _ in kept]
-    levels = [max(s) + 1 for _, s in kept]
-    for level in _kernel_stack(h, [w for w, _ in kept], levels, tol):
-        for j, ak, kernel in level:
-            # build_chain reads only the powers below max(sizes); those are
-            # copied out of the stack, so no stacked level outlives this loop
-            read = len(sequences[j]) + 2 < levels[j]
-            sequences[j].append((ak.copy() if read else None, kernel))
+    # Jordan groups bring their kernels; the simple ones need two levels
+    simple = [group for group in kept if not group[2]]
+    omegas = [w for w, _, _ in simple]
+    for level in _kernel_stack(h, omegas, [2] * len(simple), tol):
+        for i, kernel in level:
+            simple[i][2].append(kernel)
     gnorm = float(np.linalg.norm(metric(sys), 2))
 
     blocks = []
-    for (omega, sizes), kernels in zip(kept, sequences):
+    for omega, sizes, kernels in kept:
         raw = build_chain(h, omega, sizes, tol, kernels=kernels)
         built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)
         blocks.extend(
@@ -823,7 +823,7 @@ def compute_spectrum(sys: OscillatorSystem,
         tol=tol,
         crossing_groups=[
             CrossingGroup(omega=w, sizes=sorted(sizes, reverse=True))
-            for w, sizes in groups
+            for w, sizes, _ in groups
             if len(sizes) > 1
         ],
         near_critical_clusters=flagged,

@@ -56,8 +56,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_tol", "cluster_tol", "residual_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ArgumentError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ArgumentError(f"{name} must be finite and positive, got {value}")
         if self.cluster_tol < self.rank_tol:
             raise ArgumentError("cluster_tol must be >= rank_tol")
 

@@ -78,6 +78,20 @@ def test_tolerance_flag_applies(tmp_path):
     assert spectrum["tolerances"]["cluster_tol"] == 1e-5
 
 
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--tol-residual=inf", "residual_tol"), ("--tol-rank=nan", "rank_tol"),
+     ("--tol-cluster=-inf", "cluster_tol")],
+)
+def test_tolerance_flags_must_be_finite_and_positive(tmp_path, capsys, flag, field):
+    # --tol-residual inf used to switch verification off without a word
+    code = run(["analyze", "--system", "catalog:quartic-jb4", flag,
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_evolve_echo_at_t0(tmp_path):
     code = run([
         "evolve", "--system", "catalog:single-critical", "--phi", "1,0",

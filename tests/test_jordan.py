@@ -71,11 +71,23 @@ def test_structure_undamped_diagonal():
 
 
 def test_block_sizes_rank_sequence():
-    sys = build_system([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]])
-    h = evolution_operator(sys)
-    assert block_sizes_at(h, -1j, 4) == [4]
-    crossed = build_system(np.eye(2), 2.0 * np.eye(2))
-    assert block_sizes_at(evolution_operator(crossed), -1j, 4) == [2, 2]
+    # the pure size rule on nullity(A^k), k = 1, 2, ...: read up to the first
+    # stall (nullity(A^0) = 0 counts) and at most multiplicity levels
+    table = [
+        ([1, 2, 3, 4, 4], 4, [4]),
+        ([2, 4, 4], 4, [2, 2]),
+        ([2, 3, 4], 4, [3, 1]),
+        ([1, 1], 2, None),  # stalls short of the multiplicity
+        ([0], 2, None),  # omega is no eigenvalue
+        ([1, 3, 4], 4, None),  # more blocks of size >= 2 than of size >= 1
+        ([1, 2, 3, 4, 5], 4, [4]),  # level 5 is not read here
+    ]
+    for nullities, m, sizes in table:
+        assert block_sizes_at(nullities, m) == sizes, (nullities, m)
+    # build_chain's nullity check is the one that rejects level 5
+    kernels = [np.eye(6, dtype=complex)[:, :n] for n in (1, 2, 3, 4, 5)]
+    with pytest.raises(ChainError, match=r"are \[1, 2, 3, 4, 5\]"):
+        build_chain(np.zeros((6, 6)), 0.0, [4], kernels=kernels)
 
 
 def test_block_structure_vs_dense_eigensolver_oracle():
@@ -130,6 +142,41 @@ def test_build_chain_wrong_size_rejected():
         build_chain(h, 5.0, [2])  # not an eigenvalue
 
 
+@pytest.mark.parametrize("sizes", [[3, 1], [2, 1, 1], [3, 2], [4, 2, 1]])
+def test_build_chain_unequal_crossings(sizes):
+    # blocks of unequal sizes at one omega, next to one simple eigenvalue,
+    # in a random complex basis: the top of each chain of height m is taken
+    # orthogonal to the members c[m - 1] of the taller chains c
+    rng = np.random.default_rng(sum(sizes))
+    omega, dim = 0.5 - 1.0j, sum(sizes) + 1
+    j_mat = np.diag([omega] * (dim - 1) + [2.0 + 0.5j])
+    starts = np.cumsum([0] + sizes[:-1])
+    for start, m in zip(starts, sizes):
+        for k in range(start, start + m - 1):
+            j_mat[k, k + 1] = 1.0
+    s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = s @ j_mat @ np.linalg.inv(s)
+    a = h - omega * np.eye(dim)
+    anorm = np.linalg.norm(a, 2)
+    chains = build_chain(h, omega, sizes)
+    assert [len(c) for c in chains] == sizes
+    for chain in chains:
+        for lower, member in zip([np.zeros(dim)] + chain[:-1], chain):
+            res = np.linalg.norm(a @ member - lower)
+            assert res <= 1e-12 * anorm * np.linalg.norm(member)
+    for k, chain in enumerate(chains):
+        top = chain[-1]
+        for taller in chains[:k]:
+            if len(taller) > len(chain):
+                image = taller[len(chain) - 1]
+                overlap = abs(np.vdot(image, top))
+                assert overlap <= 1e-12 * np.linalg.norm(image) * np.linalg.norm(top)
+    vectors = np.array([v for chain in chains for v in chain])
+    assert np.linalg.matrix_rank(vectors) == sum(sizes)
+    with pytest.raises(ChainError):
+        build_chain(h, omega, [sizes[0] - 1] + sizes[1:] + [1])
+
+
 def test_build_chain_crossing_needs_the_sizes_its_kernels_fit(catalog_entries):
     # crossed-pair at -i: nullities of (H + i)^k are 2, 4, 4, which two
     # blocks of size 2 leave and no other size list does
@@ -165,29 +212,29 @@ KERNEL_INPUTS = dict(_kernel_inputs())
 
 
 def _groups(h):
-    """The (omega, sizes) groups compute_spectrum finds for h."""
+    """The (omega, sizes, kernels) groups compute_spectrum finds for h."""
     coeffs = char_poly(h)
     roots = poly_roots(coeffs, DEFAULT_TOL)
     return _eigenstructure(h, coeffs, roots, DEFAULT_TOL)[0]
 
 
 def _sequences(h, omegas, levels):
-    """_kernel_stack's levels gathered into one [(A^k, ker A^k), ...] per omega."""
+    """_kernel_stack's levels gathered into one [ker A, ker A^2, ...] per omega."""
     out = [[] for _ in omegas]
     for level in _kernel_stack(h, omegas, levels, DEFAULT_TOL):
-        for j, ak, kernel in level:
-            out[j].append((ak, kernel))
+        for j, kernel in level:
+            out[j].append(kernel)
     return out
 
 
 def _power_kernels(a, levels, tol):
-    """Reference: (A^k, ker A^k), k = 1 .. levels, one SVD per power."""
+    """Reference: ker A^k, k = 1 .. levels, one SVD per power."""
     out, ak = [], a
     for k in range(1, levels + 1):
         _, s, vh = np.linalg.svd(ak)
         if k == 1:
             base = max(float(s[0]), 1e-6)
-        out.append((ak, vh[int(np.sum(s > tol.rank_tol * base**k)):].conj().T))
+        out.append(vh[int(np.sum(s > tol.rank_tol * base**k)):].conj().T)
         ak = ak @ a
     return out
 
@@ -199,18 +246,16 @@ def test_kernel_stack_matches_single_omega_calls(name):
     # call per omega and the one-matrix-at-a-time loop give
     h = evolution_operator(KERNEL_INPUTS[name])
     groups = _groups(h)
-    omegas = [w for w, _ in groups]
-    levels = [max(sizes) + 1 + j % 2 for j, (_, sizes) in enumerate(groups)]
+    omegas = [w for w, _, _ in groups]
+    levels = [max(sizes) + 1 + j % 2 for j, (_, sizes, _) in enumerate(groups)]
     stacked = _sequences(h, omegas, levels)
     assert [len(seq) for seq in stacked] == levels
     for w, lv, seq in zip(omegas, levels, stacked):
         [single] = _sequences(h, [w], [lv])
         ref = _power_kernels(h - w * np.eye(h.shape[0]), lv, DEFAULT_TOL)
         for other in (single, ref):
-            assert [k.shape[1] for _, k in seq] == [k.shape[1] for _, k in other]
-            for (ak, ker), (ak_o, ker_o) in zip(seq, other):
-                scale = np.linalg.norm(ak_o)
-                assert np.linalg.norm(ak - ak_o) <= 1e-14 * scale
+            assert [k.shape[1] for k in seq] == [k.shape[1] for k in other]
+            for ker, ker_o in zip(seq, other):
                 proj = ker @ ker.conj().T - ker_o @ ker_o.conj().T
                 assert np.linalg.norm(proj) <= 1e-14 * max(1.0, ker.shape[1])
 
@@ -219,8 +264,12 @@ def test_kernel_stack_matches_single_omega_calls(name):
 def test_build_chain_with_and_without_kernels_agree(name):
     h = evolution_operator(KERNEL_INPUTS[name])
     groups = _groups(h)
-    sequences = _sequences(h, [w for w, _ in groups], [max(s) + 1 for _, s in groups])
-    for (w, sizes), seq in zip(groups, sequences):
+    sequences = _sequences(
+        h, [w for w, _, _ in groups], [max(s) + 1 for _, s, _ in groups]
+    )
+    for (w, sizes, found), seq in zip(groups, sequences):
+        # a Jordan group brings the kernels its sizes were read from
+        assert bool(found) == (sizes != [1])
         try:
             own = build_chain(h, w, sizes)
         except ChainError as exc:
@@ -228,13 +277,7 @@ def test_build_chain_with_and_without_kernels_agree(name):
                 build_chain(h, w, sizes, kernels=seq)
             assert str(given.value) == str(exc)
             continue
-        # the powers from max(sizes) on are never read, so compute_spectrum
-        # may drop them
-        unread = [
-            (ak if k < max(sizes) else None, ker)
-            for k, (ak, ker) in enumerate(seq, start=1)
-        ]
-        for kernels in (seq, unread):
+        for kernels in (seq, found or seq):
             given = build_chain(h, w, sizes, kernels=kernels)
             assert len(given) == len(own)
             for c1, c2 in zip(own, given):
@@ -243,26 +286,39 @@ def test_build_chain_with_and_without_kernels_agree(name):
         build_chain(h, groups[0][0], [1], kernels=sequences[0][:1])
 
 
-def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch):
-    # one stacked SVD per kernel level, |g|_2 once and |H|_2 once: the
-    # parent made 3 SVDs per unmirrored eigenvalue plus one
+def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
+                                                       catalog_entries):
+    # one stacked SVD per kernel level, |g|_2 once and |H|_2 once.  The
+    # stacked (3-D) calls are the kernel levels: the root clusters' levels,
+    # read once for both their sizes and their chains, up to the first stall
+    # or multiplicity + 1, then two levels for the simple eigenvalues kept
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     original = np.linalg.svd
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.ndim(args[0]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     monkeypatch.setattr(impl, "svd", counting)  # np.linalg.norm(x, 2)
-    counts = []
+    counts, stacked = [], []
     for n in (2, 8):
         sys = well_separated_system(np.random.default_rng(0), n)
         calls.clear()
         compute_spectrum(sys)
         counts.append(len(calls))
+        stacked.append(calls.count(3))
     assert counts[0] == counts[1]
+    assert stacked == [2, 2]
+    want = {"single-critical": 3, "quartic-jb4": 5, "cubic-jb3": 6,
+            "double-jb2": 3, "crossed-pair": 3}
+    got = {}
+    for name in want:
+        calls.clear()
+        compute_spectrum(catalog_entries[name].system)
+        got[name] = calls.count(3)
+    assert got == want
 
 
 def test_simple_group_chain_error_is_unchanged():
@@ -276,10 +332,10 @@ def test_simple_group_chain_error_is_unchanged():
     h = evolution_operator(sys)
     coeffs = char_poly(h)
     groups = _eigenstructure(h, coeffs, poly_roots(coeffs, tol), tol)[0]
-    kept = _unmirrored_groups(groups, _axis_tol(tol, [w for w, _ in groups]))
-    assert all(sizes == [1] for _, sizes in kept)
+    kept = _unmirrored_groups(groups, _axis_tol(tol, [w for w, _, _ in groups]))
+    assert all(sizes == [1] for _, sizes, _ in kept)
     failed = []
-    for i, (w, sizes) in enumerate(kept):
+    for i, (w, sizes, _) in enumerate(kept):
         try:
             build_chain(h, w, sizes, tol)
         except ChainError as exc:
@@ -456,13 +512,13 @@ def test_mirror_pairs_ordered_plus_first(catalog_entries, eps):
 
 
 def test_unmirrored_groups_pairs_or_raises():
-    axis, right, left = (-2j, [1]), (1.0 - 1j, [2]), (-1.0 - 1j, [2])
+    axis, right, left = (-2j, [1], []), (1.0 - 1j, [2], []), (-1.0 - 1j, [2], [])
     assert _unmirrored_groups([left, axis, right], 1e-9) == [axis, right]
     for groups in (
-        [axis, right],               # no mirror for Re(omega) > 0
-        [axis, left],                # a mirror of nothing
-        [right, (-1.0 - 1j, [1, 1])],  # mirror with other block sizes
-        [right, (-1.1 - 1j, [2])],     # mirror too far from -conj(omega)
+        [axis, right],                     # no mirror for Re(omega) > 0
+        [axis, left],                      # a mirror of nothing
+        [right, (-1.0 - 1j, [1, 1], [])],  # mirror with other block sizes
+        [right, (-1.1 - 1j, [2], [])],     # mirror too far from -conj(omega)
     ):
         with pytest.raises(PairingError):
             _unmirrored_groups(groups, 1e-9)

@@ -281,3 +281,11 @@ def test_tolerances_validation():
         Tolerances(rank_tol=1e-6, cluster_tol=1e-9)
     t = Tolerances(rank_tol=1e-10, cluster_tol=1e-7, residual_tol=1e-8)
     assert t.cluster_tol == 1e-7
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1e-6])
+@pytest.mark.parametrize("name", ["rank_tol", "cluster_tol", "residual_tol"])
+def test_tolerances_must_be_finite_and_positive(name, value):
+    # an infinite residual_tol would pass every basis, verified or not
+    with pytest.raises(ArgumentError, match=name):
+        Tolerances(**{name: value})
