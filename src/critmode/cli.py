@@ -259,6 +259,9 @@ def cmd_evolve(args) -> int:
         times = _parse_times(args.times)
     else:
         times = np.linspace(0.0, args.t_max, args.t_steps)
+    # the oracle runs first, so that it refuses a negative time before any
+    # eigensolve or output
+    oracle = rk4_evolve(system, phi, times) if args.oracle else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
@@ -266,12 +269,10 @@ def cmd_evolve(args) -> int:
     header = ["t"]
     for i in range(system.dim):
         header += [f"c{i}_re", f"c{i}_im"]
+    if oracle is not None:
+        header += [f"rk_c{i}_{p}" for i in range(system.dim) for p in ("re", "im")]
     rows = []
     deviation = 0.0
-    oracle = None
-    if args.oracle:
-        oracle = rk4_evolve(system, phi, times)
-        header += [f"rk_c{i}_{p}" for i in range(system.dim) for p in ("re", "im")]
     for it, t in enumerate(times):
         row = [t]
         for z in states[it]:

@@ -74,6 +74,15 @@ _LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
 # and nothing overflows unless |F| |D| |phi| pass about 1e178; above it the
 # kernel runs under np.errstate and the finiteness check alone decides.
 _QUIET_BOUND = 300.0
+# _increment_power squares the RK4 increment P_j while ||P_j||_1 is at most
+# this.  Below it ||(I + P_j)^-1||_1 <= 1 / (1 - 1/2) = 2, and the last
+# power, I + P_k = (I + P_{k-1})^2, has an inverse of norm at most 4, so no
+# update y <- y + P y shrinks y by more than a factor 4: its rounding, a few
+# ulps of the old y, stays a few ulps of the new one, and a decaying state
+# keeps its relative accuracy.  Squaring on towards (I + d)^n - I, which
+# tends to -I as the state decays, would cancel all of y in one update.
+# The updates left number of order T ||a||_1 on a span of length T.
+_SQUARING_BOUND = 0.5
 
 
 class NonDiagonalizableError(RuntimeError):
@@ -268,6 +277,38 @@ def check_sum_rules(spectrum: Spectrum) -> SumRuleReport:
     )
 
 
+def _increment_power(d: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """(I + d)^n y, stepping y by powers of the increment d, never by I + d.
+
+    P_0 = d and P_{j+1} = 2 P_j + P_j^2 is the increment of (I + d)^(2^(j+1)),
+    so the squaring keeps the low bits that I + d would round away.  It stops
+    at the first P_k with 2^(k+1) > n or ||P_k||_1 > _SQUARING_BOUND; then y
+    takes y <- y + P_j y for each set bit j of n mod 2^k, and
+    y <- y + P_k y floor(n / 2^k) times.  Every update moves y by a bounded
+    factor, so a decaying state keeps the relative accuracy of n single
+    steps, which (I + d)^n applied in one piece does not.
+    """
+    powers = [d]
+    # ||P_{j+1}|| <= 2 ||P_j|| + ||P_j||^2 bounds the norm, which is taken
+    # only once this bound passes _SQUARING_BOUND
+    norm = np.linalg.norm(d, 1)
+    while 2 ** len(powers) <= n:
+        p = powers[-1]
+        if norm > _SQUARING_BOUND:
+            norm = np.linalg.norm(p, 1)
+            if norm > _SQUARING_BOUND:
+                break
+        powers.append(2.0 * p + p @ p)
+        norm *= 2.0 + norm
+    k = len(powers) - 1
+    for j in range(k):
+        if (n >> j) & 1:
+            y = y + powers[j] @ y
+    for _ in range(n >> k):
+        y = y + powers[k] @ y
+    return y
+
+
 def rk4_evolve(sys: OscillatorSystem, phi0, times, step: float = 1e-4) -> np.ndarray:
     """Classic fixed-step RK4 for x'' + Gamma x' + K x = 0.
 
@@ -276,37 +317,37 @@ def rk4_evolve(sys: OscillatorSystem, phi0, times, step: float = 1e-4) -> np.nda
     directly, so this integrates the physical equation of motion and serves
     as an oracle for the Jordan-basis propagation.  On a linear equation one
     RK4 step of length h is y <- y + d y with d = ha + (ha)^2/2 + (ha)^3/6 +
-    (ha)^4/24, built once per span; I + d is never formed, as storing it
-    would round away the low bits of d.  ``times`` must be nonnegative and
-    ascending; returns the phase-space states at those times (phi0
-    corresponds to t=0).  Raises ArgumentError for a step that is not finite
-    and positive, for a state that is not finite and for a time that is not
-    finite.
+    (ha)^4/24, built once per span; the n steps of a span are taken as
+    (I + d)^n y by _increment_power, in O(log n) matrix products, and I + d
+    is never formed, as storing it would round away the low bits of d.
+    ``times`` is a scalar, which gives one state, or a 1-D grid, nonnegative
+    and ascending, which gives one state per row (phi0 corresponds to t=0).
+    Raises ArgumentError for a step that is not finite and positive, for a
+    state that is not finite, for times that are not finite or not a scalar
+    or 1-D grid, and for times that are negative or descending.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ArgumentError(f"step must be finite and positive, got {step}")
-    if not np.isfinite(np.asarray(times, dtype=float)).all():
-        raise ArgumentError("times must be finite")
+    grid, scalar, _ = as_grid(times, "times", float)
+    if grid.min(initial=0.0) < 0.0 or (grid[1:] < grid[:-1]).any():
+        raise ArgumentError("times must be ascending and nonnegative")
     n = sys.N
     y = _state(phi0, 2 * n)
     a = np.block([[np.zeros((n, n)), np.eye(n)], [-sys.K, -sys.Gamma]])
     eye = np.eye(2 * n)
 
-    out = []
+    out = np.empty((grid.size, 2 * n), dtype=complex)
     t_cur = 0.0
-    for t in times:
-        if t < t_cur:
-            raise ArgumentError("times must be ascending and nonnegative")
+    for i, t in enumerate(grid):
         span = t - t_cur
         if span > 0.0:
             nsteps = max(1, int(round(span / step)))
             ha = (span / nsteps) * a
             d = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-            for _ in range(nsteps):
-                y = y + d @ y
-        out.append(y)
+            y = _increment_power(d, y, nsteps)
+        out[i] = y
         t_cur = t
-    return np.array(out)
+    return out[0] if scalar else out
 
 
 def energy(sys: OscillatorSystem, phi) -> float:

@@ -128,12 +128,15 @@ def test_evolve_oracle_random_double(tmp_path):
 
 
 def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
+    out = tmp_path / "out"
     code = run([
         "evolve", "--system", "catalog:single-critical", "--phi", "1,0",
-        "--times=-1,0,1", "--oracle", "--out", str(tmp_path),
+        "--times=-1,0,1", "--oracle", "--out", str(out),
     ])
     assert code == 2
     assert "nonnegative" in capsys.readouterr().err
+    # refused before any output, as the other misuse cases are
+    assert not out.exists()
 
 
 # stands for the path of a --dk file with a non-numeric entry

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,7 +18,7 @@ from critmode.dynamics import (
     rk4_evolve,
 )
 from critmode import dynamics
-from critmode.design import scale_system
+from critmode.design import catalog_system, scale_system
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
 from critmode.model import build_system, evolution_operator
@@ -168,16 +169,111 @@ def test_rk4_rejects_descending_times(catalog_spectra):
 @pytest.mark.parametrize(
     "times, step",
     [([0.1], 0.0), ([0.1], -1e-3), ([0.1], np.nan), ([0.1], np.inf),
-     ([0.1, np.nan, 0.2], 1e-4), ([0.1, np.inf], 1e-4)],
+     ([0.1, np.nan, 0.2], 1e-4), ([0.1, np.inf], 1e-4),
+     ([[0.1, 0.2]], 1e-4), (-0.1, 1e-4), ([-0.1, 0.2], 1e-4)],
     ids=["step-0", "step-negative", "step-nan", "step-inf", "times-nan",
-         "times-inf"],
+         "times-inf", "times-2d", "time-negative-scalar", "times-negative"],
 )
 def test_rk4_rejects_bad_step_and_times(catalog_spectra, times, step):
     # step 0 used to divide by zero, a negative step took one RK4 step
-    # across the whole span, and a NaN time repeated the previous state
+    # across the whole span, a NaN time repeated the previous state, and a
+    # 2-D grid raised TypeError from the time comparison
     sys = catalog_spectra["single-critical"].system
     with pytest.raises(ArgumentError):
         rk4_evolve(sys, np.array([1.0, 0.0]), times, step=step)
+
+
+def test_rk4_takes_a_scalar_or_a_grid(catalog_spectra):
+    # a scalar time gives one state, as evolve_state does; an empty grid
+    # gives no rows of 2N entries (it used to give shape (0,))
+    sys = catalog_spectra["quartic-jb4"].system
+    phi = np.array([1.0, 0.5j, -0.25, 0.0])
+    grid = rk4_evolve(sys, phi, [0.0, 0.3])
+    one = rk4_evolve(sys, phi, 0.3)
+    assert grid.shape == (2, 4) and one.shape == (4,)
+    np.testing.assert_array_equal(one, grid[1])
+    np.testing.assert_array_equal(grid[0], phi)
+    assert rk4_evolve(sys, phi, []).shape == (0, 4)
+
+
+def _rk4_increment(sys, h):
+    """ha and the RK4 increment d = ha + (ha)^2/2 + (ha)^3/6 + (ha)^4/24."""
+    n = sys.N
+    ha = h * np.block([[np.zeros((n, n)), np.eye(n)], [-sys.K, -sys.Gamma]])
+    eye = np.eye(2 * n)
+    return ha, ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+
+
+def _step_by_step(d, y, n):
+    """n single RK4 steps y <- y + d y, the reference for _increment_power."""
+    for _ in range(n):
+        y = y + d @ y
+    return y
+
+
+def _oracle_systems():
+    return {
+        "quartic-jb4": catalog_system("quartic-jb4"),
+        "single-critical": catalog_system("single-critical"),
+        "random N=4": well_separated_system(np.random.default_rng(4), 4),
+    }
+
+
+@pytest.mark.parametrize("name", ["quartic-jb4", "random N=4"])
+@pytest.mark.parametrize("h", [1e-4, 1e-3])
+def test_increment_power_equals_single_steps(name, h):
+    # the squaring stops at the norm bound, leaving repeated updates by the
+    # last power, for n = 4096 at either step and for n = 500 and 501 at
+    # h = 1e-3; for the smaller n it stops at the highest bit of n
+    sys = _oracle_systems()[name]
+    _, d = _rk4_increment(sys, h)
+    rng = np.random.default_rng(12)
+    phi = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+    for n in (1, 2, 3, 7, 8, 9, 500, 501, 4096):
+        got = dynamics._increment_power(d, phi, n)
+        want = _step_by_step(d, phi, n)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(phi), n
+
+
+# Relative error of n = T / 1e-4 single steps y <- y + d y against
+# (I + d)^n phi at 50 digits, measured with _step_by_step on the states of
+# test_rk4_keeps_relative_accuracy.  At T = 50 the quartic-jb4 state has
+# decayed to 1e-16 of phi, the single-critical one to 1e-20.
+SINGLE_STEP_ERRORS = {
+    ("quartic-jb4", 5.0): 8.3e-15,
+    ("quartic-jb4", 20.0): 1.8e-12,
+    ("quartic-jb4", 50.0): 1.8e-11,
+    ("single-critical", 5.0): 1.7e-14,
+    ("single-critical", 20.0): 2.1e-14,
+    ("single-critical", 50.0): 4.8e-13,
+    ("random N=4", 5.0): 1.6e-14,
+    ("random N=4", 20.0): 1.2e-14,
+    ("random N=4", 50.0): 1.0e-14,
+}
+
+
+def _exact_increment_power(ha, phi, n):
+    """(I + d)^n phi at 50 digits, d the RK4 increment of the float matrix ha."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix(ha.tolist())
+        one_step = mpmath.eye(ha.shape[0]) + m + m**2 / 2 + m**3 / 6 + m**4 / 24
+        state = one_step**n * mpmath.matrix(phi.tolist())
+        return np.array([complex(z) for z in state])
+
+
+@pytest.mark.parametrize("name, t", list(SINGLE_STEP_ERRORS))
+def test_rk4_keeps_relative_accuracy(name, t):
+    # stepping by bounded powers of the increment keeps the relative error
+    # of single steps on a decaying state; applying (I + d)^n - I to phi in
+    # one update instead loses every digit of quartic-jb4 at T = 50
+    sys = _oracle_systems()[name]
+    rng = np.random.default_rng(13)
+    phi = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+    n = int(round(t / 1e-4))
+    ha, _ = _rk4_increment(sys, t / n)
+    want = _exact_increment_power(ha, phi, n)
+    rel = np.linalg.norm(rk4_evolve(sys, phi, t) - want) / np.linalg.norm(want)
+    assert rel <= 3.0 * SINGLE_STEP_ERRORS[name, t]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
