@@ -6,10 +6,11 @@ parameter values, leaving Jordan blocks: chains f_{j,0..M-1} obeying
     (H - omega_j) f_{j,n} = f_{j,n-1},     f_{j,-1} = 0.
 
 This module detects the block structure {(omega_j, M_j)} from rank sequences
-of (H - omega)^k, builds the chains top-down from the kernels of those powers
-(one builder for simple eigenvalues, Jordan blocks and crossings), and
-normalizes them so that the bilinear pairings take the canonical
-anti-diagonal form
+of (H - omega)^k at each root cluster, builds the chains of those clusters
+top-down from the kernels of the same powers (one builder for Jordan blocks
+and crossings), takes the eigenvectors of simple eigenvalues from one real
+eigendecomposition, and normalizes them all so that the bilinear pairings
+take the canonical anti-diagonal form
 
     (f_{j,n}, f_{j',n'}) = delta_{jj'} delta_{n+n', M_j-1}.
 
@@ -29,10 +30,13 @@ Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 
 The kernels come from one stacked decomposition per power k (_kernel_stack:
-a single SVD call over the A_j^k, A_j = H - omega_j, of every eigenvalue
+a single SVD call over the A_j^k, A_j = H - omega_j, of every root cluster
 still needing level k, each with the rank rule rank_tol * max(|A|_2,
 1e-6)^k).  The block sizes of a root cluster are read from the nullities of
-the same sequence that build_chain then takes as its kernel bases.
+the same sequence that build_chain then takes as its kernel bases.  Simple
+eigenvalues take no rank decision: H = i a with a real, and each takes the
+eigenvector of np.linalg.eig(a) whose i lambda lies nearest
+(_simple_eigenvectors).
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ from .model import OscillatorSystem, bilinear, evolution_operator, metric
 
 
 class ChainError(RuntimeError):
-    """Raised when the kernels of (H - omega)^k do not fit the block sizes."""
+    """Raised when the kernels of (H - omega)^k do not fit the block sizes,
+    or two simple eigenvalues match one eigenvector."""
 
 
 class DegenerateChainError(RuntimeError):
@@ -207,6 +212,9 @@ def _single_linkage(roots: np.ndarray, radius: float):
 def _kernel_stack(h: np.ndarray, omegas, levels, tol: Tolerances):
     """Yield the kernels of the powers of every A_j = H - omega_j, by level.
 
+    The omegas are the centres of root clusters (_eigenstructure) or the
+    single omega of a build_chain call made without kernels; compute_spectrum
+    sends no simple eigenvalue here.
     At level k = 1, 2, ... yields [(j, ker A_j^k)] for each j with
     levels[j] >= k, from one stacked np.linalg.svd call over those A_j^k,
     so a caller that stops iterating saves the levels it does not read.
@@ -272,7 +280,9 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
     kernels of all clusters come from one _kernel_stack pass, each at its
     polished centre for up to multiplicity + 1 levels, stopped once every
     cluster's nullities have stalled.  A Jordan group keeps that sequence as
-    its kernels, for build_chain; a simple group gets an empty list.
+    its kernels, for build_chain.  A simple group (an isolated root, or a
+    member of a demoted cluster) gets an empty list and no kernel level:
+    compute_spectrum takes its eigenvector from _simple_eigenvectors.
     """
     scale = 1.0 + float(np.max(np.abs(roots)))
     # Multiple roots of multiplicity m scatter like eps**(1/m) under any
@@ -777,12 +787,42 @@ def _unmirrored_groups(groups, axis_tol: float):
     return kept
 
 
+def _simple_eigenvectors(h: np.ndarray, omegas):
+    """Eigenvectors of H at the simple eigenvalues omegas, from one real eig.
+
+    H = i a with a = (-i H).real = [[0, I], [-K, -Gamma]], so column j of
+    np.linalg.eig(a) is an eigenvector of H for omega = i lambda_j.  Each
+    omega (a root of the characteristic polynomial) takes the column whose
+    i lambda_j lies nearest; two omegas on one column raise ChainError.
+    """
+    if not omegas:
+        return []
+    lam, vecs = np.linalg.eig((-1j * h).real)
+    columns = 1j * lam
+    taken = {}
+    out = []
+    for omega in omegas:
+        j = int(np.argmin(np.abs(columns - omega)))
+        if j in taken:
+            raise ChainError(
+                f"simple eigenvalues omega={taken[j]} and omega={omega} both "
+                f"lie nearest the eigenvector of omega={columns[j]}"
+            )
+        taken[j] = omega
+        out.append(vecs[:, j].astype(complex))
+    return out
+
+
 def compute_spectrum(sys: OscillatorSystem,
                      tol: Tolerances | None = None) -> Spectrum:
     """Full Jordan decomposition: detect, build, normalize, pair, verify.
 
     Chains are built for the eigenvalues with Re(omega) >= -axis_tol only;
     their mirrors follow from the conjugation rule (enforce_conjugation).
+    Root clusters with Jordan structure get their chains from build_chain,
+    on the kernels _eigenstructure read their sizes from; every simple
+    eigenvalue gets its eigenvector from one real eig (_simple_eigenvectors),
+    called only when a simple eigenvalue is kept.
 
     Raises VerificationError when the constructed basis misses its
     invariants at residual_tol (never silently returns a bad basis).
@@ -795,17 +835,17 @@ def compute_spectrum(sys: OscillatorSystem,
     flagged_omegas = {complex(r) for cl in flagged for r in cl["roots"]}
     axis_tol = _axis_tol(tol, [w for w, _, _ in groups])
     kept = _unmirrored_groups(groups, axis_tol)
-    # Jordan groups bring their kernels; the simple ones need two levels
-    simple = [group for group in kept if not group[2]]
-    omegas = [w for w, _, _ in simple]
-    for level in _kernel_stack(h, omegas, [2] * len(simple), tol):
-        for i, kernel in level:
-            simple[i][2].append(kernel)
+    vectors = iter(
+        _simple_eigenvectors(h, [w for w, sizes, _ in kept if sizes == [1]])
+    )
     gnorm = float(np.linalg.norm(metric(sys), 2))
 
     blocks = []
     for omega, sizes, kernels in kept:
-        raw = build_chain(h, omega, sizes, tol, kernels=kernels)
+        if sizes == [1]:
+            raw = [[next(vectors)]]
+        else:
+            raw = build_chain(h, omega, sizes, tol, kernels=kernels)
         built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)
         blocks.extend(
             JordanBlock(

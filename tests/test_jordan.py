@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,6 @@ from critmode.jordan import (
     DegenerateChainError,
     PairingError,
     VerificationError,
-    _axis_tol,
     _basis_matrices,
     _eigenstructure,
     _kernel_stack,
@@ -103,6 +103,35 @@ def test_block_structure_vs_dense_eigensolver_oracle():
         got = np.sort_complex(np.array([b.omega for b in spec.blocks]))
         want = np.sort_complex(np.linalg.eigvals(evolution_operator(sys)))
         assert np.max(np.abs(got - want)) <= 1e-7
+
+
+def _mpmath_omegas(h, dps=30):
+    """Eigenvalues of H = i a from mpmath's eig of the real a at dps digits."""
+    with mpmath.workdps(dps):
+        lam = mpmath.eig(mpmath.matrix((-1j * h).real.tolist()),
+                         left=False, right=False)
+        return np.array([1j * complex(v) for v in lam])
+
+
+@pytest.mark.parametrize(
+    "n,seeds", [(6, (198, 364, 519))] + [(n, range(10)) for n in (7, 8, 9)],
+    ids=["N6", "N7", "N8", "N9"],
+)
+def test_random_systems_up_to_n9_verify(n, seeds):
+    # these inputs raised VerificationError while the simple eigenvalues took
+    # their eigenvectors from SVD null vectors of H - omega, which carry the
+    # error of the root: each is now a verified basis of simple blocks
+    for seed in seeds:
+        sys = well_separated_system(np.random.default_rng(seed), n)
+        spec = compute_spectrum(sys)
+        report = verify_spectrum(spec, strict=False)
+        assert report["pass"] and not spec.near_critical_clusters, seed
+        assert [b.size for b in spec.blocks] == [1] * (2 * n), seed
+        if n in (7, 9) and seed == 0:
+            got = np.array([b.omega for b in spec.blocks])
+            want = _mpmath_omegas(evolution_operator(sys))
+            gap = np.min(np.abs(got[:, None] - want[None, :]), axis=1)
+            assert np.all(gap <= 1e-9 * (1.0 + np.abs(got))), seed
 
 
 # --- chains ------------------------------------------------------------------
@@ -288,62 +317,85 @@ def test_build_chain_with_and_without_kernels_agree(name):
 
 def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
                                                        catalog_entries):
-    # one stacked SVD per kernel level, |g|_2 once and |H|_2 once.  The
-    # stacked (3-D) calls are the kernel levels: the root clusters' levels,
-    # read once for both their sizes and their chains, up to the first stall
-    # or multiplicity + 1, then two levels for the simple eigenvalues kept
+    # one stacked SVD per kernel level of the root clusters, read once for
+    # both their sizes and their chains, up to the first stall or
+    # multiplicity + 1; the simple eigenvalues take one real eig and no
+    # kernel level; besides those, |g|_2 once and |H|_2 once
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    original = np.linalg.svd
+    original_svd, original_eig = np.linalg.svd, np.linalg.eig
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting_svd(*args, **kwargs):
         calls.append(np.ndim(args[0]))
-        return original(*args, **kwargs)
+        return original_svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(impl, "svd", counting)  # np.linalg.norm(x, 2)
-    counts, stacked = [], []
+    def counting_eig(*args, **kwargs):
+        calls.append("eig")
+        return original_eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(impl, "svd", counting_svd)  # np.linalg.norm(x, 2)
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
     for n in (2, 8):
         sys = well_separated_system(np.random.default_rng(0), n)
         calls.clear()
         compute_spectrum(sys)
-        counts.append(len(calls))
-        stacked.append(calls.count(3))
-    assert counts[0] == counts[1]
-    assert stacked == [2, 2]
-    want = {"single-critical": 3, "quartic-jb4": 5, "cubic-jb3": 6,
+        # (stacked SVDs, eig calls, SVDs in all)
+        assert (calls.count(3), calls.count("eig"), len(calls) - 1) == (0, 1, 2)
+    want = {"single-critical": 3, "quartic-jb4": 5, "cubic-jb3": 4,
             "double-jb2": 3, "crossed-pair": 3}
     got = {}
     for name in want:
         calls.clear()
         compute_spectrum(catalog_entries[name].system)
         got[name] = calls.count(3)
+        # only cubic-jb3 keeps a simple eigenvalue (at -4i) beside its block
+        assert calls.count("eig") == (name == "cubic-jb3"), name
     assert got == want
 
 
-def test_simple_group_chain_error_is_unchanged():
-    # a rank_tol of 1e-3 counts a second singular value of (H - omega)^2 as
-    # null at some simple eigenvalues of this well-separated system (their
-    # relative values lie near 1e-4) but not at the first one built; the
-    # stacked kernels must leave that error, and which group raises first,
-    # as build_chain alone reports them group by group
+def test_simple_groups_take_no_rank_decision():
+    # at rank_tol = 1e-3 the second singular value of (H - omega)^2 counted
+    # as null at some simple eigenvalues of this well-separated system (their
+    # relative values lie near 1e-4), and the kernel route raised ChainError;
+    # a simple eigenvalue now takes its eigenvector from eig, with no rank
+    # decision, and the spectrum verifies
     tol = Tolerances(rank_tol=1e-3, cluster_tol=1e-3)
     sys = well_separated_system(np.random.default_rng(1), 4)
     h = evolution_operator(sys)
     coeffs = char_poly(h)
     groups = _eigenstructure(h, coeffs, poly_roots(coeffs, tol), tol)[0]
-    kept = _unmirrored_groups(groups, _axis_tol(tol, [w for w, _, _ in groups]))
-    assert all(sizes == [1] for _, sizes, _ in kept)
-    failed = []
-    for i, (w, sizes, _) in enumerate(kept):
-        try:
+    assert all(sizes == [1] for _, sizes, _ in groups)
+    with pytest.raises(ChainError):
+        for w, sizes, _ in groups:
             build_chain(h, w, sizes, tol)
-        except ChainError as exc:
-            failed.append((i, str(exc)))
-    assert failed and failed[0][0] > 0
+    spec = compute_spectrum(sys, tol)
+    assert verify_spectrum(spec, strict=False)["pass"]
+    assert [b.size for b in spec.blocks] == [1] * 8
+
+
+def test_two_simple_roots_on_one_eigenvector_raise(monkeypatch):
+    # overdamped oscillators: four simple eigenvalues on the negative
+    # imaginary axis, near -0.209i, -0.354i, -4.791i and -5.646i.  Moving
+    # the last root to 0.05 below the first (beyond the linkage radius, so
+    # both stay simple) sends two roots to one eigenvector of eig
+    sys = build_system(np.diag([1.0, 2.0]), np.diag([5.0, 6.0]))
+
+    def moved_roots(coeffs, tol):
+        roots = poly_roots(coeffs, tol)
+        roots = roots[np.argsort(-roots.imag)]
+        roots[-1] = roots[0] - 0.05j
+        return roots
+
+    monkeypatch.setattr("critmode.jordan.poly_roots", moved_roots)
+    h = evolution_operator(sys)
+    roots = moved_roots(char_poly(h), DEFAULT_TOL)
+    assert abs(roots[0] + 0.2087j) < 1e-4 and abs(roots[-1] + 0.2587j) < 1e-4
     with pytest.raises(ChainError) as raised:
-        compute_spectrum(sys, tol)
-    assert str(raised.value) == failed[0][1]
+        compute_spectrum(sys)
+    message = str(raised.value)
+    assert f"omega={complex(roots[0])}" in message
+    assert f"omega={complex(roots[-1])}" in message
 
 
 # --- normalization -----------------------------------------------------------
