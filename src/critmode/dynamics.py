@@ -24,9 +24,10 @@ each middle factor is a phase, or pole, times a polynomial in N:
 
 with l below the largest block size.  The kernels evaluate these on a grid
 of times or frequencies (a scalar is a grid of one) from the matrices the
-spectrum stores (Spectrum.matrices: F, the stack N^l D^H, the column
-eigenvalues), so nothing is rebuilt per call and the matrices that
-compute_spectrum verified are the ones the kernels propagate with.
+spectrum stores (Spectrum.matrices: F repeated once per order l, the stack
+N^l D^H as one matrix, the column eigenvalues and -i times them), so
+nothing is rebuilt per call and the matrices that compute_spectrum verified
+are the ones the kernels propagate with.
 
 Separating the completeness relation F P F^T g = I (P the block
 anti-identity) into coordinates and momenta yields four sum rules on the
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +60,14 @@ from .model import OscillatorSystem, metric
 from .perturb import exact_perturbed_spectrum, predict_splitting
 
 _EPS = np.finfo(float).eps
-# Orders l, 1/l! and log l! of the Taylor coefficients of e^{-iJt}, for
-# Jordan blocks of up to 1024 vectors (N = 512 oscillators in one chain);
-# 1/l! is below the smallest normal float past l = 170 and is kept as 0
-_ORDERS = np.arange(1025, dtype=complex)
-_INV_FACTORIALS = np.array(
-    [1 / math.factorial(l) if l <= 170 else 0.0 for l in range(1024)], dtype=complex
+# Orders l, (-i)^l / l! and log l! of the Taylor coefficients of e^{-iJt},
+# for Jordan blocks of up to 1024 vectors (N = 512 oscillators in one chain):
+# (-i t)^l / l! is taken as the real t^l times the exact phase (-i)^l over
+# l!; 1/l! is below the smallest normal float past l = 170, and the table
+# keeps 0 there
+_ORDERS = np.arange(1025.0)
+_PHASES = np.array([1.0, -1j, -1.0, 1j])[np.arange(1024) % 4] * np.array(
+    [1 / math.factorial(l) if l <= 170 else 0.0 for l in range(1024)]
 )
 _LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
 # Largest peak |t| * scale (scale = 1 + max |omega|) at which _evolve lets
@@ -117,40 +119,43 @@ def evolve_basis_vector(block: JordanBlock, n: int, t: float) -> np.ndarray:
 
 def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
                             peak: float) -> np.ndarray:
-    """C_l(omega_k, t) for every time, order l and column k: shape (T, L, dim).
+    """C_l(omega_k, t) for every time, order l and column k, flat: shape
+    (T, L dim), entry [x, l dim + k].
 
-    (-i t)^l / l! times exp(-i omega_k t), except at the times with
+    t^l (-i)^l / l! times exp(t (-i omega_k)), except at the times with
     |t| >= 1e3 (and every nonzero time once a block is longer than 21),
     which take evolution_coefficient's log-space form
     exp(l log(-i t) - log l! - i omega_k t).  The choice is made per time,
     so a grid gives each time the values a grid of one gives it.
     """
-    size = form.duals.shape[0]
-    mit = -1j * times[:, None]
+    size, dim = form.duals.shape[:2]
     far = None
     if peak >= 1e3 or size > 21:
         far = (np.abs(times) >= 1e3) | ((size > 21) & (times != 0.0))
-    direct = mit if far is None else np.where(far[:, None], 0.0, mit)
-    coef = (direct ** _ORDERS[:size] * _INV_FACTORIALS[:size])[:, :, None] * np.exp(
-        direct * form.omega
-    )[:, None, :]
+    direct = times[:, None] if far is None else np.where(far, 0.0, times)[:, None]
+    coef = (
+        (direct ** _ORDERS[:size] * _PHASES[:size])[:, :, None]
+        * np.exp(direct * form.minus_i_omega)[:, None, :]
+    ).reshape(times.size, size * dim)
     if far is not None:
-        log_c = _ORDERS[:size] * np.log(mit[far]) - _LOG_FACTORIALS[:size]
-        coef[far] = np.exp(log_c[:, :, None] + mit[far, :, None] * form.omega)
+        late = times[far, None]
+        log_c = _ORDERS[:size] * np.log(-1j * late) - _LOG_FACTORIALS[:size]
+        coef[far] = np.exp(
+            log_c[:, :, None] + (late * form.minus_i_omega)[:, None, :]
+        ).reshape(late.size, size * dim)
     return coef
 
 
 def _jordan_function(form: MatrixForm, coef: np.ndarray) -> np.ndarray:
-    """F T_x D^H with T_x = sum_l diag(coef[x, l]) N^l, for each grid point x.
+    """F T_x D^H with T_x = sum_l diag(coef[x, l dim + k]) N^l, per grid point x.
 
-    T_x = f(J) for any f with f^(l)(omega_k) / l! = coef[x, l, k], so the
-    result is f(H) on the span of the basis (Higham, Functions of Matrices,
-    ch. 1).  With the duals stack N^l D^H it is one product per point:
-    [F diag(coef[x, 0]) | F diag(coef[x, 1]) | ...] times the stacked rows.
+    T_x = f(J) for any f with f^(l)(omega_k) / l! = coef[x, l dim + k], so
+    the result is f(H) on the span of the basis (Higham, Functions of
+    Matrices, ch. 1).  With the duals stack N^l D^H as rows it is one
+    product per point: [F diag(coef[x, :dim]) | F diag(coef[x, dim:2 dim])
+    | ...] times the stacked rows.
     """
-    points, size, dim = coef.shape
-    lifted = (form.f[:, None, :] * coef[:, None, :, :]).reshape(points, -1, size * dim)
-    return lifted @ form.duals.reshape(size * dim, -1)
+    return (form.f_tiled * coef[:, None, :]) @ form.dual_rows
 
 
 def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
@@ -163,17 +168,27 @@ def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
     can happen (peak * scale above _QUIET_BOUND) numpy's overflow warnings
     are silenced, so the typed error is all the caller sees.
     """
-    quiet = peak * form.scale > _QUIET_BOUND
-    with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
-        coef = _evolution_coefficients(form, times, peak)
-        # one product per time, so that every row is computed as a grid of one
-        states = ((coef * (form.duals @ phi)).sum(axis=1)[:, None, :] @ form.f.T)[:, 0]
-    if not np.isfinite(states).all():
+    if peak * form.scale <= _QUIET_BOUND:
+        return _finite_states(form, phi, times, peak)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_states(form, phi, times, peak)
+
+
+def _finite_states(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
+                   peak: float) -> np.ndarray:
+    """The states of _evolve; ArgumentError at the first one not finite."""
+    coef = _evolution_coefficients(form, times, peak)
+    # one product per time, so that every row is computed as a grid of one
+    states = ((coef * (form.dual_rows @ phi))[:, None, :] @ form.f_tiled.T)[:, 0]
+    # a sum that is finite clears every entry; one that is not may only
+    # have overflowed, so the rows decide
+    if not cmath.isfinite(states.sum()):
         lost = times[~np.isfinite(states).all(axis=1)]
-        raise ArgumentError(
-            f"the state at t={lost[0]:g} is not finite: e^(-iJt) overflows "
-            "float64 there"
-        )
+        if lost.size:
+            raise ArgumentError(
+                f"the state at t={lost[0]:g} is not finite: e^(-iJt) overflows "
+                "float64 there"
+            )
     return states
 
 
@@ -209,8 +224,12 @@ def greens_time(spectrum: Spectrum, t) -> np.ndarray:
     """
     times, scalar, peak = as_grid(t, "t", float)
     form = spectrum.matrices
-    coef = _evolution_coefficients(form, np.maximum(times, 0.0), peak)
-    coef[times < 0.0] = 0.0
+    # a Python min over the list costs a third of times.min() on one time
+    if min(times.tolist(), default=0.0) < 0.0:
+        coef = _evolution_coefficients(form, np.maximum(times, 0.0), peak)
+        coef[times < 0.0] = 0.0
+    else:
+        coef = _evolution_coefficients(form, times, peak)
     out = _jordan_function(form, coef)
     return out[0] if scalar else out
 
@@ -219,7 +238,8 @@ def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     """Frequency-domain Green's function (resolvent form) at omega.
 
     omega may be a scalar or a 1-D grid.  Raises ArgumentError when omega
-    is not finite or sits within cluster_tol of a pole.
+    is not finite or sits within cluster_tol * (1 + max |omega_k|) of a pole
+    omega_k (MatrixForm.scale).
     """
     freqs, scalar, _ = as_grid(omega, "omega", complex)
     form = spectrum.matrices
@@ -229,11 +249,14 @@ def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     if dist.min(initial=np.inf) <= radius:
         x, k = np.argwhere(dist <= radius)[0]
         raise ArgumentError(
-            f"omega={freqs[x]} is within cluster_tol of the pole at {form.omega[k]}"
+            f"omega={freqs[x]} is within cluster_tol * (1 + max |omega_k|) = "
+            f"{radius:g} of the pole at {form.omega[k]}"
         )
     # i (omega - J)^{-1} = sum_l diag(i / (omega - omega_k)^(l+1)) N^l
-    size = form.duals.shape[0]
-    coef = 1j / gap[:, None, :] ** _ORDERS[1 : size + 1, None]
+    size, dim = form.duals.shape[:2]
+    coef = (1j / gap[:, None, :] ** _ORDERS[1 : size + 1, None]).reshape(
+        freqs.size, size * dim
+    )
     out = _jordan_function(form, coef)
     return out[0] if scalar else out
 

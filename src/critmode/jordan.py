@@ -141,6 +141,12 @@ class MatrixForm:
     superdiagonal inside each block, is nilpotent.  duals stacks N^l D^H for
     l = 0 .. max M - 1: the conjugated duals as rows, moved up l places
     inside each block, so duals[0] is D^H.  scale is 1 + max |omega|.
+
+    The dynamics kernels read two more layouts of the same numbers:
+    dual_rows is the duals stack as one (L dim, dim) matrix (a view), and
+    f_tiled is F repeated L times side by side, (dim, L dim), so that
+    column l dim + k of f_tiled meets row l dim + k of dual_rows.
+    minus_i_omega is -i omega.
     """
 
     f: np.ndarray
@@ -149,6 +155,9 @@ class MatrixForm:
     p: np.ndarray
     omega: np.ndarray
     scale: float
+    dual_rows: np.ndarray
+    f_tiled: np.ndarray
+    minus_i_omega: np.ndarray
 
 
 @dataclass
@@ -636,7 +645,8 @@ def _basis_matrices(blocks):
 
 
 def _matrix_form(blocks) -> MatrixForm:
-    """F, the N^l D^H stack, J, P and the column eigenvalues of the blocks."""
+    """F, the N^l D^H stack, J, P, the column eigenvalues of the blocks, and
+    the layouts of F, the stack and -i omega that the dynamics kernels read."""
     f_mat, d_mat = _basis_matrices(blocks)
     d_h = d_mat.conj().T
     sizes = [b.size for b in blocks]
@@ -659,6 +669,9 @@ def _matrix_form(blocks) -> MatrixForm:
         p=p_mat,
         omega=omega,
         scale=1.0 + float(np.abs(omega).max()),
+        dual_rows=duals.reshape(-1, duals.shape[2]),
+        f_tiled=np.concatenate([f_mat] * len(duals), axis=1),
+        minus_i_omega=-1j * omega,
     )
 
 
@@ -683,8 +696,9 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     form = spectrum.matrices
     f_mat, j_mat, p_mat = form.f, form.j, form.p
 
+    # H = i a with a real, so ||H||_2 is the 2-norm of the real a = Im H
     chain_cols = np.linalg.norm(h @ f_mat - f_mat @ j_mat, axis=0) / (
-        (np.linalg.norm(h, 2) + np.abs(np.diag(j_mat)))
+        (np.linalg.norm(h.imag, 2) + np.abs(np.diag(j_mat)))
         * np.maximum(1.0, np.linalg.norm(f_mat, axis=0))
     )
     flagged = np.repeat([b.near_critical for b in blocks], [b.size for b in blocks])

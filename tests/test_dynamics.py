@@ -353,6 +353,83 @@ def test_grid_call_equals_scalar_calls(kernel_spectra):
             assert np.array_equal(resolvents[i], greens_freq(spec, w)), name
 
 
+def test_empty_grid_gives_no_rows(kernel_spectra):
+    # an empty grid gives no rows of the scalar call's shape, as rk4_evolve
+    # does (the Green's functions used to raise numpy's reshape error)
+    for name, spec in kernel_spectra.items():
+        dim = spec.system.dim
+        assert evolve_state(spec, np.ones(dim), []).shape == (0, dim), name
+        assert greens_time(spec, []).shape == (0, dim, dim), name
+        assert greens_freq(spec, []).shape == (0, dim, dim), name
+
+
+def _entrywise_sum(spec, coefficient):
+    """sum over blocks j, chain n and l <= n of coefficient(l, omega_j)
+    f_{j,n-l} conj(d_{j,n})^T, entry by entry in plain loops, with the sum
+    of the terms' magnitudes, which scales the rounding of any order of
+    summation."""
+    dim = spec.system.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    mass = np.zeros((dim, dim))
+    for b in spec.blocks:
+        for n in range(b.size):
+            for l in range(n + 1):
+                c = coefficient(l, b.omega)
+                for r in range(dim):
+                    for s in range(dim):
+                        term = c * b.chain[n - l][r] * np.conj(b.duals[n][s])
+                        out[r, s] += term
+                        mass[r, s] += abs(term)
+    return out, mass
+
+
+def _assert_close(got, want, mass, label):
+    # 1e-13 of the terms' magnitudes, and absolute below the normal range,
+    # where a coefficient that underflows to a subnormal keeps few bits
+    bound = 1e-13 * mass + np.finfo(float).tiny
+    assert np.all(np.abs(got - want) <= bound), label
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 0.3, 1.7, 5.0, 1e3, 2e3])
+def test_time_kernels_match_entrywise_reference(kernel_spectra, catalog_entries, t):
+    # G(t) = sum_{j,n} f_{j,n}(t) d_{j,n}^H with f_{j,n}(t) built from
+    # evolution_coefficient, which takes the log-space branch at 1e3 and
+    # 2e3; G(t) = 0 before t = 0, and the state is G(t) phi for every t.
+    # The catalog blocks have decayed below the smallest float by t = 1e3,
+    # so two of them scaled to eigenvalue -0.05i carry the log-space
+    # coefficients of orders l >= 1
+    spectra = dict(kernel_spectra)
+    for name in ("single-critical", "quartic-jb4"):
+        slow = scale_system(catalog_entries[name].system, 0.05)
+        spectra[f"{name} x 0.05"] = compute_spectrum(slow)
+    rng = np.random.default_rng(13)
+    for name, spec in spectra.items():
+        dim = spec.system.dim
+        phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        prop, mass = _entrywise_sum(
+            spec, lambda l, w: evolution_coefficient(l, w, t)
+        )
+        want_state = np.array(
+            [sum(prop[r, s] * phi[s] for s in range(dim)) for r in range(dim)]
+        )
+        state_mass = np.array(
+            [sum(mass[r, s] * abs(phi[s]) for s in range(dim)) for r in range(dim)]
+        )
+        _assert_close(evolve_state(spec, phi, t), want_state, state_mass, name)
+        if t < 0.0:
+            assert not np.any(greens_time(spec, t)), name
+        else:
+            _assert_close(greens_time(spec, t), prop, mass, name)
+
+
+@pytest.mark.parametrize("w", [0.5 + 0.2j, -1.5 + 0.0j, 3.0 - 0.1j])
+def test_greens_freq_matches_entrywise_reference(kernel_spectra, w):
+    # G(w) = sum_{j,n} sum_{l<=n} i / (w - omega_j)^(l+1) f_{j,n-l} d_{j,n}^H
+    for name, spec in kernel_spectra.items():
+        want, mass = _entrywise_sum(spec, lambda l, pole: 1j / (w - pole) ** (l + 1))
+        _assert_close(greens_freq(spec, w), want, mass, name)
+
+
 # --- Green's functions ----------------------------------------------------------
 
 def test_greens_time_retardation_and_identity(catalog_spectra):
