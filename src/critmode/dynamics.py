@@ -70,6 +70,11 @@ _PHASES = np.array([1.0, -1j, -1.0, 1j])[np.arange(1024) % 4] * np.array(
     [1 / math.factorial(l) if l <= 170 else 0.0 for l in range(1024)]
 )
 _LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
+# C_l(omega, t) is taken directly for orders l <= _DIRECT_MAX_ORDER at
+# |t| < _LOG_SPACE_TIME, and in log space otherwise, so that neither t^l nor
+# l! overflows on its own
+_DIRECT_MAX_ORDER = 20
+_LOG_SPACE_TIME = 1e3
 # Largest peak |t| * scale (scale = 1 + max |omega|) at which _evolve lets
 # numpy warn.  |(-it)^l / l!| <= e^|t| and |e^{-i omega t}| <= e^{|omega| |t|},
 # so below the bound no coefficient exceeds e^{peak * scale} <= e^300 ~ 2e130
@@ -101,7 +106,7 @@ def evolution_coefficient(l: int, omega: complex, t: float) -> complex:
         raise ArgumentError("coefficient order must be nonnegative")
     if t == 0.0:
         return 1.0 + 0.0j if l == 0 else 0.0 + 0.0j
-    if l <= 20 and abs(t) < 1e3:
+    if l <= _DIRECT_MAX_ORDER and abs(t) < _LOG_SPACE_TIME:
         return (-1j * t) ** l / math.factorial(l) * np.exp(-1j * omega * t)
     log_term = l * np.log(complex(-1j * t)) - math.lgamma(l + 1.0)
     return complex(np.exp(log_term - 1j * omega * t))
@@ -123,15 +128,16 @@ def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
     (T, L dim), entry [x, l dim + k].
 
     t^l (-i)^l / l! times exp(t (-i omega_k)), except at the times with
-    |t| >= 1e3 (and every nonzero time once a block is longer than 21),
-    which take evolution_coefficient's log-space form
+    |t| >= _LOG_SPACE_TIME (and every nonzero time once the orders pass
+    _DIRECT_MAX_ORDER), which take evolution_coefficient's log-space form
     exp(l log(-i t) - log l! - i omega_k t).  The choice is made per time,
     so a grid gives each time the values a grid of one gives it.
     """
     size, dim = form.duals.shape[:2]
     far = None
-    if peak >= 1e3 or size > 21:
-        far = (np.abs(times) >= 1e3) | ((size > 21) & (times != 0.0))
+    high = size - 1 > _DIRECT_MAX_ORDER
+    if peak >= _LOG_SPACE_TIME or high:
+        far = (np.abs(times) >= _LOG_SPACE_TIME) | (high & (times != 0.0))
     direct = times[:, None] if far is None else np.where(far, 0.0, times)[:, None]
     coef = (
         (direct ** _ORDERS[:size] * _PHASES[:size])[:, :, None]

@@ -29,20 +29,19 @@ f_{-j,n} = +/- i^M (-1)^n conj(f_{j,n}).
 Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 
-The kernels come from one stacked decomposition per power k (_kernel_stack:
-a single SVD call over the A_j^k, A_j = H - omega_j, of every root cluster
-still needing level k, each with the rank rule rank_tol * max(|A|_2,
-1e-6)^k).  The block sizes of a root cluster are read from the nullities of
-the same sequence that build_chain then takes as its kernel bases.  Simple
-eigenvalues take no rank decision: H = i a with a real, and each takes the
-eigenvector of np.linalg.eig(a) whose i lambda lies nearest
-(_simple_eigenvectors).
+The kernels of a root cluster come from one SVD per power k of A = H -
+omega at the cluster's centre (_kernel_sequence, with the rank rule rank_tol
+* max(|A|_2, 1e-6)^k), up to the first power whose kernel grows no more.
+The block sizes of the cluster are read from the nullities of the same
+sequence that build_chain then takes as its kernel bases.  Simple
+eigenvalues take no rank decision: H = i a with a real, and each root takes
+the eigenvalue i lambda and eigenvector of the column of np.linalg.eig(a)
+whose i lambda lies nearest (_simple_eigenvectors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
@@ -164,6 +163,8 @@ class MatrixForm:
 class Spectrum:
     """Complete Jordan decomposition of one system.
 
+    h and g are the evolution operator and the metric of system, built once
+    by compute_spectrum; the duals and the verifications read them.
     matrices is the basis in matrix form, assembled once by compute_spectrum
     after the duals; verification and the dynamics kernels all read it.
     """
@@ -171,6 +172,8 @@ class Spectrum:
     system: OscillatorSystem
     blocks: list
     tol: Tolerances
+    h: np.ndarray
+    g: np.ndarray
     crossing_groups: list = field(default_factory=list)
     near_critical_clusters: list = field(default_factory=list)
     matrices: MatrixForm | None = None
@@ -179,9 +182,6 @@ class Spectrum:
     def nu(self) -> int:
         """Number of blocks."""
         return len(self.blocks)
-
-    def operator(self) -> np.ndarray:
-        return evolution_operator(self.system)
 
     def block(self, label: int) -> JordanBlock:
         for b in self.blocks:
@@ -218,38 +218,31 @@ def _single_linkage(roots: np.ndarray, radius: float):
     return [np.array(idx) for idx in groups.values()]
 
 
-def _kernel_stack(h: np.ndarray, omegas, levels, tol: Tolerances):
-    """Yield the kernels of the powers of every A_j = H - omega_j, by level.
+def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
+                     tol: Tolerances):
+    """[ker A, ker A^2, ...] of A = H - omega, one SVD per power.
 
-    The omegas are the centres of root clusters (_eigenstructure) or the
-    single omega of a build_chain call made without kernels; compute_spectrum
-    sends no simple eigenvalue here.
-    At level k = 1, 2, ... yields [(j, ker A_j^k)] for each j with
-    levels[j] >= k, from one stacked np.linalg.svd call over those A_j^k,
-    so a caller that stops iterating saves the levels it does not read.
-    The rank rule is the one power-scaled decision per matrix: ker A^k is
-    an orthonormal basis (as columns) of the right singular vectors of A^k
-    whose singular values stay at or below rank_tol * max(|A|_2, 1e-6)^k,
-    |A|_2 being the largest singular value of A at level 1.
+    ker A^k is an orthonormal basis (as columns) of the right singular
+    vectors of A^k whose singular values stay at or below rank_tol *
+    max(|A|_2, 1e-6)^k, |A|_2 being the largest singular value of A.  The
+    sequence ends after ``levels`` kernels or at the first stall, a kernel
+    no wider than the one before it (counting nullity(A^0) = 0), which it
+    keeps: the stall is the last level block_sizes_at and build_chain read.
     """
-    # the eigenvalues that need the most levels go first, so the ones that
-    # still need level k are a prefix of the stack
-    order = sorted(range(len(levels)), key=lambda j: -levels[j])
-    shifts = np.array([omegas[j] for j in order], dtype=complex)
-    a = h - shifts[:, None, None] * np.eye(h.shape[0])
-    for k in count(1):
-        live = sum(levels[j] >= k for j in order)
-        if not live:
-            return
-        ak = a[:live] if k == 1 else ak[:live] @ a[:live]
+    a = h - omega * np.eye(h.shape[0])
+    ak, kernels, nullity = a, [], 0
+    for k in range(1, levels + 1):
+        if k > 1:
+            ak = ak @ a
         _, s, vh = np.linalg.svd(ak)
         if k == 1:
-            base = [max(float(s1), 1e-6) for s1 in s[:, 0]]
-        level = []
-        for i in range(live):
-            rank = int(np.count_nonzero(s[i] > tol.rank_tol * base[i] ** k))
-            level.append((order[i], vh[i, rank:].conj().T))
-        yield level
+            base = max(float(s[0]), 1e-6)
+        rank = int(np.count_nonzero(s > tol.rank_tol * base**k))
+        kernels.append(vh[rank:].conj().T)
+        if s.size - rank <= nullity:
+            break
+        nullity = s.size - rank
+    return kernels
 
 
 def block_sizes_at(nullities, multiplicity: int):
@@ -285,60 +278,50 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
 
     Returns (groups, flagged) where groups is a list of (omega, sizes,
     kernels) and flagged collects near-critical clusters the rank test
-    rejected; their member roots are demoted to simple eigenvalues.  The
-    kernels of all clusters come from one _kernel_stack pass, each at its
-    polished centre for up to multiplicity + 1 levels, stopped once every
-    cluster's nullities have stalled.  A Jordan group keeps that sequence as
-    its kernels, for build_chain.  A simple group (an isolated root, or a
-    member of a demoted cluster) gets an empty list and no kernel level:
-    compute_spectrum takes its eigenvector from _simple_eigenvectors.
+    rejected.  One pass over the root clusters: an isolated root is a simple
+    group, with an empty kernel list (compute_spectrum takes its eigenvector
+    from _simple_eigenvectors).  A cluster of m roots takes its polished
+    centre and reads ker (H - omega)^k there for up to m + 1 levels
+    (_kernel_sequence), and its block sizes from their nullities.  A Jordan
+    group keeps that sequence as its kernels, for build_chain; a cluster
+    without defective structure is flagged and its roots are demoted to
+    simple groups.
     """
     scale = 1.0 + float(np.max(np.abs(roots)))
     # Multiple roots of multiplicity m scatter like eps**(1/m) under any
     # root finder, so the linkage radius must be far wider than cluster_tol;
     # the rank test is authoritative about which clusters are true blocks.
     radius = max(10.0 * tol.cluster_tol, 3e-3 * scale)
-    clusters = [roots[idx] for idx in _single_linkage(roots, radius)]
-    multiple = [members for members in clusters if members.size > 1]
-    centres = [complex(np.mean(members)) for members in multiple]
-    polished = []
-    for members, center in zip(multiple, centres):
-        w = polish_root(coeffs, center, multiplicity=members.size)
-        polished.append(center if abs(w - center) > 2.0 * radius else w)
-    levels = [members.size + 1 for members in multiple]
-    sequences = [[] for _ in multiple]
-    for level in _kernel_stack(h, polished, levels, tol) if multiple else ():
-        for j, kernel in level:
-            sequences[j].append(kernel)
-        nullities = [[0] + [k.shape[1] for k in seq] for seq in sequences]
-        if all(len(n) > lv or any(x == y for x, y in zip(n, n[1:]))
-               for n, lv in zip(nullities, levels)):
-            break
     groups = []
     flagged = []
-    found = iter(zip(centres, polished, sequences))
-    for members in clusters:
+    for idx in _single_linkage(roots, radius):
+        members = roots[idx]
         m = members.size
         if m == 1:
             groups.append((complex(members[0]), [1], []))
             continue
-        center, omega, kernels = next(found)
+        center = complex(np.mean(members))
+        omega = polish_root(coeffs, center, multiplicity=m)
+        if abs(omega - center) > 2.0 * radius:
+            omega = center
+        kernels = _kernel_sequence(h, omega, m + 1, tol)
         sizes = block_sizes_at([k.shape[1] for k in kernels], m)
-        diameter = float(np.max(np.abs(members[:, None] - members[None, :])))
-        if sizes is None or sizes == [1] * m:
-            # No defective structure at this tolerance: demote to simple
-            # eigenvalues and flag the cluster for small-denominator studies.
-            flagged.append(
-                {
-                    "omega": center,
-                    "roots": [complex(r) for r in members],
-                    "diameter": diameter,
-                    "multiplicity": m,
-                }
-            )
-            groups.extend((complex(r), [1], []) for r in members)
+        if sizes is not None and sizes != [1] * m:
+            groups.append((omega, sizes, kernels))
             continue
-        groups.append((omega, sizes, kernels))
+        # No defective structure at this tolerance: demote to simple
+        # eigenvalues and flag the cluster for small-denominator studies.
+        flagged.append(
+            {
+                "omega": center,
+                "roots": [complex(r) for r in members],
+                "diameter": float(
+                    np.max(np.abs(members[:, None] - members[None, :]))
+                ),
+                "multiplicity": m,
+            }
+        )
+        groups.extend((complex(r), [1], []) for r in members)
     return groups, flagged
 
 
@@ -352,10 +335,11 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
 
     Reads the kernels ker A^k of A = H - omega for k = 1 .. max(sizes) + 1
     and raises ChainError unless their nullities are sum_j min(M_j, k), the
-    values blocks of the given sizes leave.  kernels is that sequence of
-    kernel bases, [ker A, ker A^2, ...] as _kernel_stack yields it for this
-    h and omega (compute_spectrum reads one for all its eigenvalues at
-    once); without it, build_chain computes its own.  Top vectors of height
+    values blocks of the given sizes leave (a sequence that ends early, at a
+    stall, fails this too).  kernels is that sequence of kernel bases, [ker
+    A, ker A^2, ...] as _kernel_sequence returns it for this h and omega
+    (compute_spectrum hands on the one each cluster's sizes were read
+    from); without it, build_chain computes its own.  Top vectors of height
     M are taken in ker(A^M), independent of ker(A^(M-1)) and of the members
     A^(M'-M) t' = c'[M-1] of the taller chains c' (where there is nothing
     to project out, the kernel basis itself); lower members follow by
@@ -369,11 +353,7 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
         raise ArgumentError(f"block sizes {sizes} out of range for dim {dim}")
     levels = sizes[0] + 1
     if kernels is None:
-        kernels = [ker for [(_, ker)] in _kernel_stack(h, [omega], [levels], tol)]
-    if len(kernels) < levels:
-        raise ArgumentError(
-            f"block sizes {sizes} need {levels} kernel levels, got {len(kernels)}"
-        )
+        kernels = _kernel_sequence(h, omega, levels, tol)
     nulls = [np.zeros((dim, 0), dtype=complex)] + list(kernels[:levels])
     found = [ker.shape[1] for ker in nulls[1:]]
     expected = [sum(min(m, k) for m in sizes) for k in range(1, levels + 1)]
@@ -629,7 +609,7 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
 
 def dual_basis(spectrum: Spectrum) -> Spectrum:
     """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block."""
-    g = metric(spectrum.system)
+    g = spectrum.g
     for b in spectrum.blocks:
         m = b.size
         b.duals = np.array([np.conj(g @ b.chain[m - 1 - n]) for n in range(m)])
@@ -687,12 +667,10 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     reported apart as chain_residual_flagged and kept out of max_residual;
     the Gram, dual and completeness residuals count for every block.
     """
-    sys = spectrum.system
     tol = spectrum.tol
     blocks = spectrum.blocks
-    h = spectrum.operator()
-    g = metric(sys)
-    dim = sys.dim
+    h, g = spectrum.h, spectrum.g
+    dim = spectrum.system.dim
     form = spectrum.matrices
     f_mat, j_mat, p_mat = form.f, form.j, form.p
 
@@ -739,8 +717,7 @@ def verify_representations(spectrum: Spectrum) -> dict:
     P J (omega on the anti-diagonal, ones just below it).  Report only;
     never raises.
     """
-    h = spectrum.operator()
-    g = metric(spectrum.system)
+    h, g = spectrum.h, spectrum.g
     blocks = spectrum.blocks
     form = spectrum.matrices
     f_mat, j_mat, p_mat = form.f, form.j, form.p
@@ -802,12 +779,14 @@ def _unmirrored_groups(groups, axis_tol: float):
 
 
 def _simple_eigenvectors(h: np.ndarray, omegas):
-    """Eigenvectors of H at the simple eigenvalues omegas, from one real eig.
+    """Eigenpairs of H at the simple eigenvalues omegas, from one real eig.
 
     H = i a with a = (-i H).real = [[0, I], [-K, -Gamma]], so column j of
-    np.linalg.eig(a) is an eigenvector of H for omega = i lambda_j.  Each
-    omega (a root of the characteristic polynomial) takes the column whose
-    i lambda_j lies nearest; two omegas on one column raise ChainError.
+    np.linalg.eig(a) is an eigenvector of H for i lambda_j.  Each omega (a
+    root of the characteristic polynomial) takes the column whose i lambda_j
+    lies nearest, and gets the pair (i lambda_j, column j): the eigenvalue
+    that belongs to the vector, not the root.  Two omegas on one column
+    raise ChainError.
     """
     if not omegas:
         return []
@@ -823,7 +802,7 @@ def _simple_eigenvectors(h: np.ndarray, omegas):
                 f"lie nearest the eigenvector of omega={columns[j]}"
             )
         taken[j] = omega
-        out.append(vecs[:, j].astype(complex))
+        out.append((complex(columns[j]), vecs[:, j].astype(complex)))
     return out
 
 
@@ -835,29 +814,33 @@ def compute_spectrum(sys: OscillatorSystem,
     their mirrors follow from the conjugation rule (enforce_conjugation).
     Root clusters with Jordan structure get their chains from build_chain,
     on the kernels _eigenstructure read their sizes from; every simple
-    eigenvalue gets its eigenvector from one real eig (_simple_eigenvectors),
-    called only when a simple eigenvalue is kept.
+    eigenvalue gets its eigenvalue and eigenvector from one real eig
+    (_simple_eigenvectors), called only when a simple eigenvalue is kept.
+    H and g are built once, and the spectrum keeps them.
 
     Raises VerificationError when the constructed basis misses its
     invariants at residual_tol (never silently returns a bad basis).
     """
     tol = tol or DEFAULT_TOL
     h = evolution_operator(sys)
+    g = metric(sys)
     coeffs = char_poly(h)
     roots = poly_roots(coeffs, tol)
     groups, flagged = _eigenstructure(h, coeffs, roots, tol)
     flagged_omegas = {complex(r) for cl in flagged for r in cl["roots"]}
     axis_tol = _axis_tol(tol, [w for w, _, _ in groups])
     kept = _unmirrored_groups(groups, axis_tol)
-    vectors = iter(
+    pairs = iter(
         _simple_eigenvectors(h, [w for w, sizes, _ in kept if sizes == [1]])
     )
-    gnorm = float(np.linalg.norm(metric(sys), 2))
+    gnorm = float(np.linalg.norm(g, 2))
 
     blocks = []
     for omega, sizes, kernels in kept:
+        near_critical = complex(omega) in flagged_omegas
         if sizes == [1]:
-            raw = [[next(vectors)]]
+            omega, vector = next(pairs)
+            raw = [[vector]]
         else:
             raw = build_chain(h, omega, sizes, tol, kernels=kernels)
         built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)
@@ -867,7 +850,7 @@ def compute_spectrum(sys: OscillatorSystem,
                 size=len(chain),
                 chain=np.array(chain),
                 ledger=ledger,
-                near_critical=complex(omega) in flagged_omegas,
+                near_critical=near_critical,
             )
             for chain, ledger in built
         )
@@ -875,6 +858,8 @@ def compute_spectrum(sys: OscillatorSystem,
         system=sys,
         blocks=_sort_blocks(blocks),
         tol=tol,
+        h=h,
+        g=g,
         crossing_groups=[
             CrossingGroup(omega=w, sizes=sorted(sizes, reverse=True))
             for w, sizes, _ in groups

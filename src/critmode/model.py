@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ArgumentError, Tolerances, char_poly
+from .linalg import ArgumentError, Tolerances, char_poly, poly_roots
 
 SYMMETRY_TOL = 1e-12
 
@@ -224,8 +224,6 @@ def eigenvalue_consistency_residual(sys: OscillatorSystem,
     same roots; returns the Hausdorff-style matching distance of the two
     root multisets.
     """
-    from .linalg import poly_roots  # local import to keep module load light
-
     tol = tol or Tolerances()
     r1 = poly_roots(char_poly(evolution_operator(sys)), tol)
     r2 = poly_roots(quadratic_char_poly(sys), tol)

@@ -10,7 +10,7 @@ from critmode.jordan import (
     VerificationError,
     _basis_matrices,
     _eigenstructure,
-    _kernel_stack,
+    _kernel_sequence,
     _unmirrored_groups,
     block_sizes_at,
     biorthogonalize_crossing,
@@ -134,6 +134,26 @@ def test_random_systems_up_to_n9_verify(n, seeds):
             assert np.all(gap <= 1e-9 * (1.0 + np.abs(got))), seed
 
 
+def test_random_systems_n10_verify():
+    # a simple block takes its eigenvalue from the eig column that gives its
+    # eigenvector, not the polynomial root, whose error (up to 1.1e-7 at
+    # seed 1) was the block's chain residual: seeds 1, 3 and 7 raised
+    # VerificationError
+    for seed in range(10):
+        sys = well_separated_system(np.random.default_rng(seed), 10)
+        spec = compute_spectrum(sys)
+        assert verify_spectrum(spec, strict=False)["pass"], seed
+        assert [b.size for b in spec.blocks] == [1] * 20, seed
+
+
+def test_simple_block_takes_the_eig_eigenvalue(catalog_entries):
+    # cubic-jb3's simple eigenvalue -4i beside its size-3 block: the root
+    # lay 8.3e-15 off, the real eig of a gives -4i to rounding
+    spec = compute_spectrum(catalog_entries["cubic-jb3"].system)
+    [simple] = [b for b in spec.blocks if b.size == 1]
+    assert abs(simple.omega + 4j) <= 1e-15
+
+
 # --- chains ------------------------------------------------------------------
 
 def test_build_chain_single_critical():
@@ -247,15 +267,6 @@ def _groups(h):
     return _eigenstructure(h, coeffs, roots, DEFAULT_TOL)[0]
 
 
-def _sequences(h, omegas, levels):
-    """_kernel_stack's levels gathered into one [ker A, ker A^2, ...] per omega."""
-    out = [[] for _ in omegas]
-    for level in _kernel_stack(h, omegas, levels, DEFAULT_TOL):
-        for j, kernel in level:
-            out[j].append(kernel)
-    return out
-
-
 def _power_kernels(a, levels, tol):
     """Reference: ker A^k, k = 1 .. levels, one SVD per power."""
     out, ak = [], a
@@ -270,32 +281,34 @@ def _power_kernels(a, levels, tol):
 
 @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
 def test_kernel_stack_matches_single_omega_calls(name):
-    # one stacked SVD per level over every group (with mixed level counts,
-    # so groups drop out of the stack at different levels) gives what one
-    # call per omega and the one-matrix-at-a-time loop give
+    # _kernel_sequence at every eigenvalue (with mixed level counts) gives
+    # what the one-matrix-at-a-time loop gives, up to the first stall: the
+    # first kernel no wider than the one before it, counting nullity 0
+    # before ker A, ends the sequence
     h = evolution_operator(KERNEL_INPUTS[name])
-    groups = _groups(h)
-    omegas = [w for w, _, _ in groups]
-    levels = [max(sizes) + 1 + j % 2 for j, (_, sizes, _) in enumerate(groups)]
-    stacked = _sequences(h, omegas, levels)
-    assert [len(seq) for seq in stacked] == levels
-    for w, lv, seq in zip(omegas, levels, stacked):
-        [single] = _sequences(h, [w], [lv])
-        ref = _power_kernels(h - w * np.eye(h.shape[0]), lv, DEFAULT_TOL)
-        for other in (single, ref):
-            assert [k.shape[1] for k in seq] == [k.shape[1] for k in other]
-            for ker, ker_o in zip(seq, other):
-                proj = ker @ ker.conj().T - ker_o @ ker_o.conj().T
-                assert np.linalg.norm(proj) <= 1e-14 * max(1.0, ker.shape[1])
+    for j, (w, sizes, _) in enumerate(_groups(h)):
+        levels = max(sizes) + 1 + j % 2
+        seq = _kernel_sequence(h, w, levels, DEFAULT_TOL)
+        ref = _power_kernels(h - w * np.eye(h.shape[0]), levels, DEFAULT_TOL)
+        widths = [0] + [k.shape[1] for k in ref]
+        stall = next(
+            (k for k in range(1, levels + 1) if widths[k] <= widths[k - 1]),
+            levels,
+        )
+        assert len(seq) == stall
+        for ker, ker_o in zip(seq, ref):
+            assert ker.shape == ker_o.shape
+            proj = ker @ ker.conj().T - ker_o @ ker_o.conj().T
+            assert np.linalg.norm(proj) <= 1e-14 * max(1.0, ker.shape[1])
 
 
 @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
 def test_build_chain_with_and_without_kernels_agree(name):
     h = evolution_operator(KERNEL_INPUTS[name])
     groups = _groups(h)
-    sequences = _sequences(
-        h, [w for w, _, _ in groups], [max(s) + 1 for _, s, _ in groups]
-    )
+    sequences = [
+        _kernel_sequence(h, w, max(s) + 1, DEFAULT_TOL) for w, s, _ in groups
+    ]
     for (w, sizes, found), seq in zip(groups, sequences):
         # a Jordan group brings the kernels its sizes were read from
         assert bool(found) == (sizes != [1])
@@ -311,22 +324,25 @@ def test_build_chain_with_and_without_kernels_agree(name):
             assert len(given) == len(own)
             for c1, c2 in zip(own, given):
                 assert np.array_equal(np.array(c1), np.array(c2))
-    with pytest.raises(ArgumentError, match="kernel levels"):
+    # a sequence shorter than the sizes need fails the nullity check
+    with pytest.raises(ChainError, match="nullities"):
         build_chain(h, groups[0][0], [1], kernels=sequences[0][:1])
 
 
 def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
                                                        catalog_entries):
-    # one stacked SVD per kernel level of the root clusters, read once for
-    # both their sizes and their chains, up to the first stall or
-    # multiplicity + 1; the simple eigenvalues take one real eig and no
-    # kernel level; besides those, |g|_2 once and |H|_2 once
+    # one SVD per kernel level of each root cluster, read once for both its
+    # sizes and its chains, up to the first stall or multiplicity + 1; the
+    # simple eigenvalues take one real eig and no kernel level; besides
+    # those, |g|_2 once and |H|_2 once
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     original_svd, original_eig = np.linalg.svd, np.linalg.eig
     calls = []
 
     def counting_svd(*args, **kwargs):
-        calls.append(np.ndim(args[0]))
+        # the kernel SVDs pass no options; the norms pass compute_uv=False
+        # and build_chain's seeding of crossings full_matrices=False
+        calls.append(("kernel" if not kwargs else "other", np.ndim(args[0])))
         return original_svd(*args, **kwargs)
 
     def counting_eig(*args, **kwargs):
@@ -340,18 +356,49 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
         sys = well_separated_system(np.random.default_rng(0), n)
         calls.clear()
         compute_spectrum(sys)
-        # (stacked SVDs, eig calls, SVDs in all)
-        assert (calls.count(3), calls.count("eig"), len(calls) - 1) == (0, 1, 2)
+        # (kernel SVDs, eig calls, SVDs in all)
+        assert (calls.count(("kernel", 2)), calls.count("eig"),
+                len(calls) - 1) == (0, 1, 2)
     want = {"single-critical": 3, "quartic-jb4": 5, "cubic-jb3": 4,
-            "double-jb2": 3, "crossed-pair": 3}
+            "double-jb2": 6, "crossed-pair": 3}
     got = {}
     for name in want:
         calls.clear()
         compute_spectrum(catalog_entries[name].system)
-        got[name] = calls.count(3)
+        got[name] = calls.count(("kernel", 2))
+        # every SVD is of one matrix
+        assert all(c == "eig" or c[1] == 2 for c in calls), name
         # only cubic-jb3 keeps a simple eigenvalue (at -4i) beside its block
         assert calls.count("eig") == (name == "cubic-jb3"), name
     assert got == want
+
+
+def test_one_operator_and_one_metric_per_spectrum(monkeypatch,
+                                                  catalog_entries):
+    # compute_spectrum builds H and g once and keeps them on the spectrum;
+    # the duals and both verifications read them from there
+    import critmode.jordan as jordan
+
+    built = []
+    for name in ("evolution_operator", "metric"):
+        original = getattr(jordan, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(jordan, name, counting)
+    for sys in (
+        catalog_entries["cubic-jb3"].system,
+        well_separated_system(np.random.default_rng(0), 4),
+    ):
+        built.clear()
+        spec = compute_spectrum(sys)
+        assert sorted(built) == ["evolution_operator", "metric"]
+        built.clear()
+        verify_spectrum(spec, strict=False)
+        verify_representations(spec)
+        assert built == []
 
 
 def test_simple_groups_take_no_rank_decision():
