@@ -36,7 +36,10 @@ The block sizes of the cluster are read from the nullities of the same
 sequence that build_chain then takes as its kernel bases.  Simple
 eigenvalues take no rank decision: H = i a with a real, and each root takes
 the eigenvalue i lambda and eigenvector of the column of np.linalg.eig(a)
-whose i lambda lies nearest (_simple_eigenvectors).
+whose i lambda lies nearest (_simple_eigenvectors).  Those eigenvectors are
+normalized together, as the rows of one matrix (_normalize_simple), with the
+same arithmetic and sign rule as normalize_block, which serves the chains of
+Jordan blocks and crossings.
 """
 
 from __future__ import annotations
@@ -359,7 +362,7 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
     expected = [sum(min(m, k) for m in sizes) for k in range(1, levels + 1)]
     if found != expected:
         raise ChainError(
-            f"nullities of (H - omega)^k, k = 1..{sizes[0] + 1}, at "
+            f"nullities of (H - omega)^k, k = 1..{len(found)}, at "
             f"omega={omega} are {found}; block sizes {sizes} need {expected}"
         )
     a = h - omega * np.eye(dim) if sizes[0] > 1 else None
@@ -418,12 +421,9 @@ def normalize_block(chain, sys: OscillatorSystem,
     a_top = bilinear(sys, chain[0], chain[m - 1])
     if gnorm is None:
         gnorm = float(np.linalg.norm(metric(sys), 2))
-    scale = gnorm * np.linalg.norm(chain[0]) * np.linalg.norm(chain[m - 1])
-    if abs(a_top) <= max(1e-12 * scale, 1e-300):
-        raise DegenerateChainError(
-            f"top pairing A_(M-1) = {a_top:.3e} vanishes; no valid block "
-            "admits an eigenvector orthogonal to its whole chain"
-        )
+    _check_top_pairing(
+        a_top, gnorm * np.linalg.norm(chain[0]) * np.linalg.norm(chain[m - 1])
+    )
     c0 = a_top ** (-0.5)  # principal branch
     chain = [c0 * v for v in chain]
     c_coeffs = [complex(c0)]
@@ -437,29 +437,59 @@ def normalize_block(chain, sys: OscillatorSystem,
             ]
             chain = shifted
         c_coeffs.append(complex(cn))
-    flip = _sign_fix(chain[0])
-    if flip < 0:
+    if _sign_flips(chain[0][None, :])[0]:
         chain = [-v for v in chain]
         c_coeffs[0] = -c_coeffs[0]
     ledger = NormalizationLedger(A=_pairing_diagnostics(sys, chain), c=c_coeffs)
     return chain, ledger
 
 
-def _sign_fix(f0: np.ndarray) -> int:
-    """+1 to keep, -1 to flip: largest entry's argument goes in (-pi/2, pi/2].
+def _normalize_simple(vectors: np.ndarray, sys: OscillatorSystem,
+                      gnorm: float):
+    """normalize_block for every one-vector chain [v], v a row of vectors.
+
+    Returns (rows, ledgers): the rows rescaled to (v, v) = 1 and sign-fixed,
+    and one ledger per row, bit for bit what normalize_block([v], sys,
+    gnorm=gnorm) returns, in one pass over the rows.  The pairings are
+    bilinear calls and the rescale a Python complex power, as there; only
+    the scale of the degeneracy test takes the row norms from one call.
+    """
+    a_top = [bilinear(sys, v, v) for v in vectors]
+    norms = np.linalg.norm(vectors, axis=1)
+    for a, scale in zip(a_top, gnorm * norms * norms):
+        _check_top_pairing(a, scale)
+    c0 = [a ** (-0.5) for a in a_top]  # principal branch
+    rows = np.array(c0)[:, None] * vectors
+    flips = _sign_flips(rows)
+    rows[flips] = -rows[flips]
+    ledgers = [
+        NormalizationLedger(A=[bilinear(sys, v, v)], c=[-c if flip else c])
+        for v, c, flip in zip(rows, c0, flips)
+    ]
+    return rows, ledgers
+
+
+def _check_top_pairing(a_top: complex, scale: float) -> None:
+    """Raise DegenerateChainError when |A_(M-1)| <= 1e-12 scale."""
+    if abs(a_top) <= max(1e-12 * scale, 1e-300):
+        raise DegenerateChainError(
+            f"top pairing A_(M-1) = {a_top:.3e} vanishes; no valid block "
+            "admits an eigenvector orthogonal to its whole chain"
+        )
+
+
+def _sign_flips(f0: np.ndarray) -> np.ndarray:
+    """Which rows f0[i] to negate so that the argument of their largest
+    entry goes in (-pi/2, pi/2].
 
     Among entries of equal magnitude up to a relative 1e-8 the first one
     decides, so rounding noise cannot pick the entry.
     """
     mags = np.abs(f0)
-    idx = int(np.argmax(mags >= (1.0 - 1e-8) * mags.max()))
-    a = f0[idx]
-    tiny = 1e-12 * abs(a)
-    if a.real > tiny:
-        return 1
-    if a.real < -tiny:
-        return -1
-    return 1 if a.imag > 0 else -1
+    idx = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=1, keepdims=True), axis=1)
+    a = f0[np.arange(len(f0)), idx]
+    tiny = 1e-12 * np.abs(a)
+    return np.where(np.abs(a.real) > tiny, a.real < 0.0, a.imag <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -784,26 +814,22 @@ def _simple_eigenvectors(h: np.ndarray, omegas):
     H = i a with a = (-i H).real = [[0, I], [-K, -Gamma]], so column j of
     np.linalg.eig(a) is an eigenvector of H for i lambda_j.  Each omega (a
     root of the characteristic polynomial) takes the column whose i lambda_j
-    lies nearest, and gets the pair (i lambda_j, column j): the eigenvalue
-    that belongs to the vector, not the root.  Two omegas on one column
-    raise ChainError.
+    lies nearest, and gets the eigenvalue that belongs to the vector, not the
+    root.  Returns (eigenvalues, vectors as rows), in the order of omegas.
+    Two omegas on one column raise ChainError.
     """
-    if not omegas:
-        return []
     lam, vecs = np.linalg.eig((-1j * h).real)
     columns = 1j * lam
-    taken = {}
-    out = []
-    for omega in omegas:
-        j = int(np.argmin(np.abs(columns - omega)))
-        if j in taken:
-            raise ChainError(
-                f"simple eigenvalues omega={taken[j]} and omega={omega} both "
-                f"lie nearest the eigenvector of omega={columns[j]}"
-            )
-        taken[j] = omega
-        out.append((complex(columns[j]), vecs[:, j].astype(complex)))
-    return out
+    cols = np.argmin(np.abs(columns - np.array(omegas)[:, None]), axis=1)
+    taken = cols.tolist()
+    if len(set(taken)) < len(taken):
+        again = next(i for i, j in enumerate(taken) if j in taken[:i])
+        first = taken.index(taken[again])
+        raise ChainError(
+            f"simple eigenvalues omega={omegas[first]} and omega={omegas[again]} "
+            f"both lie nearest the eigenvector of omega={columns[taken[again]]}"
+        )
+    return columns[cols].tolist(), vecs[:, cols].T.astype(complex)
 
 
 def compute_spectrum(sys: OscillatorSystem,
@@ -813,10 +839,12 @@ def compute_spectrum(sys: OscillatorSystem,
     Chains are built for the eigenvalues with Re(omega) >= -axis_tol only;
     their mirrors follow from the conjugation rule (enforce_conjugation).
     Root clusters with Jordan structure get their chains from build_chain,
-    on the kernels _eigenstructure read their sizes from; every simple
-    eigenvalue gets its eigenvalue and eigenvector from one real eig
-    (_simple_eigenvectors), called only when a simple eigenvalue is kept.
-    H and g are built once, and the spectrum keeps them.
+    on the kernels _eigenstructure read their sizes from, normalized by
+    biorthogonalize_crossing; every simple eigenvalue gets its eigenvalue and
+    eigenvector from one real eig (_simple_eigenvectors), called only when a
+    simple eigenvalue is kept, and the simple eigenvectors are normalized
+    together (_normalize_simple).  H and g are built once, and the spectrum
+    keeps them.
 
     Raises VerificationError when the constructed basis misses its
     invariants at residual_tol (never silently returns a bad basis).
@@ -830,20 +858,21 @@ def compute_spectrum(sys: OscillatorSystem,
     flagged_omegas = {complex(r) for cl in flagged for r in cl["roots"]}
     axis_tol = _axis_tol(tol, [w for w, _, _ in groups])
     kept = _unmirrored_groups(groups, axis_tol)
-    pairs = iter(
-        _simple_eigenvectors(h, [w for w, sizes, _ in kept if sizes == [1]])
-    )
     gnorm = float(np.linalg.norm(g, 2))
+    simple = [w for w, sizes, _ in kept if sizes == [1]]
+    if simple:
+        simple_omegas, vectors = _simple_eigenvectors(h, simple)
+        normalized = zip(simple_omegas, *_normalize_simple(vectors, sys, gnorm))
 
     blocks = []
     for omega, sizes, kernels in kept:
         near_critical = complex(omega) in flagged_omegas
         if sizes == [1]:
-            omega, vector = next(pairs)
-            raw = [[vector]]
+            omega, row, ledger = next(normalized)
+            built = [([row], ledger)]
         else:
             raw = build_chain(h, omega, sizes, tol, kernels=kernels)
-        built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)
+            built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)
         blocks.extend(
             JordanBlock(
                 omega=omega,

@@ -8,11 +8,11 @@ stored as 1-D complex arrays of coefficients in ascending degree order, so
 The two nonstandard pieces are the characteristic polynomial, computed with
 the Faddeev-LeVerrier recursion so that coefficient-level output is available
 for constraint solving, and a root finder that takes the eigenvalues of the
-companion matrix (LAPACK QR) and polishes them with a few steps of
-simultaneous iteration (Aberth-Ehrlich).  The polish converges on
-well-separated roots of low degree; on the clustered roots of a critical or
-near-critical polynomial it cannot meet its step test, and the companion
-roots are returned as they are.
+companion matrix in one LAPACK call (QR iteration) and returns them as they
+are, after a residual check on the polynomial.  There is no polish: where
+compute_spectrum keeps a simple eigenvalue it takes the eigenvalue from the
+real eigendecomposition of H, and the clustered roots of a critical or
+near-critical polynomial cannot be polished by a simultaneous iteration.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ def char_poly(m) -> np.ndarray:
     desc[0] = 1.0
     mk = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
-        am = a @ mk
-        ck = -np.trace(am) / k
+        mk = a @ mk
+        ck = -mk.trace() / k
         desc[k] = ck
-        mk = am + ck * np.eye(n, dtype=complex)
+        mk.flat[:: n + 1] += ck  # the diagonal
     sign = 1.0 if n % 2 == 0 else -1.0
     return sign * desc[::-1].copy()
 
@@ -181,66 +181,15 @@ def companion_roots(coeffs) -> np.ndarray:
     return np.linalg.eigvals(companion_matrix(coeffs))
 
 
-# Step budget of the Aberth polish in poly_roots.  Started from companion
-# roots, Aberth either meets its step test in a few steps or not at all: near
-# an M-fold root cluster p'(z) ~ 0, so the evaluation noise of p, divided by
-# p', keeps the relative steps above 4 * _EPS (Bini, Numer. Algorithms 13,
-# 1996).  Measured over the 497 inputs of scripts/outcome_sweep.py: it meets
-# the test on 135, within 2 steps on 107, 3 on 114, 4 on 117 and after 5 to
-# 96 steps on the other 18.  It does not within 100 steps on the other 362:
-# 84 of the 92 runs of quartic-jb4, cubic-jb3, double-jb2 and crossed-pair,
-# every design-family point and every random system with N >= 5.  A budget
-# of 2 turns single-critical at K + 1e-6 e11 into a VerificationError (a
-# budget of 1 also K + 1e-5 e11); budgets of 3 to 16 all give the same
-# outcomes.  4 keeps one step above that floor.
-ABERTH_MAX_ITER = 4
-
-
-def _aberth(coeffs, z):
-    """Aberth-Ehrlich simultaneous iteration for all roots at once, from z.
-
-    Returns (roots, converged) after at most ABERTH_MAX_ITER steps; converged
-    means the last step moved every root by less than 4 * _EPS relative to
-    its size.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    dc = polyder(c)
-    z = np.asarray(z, dtype=complex)
-    for _ in range(ABERTH_MAX_ITER):
-        p = polyval(c, z)
-        dp = polyval(dc, z)
-        # Nudge points that landed on a stationary point.
-        bad = np.abs(dp) < _EPS * (1.0 + np.abs(p))
-        if np.any(bad):
-            z = z + bad * (1e-6 * (1.0 + np.abs(z)) * (1.0 + 1.0j))
-            p = polyval(c, z)
-            dp = polyval(dc, z)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv_sum = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal 1s
-        denom = 1.0 - newton * inv_sum
-        small = np.abs(denom) < 1e-12
-        denom = np.where(small, 1.0, denom)
-        step = newton / denom
-        z = z - step
-        if np.max(np.abs(step) / (1.0 + np.abs(z))) < 4.0 * _EPS:
-            return z, True
-    return z, False
-
-
 def poly_roots(coeffs, tol: Tolerances | None = None) -> np.ndarray:
     """All roots of a polynomial, with multiplicity.
 
-    Takes the eigenvalues of the companion matrix (LAPACK QR, backward
-    stable) and polishes them with at most ABERTH_MAX_ITER steps of
-    Aberth-Ehrlich simultaneous iteration.  The polished roots are returned
-    when the iteration meets its step test and they pass the residual check;
-    otherwise, as near a multiple root or a tight cluster (a critical or
-    near-critical system), the companion roots are returned unchanged.
-    Each returned root z satisfies ``|p(z)| <= residual_tol * max|coeff|``
-    (up to the unavoidable evaluation noise at large |z|), or
-    ConvergenceError is raised.
+    The roots are the eigenvalues of the companion matrix, from one LAPACK
+    call (QR iteration, backward stable as polynomial roots: Edelman &
+    Murakami, Math. Comp. 64, 1995), returned as they are.  Each returned
+    root z satisfies ``|p(z)| <= residual_tol * max|coeff|`` (up to the
+    unavoidable evaluation noise at large |z|), or ConvergenceError is
+    raised.
 
     Roots are sorted by (real, imag) for deterministic output.
     """
@@ -257,20 +206,14 @@ def poly_roots(coeffs, tol: Tolerances | None = None) -> np.ndarray:
     while n_zero < deg and c[n_zero] == 0.0:
         n_zero += 1
     core = c[n_zero:]
-    zeros = np.zeros(n_zero, dtype=complex)
-
-    roots = zeros
+    roots = np.zeros(n_zero, dtype=complex)
     if core.size > 1:
-        start = companion_roots(core)
-        z, ok = _aberth(core, start)
-        if not ok or not _roots_acceptable(core, z, tol):
-            z = start
-            if not _roots_acceptable(core, z, tol):
-                raise ConvergenceError(
-                    "root finding failed the residual check on both the "
-                    "companion-matrix roots and their Aberth polish"
-                )
-        roots = np.concatenate([zeros, z])
+        z = companion_roots(core)
+        if not _roots_acceptable(core, z, tol):
+            raise ConvergenceError(
+                "the companion-matrix roots failed the residual check"
+            )
+        roots = np.concatenate([roots, z])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 

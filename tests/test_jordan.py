@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from critmode.jordan import (
     DegenerateChainError,
     PairingError,
     VerificationError,
+    _axis_tol,
     _basis_matrices,
     _eigenstructure,
     _kernel_sequence,
+    _normalize_simple,
+    _simple_eigenvectors,
     _unmirrored_groups,
     block_sizes_at,
     biorthogonalize_crossing,
@@ -23,7 +28,7 @@ from critmode.jordan import (
     verify_representations,
     verify_spectrum,
 )
-from critmode.design import catalog
+from critmode.design import catalog, quartic_critical
 from critmode.linalg import (
     DEFAULT_TOL,
     ArgumentError,
@@ -32,7 +37,7 @@ from critmode.linalg import (
     char_poly,
     poly_roots,
 )
-from critmode.model import bilinear, build_system, evolution_operator
+from critmode.model import bilinear, build_system, evolution_operator, metric
 
 from conftest import well_separated_system
 
@@ -187,8 +192,10 @@ def test_build_chain_wrong_size_rejected():
     h = evolution_operator(sys)
     with pytest.raises(ChainError):
         build_chain(h, -1j, [3])  # chain extends further: size too small
-    with pytest.raises(ChainError):
-        build_chain(h, 5.0, [2])  # not an eigenvalue
+    # not an eigenvalue: the sequence stalls at k = 1, and the text names
+    # the one power read
+    with pytest.raises(ChainError, match=r"k = 1\.\.1, at omega=5\.0 are \[0\];"):
+        build_chain(h, 5.0, [2])
 
 
 @pytest.mark.parametrize("sizes", [[3, 1], [2, 1, 1], [3, 2], [4, 2, 1]])
@@ -333,11 +340,15 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
                                                        catalog_entries):
     # one SVD per kernel level of each root cluster, read once for both its
     # sizes and its chains, up to the first stall or multiplicity + 1; the
-    # simple eigenvalues take one real eig and no kernel level; besides
-    # those, |g|_2 once and |H|_2 once
+    # simple eigenvalues take one real eig and no kernel level, and are
+    # normalized together, without normalize_block; besides those, |g|_2
+    # once, |H|_2 once and one eigvals of the companion matrix
+    import critmode.jordan as jordan
+
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     original_svd, original_eig = np.linalg.svd, np.linalg.eig
-    calls = []
+    original_eigvals, original_normalize = np.linalg.eigvals, jordan.normalize_block
+    calls, other = [], []
 
     def counting_svd(*args, **kwargs):
         # the kernel SVDs pass no options; the norms pass compute_uv=False
@@ -349,16 +360,28 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
         calls.append("eig")
         return original_eig(*args, **kwargs)
 
+    def counting_eigvals(*args, **kwargs):
+        other.append("eigvals")
+        return original_eigvals(*args, **kwargs)
+
+    def counting_normalize(*args, **kwargs):
+        other.append("normalize_block")
+        return original_normalize(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(impl, "svd", counting_svd)  # np.linalg.norm(x, 2)
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(jordan, "normalize_block", counting_normalize)
     for n in (2, 8):
         sys = well_separated_system(np.random.default_rng(0), n)
         calls.clear()
+        other.clear()
         compute_spectrum(sys)
         # (kernel SVDs, eig calls, SVDs in all)
         assert (calls.count(("kernel", 2)), calls.count("eig"),
                 len(calls) - 1) == (0, 1, 2)
+        assert other == ["eigvals"]
     want = {"single-critical": 3, "quartic-jb4": 5, "cubic-jb3": 4,
             "double-jb2": 6, "crossed-pair": 3}
     got = {}
@@ -513,6 +536,78 @@ def test_normalize_block_degenerate_rejected():
     v = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DegenerateChainError):
         normalize_block([v, v], sys)
+
+
+def _kept_simple_eigenvalues(sys):
+    """H, the kept simple eigenvalues and the flagged clusters of sys, as
+    compute_spectrum finds them."""
+    h = evolution_operator(sys)
+    coeffs = char_poly(h)
+    groups, flagged = _eigenstructure(h, coeffs, poly_roots(coeffs), DEFAULT_TOL)
+    axis_tol = _axis_tol(DEFAULT_TOL, [w for w, _, _ in groups])
+    kept = _unmirrored_groups(groups, axis_tol)
+    return h, [w for w, sizes, _ in kept if sizes == [1]], flagged
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def test_simple_eigenvectors_normalized_together_as_normalize_block(
+        catalog_entries):
+    # the batch gives each eig row the chain and ledger normalize_block gives
+    # the one-vector chain [row], bit for bit, on the catalog spectra, two
+    # demoted clusters and random systems
+    systems = [entry.system for entry in catalog_entries.values()]
+    for name, eps in (("single-critical", 1e-6), ("double-jb2", 1e-5)):
+        sys = catalog_entries[name].system
+        dk = np.zeros((sys.N, sys.N))
+        dk[0, 0] = eps
+        systems.append(build_system(sys.K + dk, sys.Gamma))
+    systems += [
+        well_separated_system(np.random.default_rng(seed), n)
+        for n in range(1, 11) for seed in range(5)
+    ]
+    demoted = rows_checked = 0
+    for sys in systems:
+        h, omegas, flagged = _kept_simple_eigenvalues(sys)
+        demoted += bool(flagged)
+        if not omegas:
+            continue
+        _, vectors = _simple_eigenvectors(h, omegas)
+        gnorm = float(np.linalg.norm(metric(sys), 2))
+        rows, ledgers = _normalize_simple(vectors, sys, gnorm)
+        for vector, row, ledger in zip(vectors, rows, ledgers):
+            (want,), want_ledger = normalize_block([vector], sys, gnorm=gnorm)
+            assert _bits(row) == _bits(want)
+            assert _bits(ledger.A) == _bits(want_ledger.A)
+            assert _bits(ledger.c) == _bits(want_ledger.c)
+            rows_checked += 1
+    assert demoted == 2
+    assert rows_checked >= 250
+
+
+def test_degenerate_simple_eigenvector_keeps_normalize_block_text():
+    # the quartic design point x = y = 5 has a simple eigenvector with
+    # (f, f) ~ 0; the batch and compute_spectrum raise normalize_block's text
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cosh(x) cosh(y) > 3
+        sys = quartic_critical(5.0, 5.0)
+    h, omegas, _ = _kept_simple_eigenvalues(sys)
+    _, vectors = _simple_eigenvectors(h, omegas)
+    gnorm = float(np.linalg.norm(metric(sys), 2))
+    texts = []
+    for vector in vectors:
+        try:
+            normalize_block([vector], sys, gnorm=gnorm)
+        except DegenerateChainError as exc:
+            texts.append(str(exc))
+    assert texts
+    with pytest.raises(DegenerateChainError) as batch:
+        _normalize_simple(vectors, sys, gnorm)
+    with pytest.raises(DegenerateChainError) as full:
+        compute_spectrum(sys)
+    assert str(batch.value) == str(full.value) == texts[0]
 
 
 # --- level crossing ----------------------------------------------------------
@@ -750,11 +845,9 @@ def test_strict_verification_raises_despite_flagged_cluster(catalog_entries):
 
 # The runs of the catalog sweep K + eps e11, eps = 1e-2, 1e-4, ..., 1e-14, that
 # end in a verified basis (23 of 35; the other 12 raise), plus single-critical
-# at 1e-5.  Their roots are the companion-matrix roots, polished by Aberth
-# where it converges within linalg.ABERTH_MAX_ITER steps.  The two
-# single-critical runs at 1e-5 and 1e-6 need the polish: a budget of 2 turns
-# 1e-6 into a VerificationError, and a budget of 1 also 1e-5, so these runs
-# hold the budget at 3 or more.
+# at 1e-5.  Their roots are the companion-matrix roots; the single-critical
+# runs at 1e-5 and 1e-6 split into simple eigenvalues, which take their
+# eigenvalues and eigenvectors from the real eig of H.
 VERIFIED_SWEEP = {
     "single-critical": (1e-2, 1e-4, 1e-5, 1e-6, 1e-10, 1e-12, 1e-14),
     "quartic-jb4": (1e-2, 1e-10, 1e-12, 1e-14),

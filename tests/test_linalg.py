@@ -109,7 +109,7 @@ def test_poly_roots_degree8_vs_companion_oracle():
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
-def test_poly_roots_are_companion_roots_unless_the_polish_converges():
+def test_poly_roots_are_the_sorted_companion_roots():
     from critmode.design import catalog_entry
     from critmode.linalg import DEFAULT_TOL, _roots_acceptable
     from critmode.model import build_system, evolution_operator
@@ -118,21 +118,17 @@ def test_poly_roots_are_companion_roots_unless_the_polish_converges():
         roots = companion_roots(coeffs)
         return roots[np.lexsort((roots.imag, roots.real))]
 
-    # the 4-fold root of quartic-jb4 at K: the polish stalls, and the
-    # companion roots come back bit for bit
-    coeffs = char_poly(_quartic_h())
-    assert np.array_equal(poly_roots(coeffs), sorted_companion_roots(coeffs))
-    # single-critical at K + 1e-6 e11, split by about 1e-3: the polish
-    # converges, and its roots replace the companion roots
+    # the 4-fold root of quartic-jb4 at K, and single-critical at
+    # K + 1e-6 e11, split by about 1e-3: the companion roots come back bit
+    # for bit, sorted, and pass the residual check
     sys = catalog_entry("single-critical").system
     dk = np.zeros((sys.N, sys.N))
     dk[0, 0] = 1e-6
-    coeffs = char_poly(evolution_operator(build_system(sys.K + dk, sys.Gamma)))
-    got = poly_roots(coeffs)
-    want = sorted_companion_roots(coeffs)
-    assert not np.array_equal(got, want)
-    assert np.max(np.abs(got - want)) <= 1e-6
-    assert _roots_acceptable(coeffs, got, DEFAULT_TOL)
+    for h in (_quartic_h(), evolution_operator(build_system(sys.K + dk, sys.Gamma))):
+        coeffs = char_poly(h)
+        got = poly_roots(coeffs)
+        assert np.array_equal(got, sorted_companion_roots(coeffs))
+        assert _roots_acceptable(coeffs, got, DEFAULT_TOL)
 
 
 def test_poly_roots_zero_polynomial_rejected():
