@@ -297,21 +297,22 @@ def cmd_evolve(args) -> int:
 
 
 def _track(spectrum, block, delta_k, eps_values, predict):
-    """(eps, prediction or None, cluster shifts) for each eps of a grid.
+    """Cluster shifts and predictions over an eps grid, as arrays.
 
-    One exact_perturbed_spectrum call solves the grid and one predict call
-    predicts it; cluster_shifts then checks each row against the spectral
-    gap.  predict runs before any matching, so a direction without a
-    prediction raises its own error.
+    Returns (shifts, predicted shifts, predicted eigenvalues): an (E, M)
+    array of the shifts of the M eigenvalues nearest omega, checked against
+    the spectral gap, and the predictions stacked (None without predict).
+    One call of each stage covers the grid; predict runs before any
+    matching, so a direction without a prediction raises its own error.
     """
     gap = spectral_gap(spectrum, block)
     evals = exact_perturbed_spectrum(spectrum.system, delta_k, eps_values)
-    preds = (predict(block, delta_k, eps_values) if predict
-             else [None] * len(eps_values))
-    return [
-        (eps, pred, cluster_shifts(row, block.omega, block.size, gap))
-        for eps, pred, row in zip(eps_values, preds, evals)
-    ]
+    preds = predict(block, delta_k, eps_values) if predict else None
+    shifts = cluster_shifts(evals, block.omega, block.size, gap)
+    if preds is None:
+        return shifts, None, None
+    return (shifts, np.array([p.shifts for p in preds]),
+            np.array([p.eigenvalues for p in preds]))
 
 
 def _sweep_rows(spectrum, block, delta_k, eps_values, generic):
@@ -324,13 +325,14 @@ def _sweep_rows(spectrum, block, delta_k, eps_values, generic):
     rows = [[0.0, k, w.real, w.imag, w.real, w.imag, 0.0]
             for k in range(block.size)]
     predict = predict_splitting if generic else predict_splitting_nongeneric
-    for eps, pred, shifts in _track(spectrum, block, delta_k, eps_values[1:],
-                                    predict):
-        numerical = w + shifts
-        predicted = pred.eigenvalues
-        predicted = predicted[assign_predictions(numerical, predicted)]
+    shifts, _, predicted = _track(spectrum, block, delta_k, eps_values[1:],
+                                  predict)
+    numerical = w + shifts
+    predicted = np.take_along_axis(
+        predicted, assign_predictions(numerical, predicted), axis=-1)
+    for eps, nums, preds in zip(eps_values[1:], numerical, predicted):
         rows += [[eps, k, z.real, z.imag, p.real, p.imag, abs(z - p)]
-                 for k, (z, p) in enumerate(zip(numerical, predicted))]
+                 for k, (z, p) in enumerate(zip(nums, preds))]
     return rows
 
 
@@ -427,16 +429,15 @@ def figure_summary(spectrum, block, delta_k, eps0, generic, fit_decades):
     M-1 moving modes are fitted and the static one separately.
     """
     fit_grid = np.sign(eps0) * np.logspace(fit_decades[0], fit_decades[1], 9)
-    movings, errors, lams = [], [], []
     predict = predict_splitting if generic else predict_splitting_nongeneric
-    for _, pred, shifts in _track(spectrum, block, delta_k, fit_grid, predict):
-        moving = shifts if generic else shifts[np.argsort(np.abs(shifts))[1:]]
-        predicted = pred.shifts[assign_predictions(moving, pred.shifts)]
-        movings.append(moving)
-        errors.append(float(np.mean(np.abs(moving - predicted))))
-        lams.append(float(abs(pred.shifts[0])))  # zeta_0 = 1: the splitting scale
+    shifts, predicted, _ = _track(spectrum, block, delta_k, fit_grid, predict)
+    movings = shifts if generic else np.take_along_axis(
+        shifts, np.argsort(np.abs(shifts), axis=-1)[:, 1:], axis=-1)
+    errors = np.mean(np.abs(movings - np.take_along_axis(
+        predicted, assign_predictions(movings, predicted), axis=-1)), axis=-1)
+    lams = [float(abs(s)) for s in predicted[:, 0]]  # zeta_0 = 1: the scale
     exponent, exp_res = loglog_slope(
-        np.abs(fit_grid), [float(np.mean(np.abs(m))) for m in movings]
+        np.abs(fit_grid), np.mean(np.abs(movings), axis=-1)
     )
     error_slope, _ = loglog_slope(lams, errors)
 
@@ -463,12 +464,9 @@ def figure_summary(spectrum, block, delta_k, eps0, generic, fit_decades):
         # The static mode moves at O(eps); fit it on a higher grid where it
         # stands clear of the eigensolver noise floor.
         eps_disp = np.sign(eps0) * np.logspace(-5, -2, 8)
-        statics = [
-            float(np.min(np.abs(shifts)))
-            for _, _, shifts in _track(spectrum, block, delta_k, eps_disp,
-                                       None)
-        ]
-        static_slope, _ = loglog_slope(np.abs(eps_disp), statics)
+        statics, _, _ = _track(spectrum, block, delta_k, eps_disp, None)
+        static_slope, _ = loglog_slope(
+            np.abs(eps_disp), np.min(np.abs(statics), axis=-1))
         summary["static_mode_slope"] = static_slope
     return summary
 

@@ -97,18 +97,17 @@ def xi_prime(block: JordanBlock, delta_k) -> complex:
     return complex(block.chain[1][:n] @ dk @ block.chain[0][:n])
 
 
-def _genericity_scale(block: JordanBlock, delta_k) -> float:
+def _genericity_threshold(block: JordanBlock, delta_k) -> float:
+    """GENERICITY_FACTOR |DK|_2 |f_0|^2: below it xi (or xi') counts as 0."""
     dk = np.asarray(delta_k, dtype=float)
-    return float(
+    return GENERICITY_FACTOR * float(
         np.linalg.norm(dk, 2) * np.linalg.norm(block.chain[0]) ** 2
     )
 
 
 def is_generic(block: JordanBlock, delta_k) -> bool:
     """|xi| > GENERICITY_FACTOR |DK|_2 |f_0|^2: the predict_splitting case."""
-    return abs(xi_generic(block, delta_k)) > (
-        GENERICITY_FACTOR * _genericity_scale(block, delta_k)
-    )
+    return abs(xi_generic(block, delta_k)) > _genericity_threshold(block, delta_k)
 
 
 @dataclass
@@ -139,33 +138,28 @@ def predict_splitting(
     """
     grid, scalar, _ = as_grid(eps, "eps", float)
     xi = xi_generic(block, delta_k)
-    if not is_generic(block, delta_k):
+    if not abs(xi) > _genericity_threshold(block, delta_k):
         raise NonGenericPerturbationError(
             f"xi = {xi:.3e} is below the genericity threshold; use the "
             "non-generic path"
         )
     m = block.size
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    preds = []
-    for e in grid:
-        lam = complex(e * xi) ** (1.0 / m)
-        shifts = lam * zeta
-        vectors = np.array(
-            [
-                sum((lam * z) ** n * block.chain[n] for n in range(m))
-                for z in zeta
-            ]
-        )
-        preds.append(SplitPrediction(
-            xi=xi,
-            lam=lam,
-            omega=block.omega,
-            size=m,
-            shifts=shifts,
-            eigenvalues=block.omega + shifts,
-            split_vectors=vectors,
-            norms=m * (lam * zeta) ** (m - 1),
-        ))
+    lams = np.array([complex(e * xi) ** (1.0 / m) for e in grid], dtype=complex)
+    scaled = lams[:, None] * zeta  # (E, M): lambda zeta_k
+    # f_k = sum_n (lambda zeta_k)^n f_n from n = 0, with lambda zeta_k rounded
+    # as a complex scalar product (no fused multiply-add) and np.power
+    lz = np.empty_like(scaled)
+    lz.real = lams.real[:, None] * zeta.real - lams.imag[:, None] * zeta.imag
+    lz.imag = lams.real[:, None] * zeta.imag + lams.imag[:, None] * zeta.real
+    vectors = sum(np.power(lz, n)[:, :, None] * block.chain[n]
+                  for n in range(m))
+    preds = [
+        SplitPrediction(xi=xi, lam=complex(lam), omega=block.omega, size=m,
+                        shifts=shifts, eigenvalues=block.omega + shifts,
+                        split_vectors=vecs, norms=m * shifts ** (m - 1))
+        for lam, shifts, vecs in zip(lams, scaled, vectors)
+    ]
     return preds[0] if scalar else preds
 
 
@@ -200,14 +194,15 @@ def predict_splitting_nongeneric(
     """
     grid, scalar, _ = as_grid(eps, "eps", float)
     xi = xi_generic(block, delta_k)
-    if is_generic(block, delta_k):
+    threshold = _genericity_threshold(block, delta_k)
+    if abs(xi) > threshold:
         raise ArgumentError(
             f"perturbation is generic (xi = {xi:.3e}); use predict_splitting"
         )
     if block.size < 2:
         raise ArgumentError("non-generic splitting needs M >= 2")
     xp = xi_prime(block, delta_k)
-    if abs(xp) <= GENERICITY_FACTOR * _genericity_scale(block, delta_k):
+    if abs(xp) <= threshold:
         raise HigherOrderNonGenericError(
             "both xi and xi' vanish at this scale; no leading-order "
             "prediction, fall back to exact diagonalization"
@@ -355,18 +350,26 @@ def cluster_shifts(
 ) -> np.ndarray:
     """Shifts of the ``size`` eigenvalues nearest omega.
 
-    With ``gap`` given (distance from omega to the nearest foreign
-    eigenvalue), raises MatchingAmbiguityError when a shift exceeds half of
-    it, since cluster membership is then no longer well defined.
+    evals is one spectrum or an (E, 2N) stack, giving (E, size) shifts, each
+    row the call on that row.  With ``gap`` given (distance from omega to
+    the nearest foreign eigenvalue), raises MatchingAmbiguityError, worded
+    for the first row at fault, when a shift exceeds half of it, since
+    cluster membership is then no longer well defined.
     """
     evals = np.asarray(evals, dtype=complex)
-    order = np.argsort(np.abs(evals - omega))
-    shifts = evals[order[:size]] - omega
-    if gap is not None and float(np.max(np.abs(shifts))) > 0.5 * gap:
-        raise MatchingAmbiguityError(
-            f"largest shift {float(np.max(np.abs(shifts))):.3e} exceeds half "
-            f"the spectral gap {gap:.3e}"
-        )
+    if size > evals.shape[-1]:
+        raise ArgumentError(f"size {size} exceeds the {evals.shape[-1]} "
+                            "eigenvalues given")
+    order = np.argsort(np.abs(evals - omega), axis=-1)
+    shifts = np.take_along_axis(evals, order[..., :size], axis=-1) - omega
+    if gap is not None:
+        worst = np.max(np.abs(shifts), axis=-1, keepdims=True)
+        bad = np.flatnonzero(worst > 0.5 * gap)
+        if bad.size:
+            raise MatchingAmbiguityError(
+                f"largest shift {float(worst.flat[bad[0]]):.3e} exceeds half "
+                f"the spectral gap {gap:.3e}"
+            )
     return shifts
 
 
@@ -375,13 +378,14 @@ def assign_predictions(numerical: np.ndarray, predicted: np.ndarray) -> np.ndarr
 
     Exact: every assignment is scored and the first of least total distance,
     in lexicographic order, is taken; deterministic pairing for error
-    metrics.  Enumeration limits the size to MAX_ASSIGNMENT_SIZE predicted
-    points (8! = 40320 assignments); the blocks of the catalog and the
-    design families have M <= 4.
+    metrics; (E, m) and (E, n) stacks give (E, m) permutations, each row the
+    call on that row.  Enumeration limits the size to MAX_ASSIGNMENT_SIZE
+    predicted points (8! = 40320 assignments); the blocks of the catalog and
+    the design families have M <= 4.
     """
     numerical = np.asarray(numerical, dtype=complex)
     predicted = np.asarray(predicted, dtype=complex)
-    m, n = numerical.size, predicted.size
+    m, n = numerical.shape[-1], predicted.shape[-1]
     if m > n:
         raise ArgumentError(
             f"cannot assign {m} numerical points to {n} predictions"
@@ -391,10 +395,11 @@ def assign_predictions(numerical: np.ndarray, predicted: np.ndarray) -> np.ndarr
             f"assign_predictions enumerates assignments and takes at most "
             f"{MAX_ASSIGNMENT_SIZE} predictions, got M = {n}"
         )
-    cost = np.abs(numerical[:, None] - predicted[None, :])
+    cost = np.abs(numerical[..., :, None] - predicted[..., None, :])
     perms = np.array(list(itertools.permutations(range(n), m)), dtype=int)
-    totals = cost[np.arange(m), perms].sum(axis=1)
-    return perms[int(np.argmin(totals))]
+    # contiguous rows of m costs, summed as in the one-row call
+    totals = np.ascontiguousarray(cost[..., np.arange(m), perms]).sum(axis=-1)
+    return perms[np.argmin(totals, axis=-1)]
 
 
 def loglog_slope(x, y):

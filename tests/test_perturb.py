@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import critmode
+from critmode.design import catalog_entry
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
 from critmode.model import build_system, evolution_operator
@@ -26,6 +27,7 @@ from critmode.perturb import (
     predict_splitting,
     predict_splitting_nongeneric,
     second_order_eigenvalues,
+    spectral_gap,
     xi_bilinear,
     xi_generic,
     xi_prime,
@@ -236,6 +238,17 @@ def test_grid_predictions_equal_scalar_calls(catalog_spectra):
                     for field, value in vars(w).items():
                         assert _same_bits(getattr(g, field), value), (
                             name, block.label, field)
+                    if predict is predict_splitting:
+                        # f_k = sum_n (lambda zeta_k)^n f_n, one vector at
+                        # a time in scalar arithmetic
+                        m = block.size
+                        zeta = np.exp(2j * np.pi * np.arange(m) / m)
+                        want_vectors = np.array([
+                            sum((g.lam * z) ** n * block.chain[n]
+                                for n in range(m))
+                            for z in zeta
+                        ])
+                        assert _same_bits(g.split_vectors, want_vectors)
                 compared += 1
     # 24 cases, three of them non-generic; only crossed-pair's second block
     # along e11 has neither xi nor xi'
@@ -284,6 +297,91 @@ def test_track_predicts_each_sweep_in_one_call(tmp_path, monkeypatch, figure):
                      "--out", str(tmp_path)]) == 0
     # the display sweep (n = 1..8 of the caption grid) and the 9-point fit
     assert grids == [(8,), (9,)]
+
+
+def _per_eps_sweep_rows(spectrum, block, dk, eps_values, predict):
+    """cli._sweep_rows as one scalar call of each stage per eps."""
+    w, gap = block.omega, spectral_gap(spectrum, block)
+    evals = exact_perturbed_spectrum(spectrum.system, dk, eps_values[1:])
+    rows = [[0.0, k, w.real, w.imag, w.real, w.imag, 0.0]
+            for k in range(block.size)]
+    for eps, row in zip(eps_values[1:], evals):
+        numerical = w + cluster_shifts(row, w, block.size, gap)
+        predicted = predict(block, dk, eps).eigenvalues
+        predicted = predicted[assign_predictions(numerical, predicted)]
+        rows += [[eps, k, z.real, z.imag, p.real, p.imag, abs(z - p)]
+                 for k, (z, p) in enumerate(zip(numerical, predicted))]
+    return rows
+
+
+def _per_eps_figure_summary(spectrum, block, dk, eps0, generic, fit_decades):
+    """cli.figure_summary as one scalar call of each stage per eps."""
+    gap = spectral_gap(spectrum, block)
+    fit_grid = np.sign(eps0) * np.logspace(fit_decades[0], fit_decades[1], 9)
+    predict = predict_splitting if generic else predict_splitting_nongeneric
+    evals = exact_perturbed_spectrum(spectrum.system, dk, fit_grid)
+    movings, errors, lams = [], [], []
+    for eps, row in zip(fit_grid, evals):
+        pred = predict(block, dk, eps)
+        shifts = cluster_shifts(row, block.omega, block.size, gap)
+        moving = shifts if generic else shifts[np.argsort(np.abs(shifts))[1:]]
+        predicted = pred.shifts[assign_predictions(moving, pred.shifts)]
+        movings.append(moving)
+        errors.append(float(np.mean(np.abs(moving - predicted))))
+        lams.append(float(abs(pred.shifts[0])))
+    exponent, exp_res = loglog_slope(
+        np.abs(fit_grid), [float(np.mean(np.abs(m))) for m in movings])
+    error_slope, _ = loglog_slope(lams, errors)
+    first, worst_ang = movings[0], 0.0
+    sector = 2.0 * np.pi / len(first)
+    for i in range(len(first)):
+        for j in range(i + 1, len(first)):
+            d = np.angle(first[i] / first[j])
+            worst_ang = max(worst_ang, abs(d - sector * round(d / sector)))
+    summary = {
+        "exponent": exponent,
+        "exponent_fit_residual": exp_res,
+        "first_order_error_slope": error_slope,
+        "equiangular_worst_offset": worst_ang,
+        "equiangular_allowance": 5.0 * lams[0],
+        "lambda_smallest": lams[0],
+    }
+    if not generic:
+        eps_disp = np.sign(eps0) * np.logspace(-5, -2, 8)
+        statics = [
+            float(np.min(np.abs(cluster_shifts(row, block.omega, block.size,
+                                               gap))))
+            for row in exact_perturbed_spectrum(spectrum.system, dk, eps_disp)
+        ]
+        summary["static_mode_slope"] = loglog_slope(np.abs(eps_disp),
+                                                    statics)[0]
+    return summary
+
+
+@pytest.mark.parametrize("eps0", [1e-4, -1e-4])
+@pytest.mark.parametrize("figure", range(1, 6))
+def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
+    # the sweep rows and the summary of one call per stage and grid equal,
+    # bit for bit, those of one scalar call per eps on the same spectra
+    from critmode import cli
+
+    fig = cli.FIGURES[figure]
+    spec = compute_spectrum(catalog_entry(fig["system"]).system)
+    block = spec.largest_block()
+    dk = cli._parse_delta_k(fig["dk"], spec.system.N)
+    generic = is_generic(block, dk)
+    predict = predict_splitting if generic else predict_splitting_nongeneric
+    eps_values = cli._eps_grid(eps0, fig["power"], 9)
+    got = cli._sweep_rows(spec, block, dk, eps_values, generic)
+    want = _per_eps_sweep_rows(spec, block, dk, eps_values, predict)
+    assert _same_bits(np.array(got), np.array(want))
+    got = cli.figure_summary(spec, block, dk, eps0, generic,
+                             fig["fit_decades"])
+    want = _per_eps_figure_summary(spec, block, dk, eps0, generic,
+                                   fig["fit_decades"])
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert _same_bits(got[key], value), key
 
 
 # --- determinant route -------------------------------------------------------------
@@ -421,6 +519,39 @@ def test_cluster_shifts_ambiguity():
         cluster_shifts(np.array([0.1 + 0.0j, 1.0 + 0.0j]), 0.0, 1, gap=1.0),
         [0.1 + 0.0j],
     )
+    # a stack of spectra is one call per row: the same bits, ties of
+    # distance included, and it raises iff a row does, with the first such
+    # row's text
+    rng = np.random.default_rng(11)
+    raised = 0
+    for trial in range(300):
+        stack = np.round(rng.standard_normal((5, 6))
+                         + 1j * rng.standard_normal((5, 6)), 1)
+        size = int(rng.integers(1, 7))
+        gap = None if trial % 4 == 0 else float(rng.uniform(1.0, 5.0))
+        want, errors = [], []
+        for row in stack:
+            try:
+                want.append(cluster_shifts(row, 0.1j, size, gap))
+            except MatchingAmbiguityError as exc:
+                errors.append(str(exc))
+        if errors:
+            raised += 1
+            with pytest.raises(MatchingAmbiguityError) as info:
+                cluster_shifts(stack, 0.1j, size, gap)
+            assert str(info.value) == errors[0]
+            continue
+        got = cluster_shifts(stack, 0.1j, size, gap)
+        assert got.shape == (5, size)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+    assert 50 < raised < 200, raised
+
+
+def test_cluster_shifts_rejects_size_above_count():
+    for evals in (np.array([1 + 0j]), np.ones((4, 1), dtype=complex)):
+        with pytest.raises(ArgumentError, match="size 3 exceeds the 1 eigenvalues"):
+            cluster_shifts(evals, 0, 3)
 
 
 def test_assign_predictions_is_optimal_permutation():
@@ -445,11 +576,33 @@ def test_assign_predictions_cost_matches_hungarian_oracle(m):
         assert cost[np.arange(m), perm].sum() == pytest.approx(
             cost[rows, cols].sum(), rel=1e-12
         )
+    # a stack is one call per row, bit for bit; integer points tie many
+    # assignments, where each row takes the first lexicographic minimum
+    stacks = []
+    for _ in range(4):
+        num = np.round(rng.standard_normal((6, m))
+                       + 1j * rng.standard_normal((6, m)))
+        pred = np.round(rng.standard_normal((6, min(m + 1, 8)))
+                        + 1j * rng.standard_normal((6, min(m + 1, 8))))
+        stacks.append((num, pred))
+    if m == 8:
+        # the two points at 1 tie assignments whose totals round apart when
+        # the costs are summed in another order than the one-row call's
+        num = [-1 - 1j, 0, -1, -1j, -1 + 2j, 1, -1 + 1j, 1]
+        pred = [-1, 3 - 1j, 2 + 1j, -1, -1j, -3 - 1j, 1j, -1 - 2j]
+        stacks.append((np.tile(num, (2, 1)), np.tile(pred, (2, 1))))
+    for num, pred in stacks:
+        got = assign_predictions(num, pred)
+        assert got.shape == (len(num), m)
+        for g, a, b in zip(got, num, pred):
+            assert _same_bits(g, assign_predictions(a, b))
 
 
 def test_assign_predictions_rejects_large_m():
     with pytest.raises(ArgumentError, match="M = 9"):
         assign_predictions(np.zeros(9), np.arange(9.0))
+    with pytest.raises(ArgumentError, match="M = 9"):
+        assign_predictions(np.zeros((2, 9)), np.ones((2, 9)))
 
 
 def _scipy_modules_after(code):
