@@ -435,7 +435,7 @@ def figure_summary(spectrum, block, delta_k, eps0, generic, fit_decades):
         shifts, np.argsort(np.abs(shifts), axis=-1)[:, 1:], axis=-1)
     errors = np.mean(np.abs(movings - np.take_along_axis(
         predicted, assign_predictions(movings, predicted), axis=-1)), axis=-1)
-    lams = [float(abs(s)) for s in predicted[:, 0]]  # zeta_0 = 1: the scale
+    lams = [float(abs(s)) for s in predicted[:, 0]]  # zeta_0 = 1: the splitting scale
     exponent, exp_res = loglog_slope(
         np.abs(fit_grid), np.mean(np.abs(movings), axis=-1)
     )

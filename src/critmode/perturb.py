@@ -22,8 +22,9 @@ Which case applies depends on xi, not on eps; is_generic states the test.
 The predictors take a scalar eps or a 1-D grid and make that test once per
 call, so a whole sweep is predicted after one genericity decision.
 
-The numerical truth is the LAPACK spectrum of H(K + eps DK) = H + eps DH, for
-a scalar eps or a whole grid in one stacked call.
+The numerical truth is the real LAPACK spectrum of a = -i H(K + eps DK), with
+omega = i lambda, for a scalar eps or a whole grid in one stacked call; a is
+real, so the mirror pairs omega, -conj(omega) are exact.
 
 The determinant route offers an independent check: expanding
 det(H(eps) - omega) in eps, the linear coefficient normalized by the
@@ -326,14 +327,18 @@ def j1_coefficient(
 def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps) -> np.ndarray:
     """Eigenvalues of H(K + eps*DK, Gamma) = H + eps*DH, sorted by (real, imag).
 
-    eps is a scalar (2N eigenvalues) or a 1-D grid ((E, 2N), one stacked
-    LAPACK call).  ArgumentError for a DK that is not N x N, finite and
-    symmetric, or an eps that is not finite.
+    H + eps DH = i a(eps) with a(eps) = [[0, I], [-(K + eps DK), -Gamma]]
+    real, so omega = i lambda over the real LAPACK eigenvalues lambda of a:
+    the mirror pairs omega, -conj(omega) come out exactly.  eps is a scalar
+    (2N eigenvalues) or a 1-D grid ((E, 2N), one stacked LAPACK call).
+    ArgumentError for a DK that is not N x N, finite and symmetric, or an
+    eps that is not finite.
     """
     dh = delta_h(symmetric_matrix("DK", delta_k, sys.N))
     grid, scalar, _ = as_grid(eps, "eps", float)
-    ops = evolution_operator(sys) + grid[:, None, None] * dh
-    evals = np.sort_complex(np.linalg.eigvals(ops))
+    a = (-1j * evolution_operator(sys)).real  # H = i a, a real
+    a = a + grid[:, None, None] * (-1j * dh).real
+    evals = np.sort_complex(1j * np.linalg.eigvals(a))
     return evals[0] if scalar else evals
 
 
@@ -363,11 +368,11 @@ def cluster_shifts(
     order = np.argsort(np.abs(evals - omega), axis=-1)
     shifts = np.take_along_axis(evals, order[..., :size], axis=-1) - omega
     if gap is not None:
-        worst = np.max(np.abs(shifts), axis=-1, keepdims=True)
-        bad = np.flatnonzero(worst > 0.5 * gap)
-        if bad.size:
+        worst = np.max(np.abs(shifts), axis=-1).ravel()
+        worst = worst[worst > 0.5 * gap]
+        if worst.size:
             raise MatchingAmbiguityError(
-                f"largest shift {float(worst.flat[bad[0]]):.3e} exceeds half "
+                f"largest shift {float(worst[0]):.3e} exceeds half "
                 f"the spectral gap {gap:.3e}"
             )
     return shifts

@@ -468,8 +468,9 @@ GRID_EPS = np.array([0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2, -1e-2])
 
 
 def test_exact_perturbed_spectrum_grid_is_scalar_and_rebuilt_system(catalog_spectra):
-    # each row of a grid call is, bit for bit, the scalar call and the
-    # spectrum of the system rebuilt at K + eps DK
+    # each row of a grid call is, bit for bit, the scalar call and i times
+    # the real spectrum of a = -i H of the system rebuilt at K + eps DK; a
+    # is real, so each row is its own mirror image omega -> -conj(omega)
     for name, spec in catalog_spectra.items():
         sys = spec.system
         directions = [E11, MU_QUARTIC, MU_CUBIC] if sys.N == 2 else [np.eye(1)]
@@ -479,8 +480,11 @@ def test_exact_perturbed_spectrum_grid_is_scalar_and_rebuilt_system(catalog_spec
             for eps, row in zip(GRID_EPS, grid):
                 assert np.array_equal(row, exact_perturbed_spectrum(sys, dk, eps))
                 rebuilt = build_system(sys.K + eps * dk, sys.Gamma)
-                want = np.sort_complex(np.linalg.eigvals(evolution_operator(rebuilt)))
+                a = (-1j * evolution_operator(rebuilt)).real
+                want = np.sort_complex(1j * np.linalg.eigvals(a))
                 assert np.array_equal(row, want), (name, eps)
+                assert np.array_equal(np.sort_complex(-row.conj()), row), (
+                    name, eps)
 
 
 @pytest.mark.parametrize(
