@@ -53,11 +53,10 @@ from .jordan import (
     MatrixForm,
     Spectrum,
     _matrix_form,
-    compute_spectrum,
 )
 from .linalg import ArgumentError, Tolerances, as_grid
 from .model import OscillatorSystem, metric
-from .perturb import exact_perturbed_spectrum, predict_splitting
+from .perturb import _spectrum_for, exact_perturbed_spectrum, predict_splitting
 
 _EPS = np.finfo(float).eps
 # Orders l, (-i)^l / l! and log l! of the Taylor coefficients of e^{-iJt},
@@ -441,14 +440,14 @@ def cluster_cancellation_experiment(
     The perturbed system must actually be diagonalizable near the block;
     an exact eigensolve guards that precondition and its cluster eigenvalues
     are recorded for reference.  The state phi and the times are checked
-    (ArgumentError) before any eigensolve.
+    (ArgumentError) before any eigensolve.  spectrum, when given, must be the
+    spectrum of sys (ArgumentError otherwise).
     """
     t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
         raise ArgumentError("t_grid must hold at least one time")
     phi = _state(phi, sys.dim)
-    tol = tol or Tolerances()
-    spectrum = spectrum or compute_spectrum(sys, tol)
+    spectrum = _spectrum_for(sys, spectrum, tol)
     nontrivial = [b for b in spectrum.blocks if b.size >= 2]
     if len(nontrivial) != 1:
         raise ArgumentError(

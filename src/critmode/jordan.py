@@ -36,10 +36,10 @@ The block sizes of the cluster are read from the nullities of the same
 sequence that build_chain then takes as its kernel bases.  Simple
 eigenvalues take no rank decision: H = i a with a real, and each root takes
 the eigenvalue i lambda and eigenvector of the column of np.linalg.eig(a)
-whose i lambda lies nearest (_simple_eigenvectors).  Those eigenvectors are
-normalized together, as the rows of one matrix (_normalize_simple), with the
-same arithmetic and sign rule as normalize_block, which serves the chains of
-Jordan blocks and crossings.
+whose i lambda lies nearest (_simple_eigenvectors).  normalize_block is the
+one normalizer: it takes one chain or a stack of equal-height chains, and
+normalizes every simple eigenvector, as a stack of one-vector chains, in one
+call; biorthogonalize_crossing calls it on one chain at a time.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ from .model import OscillatorSystem, bilinear, evolution_operator, metric
 
 class ChainError(RuntimeError):
     """Raised when the kernels of (H - omega)^k do not fit the block sizes,
-    or two simple eigenvalues match one eigenvector."""
+    their rank threshold overflows, or two simple eigenvalues match one
+    eigenvector."""
 
 
 class DegenerateChainError(RuntimeError):
@@ -231,6 +232,7 @@ def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
     sequence ends after ``levels`` kernels or at the first stall, a kernel
     no wider than the one before it (counting nullity(A^0) = 0), which it
     keeps: the stall is the last level block_sizes_at and build_chain read.
+    ChainError when the threshold overflows float64.
     """
     a = h - omega * np.eye(h.shape[0])
     ak, kernels, nullity = a, [], 0
@@ -240,7 +242,14 @@ def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
         _, s, vh = np.linalg.svd(ak)
         if k == 1:
             base = max(float(s[0]), 1e-6)
-        rank = int(np.count_nonzero(s > tol.rank_tol * base**k))
+        try:
+            threshold = tol.rank_tol * base**k
+        except OverflowError:
+            raise ChainError(
+                f"the rank threshold rank_tol * |H - omega|_2^{k} at "
+                f"omega={omega} overflows float64 (|H - omega|_2 = {base:.3e})"
+            ) from None
+        rank = int(np.count_nonzero(s > threshold))
         kernels.append(vh[rank:].conj().T)
         if s.size - rank <= nullity:
             break
@@ -393,89 +402,65 @@ def chain_from_top(a: np.ndarray, top: np.ndarray, size: int):
     return chain[::-1]
 
 
-def _pairing_diagnostics(sys: OscillatorSystem, chain):
-    """A_q = (f_n, f_{q-n}) for q = 0..2M-2, averaged over valid splits."""
-    m = len(chain)
-    out = []
-    for q in range(2 * m - 1):
-        vals = [
-            bilinear(sys, chain[n], chain[q - n])
-            for n in range(max(0, q - m + 1), min(q, m - 1) + 1)
-        ]
-        out.append(complex(np.mean(vals)))
-    return out
+def _pairings(sys: OscillatorSystem, u: np.ndarray, v: np.ndarray):
+    """(u_p, v_q) of (B, P, 2N) and (B, Q, 2N) stacks as (B, P, Q), by 3-D
+    matmuls of the position and momentum halves; numpy runs one product per
+    entry, so an entry's bits do not depend on the rest of the stack."""
+    n = sys.N
+    ux, up = u[..., :n], u[..., n:]
+    vx_t, vp_t = v[..., :n].swapaxes(1, 2), v[..., n:].swapaxes(1, 2)
+    return 1j * ((ux @ sys.Gamma) @ vx_t + ux @ vp_t + up @ vx_t)
 
 
-def normalize_block(chain, sys: OscillatorSystem,
+def normalize_block(chains, sys: OscillatorSystem,
                     tol: Tolerances | None = None, *, gnorm: float | None = None):
-    """Normalize a raw chain to the canonical anti-diagonal pairing.
+    """Normalize raw chains to the canonical anti-diagonal pairing.
 
-    Returns (chain, ledger).  Raises DegenerateChainError when the top
-    pairing A_{M-1} vanishes, which cannot happen for a chain of a valid
-    block and signals broken input.  gnorm is |g|_2 of sys (computed when
-    not given), the scale of that test.
+    chains is one chain (M, 2N), giving (chain, ledger), or a stack of
+    equal-height chains (B, M, 2N), giving (chains, ledgers); each chain of
+    a stack comes out bit for bit as from its own call.  Raises
+    DegenerateChainError, with the value of the first chain at fault, when
+    a top pairing A_{M-1} vanishes, which cannot happen for a chain of a
+    valid block and signals broken input.  gnorm is |g|_2 of sys (computed
+    when not given), the scale of that test.  tol is not read.
     """
-    tol = tol or DEFAULT_TOL
-    chain = [np.array(v, dtype=complex) for v in chain]
-    m = len(chain)
-    a_top = bilinear(sys, chain[0], chain[m - 1])
+    f = np.array(chains, dtype=complex, order="C")
+    single = f.ndim == 2
+    if single:
+        f = f[None]
+    m = f.shape[1]
     if gnorm is None:
         gnorm = float(np.linalg.norm(metric(sys), 2))
-    _check_top_pairing(
-        a_top, gnorm * np.linalg.norm(chain[0]) * np.linalg.norm(chain[m - 1])
-    )
-    c0 = a_top ** (-0.5)  # principal branch
-    chain = [c0 * v for v in chain]
-    c_coeffs = [complex(c0)]
-    for n in range(1, m):
-        a_n = bilinear(sys, chain[n], chain[m - 1])
-        cn = -a_n / 2.0
-        if abs(cn) > 0.0:
-            shifted = [
-                chain[k] + cn * chain[k - n] if k >= n else chain[k]
-                for k in range(m)
-            ]
-            chain = shifted
-        c_coeffs.append(complex(cn))
-    if _sign_flips(chain[0][None, :])[0]:
-        chain = [-v for v in chain]
-        c_coeffs[0] = -c_coeffs[0]
-    ledger = NormalizationLedger(A=_pairing_diagnostics(sys, chain), c=c_coeffs)
-    return chain, ledger
-
-
-def _normalize_simple(vectors: np.ndarray, sys: OscillatorSystem,
-                      gnorm: float):
-    """normalize_block for every one-vector chain [v], v a row of vectors.
-
-    Returns (rows, ledgers): the rows rescaled to (v, v) = 1 and sign-fixed,
-    and one ledger per row, bit for bit what normalize_block([v], sys,
-    gnorm=gnorm) returns, in one pass over the rows.  The pairings are
-    bilinear calls and the rescale a Python complex power, as there; only
-    the scale of the degeneracy test takes the row norms from one call.
-    """
-    a_top = [bilinear(sys, v, v) for v in vectors]
-    norms = np.linalg.norm(vectors, axis=1)
-    for a, scale in zip(a_top, gnorm * norms * norms):
-        _check_top_pairing(a, scale)
-    c0 = [a ** (-0.5) for a in a_top]  # principal branch
-    rows = np.array(c0)[:, None] * vectors
-    flips = _sign_flips(rows)
-    rows[flips] = -rows[flips]
-    ledgers = [
-        NormalizationLedger(A=[bilinear(sys, v, v)], c=[-c if flip else c])
-        for v, c, flip in zip(rows, c0, flips)
-    ]
-    return rows, ledgers
-
-
-def _check_top_pairing(a_top: complex, scale: float) -> None:
-    """Raise DegenerateChainError when |A_(M-1)| <= 1e-12 scale."""
-    if abs(a_top) <= max(1e-12 * scale, 1e-300):
+    a_top = _pairings(sys, f[:, :1], f[:, -1:])[:, 0, 0]
+    ends = np.linalg.norm(f[:, [0, -1]], axis=2)
+    scale = gnorm * ends[:, 0] * ends[:, 1]
+    vanishing = np.abs(a_top) <= np.maximum(1e-12 * scale, 1e-300)
+    if vanishing.any():
         raise DegenerateChainError(
-            f"top pairing A_(M-1) = {a_top:.3e} vanishes; no valid block "
-            "admits an eigenvector orthogonal to its whole chain"
+            f"top pairing A_(M-1) = {complex(a_top[np.argmax(vanishing)]):.3e} "
+            "vanishes; no valid block admits an eigenvector orthogonal to its "
+            "whole chain"
         )
+    coeffs = np.empty((len(f), m), dtype=complex)
+    coeffs[:, 0] = a_top ** -0.5  # principal branch
+    f *= coeffs[:, :1, None]
+    for n in range(1, m):
+        # f_k -> f_k + c_n f_(k-n) with c_n = -(f_n, f_(M-1)) / 2
+        coeffs[:, n] = -_pairings(sys, f[:, n:n + 1], f[:, -1:])[:, 0, 0] / 2.0
+        f[:, n:] += coeffs[:, n, None, None] * f[:, :m - n]
+    flips = _sign_flips(f[:, 0])
+    f[flips] = -f[flips]
+    coeffs[flips, 0] = -coeffs[flips, 0]
+    # A_q = mean of (f_n, f_(q-n)): the anti-diagonal means of the Gram
+    gram = _pairings(sys, f, f)
+    a_q = np.zeros((len(f), 2 * m - 1), dtype=complex)
+    for n in range(m):
+        a_q[:, n:n + m] += gram[:, n]
+    q = np.arange(1, 2 * m)
+    a_q /= np.minimum(q, 2 * m - q)
+    ledgers = [NormalizationLedger(A=a.tolist(), c=c.tolist())
+               for a, c in zip(a_q, coeffs)]
+    return (f[0], ledgers[0]) if single else (f, ledgers)
 
 
 def _sign_flips(f0: np.ndarray) -> np.ndarray:
@@ -695,28 +680,33 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     residual_tol.  The chain residuals of blocks demoted from near-critical
     clusters (whose accuracy is limited by the cluster diameter) are
     reported apart as chain_residual_flagged and kept out of max_residual;
-    the Gram, dual and completeness residuals count for every block.
+    the Gram, dual and completeness residuals count for every block.  The
+    block sizes are checked first: when they do not sum to dim the
+    residuals are not formed (NaN in the report) and the spectrum fails.
     """
     tol = spectrum.tol
     blocks = spectrum.blocks
-    h, g = spectrum.h, spectrum.g
     dim = spectrum.system.dim
-    form = spectrum.matrices
-    f_mat, j_mat, p_mat = form.f, form.j, form.p
+    total = sum(b.size for b in blocks)
+    sizes_ok = total == dim
+    chain_res = flagged_chain_res = gram_res = dual_res = comp_res = np.nan
+    if sizes_ok:
+        h, g = spectrum.h, spectrum.g
+        form = spectrum.matrices
+        f_mat, j_mat, p_mat = form.f, form.j, form.p
+        # H = i a with a real, so ||H||_2 is the 2-norm of the real a = Im H
+        chain_cols = np.linalg.norm(h @ f_mat - f_mat @ j_mat, axis=0) / (
+            (np.linalg.norm(h.imag, 2) + np.abs(np.diag(j_mat)))
+            * np.maximum(1.0, np.linalg.norm(f_mat, axis=0))
+        )
+        flagged = np.repeat([b.near_critical for b in blocks],
+                            [b.size for b in blocks])
+        chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
+        flagged_chain_res = float(np.max(chain_cols[flagged], initial=0.0))
+        gram_res = float(np.max(np.abs(f_mat.T @ g @ f_mat - p_mat)))
+        dual_res = float(np.max(np.abs(form.duals[0] @ f_mat - np.eye(dim))))
+        comp_res = float(np.max(np.abs(f_mat @ p_mat @ f_mat.T @ g - np.eye(dim))))
 
-    # H = i a with a real, so ||H||_2 is the 2-norm of the real a = Im H
-    chain_cols = np.linalg.norm(h @ f_mat - f_mat @ j_mat, axis=0) / (
-        (np.linalg.norm(h.imag, 2) + np.abs(np.diag(j_mat)))
-        * np.maximum(1.0, np.linalg.norm(f_mat, axis=0))
-    )
-    flagged = np.repeat([b.near_critical for b in blocks], [b.size for b in blocks])
-    chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
-    flagged_chain_res = float(np.max(chain_cols[flagged], initial=0.0))
-    gram_res = float(np.max(np.abs(f_mat.T @ g @ f_mat - p_mat)))
-    dual_res = float(np.max(np.abs(form.duals[0] @ f_mat - np.eye(dim))))
-    comp_res = float(np.max(np.abs(f_mat @ p_mat @ f_mat.T @ g - np.eye(dim))))
-
-    sizes_ok = sum(b.size for b in blocks) == dim
     report = {
         "chain_residual": chain_res,
         "chain_residual_flagged": flagged_chain_res,
@@ -730,11 +720,11 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     report["max_residual"] = float(worst)
     report["pass"] = bool(sizes_ok and worst <= tol.residual_tol)
     if strict and not report["pass"]:
-        raise VerificationError(
-            f"spectrum verification failed (max residual {worst:.3e} > "
-            f"{tol.residual_tol:.1e})",
-            report,
+        reason = (
+            f"max residual {worst:.3e} > {tol.residual_tol:.1e}" if sizes_ok
+            else f"block sizes sum to {total}, not to dim {dim}"
         )
+        raise VerificationError(f"spectrum verification failed ({reason})", report)
     return report
 
 
@@ -843,8 +833,8 @@ def compute_spectrum(sys: OscillatorSystem,
     biorthogonalize_crossing; every simple eigenvalue gets its eigenvalue and
     eigenvector from one real eig (_simple_eigenvectors), called only when a
     simple eigenvalue is kept, and the simple eigenvectors are normalized
-    together (_normalize_simple).  H and g are built once, and the spectrum
-    keeps them.
+    together, as one stack of one-vector chains (normalize_block).  H and g
+    are built once, and the spectrum keeps them.
 
     Raises VerificationError when the constructed basis misses its
     invariants at residual_tol (never silently returns a bad basis).
@@ -862,14 +852,15 @@ def compute_spectrum(sys: OscillatorSystem,
     simple = [w for w, sizes, _ in kept if sizes == [1]]
     if simple:
         simple_omegas, vectors = _simple_eigenvectors(h, simple)
-        normalized = zip(simple_omegas, *_normalize_simple(vectors, sys, gnorm))
+        normalized = zip(simple_omegas, *normalize_block(
+            vectors[:, None, :], sys, tol, gnorm=gnorm))
 
     blocks = []
     for omega, sizes, kernels in kept:
         near_critical = complex(omega) in flagged_omegas
         if sizes == [1]:
-            omega, row, ledger = next(normalized)
-            built = [([row], ledger)]
+            omega, chain, ledger = next(normalized)
+            built = [(chain, ledger)]
         else:
             raw = build_chain(h, omega, sizes, tol, kernels=kernels)
             built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ArgumentError, Tolerances, char_poly, poly_roots
+from .linalg import ArgumentError
 
 SYMMETRY_TOL = 1e-12
 
@@ -154,26 +154,6 @@ def metric_conjugate(sys: OscillatorSystem, phi) -> np.ndarray:
     return np.conj(metric(sys) @ phi)
 
 
-def quadratic_char_poly(sys: OscillatorSystem) -> np.ndarray:
-    """Coefficients of det(K - i*omega*Gamma - omega^2 I), ascending.
-
-    Computed by interpolation at 2N+1 sample points, deliberately independent
-    of the Faddeev-LeVerrier route through H; the two characteristic
-    polynomials must share the same root multiset.
-    """
-    n = sys.N
-    deg = 2 * n
-    pts = 1.7 * np.exp(2j * np.pi * (np.arange(deg + 1) + 0.23) / (deg + 1))
-    vals = np.array(
-        [
-            np.linalg.det(sys.K - 1j * w * sys.Gamma - w**2 * np.eye(n))
-            for w in pts
-        ]
-    )
-    vander = np.vander(pts, deg + 1, increasing=True)
-    return np.linalg.solve(vander, vals)
-
-
 def system_to_json(sys: OscillatorSystem) -> dict:
     """JSON-ready dict: {"N": ..., "K": [[...]], "Gamma": [[...]], "label": ...}."""
     obj = {
@@ -215,17 +195,3 @@ def save_system(sys: OscillatorSystem, path) -> None:
         json.dump(system_to_json(sys), fh, indent=2)
         fh.write("\n")
 
-
-def eigenvalue_consistency_residual(sys: OscillatorSystem,
-                                    tol: Tolerances | None = None) -> float:
-    """Max root-multiset distance between the H route and the quadratic route.
-
-    det(H - omega) and (-1)^N det(K - i*omega*Gamma - omega^2) must have the
-    same roots; returns the Hausdorff-style matching distance of the two
-    root multisets.
-    """
-    tol = tol or Tolerances()
-    r1 = poly_roots(char_poly(evolution_operator(sys)), tol)
-    r2 = poly_roots(quadratic_char_poly(sys), tol)
-    d12 = np.abs(r1[:, None] - r2[None, :])
-    return float(max(d12.min(axis=0).max(), d12.min(axis=1).max()))

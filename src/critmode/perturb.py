@@ -75,40 +75,55 @@ def delta_h(delta_k) -> np.ndarray:
     return 1j * out
 
 
-def xi_generic(block: JordanBlock, delta_k) -> complex:
-    """xi from the coordinate parts of the eigenvector."""
-    dk = np.asarray(delta_k, dtype=float)
+# Every public function here that takes DK checks it once, with
+# _checked_dk; the private helpers below take the checked array.
+
+def _checked_dk(block: JordanBlock, delta_k) -> np.ndarray:
+    """DK as a real array; ArgumentError unless it is N x N (N from the
+    block's chain), finite and symmetric."""
+    return symmetric_matrix("DK", delta_k, block.chain.shape[1] // 2)
+
+
+def _xi(block: JordanBlock, dk: np.ndarray) -> complex:
     n = dk.shape[0]
     u0 = block.chain[0][:n]
     return complex(u0 @ dk @ u0)
 
 
-def xi_bilinear(sys: OscillatorSystem, block: JordanBlock, delta_k) -> complex:
-    """xi via the phase-space bilinear form (f_0, DH f_0); cross-check route."""
-    dh = delta_h(delta_k)
-    return bilinear(sys, block.chain[0], dh @ block.chain[0])
-
-
-def xi_prime(block: JordanBlock, delta_k) -> complex:
-    """xi' = f_{j,1}^x . DK . f_{j,0}^x, controlling non-generic splitting."""
+def _xi_prime(block: JordanBlock, dk: np.ndarray) -> complex:
     if block.size < 2:
         raise ArgumentError("xi' needs a block of size at least 2")
-    dk = np.asarray(delta_k, dtype=float)
     n = dk.shape[0]
     return complex(block.chain[1][:n] @ dk @ block.chain[0][:n])
 
 
-def _genericity_threshold(block: JordanBlock, delta_k) -> float:
+def _genericity_threshold(block: JordanBlock, dk: np.ndarray) -> float:
     """GENERICITY_FACTOR |DK|_2 |f_0|^2: below it xi (or xi') counts as 0."""
-    dk = np.asarray(delta_k, dtype=float)
     return GENERICITY_FACTOR * float(
         np.linalg.norm(dk, 2) * np.linalg.norm(block.chain[0]) ** 2
     )
 
 
+def xi_generic(block: JordanBlock, delta_k) -> complex:
+    """xi from the coordinate parts of the eigenvector."""
+    return _xi(block, _checked_dk(block, delta_k))
+
+
+def xi_bilinear(sys: OscillatorSystem, block: JordanBlock, delta_k) -> complex:
+    """xi via the phase-space bilinear form (f_0, DH f_0); cross-check route."""
+    dh = delta_h(_checked_dk(block, delta_k))
+    return bilinear(sys, block.chain[0], dh @ block.chain[0])
+
+
+def xi_prime(block: JordanBlock, delta_k) -> complex:
+    """xi' = f_{j,1}^x . DK . f_{j,0}^x, controlling non-generic splitting."""
+    return _xi_prime(block, _checked_dk(block, delta_k))
+
+
 def is_generic(block: JordanBlock, delta_k) -> bool:
     """|xi| > GENERICITY_FACTOR |DK|_2 |f_0|^2: the predict_splitting case."""
-    return abs(xi_generic(block, delta_k)) > _genericity_threshold(block, delta_k)
+    dk = _checked_dk(block, delta_k)
+    return abs(_xi(block, dk)) > _genericity_threshold(block, dk)
 
 
 @dataclass
@@ -135,11 +150,16 @@ def predict_splitting(
     direction is checked once per call: NonGenericPerturbationError when it
     is not generic (see is_generic); callers should then use
     predict_splitting_nongeneric.  ArgumentError for an eps that is not
-    finite or not at most 1-D.
+    finite or not at most 1-D, and for a DK that is not N x N, finite and
+    symmetric.
     """
+    return _predict_splitting(block, _checked_dk(block, delta_k), eps)
+
+
+def _predict_splitting(block: JordanBlock, dk: np.ndarray, eps):
     grid, scalar, _ = as_grid(eps, "eps", float)
-    xi = xi_generic(block, delta_k)
-    if not abs(xi) > _genericity_threshold(block, delta_k):
+    xi = _xi(block, dk)
+    if not abs(xi) > _genericity_threshold(block, dk):
         raise NonGenericPerturbationError(
             f"xi = {xi:.3e} is below the genericity threshold; use the "
             "non-generic path"
@@ -186,23 +206,25 @@ def predict_splitting_nongeneric(
     eps is a scalar (one NonGenericPrediction) or a 1-D grid (a list with
     one prediction per eps, each equal to the scalar call bit for bit); xi
     and xi' are checked once per call.  ArgumentError for a generic
-    direction, M < 2 or an eps that is not finite or not at most 1-D;
-    HigherOrderNonGenericError when xi' vanishes too.
+    direction, M < 2, an eps that is not finite or not at most 1-D, or a
+    DK that is not N x N, finite and symmetric; HigherOrderNonGenericError
+    when xi' vanishes too.
 
     For M = 2 the quadratic term of the characteristic expansion enters at
     the same order, so the prediction is order-of-magnitude only; the report
     carries an m2_caveat flag for that case.
     """
     grid, scalar, _ = as_grid(eps, "eps", float)
-    xi = xi_generic(block, delta_k)
-    threshold = _genericity_threshold(block, delta_k)
+    dk = _checked_dk(block, delta_k)
+    xi = _xi(block, dk)
+    threshold = _genericity_threshold(block, dk)
     if abs(xi) > threshold:
         raise ArgumentError(
             f"perturbation is generic (xi = {xi:.3e}); use predict_splitting"
         )
     if block.size < 2:
         raise ArgumentError("non-generic splitting needs M >= 2")
-    xp = xi_prime(block, delta_k)
+    xp = _xi_prime(block, dk)
     if abs(xp) <= threshold:
         raise HigherOrderNonGenericError(
             "both xi and xi' vanish at this scale; no leading-order "
@@ -244,6 +266,22 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
     return cof.T
 
 
+def _spectrum_for(sys: OscillatorSystem, spectrum: Spectrum | None,
+                  tol: Tolerances | None) -> Spectrum:
+    """spectrum if it belongs to sys (same K and Gamma), compute_spectrum(sys,
+    tol) when it is None; ArgumentError for the spectrum of another system."""
+    if spectrum is None:
+        return compute_spectrum(sys, tol)
+    other = spectrum.system
+    if not (np.array_equal(other.K, sys.K)
+            and np.array_equal(other.Gamma, sys.Gamma)):
+        raise ArgumentError(
+            "spectrum= belongs to another system: its K or Gamma differs "
+            "from the system given"
+        )
+    return spectrum
+
+
 @dataclass
 class J1Result:
     """The normalized linear determinant coefficient, two ways."""
@@ -281,9 +319,11 @@ def j1_coefficient(
       with gamma = Gamma/2;
     * finite differences of det(H(eps) - omega_j) with Richardson
       extrapolation.
+
+    spectrum, when given, must be the spectrum of sys (ArgumentError
+    otherwise).
     """
-    tol = tol or Tolerances()
-    spectrum = spectrum or compute_spectrum(sys, tol)
+    spectrum = _spectrum_for(sys, spectrum, tol)
     block = spectrum.largest_block()
     if block.size < 2:
         raise ArgumentError(
@@ -316,7 +356,7 @@ def j1_coefficient(
         omega=w,
         closed_form=complex(closed),
         finite_difference=complex(fd),
-        xi=xi_generic(block, dk),
+        xi=_xi(block, dk),
     )
 
 
@@ -426,13 +466,18 @@ def deltaH_prime_matrix(block: JordanBlock, delta_k, lam: complex) -> np.ndarray
     The element coupling the dual top to the eigenvector (which carries xi)
     is moved into the unperturbed part, so the returned matrix has no
     lambda^(1-M) piece and its diagonal gives the O(lambda^2) eigenvalue
-    corrections when multiplied by epsilon.
+    corrections when multiplied by epsilon.  ArgumentError for a DK that is
+    not N x N, finite and symmetric.
     """
+    return _deltaH_prime(block, _checked_dk(block, delta_k), lam)
+
+
+def _deltaH_prime(block: JordanBlock, dk: np.ndarray, lam: complex) -> np.ndarray:
     if lam == 0:
         raise ArgumentError("lambda must be nonzero")
     m = block.size
     f_mat, d_mat = _basis_matrices([block])
-    d = d_mat.conj().T @ delta_h(delta_k) @ f_mat
+    d = d_mat.conj().T @ delta_h(dk) @ f_mat
     d[m - 1, 0] = 0.0  # the xi element, absorbed into H0'
     # split basis V[n, k] = (lambda zeta_k)^n; the zeta_k are the m-th roots
     # of unity, so V^{-1} = (1/V^T)/m elementwise
@@ -442,6 +487,7 @@ def deltaH_prime_matrix(block: JordanBlock, delta_k, lam: complex) -> np.ndarray
 
 def second_order_eigenvalues(block: JordanBlock, delta_k, eps: float) -> np.ndarray:
     """First-order split eigenvalues plus the diagonal lambda^2 correction."""
-    pred = predict_splitting(block, delta_k, eps)
-    dhp = deltaH_prime_matrix(block, delta_k, pred.lam)
+    dk = _checked_dk(block, delta_k)
+    pred = _predict_splitting(block, dk, eps)
+    dhp = _deltaH_prime(block, dk, pred.lam)
     return pred.eigenvalues + eps * np.diag(dhp)

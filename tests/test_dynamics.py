@@ -17,7 +17,7 @@ from critmode.dynamics import (
     greens_time,
     rk4_evolve,
 )
-from critmode import dynamics
+from critmode import dynamics, jordan
 from critmode.design import catalog_system, scale_system
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
@@ -325,7 +325,7 @@ def test_non_finite_state_is_refused_at_the_door(catalog_spectra, monkeypatch,
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve before the state was checked")
 
-    monkeypatch.setattr(dynamics, "compute_spectrum", no_eigensolve)
+    monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
     monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ArgumentError, match="state has non-finite entries"):
@@ -593,12 +593,23 @@ def test_cancellation_rejects_empty_time_grid(catalog_entries, monkeypatch):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve before the time grid was checked")
 
-    monkeypatch.setattr(dynamics, "compute_spectrum", no_eigensolve)
+    monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
     monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ArgumentError, match="t_grid"):
         cluster_cancellation_experiment(
             catalog_entries["quartic-jb4"].system, e11, 1e-6, np.ones(4), []
+        )
+
+
+def test_cancellation_rejects_the_spectrum_of_another_system(catalog_spectra):
+    # the quartic-jb4 spectrum with the cubic-jb3 system used to run and
+    # report a size-4 cluster with weights of 4.7e4
+    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ArgumentError, match="another system"):
+        cluster_cancellation_experiment(
+            catalog_spectra["cubic-jb3"].system, e11, 1e-6, np.ones(4),
+            [0.0, 1.0], spectrum=catalog_spectra["quartic-jb4"],
         )
 
 

@@ -14,7 +14,6 @@ from critmode.jordan import (
     _basis_matrices,
     _eigenstructure,
     _kernel_sequence,
-    _normalize_simple,
     _simple_eigenvectors,
     _unmirrored_groups,
     block_sizes_at,
@@ -341,8 +340,8 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
     # one SVD per kernel level of each root cluster, read once for both its
     # sizes and its chains, up to the first stall or multiplicity + 1; the
     # simple eigenvalues take one real eig and no kernel level, and are
-    # normalized together, without normalize_block; besides those, |g|_2
-    # once, |H|_2 once and one eigvals of the companion matrix
+    # normalized together, in one stacked normalize_block call; besides
+    # those, |g|_2 once, |H|_2 once and one eigvals of the companion matrix
     import critmode.jordan as jordan
 
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
@@ -381,7 +380,7 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
         # (kernel SVDs, eig calls, SVDs in all)
         assert (calls.count(("kernel", 2)), calls.count("eig"),
                 len(calls) - 1) == (0, 1, 2)
-        assert other == ["eigvals"]
+        assert other == ["eigvals", "normalize_block"]
     want = {"single-critical": 3, "quartic-jb4": 5, "cubic-jb3": 4,
             "double-jb2": 6, "crossed-pair": 3}
     got = {}
@@ -553,11 +552,21 @@ def _bits(values):
     return np.asarray(values, dtype=complex).tobytes()
 
 
-def test_simple_eigenvectors_normalized_together_as_normalize_block(
-        catalog_entries):
-    # the batch gives each eig row the chain and ledger normalize_block gives
-    # the one-vector chain [row], bit for bit, on the catalog spectra, two
-    # demoted clusters and random systems
+def _assert_stack_equals_one_chain_calls(stack, sys, gnorm):
+    chains, ledgers = normalize_block(stack, sys, gnorm=gnorm)
+    assert len(chains) == len(ledgers) == len(stack)
+    for raw, chain, ledger in zip(stack, chains, ledgers):
+        want, want_ledger = normalize_block(raw, sys, gnorm=gnorm)
+        assert _bits(chain) == _bits(want)
+        assert _bits(ledger.A) == _bits(want_ledger.A)
+        assert _bits(ledger.c) == _bits(want_ledger.c)
+
+
+def test_normalize_block_stack_equals_one_chain_calls(catalog_entries):
+    # a stack of equal-height chains gives each chain, ledger A and ledger c
+    # bit for bit as its own call: the one-vector chains of the eig rows on
+    # the catalog spectra, two demoted clusters and random systems, and
+    # scrambled copies of the quartic-jb4 chain
     systems = [entry.system for entry in catalog_entries.values()]
     for name, eps in (("single-critical", 1e-6), ("double-jb2", 1e-5)):
         sys = catalog_entries[name].system
@@ -576,20 +585,31 @@ def test_simple_eigenvectors_normalized_together_as_normalize_block(
             continue
         _, vectors = _simple_eigenvectors(h, omegas)
         gnorm = float(np.linalg.norm(metric(sys), 2))
-        rows, ledgers = _normalize_simple(vectors, sys, gnorm)
-        for vector, row, ledger in zip(vectors, rows, ledgers):
-            (want,), want_ledger = normalize_block([vector], sys, gnorm=gnorm)
-            assert _bits(row) == _bits(want)
-            assert _bits(ledger.A) == _bits(want_ledger.A)
-            assert _bits(ledger.c) == _bits(want_ledger.c)
-            rows_checked += 1
+        _assert_stack_equals_one_chain_calls(vectors[:, None, :], sys, gnorm)
+        rows_checked += len(vectors)
     assert demoted == 2
     assert rows_checked >= 250
+
+    sys = catalog_entries["quartic-jb4"].system
+    [chain] = build_chain(evolution_operator(sys), -1j, [4])
+    rng = np.random.default_rng(21)
+    coeffs = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    scrambled = np.array([
+        [sum(c[k] * chain[n - k] for k in range(n + 1)) for n in range(4)]
+        for c in coeffs
+    ])
+    gnorm = float(np.linalg.norm(metric(sys), 2))
+    _assert_stack_equals_one_chain_calls(scrambled, sys, gnorm)
+    # and each one normalizes to the same chain up to the block sign
+    first = normalize_block(scrambled[0], sys)[0]
+    for chain in normalize_block(scrambled, sys)[0]:
+        assert min(np.max(np.abs(chain - sgn * first)) for sgn in (1, -1)) <= 1e-9
 
 
 def test_degenerate_simple_eigenvector_keeps_normalize_block_text():
     # the quartic design point x = y = 5 has a simple eigenvector with
-    # (f, f) ~ 0; the batch and compute_spectrum raise normalize_block's text
+    # (f, f) ~ 0; the stacked call and compute_spectrum raise the text of
+    # the first one-chain call at fault
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # cosh(x) cosh(y) > 3
         sys = quartic_critical(5.0, 5.0)
@@ -603,11 +623,29 @@ def test_degenerate_simple_eigenvector_keeps_normalize_block_text():
         except DegenerateChainError as exc:
             texts.append(str(exc))
     assert texts
-    with pytest.raises(DegenerateChainError) as batch:
-        _normalize_simple(vectors, sys, gnorm)
+    with pytest.raises(DegenerateChainError) as stacked:
+        normalize_block(vectors[:, None, :], sys, gnorm=gnorm)
     with pytest.raises(DegenerateChainError) as full:
         compute_spectrum(sys)
-    assert str(batch.value) == str(full.value) == texts[0]
+    assert str(stacked.value) == str(full.value) == texts[0]
+
+
+def test_block_sizes_checked_before_residuals():
+    # the roots of K = diag(1e14, 2) come back short, so the blocks span 2
+    # of 4 dimensions; the residuals are dim x dim and used to end in
+    # numpy's broadcast ValueError
+    with pytest.raises(VerificationError, match="block sizes sum to 2") as raised:
+        compute_spectrum(build_system(np.diag([1e14, 2.0]), np.eye(2)))
+    report = raised.value.report
+    assert report["block_sizes_sum_ok"] is False and report["pass"] is False
+    assert np.isnan(report["max_residual"])
+
+
+def test_rank_threshold_overflow_is_a_chain_error():
+    # rank_tol * |H - omega|_2^k overflows float64 for K = diag(1e150, 1);
+    # it used to end in Python's OverflowError
+    with pytest.raises(ChainError, match="rank threshold"):
+        compute_spectrum(build_system(np.diag([1e150, 1.0]), np.eye(2)))
 
 
 # --- level crossing ----------------------------------------------------------

@@ -384,6 +384,33 @@ def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
         assert _same_bits(got[key], value), key
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sys, block, dk: xi_generic(block, dk),
+        lambda sys, block, dk: xi_prime(block, dk),
+        lambda sys, block, dk: is_generic(block, dk),
+        lambda sys, block, dk: predict_splitting(block, dk, 1e-6),
+        lambda sys, block, dk: predict_splitting_nongeneric(block, dk, 1e-6),
+        lambda sys, block, dk: xi_bilinear(sys, block, dk),
+        lambda sys, block, dk: deltaH_prime_matrix(block, dk, 1e-3),
+        lambda sys, block, dk: second_order_eigenvalues(block, dk, 1e-6),
+    ],
+    ids=["xi_generic", "xi_prime", "is_generic", "predict_splitting",
+         "predict_splitting_nongeneric", "xi_bilinear", "deltaH_prime_matrix",
+         "second_order_eigenvalues"],
+)
+@pytest.mark.parametrize(
+    "dk", [np.eye(2), [[np.nan]], [[np.inf]]], ids=["2x2", "nan", "inf"],
+)
+def test_perturb_entry_points_check_delta_k(catalog_spectra, call, dk):
+    # single-critical has N = 1: a 2x2 DK used to give xi = 2 and a
+    # prediction, a NaN DK xi = nan
+    spec = catalog_spectra["single-critical"]
+    with pytest.raises(ArgumentError, match="DK"):
+        call(spec.system, spec.largest_block(), dk)
+
+
 # --- determinant route -------------------------------------------------------------
 
 def test_j1_quartic_reference(catalog_spectra):
@@ -417,6 +444,12 @@ def test_j1_closed_vs_finite_difference_random(catalog_spectra):
         res = j1_coefficient(spec.system, mu, spectrum=spec)
         scale = max(1.0, abs(res.closed_form))
         assert res.difference <= 1e-6 * scale
+
+
+def test_j1_rejects_the_spectrum_of_another_system(catalog_spectra):
+    with pytest.raises(ArgumentError, match="another system"):
+        j1_coefficient(catalog_spectra["cubic-jb3"].system, E11,
+                       spectrum=catalog_spectra["quartic-jb4"])
 
 
 def test_j1_requires_critical_system():
