@@ -53,10 +53,11 @@ from .jordan import (
     MatrixForm,
     Spectrum,
     _matrix_form,
+    _spectrum_for,
 )
 from .linalg import ArgumentError, Tolerances, as_grid
 from .model import OscillatorSystem, metric
-from .perturb import _spectrum_for, exact_perturbed_spectrum, predict_splitting
+from .perturb import exact_perturbed_spectrum, predict_splitting
 
 _EPS = np.finfo(float).eps
 # Orders l, (-i)^l / l! and log l! of the Taylor coefficients of e^{-iJt},

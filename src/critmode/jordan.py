@@ -412,8 +412,7 @@ def _pairings(sys: OscillatorSystem, u: np.ndarray, v: np.ndarray):
     return 1j * ((ux @ sys.Gamma) @ vx_t + ux @ vp_t + up @ vx_t)
 
 
-def normalize_block(chains, sys: OscillatorSystem,
-                    tol: Tolerances | None = None, *, gnorm: float | None = None):
+def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None):
     """Normalize raw chains to the canonical anti-diagonal pairing.
 
     chains is one chain (M, 2N), giving (chain, ledger), or a stack of
@@ -422,12 +421,11 @@ def normalize_block(chains, sys: OscillatorSystem,
     DegenerateChainError, with the value of the first chain at fault, when
     a top pairing A_{M-1} vanishes, which cannot happen for a chain of a
     valid block and signals broken input.  gnorm is |g|_2 of sys (computed
-    when not given), the scale of that test.  tol is not read.
+    when not given), the scale of that test.
     """
     f = np.array(chains, dtype=complex, order="C")
     single = f.ndim == 2
-    if single:
-        f = f[None]
+    f = f.reshape(-1, *f.shape[-2:])
     m = f.shape[1]
     if gnorm is None:
         gnorm = float(np.linalg.norm(metric(sys), 2))
@@ -500,7 +498,7 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
     if gnorm is None:
         gnorm = float(np.linalg.norm(metric(sys), 2))
     if len(chains) == 1:
-        chain, ledger = normalize_block(chains[0], sys, tol, gnorm=gnorm)
+        chain, ledger = normalize_block(chains[0], sys, gnorm=gnorm)
         return [(chain, ledger)]
 
     dim = h.shape[0]
@@ -539,7 +537,7 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         chains = rebuilt + [chains[i] for i in range(len(chains)) if i not in maxed]
         chains.sort(key=lambda c: -len(c))
 
-    first, ledger1 = normalize_block(chains[0], sys, tol, gnorm=gnorm)
+    first, ledger1 = normalize_block(chains[0], sys, gnorm=gnorm)
     rest = []
     for c in chains[1:]:
         mj = len(c)
@@ -569,17 +567,10 @@ def conjugate_chain(chain: np.ndarray) -> np.ndarray:
 def _detect_self_conjugation(chain: np.ndarray) -> int | None:
     """Realized sign of the conjugation rule as a self-symmetry, or None."""
     cand = conjugate_chain(chain)
-    norms = np.array([np.linalg.norm(v) for v in chain])
-    d_plus = max(
-        np.linalg.norm(chain[n] - cand[n]) / norms[n] for n in range(len(chain))
-    )
-    d_minus = max(
-        np.linalg.norm(chain[n] + cand[n]) / norms[n] for n in range(len(chain))
-    )
-    if d_plus <= 1e-8:
-        return 1
-    if d_minus <= 1e-8:
-        return -1
+    norms = np.linalg.norm(chain, axis=1)
+    for sign in (1, -1):
+        if np.max(np.linalg.norm(chain - sign * cand, axis=1) / norms) <= 1e-8:
+            return sign
     return None
 
 
@@ -853,7 +844,7 @@ def compute_spectrum(sys: OscillatorSystem,
     if simple:
         simple_omegas, vectors = _simple_eigenvectors(h, simple)
         normalized = zip(simple_omegas, *normalize_block(
-            vectors[:, None, :], sys, tol, gnorm=gnorm))
+            vectors[:, None, :], sys, gnorm=gnorm))
 
     blocks = []
     for omega, sizes, kernels in kept:
@@ -891,6 +882,19 @@ def compute_spectrum(sys: OscillatorSystem,
     dual_basis(spectrum)
     spectrum.matrices = _matrix_form(spectrum.blocks)
     verify_spectrum(spectrum, strict=True)
+    return spectrum
+
+
+def _spectrum_for(sys: OscillatorSystem, spectrum: Spectrum | None,
+                  tol: Tolerances | None) -> Spectrum:
+    """spectrum if it belongs to sys (same K and Gamma), compute_spectrum(sys,
+    tol) when it is None; ArgumentError for the spectrum of another system."""
+    if spectrum is None:
+        return compute_spectrum(sys, tol)
+    if not (np.array_equal(spectrum.system.K, sys.K)
+            and np.array_equal(spectrum.system.Gamma, sys.Gamma)):
+        raise ArgumentError("spectrum= belongs to another system: its K or "
+                            "Gamma differs from the system given")
     return spectrum
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jordan import JordanBlock, Spectrum, _basis_matrices, compute_spectrum
+from .jordan import JordanBlock, Spectrum, _basis_matrices, _spectrum_for
 from .linalg import ArgumentError, Tolerances, as_grid
 from .model import OscillatorSystem, bilinear, evolution_operator, symmetric_matrix
 
@@ -264,22 +264,6 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
             minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
             cof[i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
     return cof.T
-
-
-def _spectrum_for(sys: OscillatorSystem, spectrum: Spectrum | None,
-                  tol: Tolerances | None) -> Spectrum:
-    """spectrum if it belongs to sys (same K and Gamma), compute_spectrum(sys,
-    tol) when it is None; ArgumentError for the spectrum of another system."""
-    if spectrum is None:
-        return compute_spectrum(sys, tol)
-    other = spectrum.system
-    if not (np.array_equal(other.K, sys.K)
-            and np.array_equal(other.Gamma, sys.Gamma)):
-        raise ArgumentError(
-            "spectrum= belongs to another system: its K or Gamma differs "
-            "from the system given"
-        )
-    return spectrum
 
 
 @dataclass
