@@ -14,9 +14,9 @@ moved, down to the last bit.
 Inputs:
   - each catalog system at K + eps e11, for eps = 0, 1e-1 ... 1e-15 and
     -1e-4 ... -1e-10, one per decade;
-  - random well-separated systems (tests/conftest.py) at N = 1..12 with
-    seeds 0..29 (from N = 11 the polynomial roots are too far off for
-    the chains, so those rows show where that root route stops);
+  - random well-separated systems (tests/conftest.py) at N = 1..12, 16
+    and 32 with seeds 0..29; their eigenvalues do not cluster, so they
+    take the real-eig route of compute_spectrum, and every row is ok;
   - the design-family points that tests/test_design.py samples.
 
 Usage: PYTHONPATH=src python scripts/outcome_sweep.py [--out FILE]
@@ -64,7 +64,7 @@ def catalog_inputs():
 
 
 def random_inputs():
-    for n in range(1, 13):
+    for n in [*range(1, 13), 16, 32]:
         for seed in range(30):
             yield (f"random N={n} seed={seed}",
                    lambda n=n, seed=seed: well_separated_system(

@@ -56,8 +56,8 @@ from .jordan import (
     _spectrum_for,
 )
 from .linalg import ArgumentError, Tolerances, as_grid
-from .model import OscillatorSystem, metric
-from .perturb import exact_perturbed_spectrum, predict_splitting
+from .model import OscillatorSystem, metric, symmetric_matrix
+from .perturb import _exact_perturbed_spectrum, _predict_splitting
 
 _EPS = np.finfo(float).eps
 # Orders l, (-i)^l / l! and log l! of the Taylor coefficients of e^{-iJt},
@@ -440,14 +440,16 @@ def cluster_cancellation_experiment(
 
     The perturbed system must actually be diagonalizable near the block;
     an exact eigensolve guards that precondition and its cluster eigenvalues
-    are recorded for reference.  The state phi and the times are checked
-    (ArgumentError) before any eigensolve.  spectrum, when given, must be the
-    spectrum of sys (ArgumentError otherwise).
+    are recorded for reference.  The state phi, the times and DK (N x N,
+    finite, symmetric) are checked (ArgumentError) before any eigensolve,
+    DK once for both the exact spectrum and the prediction.  spectrum, when
+    given, must be the spectrum of sys (ArgumentError otherwise).
     """
     t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
         raise ArgumentError("t_grid must hold at least one time")
     phi = _state(phi, sys.dim)
+    dk = symmetric_matrix("DK", delta_k, sys.N)
     spectrum = _spectrum_for(sys, spectrum, tol)
     nontrivial = [b for b in spectrum.blocks if b.size >= 2]
     if len(nontrivial) != 1:
@@ -458,7 +460,7 @@ def cluster_cancellation_experiment(
     block = nontrivial[0]
     m = block.size
 
-    evals = exact_perturbed_spectrum(sys, delta_k, eps)
+    evals = _exact_perturbed_spectrum(sys, dk, eps)
     order = np.argsort(np.abs(evals - block.omega))
     w_exact = evals[order[:m]]
     scale = 1.0 + float(np.max(np.abs(evals)))
@@ -470,7 +472,7 @@ def cluster_cancellation_experiment(
             f"below the resolvable floor {sep_floor:.3e}"
         )
 
-    pred = predict_splitting(block, delta_k, eps)
+    pred = _predict_splitting(block, dk, eps)
     weights = pred.split_vectors @ metric(sys) @ phi / pred.norms
     naive = (
         np.exp(-1j * np.outer(t_grid, pred.eigenvalues)) * weights

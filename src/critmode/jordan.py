@@ -5,12 +5,13 @@ parameter values, leaving Jordan blocks: chains f_{j,0..M-1} obeying
 
     (H - omega_j) f_{j,n} = f_{j,n-1},     f_{j,-1} = 0.
 
-This module detects the block structure {(omega_j, M_j)} from rank sequences
-of (H - omega)^k at each root cluster, builds the chains of those clusters
-top-down from the kernels of the same powers (one builder for Jordan blocks
-and crossings), takes the eigenvectors of simple eigenvalues from one real
-eigendecomposition, and normalizes them all so that the bilinear pairings
-take the canonical anti-diagonal form
+This module takes the eigenvalues and the eigenvectors of simple eigenvalues
+from one real eigendecomposition; where its eigenvalues cluster, it detects
+the block structure {(omega_j, M_j)} from rank sequences of (H - omega)^k at
+each cluster of characteristic-polynomial roots and builds the chains of
+those clusters top-down from the kernels of the same powers (one builder for
+Jordan blocks and crossings).  It normalizes them all so that the bilinear
+pairings take the canonical anti-diagonal form
 
     (f_{j,n}, f_{j',n'}) = delta_{jj'} delta_{n+n', M_j-1}.
 
@@ -29,17 +30,22 @@ f_{-j,n} = +/- i^M (-1)^n conj(f_{j,n}).
 Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 
-The kernels of a root cluster come from one SVD per power k of A = H -
-omega at the cluster's centre (_kernel_sequence, with the rank rule rank_tol
-* max(|A|_2, 1e-6)^k), up to the first power whose kernel grows no more.
-The block sizes of the cluster are read from the nullities of the same
-sequence that build_chain then takes as its kernel bases.  Simple
-eigenvalues take no rank decision: H = i a with a real, and each root takes
-the eigenvalue i lambda and eigenvector of the column of np.linalg.eig(a)
-whose i lambda lies nearest (_simple_eigenvectors).  normalize_block is the
-one normalizer: it takes one chain or a stack of equal-height chains, and
-normalizes every simple eigenvector, as a stack of one-vector chains, in one
-call; biorthogonalize_crossing calls it on one chain at a time.
+H = i a with a real, and compute_spectrum starts from np.linalg.eig(a):
+omega = i lambda.  When no two omegas lie within the linkage radius
+(_linkage_radius), every one is simple and the characteristic polynomial is
+never formed.  Otherwise the companion-matrix roots of the polynomial are
+clustered with the same radius (_eigenstructure).  The kernels of a root
+cluster come from one SVD per power k of A = H - omega at the cluster's
+polished centre (_kernel_sequence, with the rank rule rank_tol *
+max(|A|_2, 1e-6)^k), up to the first power whose kernel grows no more.  The
+block sizes of the cluster are read from the nullities of the same sequence
+that build_chain then takes as its kernel bases.  Simple eigenvalues take no
+rank decision: each takes the eigenvalue i lambda and eigenvector of the
+column of that eig whose i lambda lies nearest (_simple_eigenvectors).
+normalize_block is the one normalizer: it takes one chain or a stack of
+equal-height chains, and normalizes every simple eigenvector, as a stack of
+one-vector chains, in one call; biorthogonalize_crossing calls it on one
+chain at a time.
 """
 
 from __future__ import annotations
@@ -57,7 +63,13 @@ from .linalg import (
     polish_root,
     poly_roots,
 )
-from .model import OscillatorSystem, bilinear, evolution_operator, metric
+from .model import (
+    OscillatorSystem,
+    bilinear,
+    evolution_operator,
+    metric,
+    metric_norm,
+)
 
 
 class ChainError(RuntimeError):
@@ -284,6 +296,17 @@ def block_sizes_at(nullities, multiplicity: int):
     return sorted(sizes, reverse=True)
 
 
+def _linkage_radius(tol: Tolerances, omegas) -> float:
+    """Distance within which single linkage joins two eigenvalues.
+
+    Multiple roots of multiplicity m scatter like eps**(1/m) under any
+    eigensolver, so the radius must be far wider than cluster_tol; the rank
+    test is authoritative about which clusters are true blocks.
+    """
+    return max(10.0 * tol.cluster_tol,
+               3e-3 * (1.0 + float(np.max(np.abs(omegas)))))
+
+
 def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
                     tol: Tolerances):
     """Cluster roots into eigenvalues and confirm block sizes via ranks.
@@ -299,11 +322,7 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
     without defective structure is flagged and its roots are demoted to
     simple groups.
     """
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    # Multiple roots of multiplicity m scatter like eps**(1/m) under any
-    # root finder, so the linkage radius must be far wider than cluster_tol;
-    # the rank test is authoritative about which clusters are true blocks.
-    radius = max(10.0 * tol.cluster_tol, 3e-3 * scale)
+    radius = _linkage_radius(tol, roots)
     groups = []
     flagged = []
     for idx in _single_linkage(roots, radius):
@@ -428,7 +447,7 @@ def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None
     f = f.reshape(-1, *f.shape[-2:])
     m = f.shape[1]
     if gnorm is None:
-        gnorm = float(np.linalg.norm(metric(sys), 2))
+        gnorm = metric_norm(sys)
     a_top = _pairings(sys, f[:, :1], f[:, -1:])[:, 0, 0]
     ends = np.linalg.norm(f[:, [0, -1]], axis=2)
     scale = gnorm * ends[:, 0] * ends[:, 1]
@@ -496,7 +515,7 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
     if not chains:
         return []
     if gnorm is None:
-        gnorm = float(np.linalg.norm(metric(sys), 2))
+        gnorm = metric_norm(sys)
     if len(chains) == 1:
         chain, ledger = normalize_block(chains[0], sys, gnorm=gnorm)
         return [(chain, ledger)]
@@ -789,17 +808,17 @@ def _unmirrored_groups(groups, axis_tol: float):
     return kept
 
 
-def _simple_eigenvectors(h: np.ndarray, omegas):
-    """Eigenpairs of H at the simple eigenvalues omegas, from one real eig.
+def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
+    """Eigenpairs of H at the simple eigenvalues omegas, from its real eig.
 
-    H = i a with a = (-i H).real = [[0, I], [-K, -Gamma]], so column j of
-    np.linalg.eig(a) is an eigenvector of H for i lambda_j.  Each omega (a
-    root of the characteristic polynomial) takes the column whose i lambda_j
-    lies nearest, and gets the eigenvalue that belongs to the vector, not the
+    H = i a with a = (-i H).real = [[0, I], [-K, -Gamma]], and (lam, vecs)
+    is np.linalg.eig(a), so column j of vecs is an eigenvector of H for
+    i lam_j.  Each omega (an i lam_j itself, or a root of the characteristic
+    polynomial on the clustered route) takes the column whose i lam_j lies
+    nearest, and gets the eigenvalue that belongs to the vector, not the
     root.  Returns (eigenvalues, vectors as rows), in the order of omegas.
     Two omegas on one column raise ChainError.
     """
-    lam, vecs = np.linalg.eig((-1j * h).real)
     columns = 1j * lam
     cols = np.argmin(np.abs(columns - np.array(omegas)[:, None]), axis=1)
     taken = cols.tolist()
@@ -813,19 +832,37 @@ def _simple_eigenvectors(h: np.ndarray, omegas):
     return columns[cols].tolist(), vecs[:, cols].T.astype(complex)
 
 
+def _eig_groups(omegas: np.ndarray, tol: Tolerances):
+    """The eigenvalues omegas as simple groups, or None if two of them lie
+    within the linkage radius (a cluster, which the polynomial route
+    decides).  The groups are sorted by (real, imag), as poly_roots sorts
+    its roots."""
+    gaps = np.abs(omegas[:, None] - omegas)
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() <= _linkage_radius(tol, omegas):
+        return None
+    return [(complex(w), [1], [])
+            for w in omegas[np.lexsort((omegas.imag, omegas.real))]]
+
+
 def compute_spectrum(sys: OscillatorSystem,
                      tol: Tolerances | None = None) -> Spectrum:
     """Full Jordan decomposition: detect, build, normalize, pair, verify.
 
-    Chains are built for the eigenvalues with Re(omega) >= -axis_tol only;
-    their mirrors follow from the conjugation rule (enforce_conjugation).
-    Root clusters with Jordan structure get their chains from build_chain,
-    on the kernels _eigenstructure read their sizes from, normalized by
-    biorthogonalize_crossing; every simple eigenvalue gets its eigenvalue and
-    eigenvector from one real eig (_simple_eigenvectors), called only when a
-    simple eigenvalue is kept, and the simple eigenvectors are normalized
-    together, as one stack of one-vector chains (normalize_block).  H and g
-    are built once, and the spectrum keeps them.
+    The eigenvalues come first, as omega = i lambda over the real eig of a
+    = (-i H).real.  When no two of them lie within the linkage radius,
+    every one is a simple group and that eig is the whole root stage.
+    Otherwise the characteristic polynomial's roots (char_poly, poly_roots)
+    are clustered and their structure read by _eigenstructure.  Chains are
+    built for the eigenvalues with Re(omega) >= -axis_tol only; their
+    mirrors follow from the conjugation rule (enforce_conjugation).  Root
+    clusters with Jordan structure get their chains from build_chain, on
+    the kernels _eigenstructure read their sizes from, normalized by
+    biorthogonalize_crossing; every simple eigenvalue gets its eigenvalue
+    and eigenvector from the same eig (_simple_eigenvectors), and the
+    simple eigenvectors are normalized together, as one stack of
+    one-vector chains (normalize_block).  H and g are built once, and the
+    spectrum keeps them.
 
     Raises VerificationError when the constructed basis misses its
     invariants at residual_tol (never silently returns a bad basis).
@@ -833,16 +870,19 @@ def compute_spectrum(sys: OscillatorSystem,
     tol = tol or DEFAULT_TOL
     h = evolution_operator(sys)
     g = metric(sys)
-    coeffs = char_poly(h)
-    roots = poly_roots(coeffs, tol)
-    groups, flagged = _eigenstructure(h, coeffs, roots, tol)
+    lam, vecs = np.linalg.eig((-1j * h).real)
+    groups, flagged = _eig_groups(1j * lam, tol), []
+    if groups is None:
+        coeffs = char_poly(h)
+        roots = poly_roots(coeffs, tol)
+        groups, flagged = _eigenstructure(h, coeffs, roots, tol)
     flagged_omegas = {complex(r) for cl in flagged for r in cl["roots"]}
     axis_tol = _axis_tol(tol, [w for w, _, _ in groups])
     kept = _unmirrored_groups(groups, axis_tol)
-    gnorm = float(np.linalg.norm(g, 2))
+    gnorm = metric_norm(sys)
     simple = [w for w, sizes, _ in kept if sizes == [1]]
     if simple:
-        simple_omegas, vectors = _simple_eigenvectors(h, simple)
+        simple_omegas, vectors = _simple_eigenvectors(lam, vecs, simple)
         normalized = zip(simple_omegas, *normalize_block(
             vectors[:, None, :], sys, gnorm=gnorm))
 

@@ -9,10 +9,13 @@ The two nonstandard pieces are the characteristic polynomial, computed with
 the Faddeev-LeVerrier recursion so that coefficient-level output is available
 for constraint solving, and a root finder that takes the eigenvalues of the
 companion matrix in one LAPACK call (QR iteration) and returns them as they
-are, after a residual check on the polynomial.  There is no polish: where
-compute_spectrum keeps a simple eigenvalue it takes the eigenvalue from the
-real eigendecomposition of H, and the clustered roots of a critical or
-near-critical polynomial cannot be polished by a simultaneous iteration.
+are, after a residual check on the polynomial.  compute_spectrum uses these
+roots only for systems whose real-eig eigenvalues cluster, where
+polish_root refines each cluster's centre.  There is no polish of single
+roots: where compute_spectrum keeps a simple eigenvalue it takes the
+eigenvalue from the real eigendecomposition of H, and the clustered roots of
+a critical or near-critical polynomial cannot be polished by a simultaneous
+iteration.
 """
 
 from __future__ import annotations

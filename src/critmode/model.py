@@ -25,6 +25,7 @@ Duals are obtained by metric conjugation, conj(g phi).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -124,6 +125,18 @@ def metric(sys: OscillatorSystem) -> np.ndarray:
     g[:n, n:] = np.eye(n)
     g[n:, :n] = np.eye(n)
     return 1j * g
+
+
+def metric_norm(sys: OscillatorSystem) -> float:
+    """|g|_2 in closed form.
+
+    In the eigenbasis of Gamma, g = i[[Gamma, I], [I, 0]] splits into 2 x 2
+    blocks i[[gamma, 1], [1, 0]] with singular values (sqrt(gamma^2 + 4) +/-
+    |gamma|) / 2, so |g|_2 = (gamma_max + sqrt(gamma_max^2 + 4)) / 2 with
+    gamma_max = max |gamma| over the eigenvalues of Gamma.
+    """
+    gamma_max = float(np.max(np.abs(np.linalg.eigvalsh(sys.Gamma))))
+    return (gamma_max + math.hypot(gamma_max, 2.0)) / 2.0
 
 
 def bilinear(sys: OscillatorSystem, psi, phi) -> complex:

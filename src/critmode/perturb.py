@@ -358,7 +358,12 @@ def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps) -> np.ndarray:
     ArgumentError for a DK that is not N x N, finite and symmetric, or an
     eps that is not finite.
     """
-    dh = delta_h(symmetric_matrix("DK", delta_k, sys.N))
+    return _exact_perturbed_spectrum(
+        sys, symmetric_matrix("DK", delta_k, sys.N), eps)
+
+
+def _exact_perturbed_spectrum(sys: OscillatorSystem, dk: np.ndarray, eps):
+    dh = delta_h(dk)
     grid, scalar, _ = as_grid(eps, "eps", float)
     a = (-1j * evolution_operator(sys)).real  # H = i a, a real
     a = a + grid[:, None, None] * (-1j * dh).real

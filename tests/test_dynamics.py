@@ -326,7 +326,7 @@ def test_non_finite_state_is_refused_at_the_door(catalog_spectra, monkeypatch,
         raise AssertionError("eigensolve before the state was checked")
 
     monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
-    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ArgumentError, match="state has non-finite entries"):
         cluster_cancellation_experiment(spec.system, e11, 1e-6, phi, [0.0, 1.0])
@@ -594,11 +594,31 @@ def test_cancellation_rejects_empty_time_grid(catalog_entries, monkeypatch):
         raise AssertionError("eigensolve before the time grid was checked")
 
     monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
-    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ArgumentError, match="t_grid"):
         cluster_cancellation_experiment(
             catalog_entries["quartic-jb4"].system, e11, 1e-6, np.ones(4), []
+        )
+
+
+@pytest.mark.parametrize(
+    "dk", [np.eye(3), [[np.nan, 0.0], [0.0, 0.0]], [[np.inf, 0.0], [0.0, 0.0]]],
+    ids=["3x3", "nan", "inf"],
+)
+def test_cancellation_checks_delta_k_before_any_eigensolve(catalog_entries,
+                                                           monkeypatch, dk):
+    # DK is checked once, at entry, for both the exact spectrum and the
+    # prediction; it used to be checked only after compute_spectrum
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before DK was checked")
+
+    monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
+    with pytest.raises(ArgumentError, match="DK"):
+        cluster_cancellation_experiment(
+            catalog_entries["quartic-jb4"].system, dk, 1e-6, np.ones(4),
+            [0.0, 1.0],
         )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from critmode.design import catalog
 from critmode.linalg import ArgumentError, char_poly, poly_roots
 from critmode.model import (
     bilinear,
@@ -12,6 +13,7 @@ from critmode.model import (
     load_system,
     metric,
     metric_conjugate,
+    metric_norm,
     save_system,
     system_from_json,
     system_to_json,
@@ -116,6 +118,26 @@ def test_operator_is_bilinear_symmetric():
             phi = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
             d = bilinear(sys, psi, h @ phi) - bilinear(sys, h @ psi, phi)
             assert abs(d) <= 1e-10 * np.linalg.norm(psi) * np.linalg.norm(phi) * hnorm
+
+
+def test_metric_norm_matches_the_svd():
+    # the closed form from the eigenvalues of Gamma, against the largest
+    # singular value of g: the catalog, random damping (one indefinite),
+    # no damping and damping far above one
+    rng = np.random.default_rng(5)
+    systems = [entry.system for entry in catalog()]
+    for n in (1, 2, 3, 5, 8, 16):
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n))
+        systems.append(build_system(a @ a.T + np.eye(n), 0.6 * b @ b.T / n))
+    b = rng.standard_normal((3, 3))
+    with pytest.warns(UserWarning):
+        systems.append(build_system(np.eye(3), b + b.T))
+    systems.append(build_system(np.eye(2), np.zeros((2, 2))))
+    systems.append(build_system(np.eye(2), np.diag([1e6, 3.0])))
+    for sys in systems:
+        want = np.linalg.norm(metric(sys), 2)
+        assert abs(metric_norm(sys) - want) <= 1e-14 * want
 
 
 def test_metric_conjugate_quartic_dual():
