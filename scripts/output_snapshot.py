@@ -9,7 +9,15 @@ versions of the library that behave the same write the same tree, and
 
     diff -r snapshot-before snapshot-after
 
-lists every file, message and exit code that moved.  The commands include
+lists every file, message and exit code that moved.  With --against DIR
+the script makes that comparison itself after writing its snapshot: it
+lists each file that differs from the one in DIR (an earlier snapshot), or
+is found in one tree only, and says whether only numbers moved (the text
+between them is the same).  Where only numbers moved it gives the largest
+relative move of a number, |new - old| / max(|new|, |old|), and the largest
+absolute move |new - old|, each with its two values: a number at the
+rounding floor (a residual of 1e-16, say) can move by 50 % relative and
+1e-16 absolute.  The commands include
 failures (exit 2 and 4) and --help between ordinary runs, so the run also
 exercises one parser serving many calls.
 
@@ -25,6 +33,7 @@ Commands:
   - --help of the program and of each subcommand (at 80 columns).
 
 Usage: PYTHONPATH=src python scripts/output_snapshot.py [--out DIR]
+           [--against EARLIER_DIR]
 """
 
 import argparse
@@ -32,6 +41,7 @@ import contextlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 from critmode.cli import main as cli_main
@@ -42,6 +52,7 @@ DIRECTIONS = ("e11", "mu:1,-1.5,2", "mu:-2,0.5,1")
 SUBCOMMANDS = ("analyze", "evolve", "perturb", "design", "reproduce-figure",
                "cancellation")
 ZERO_DK = "zero-dk.json"
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def commands():
@@ -93,18 +104,65 @@ def run_one(directory: Path, argv) -> int:
     return code
 
 
+def largest_moves(old: str, new: str):
+    """The largest relative and the largest absolute move of a number from
+    old to new, each as (move, old number, new number); None when the text
+    between the numbers differs."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    relative = absolute = (0.0, "", "")
+    for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)):
+        x, y = float(a), float(b)
+        if x != y:
+            relative = max(relative, (abs(y - x) / max(abs(x), abs(y)), a, b))
+            absolute = max(absolute, (abs(y - x), a, b))
+    return relative, absolute
+
+
+def compare(earlier: Path, out: Path):
+    """One line for each file of the two trees that is not the same in both."""
+    files = {p.relative_to(root) for root in (earlier, out)
+             for p in root.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        if not (earlier / rel).is_file() or not (out / rel).is_file():
+            where = earlier if (earlier / rel).is_file() else out
+            yield f"{rel}: only in {where}"
+            continue
+        old = (earlier / rel).read_text(encoding="utf-8")
+        new = (out / rel).read_text(encoding="utf-8")
+        if old == new:
+            continue
+        moves = largest_moves(old, new)
+        if moves is None:
+            yield f"{rel}: text differs"
+        else:
+            (rel_move, *rel_pair), (abs_move, *abs_pair) = moves
+            yield (f"{rel}: only numbers moved; largest relative move "
+                   f"{rel_move:.2e} ({' -> '.join(rel_pair)}), largest "
+                   f"absolute move {abs_move:.2e} ({' -> '.join(abs_pair)})")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="snapshot-out",
                         help="output directory; must be new or empty")
+    parser.add_argument("--against", metavar="DIR",
+                        help="an earlier snapshot to compare the new one with")
     args = parser.parse_args()
     out = Path(args.out).resolve()
+    if args.against and not Path(args.against).is_dir():
+        raise SystemExit(f"{args.against} is not a directory")
     if out.exists() and any(out.iterdir()):
         raise SystemExit(f"{out} is not empty; remove it or pick another --out")
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal
     for name, argv in commands():
         code = run_one(out / name, argv)
         print(f"{code}  {name}")
+    if args.against:
+        lines = list(compare(Path(args.against).resolve(), out))
+        print(f"against {args.against}: {len(lines)} files differ")
+        for line in lines:
+            print(f"  {line}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import design as design_mod
-from .design import DesignError, catalog_entry, catalog_to_json
+from .design import DesignError, catalog_entry, catalog_system, catalog_to_json
 from .dynamics import (
     NonDiagonalizableError,
     check_sum_rules,
@@ -147,7 +147,7 @@ def _resolve_system(ref: str) -> OscillatorSystem:
     if ref.startswith("catalog:"):
         name = ref.split(":", 1)[1]
         try:
-            return catalog_entry(name).system
+            return catalog_system(name)
         except KeyError as exc:
             raise ArgumentError(str(exc)) from exc
     return load_system(ref)
@@ -476,7 +476,7 @@ def cmd_reproduce_figure(args) -> int:
     if args.figure not in FIGURES:
         raise ArgumentError("figure id must be 1..5")
     fig = FIGURES[args.figure]
-    system = catalog_entry(fig["system"]).system
+    system = catalog_system(fig["system"])
     delta_k = _parse_delta_k(fig["dk"], system.N)
     eps_values = _eps_grid(args.eps0, fig["power"], args.eps_count)
     out = Path(args.out)

@@ -347,10 +347,23 @@ def _mu(m11, m12, m22) -> np.ndarray:
     return np.array([[m11, m12], [m12, m22]], dtype=float)
 
 
+# K and Gamma of each catalog system, by name: catalog_system builds the
+# system alone, without the fixture rows of its entry.
+_MATRICES = {
+    "single-critical": ([[1.0]], [[2.0]]),
+    "quartic-jb4": ([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]]),
+    "cubic-jb3": (np.array([[41.0, 8.0], [8.0, 4.0]]) / 5.0,
+                  [[6.0, 0.0], [0.0, 1.0]]),
+    "double-jb2": (np.array([[61.0, -30.0], [-30.0, 25.0]]) / 9.0,
+                   [[4.0, 0.0], [0.0, 0.0]]),
+    "crossed-pair": (np.eye(2), 2.0 * np.eye(2)),
+}
+
+
 def _single_critical() -> CatalogEntry:
     return CatalogEntry(
         name="single-critical",
-        system=build_system([[1.0]], [[2.0]], label="single-critical"),
+        system=catalog_system("single-critical"),
         expected_blocks=(((-1j), 2),),
         chains={
             0: _rows(
@@ -373,10 +386,7 @@ def _single_critical() -> CatalogEntry:
 def _quartic_jb4() -> CatalogEntry:
     return CatalogEntry(
         name="quartic-jb4",
-        system=build_system(
-            [[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]],
-            label="quartic-jb4",
-        ),
+        system=catalog_system("quartic-jb4"),
         expected_blocks=(((-1j), 4),),
         chains={
             0: _rows(
@@ -406,11 +416,7 @@ def _quartic_jb4() -> CatalogEntry:
 def _cubic_jb3() -> CatalogEntry:
     return CatalogEntry(
         name="cubic-jb3",
-        system=build_system(
-            np.array([[41.0, 8.0], [8.0, 4.0]]) / 5.0,
-            [[6.0, 0.0], [0.0, 1.0]],
-            label="cubic-jb3",
-        ),
+        system=catalog_system("cubic-jb3"),
         expected_blocks=(((-1j), 3), ((-4j), 1)),
         chains={
             0: _rows(
@@ -441,11 +447,7 @@ def _cubic_jb3() -> CatalogEntry:
 def _double_jb2() -> CatalogEntry:
     return CatalogEntry(
         name="double-jb2",
-        system=build_system(
-            np.array([[61.0, -30.0], [-30.0, 25.0]]) / 9.0,
-            [[4.0, 0.0], [0.0, 0.0]],
-            label="double-jb2",
-        ),
+        system=catalog_system("double-jb2"),
         expected_blocks=((4.0 / 3.0 - 1j, 2), (-4.0 / 3.0 - 1j, 2)),
         chains={
             0: _rows(
@@ -468,7 +470,7 @@ def _double_jb2() -> CatalogEntry:
 def _crossed_pair() -> CatalogEntry:
     return CatalogEntry(
         name="crossed-pair",
-        system=build_system(np.eye(2), 2.0 * np.eye(2), label="crossed-pair"),
+        system=catalog_system("crossed-pair"),
         expected_blocks=(((-1j), 2), ((-1j), 2)),
         crossing=True,
     )
@@ -497,7 +499,11 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def catalog_system(name: str) -> OscillatorSystem:
-    return catalog_entry(name).system
+    """The system of catalog entry name, built without the entry's fixtures."""
+    if name not in _MATRICES:
+        raise KeyError(f"no catalog entry named {name!r}")
+    k, gamma = _MATRICES[name]
+    return build_system(k, gamma, label=name)
 
 
 def catalog_to_json(entry: CatalogEntry) -> dict:

@@ -45,11 +45,16 @@ column of that eig whose i lambda lies nearest (_simple_eigenvectors).
 normalize_block is the one normalizer: it takes one chain or a stack of
 equal-height chains, and normalizes every simple eigenvector, as a stack of
 one-vector chains, in one call; biorthogonalize_crossing calls it on one
-chain at a time.
+chain at a time.  Every pairing (u, v) = u^T g v in this module comes from
+one evaluator, _pairings, two matmuls over a stack of vector pairs;
+compute_spectrum builds g once and hands it to both normalizers.  The duals
+of a block take one product with g, and verify_spectrum forms F^T g once for
+its pairing and completeness residuals.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +70,6 @@ from .linalg import (
 )
 from .model import (
     OscillatorSystem,
-    bilinear,
     evolution_operator,
     metric,
     metric_norm,
@@ -421,17 +425,15 @@ def chain_from_top(a: np.ndarray, top: np.ndarray, size: int):
     return chain[::-1]
 
 
-def _pairings(sys: OscillatorSystem, u: np.ndarray, v: np.ndarray):
-    """(u_p, v_q) of (B, P, 2N) and (B, Q, 2N) stacks as (B, P, Q), by 3-D
-    matmuls of the position and momentum halves; numpy runs one product per
-    entry, so an entry's bits do not depend on the rest of the stack."""
-    n = sys.N
-    ux, up = u[..., :n], u[..., n:]
-    vx_t, vp_t = v[..., :n].swapaxes(1, 2), v[..., n:].swapaxes(1, 2)
-    return 1j * ((ux @ sys.Gamma) @ vx_t + ux @ vp_t + up @ vx_t)
+def _pairings(g: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """(u_p, v_q) = u_p^T g v_q of (B, P, 2N) and (B, Q, 2N) stacks as
+    (B, P, Q), by two 3-D matmuls; numpy runs one product per stack entry,
+    so an entry's bits do not depend on the rest of the stack."""
+    return (u @ g) @ v.swapaxes(1, 2)
 
 
-def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None):
+def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None,
+                    g: np.ndarray | None = None):
     """Normalize raw chains to the canonical anti-diagonal pairing.
 
     chains is one chain (M, 2N), giving (chain, ledger), or a stack of
@@ -439,8 +441,9 @@ def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None
     a stack comes out bit for bit as from its own call.  Raises
     DegenerateChainError, with the value of the first chain at fault, when
     a top pairing A_{M-1} vanishes, which cannot happen for a chain of a
-    valid block and signals broken input.  gnorm is |g|_2 of sys (computed
-    when not given), the scale of that test.
+    valid block and signals broken input.  Every pairing is u^T g v
+    (_pairings) with g the metric of sys, and gnorm is |g|_2, the scale of
+    that test; each is computed when not given.
     """
     f = np.array(chains, dtype=complex, order="C")
     single = f.ndim == 2
@@ -448,7 +451,9 @@ def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None
     m = f.shape[1]
     if gnorm is None:
         gnorm = metric_norm(sys)
-    a_top = _pairings(sys, f[:, :1], f[:, -1:])[:, 0, 0]
+    if g is None:
+        g = metric(sys)
+    a_top = _pairings(g, f[:, :1], f[:, -1:])[:, 0, 0]
     ends = np.linalg.norm(f[:, [0, -1]], axis=2)
     scale = gnorm * ends[:, 0] * ends[:, 1]
     vanishing = np.abs(a_top) <= np.maximum(1e-12 * scale, 1e-300)
@@ -463,20 +468,20 @@ def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None
     f *= coeffs[:, :1, None]
     for n in range(1, m):
         # f_k -> f_k + c_n f_(k-n) with c_n = -(f_n, f_(M-1)) / 2
-        coeffs[:, n] = -_pairings(sys, f[:, n:n + 1], f[:, -1:])[:, 0, 0] / 2.0
+        coeffs[:, n] = -_pairings(g, f[:, n:n + 1], f[:, -1:])[:, 0, 0] / 2.0
         f[:, n:] += coeffs[:, n, None, None] * f[:, :m - n]
     flips = _sign_flips(f[:, 0])
     f[flips] = -f[flips]
     coeffs[flips, 0] = -coeffs[flips, 0]
     # A_q = mean of (f_n, f_(q-n)): the anti-diagonal means of the Gram
-    gram = _pairings(sys, f, f)
+    gram = _pairings(g, f, f)
     a_q = np.zeros((len(f), 2 * m - 1), dtype=complex)
     for n in range(m):
         a_q[:, n:n + m] += gram[:, n]
     q = np.arange(1, 2 * m)
     a_q /= np.minimum(q, 2 * m - q)
-    ledgers = [NormalizationLedger(A=a.tolist(), c=c.tolist())
-               for a, c in zip(a_q, coeffs)]
+    ledgers = [NormalizationLedger(A=a, c=c)
+               for a, c in zip(a_q.tolist(), coeffs.tolist())]
     return (f[0], ledgers[0]) if single else (f, ledgers)
 
 
@@ -500,15 +505,17 @@ def _sign_flips(f0: np.ndarray) -> np.ndarray:
 
 def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
                              omega: complex, tol: Tolerances | None = None, *,
-                             gnorm: float | None = None):
+                             gnorm: float | None = None,
+                             g: np.ndarray | None = None):
     """Enforce the anti-diagonal pairing across blocks sharing one eigenvalue.
 
     Implements the recursive construction: secure a normalizable top vector
     for (one of) the largest blocks, normalize that block, mix the remaining
     tops so their pairings with the first block vanish, rebuild them
     downward, and recurse on the rest.  Returns a list of (chain, ledger)
-    pairs sorted by descending size.  gnorm is |g|_2 of sys, computed when
-    not given.
+    pairs sorted by descending size.  g is the metric of sys and gnorm its
+    |g|_2, each computed when not given; every pairing is one stacked
+    _pairings call.
     """
     tol = tol or DEFAULT_TOL
     chains = sorted([list(c) for c in chains], key=lambda c: -len(c))
@@ -516,8 +523,10 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         return []
     if gnorm is None:
         gnorm = metric_norm(sys)
+    if g is None:
+        g = metric(sys)
     if len(chains) == 1:
-        chain, ledger = normalize_block(chains[0], sys, gnorm=gnorm)
+        chain, ledger = normalize_block(chains[0], sys, gnorm=gnorm, g=g)
         return [(chain, ledger)]
 
     dim = h.shape[0]
@@ -533,11 +542,11 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         for i in range(len(tops)):
             for j in range(i + 1, len(tops)):
                 candidates.append(tops[i] + tops[j])
-        vals = [bilinear(sys, v, apow @ v) for v in candidates]
-        scales = [
-            gnorm * anorm * float(np.linalg.norm(v)) ** 2 for v in candidates
-        ]
-        quality = [abs(v) / max(s, 1e-300) for v, s in zip(vals, scales)]
+        cand = np.array(candidates)[:, None, :]
+        # (v, A^(M-1) v) for every candidate v
+        vals = _pairings(g, cand, cand @ apow.T)[:, 0, 0]
+        scales = gnorm * anorm * np.linalg.norm(cand[:, 0], axis=1) ** 2
+        quality = np.abs(vals) / np.maximum(scales, 1e-300)
         best = int(np.argmax(quality))
         if quality[best] <= 1e3 * tol.rank_tol:
             raise CrossingError(
@@ -556,17 +565,20 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         chains = rebuilt + [chains[i] for i in range(len(chains)) if i not in maxed]
         chains.sort(key=lambda c: -len(c))
 
-    first, ledger1 = normalize_block(chains[0], sys, gnorm=gnorm)
+    first, ledger1 = normalize_block(chains[0], sys, gnorm=gnorm, g=g)
+    # (t, f_n) of every other top t with every f_n of the normalized chain;
+    # with (f_n, f_n') = delta_{n+n', M-1}, subtracting (t, f_n) f_(M-1-n)
+    # for n = M - M_j .. M - 1 clears each of these pairings without
+    # touching the others
+    pairs = _pairings(g, np.array([c[-1] for c in chains[1:]])[None],
+                      first[None])[0]
     rest = []
-    for c in chains[1:]:
+    for c, pair in zip(chains[1:], pairs):
         mj = len(c)
-        top = c[-1]
-        for n in range(m1 - mj, m1):
-            coeff = bilinear(sys, top, first[n])
-            top = top - coeff * first[m1 - 1 - n]
+        top = c[-1] - pair[m1 - mj:] @ first[mj - 1::-1]
         rest.append(chain_from_top(a, top, mj))
     return [(first, ledger1)] + biorthogonalize_crossing(
-        rest, sys, h, omega, tol, gnorm=gnorm
+        rest, sys, h, omega, tol, gnorm=gnorm, g=g
     )
 
 
@@ -577,10 +589,8 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
 def conjugate_chain(chain: np.ndarray) -> np.ndarray:
     """Partner chain f_{-j,n} = + i^M (-1)^n conj(f_{j,n})."""
     m = len(chain)
-    phase = 1j**m
-    return np.array(
-        [phase * (-1.0) ** n * np.conj(chain[n]) for n in range(m)]
-    )
+    phases = np.array([1j**m * (-1.0) ** n for n in range(m)])
+    return phases[:, None] * np.conj(chain)
 
 
 def _detect_self_conjugation(chain: np.ndarray) -> int | None:
@@ -633,11 +643,14 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
 
 
 def dual_basis(spectrum: Spectrum) -> Spectrum:
-    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block."""
+    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block.
+
+    g is symmetric, so the duals of a block are the rows of conj(R g), R
+    the reversed chain as rows: one product per block.
+    """
     g = spectrum.g
     for b in spectrum.blocks:
-        m = b.size
-        b.duals = np.array([np.conj(g @ b.chain[m - 1 - n]) for n in range(m)])
+        b.duals = np.conj(b.chain[::-1] @ g)
     return spectrum
 
 
@@ -704,18 +717,25 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
         h, g = spectrum.h, spectrum.g
         form = spectrum.matrices
         f_mat, j_mat, p_mat = form.f, form.j, form.p
-        # H = i a with a real, so ||H||_2 is the 2-norm of the real a = Im H
+        # H = i a with a real, so ||H||_2 is the largest singular value of
+        # the real a = Im H
+        h_norm = np.linalg.svd(h.imag, compute_uv=False)[0]
         chain_cols = np.linalg.norm(h @ f_mat - f_mat @ j_mat, axis=0) / (
-            (np.linalg.norm(h.imag, 2) + np.abs(np.diag(j_mat)))
+            (h_norm + np.abs(form.omega))
             * np.maximum(1.0, np.linalg.norm(f_mat, axis=0))
         )
-        flagged = np.repeat([b.near_critical for b in blocks],
-                            [b.size for b in blocks])
-        chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
-        flagged_chain_res = float(np.max(chain_cols[flagged], initial=0.0))
-        gram_res = float(np.max(np.abs(f_mat.T @ g @ f_mat - p_mat)))
-        dual_res = float(np.max(np.abs(form.duals[0] @ f_mat - np.eye(dim))))
-        comp_res = float(np.max(np.abs(f_mat @ p_mat @ f_mat.T @ g - np.eye(dim))))
+        if any(b.near_critical for b in blocks):
+            flagged = np.repeat([b.near_critical for b in blocks],
+                                [b.size for b in blocks])
+            chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
+            flagged_chain_res = float(np.max(chain_cols[flagged]))
+        else:
+            chain_res, flagged_chain_res = float(np.max(chain_cols)), 0.0
+        ftg = f_mat.T @ g
+        gram_res = float(np.max(np.abs(ftg @ f_mat - p_mat)))
+        eye = np.eye(dim)
+        dual_res = float(np.max(np.abs(form.duals[0] @ f_mat - eye)))
+        comp_res = float(np.max(np.abs(f_mat @ p_mat @ ftg - eye)))
 
     report = {
         "chain_residual": chain_res,
@@ -784,26 +804,36 @@ def _unmirrored_groups(groups, axis_tol: float):
     Every group with Re(omega) > axis_tol must have one mirror group at
     -conj(omega), within 10 axis_tol and with the same block sizes, and every
     group with Re(omega) < -axis_tol must be such a mirror; otherwise
-    PairingError.
+    PairingError.  The groups take their mirrors in order, each the first
+    free one that matches; the mirrors are sorted by imaginary part, so a
+    group tests only those whose Im lies within twice that reach of its own.
     """
     kept = [g for g in groups if g[0].real >= -axis_tol]
     mirrors = [g for g in groups if g[0].real < -axis_tol]
+    reach = 10.0 * axis_tol
+    order = sorted(range(len(mirrors)), key=lambda j: mirrors[j][0].imag)
+    imags = [mirrors[j][0].imag for j in order]
+    free = [True] * len(mirrors)
     for omega, sizes, _ in kept:
         if omega.real > axis_tol:
+            near = order[bisect_left(imags, omega.imag - 2.0 * reach):
+                         bisect_right(imags, omega.imag + 2.0 * reach)]
             match = [
-                i for i, (w, s, _) in enumerate(mirrors)
-                if abs(w + np.conj(omega)) <= 10.0 * axis_tol and s == sizes
+                j for j in near
+                if free[j] and mirrors[j][1] == sizes
+                and abs(mirrors[j][0] + omega.conjugate()) <= reach
             ]
             if not match:
                 raise PairingError(
                     f"eigenvalue {omega} has no mirror partner at "
                     f"{-np.conj(omega)}"
                 )
-            del mirrors[match[0]]
-    if mirrors:
+            free[min(match)] = False
+    if any(free):
+        omega = mirrors[free.index(True)][0]
         raise PairingError(
-            f"eigenvalue {mirrors[0][0]} is the mirror of no eigenvalue at "
-            f"{-np.conj(mirrors[0][0])}"
+            f"eigenvalue {omega} is the mirror of no eigenvalue at "
+            f"{-np.conj(omega)}"
         )
     return kept
 
@@ -884,7 +914,7 @@ def compute_spectrum(sys: OscillatorSystem,
     if simple:
         simple_omegas, vectors = _simple_eigenvectors(lam, vecs, simple)
         normalized = zip(simple_omegas, *normalize_block(
-            vectors[:, None, :], sys, gnorm=gnorm))
+            vectors[:, None, :], sys, gnorm=gnorm, g=g))
 
     blocks = []
     for omega, sizes, kernels in kept:
@@ -894,7 +924,8 @@ def compute_spectrum(sys: OscillatorSystem,
             built = [(chain, ledger)]
         else:
             raw = build_chain(h, omega, sizes, tol, kernels=kernels)
-            built = biorthogonalize_crossing(raw, sys, h, omega, tol, gnorm=gnorm)
+            built = biorthogonalize_crossing(raw, sys, h, omega, tol,
+                                             gnorm=gnorm, g=g)
         blocks.extend(
             JordanBlock(
                 omega=omega,

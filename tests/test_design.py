@@ -7,6 +7,7 @@ from critmode.design import (
     DesignError,
     catalog,
     catalog_entry,
+    catalog_system,
     catalog_to_json,
     cubic_critical,
     cubic_constraint_residuals,
@@ -258,6 +259,17 @@ def test_catalog_entry_matches_catalog():
         assert one.crossing == entry.crossing
 
 
+def test_catalog_system_is_the_entry_system():
+    # catalog_system builds the system alone, the same one as the entry's
+    for entry in catalog():
+        sys = catalog_system(entry.name)
+        assert np.array_equal(sys.K, entry.system.K), entry.name
+        assert np.array_equal(sys.Gamma, entry.system.Gamma), entry.name
+        assert sys.label == entry.system.label == entry.name
+
+
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog_entry("no-such-entry")
+    with pytest.raises(KeyError, match="no catalog entry named 'no-such-entry'"):
+        catalog_system("no-such-entry")

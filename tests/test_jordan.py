@@ -14,6 +14,7 @@ from critmode.jordan import (
     _basis_matrices,
     _eigenstructure,
     _kernel_sequence,
+    _pairings,
     _simple_eigenvectors,
     _unmirrored_groups,
     block_sizes_at,
@@ -465,13 +466,15 @@ def test_one_operator_and_one_metric_per_spectrum(monkeypatch,
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(jordan, name, counting)
-    for sys in (
-        catalog_entries["cubic-jb3"].system,
+    # every catalog system (crossed-pair through biorthogonalize_crossing)
+    # and a random one
+    for sys in [entry.system for entry in catalog_entries.values()] + [
         well_separated_system(np.random.default_rng(0), 4),
-    ):
+    ]:
         built.clear()
         spec = compute_spectrum(sys)
-        assert sorted(built) == ["evolution_operator", "metric"]
+        assert sorted(built) == ["evolution_operator", "metric"], sys.label
+        assert bool(spec.crossing_groups) == (sys.label == "crossed-pair")
         built.clear()
         verify_spectrum(spec, strict=False)
         verify_representations(spec)
@@ -608,6 +611,32 @@ def _kept_simple_eigenvalues(sys):
 
 def _bits(values):
     return np.asarray(values, dtype=complex).tobytes()
+
+
+def _assert_pairings_match_bilinear(sys, u, v):
+    g = metric(sys)
+    got = _pairings(g, u, v)
+    assert got.shape == (len(u), u.shape[1], v.shape[1])
+    bound = (1e-15 * np.linalg.norm(g, 2) * np.linalg.norm(u, axis=2)[:, :, None]
+             * np.linalg.norm(v, axis=2)[:, None, :])
+    want = np.array([[[bilinear(sys, x, y) for y in vb] for x in ub]
+                     for ub, vb in zip(u, v)])
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_pairings_match_bilinear(catalog_spectra):
+    # the one pairing evaluator u^T g v agrees with the componentwise
+    # bilinear map entry by entry, on the chains of every catalog spectrum
+    # and on random stacks
+    for spec in catalog_spectra.values():
+        for b in spec.blocks:
+            _assert_pairings_match_bilinear(spec.system, b.chain[None],
+                                            b.chain[None])
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 8):
+        sys = well_separated_system(rng, n)
+        u, v = rng.standard_normal((2, 4, 3, 2 * n, 2)) @ [1.0, 1j]
+        _assert_pairings_match_bilinear(sys, u, v)
 
 
 def _assert_stack_equals_one_chain_calls(stack, sys, gnorm):
@@ -804,6 +833,11 @@ def test_mirror_pairs_ordered_plus_first(catalog_entries, eps):
 def test_unmirrored_groups_pairs_or_raises():
     axis, right, left = (-2j, [1], []), (1.0 - 1j, [2], []), (-1.0 - 1j, [2], [])
     assert _unmirrored_groups([left, axis, right], 1e-9) == [axis, right]
+    # two groups within reach of both of two mirrors: the first takes the
+    # first mirror, the second the one left
+    near = (1.0 + 1e-9 - 1j, [2], [])
+    twin = (-1.0 - 1e-9 - 1j, [2], [])
+    assert _unmirrored_groups([right, near, twin, left], 1e-9) == [right, near]
     for groups in (
         [axis, right],                     # no mirror for Re(omega) > 0
         [axis, left],                      # a mirror of nothing
@@ -840,6 +874,22 @@ def test_conjugation_simple_undamped_pair():
 
 
 # --- duals, completeness, representations ------------------------------------
+
+def test_duals_and_partners_match_their_loop_forms(catalog_spectra):
+    # one product per block gives the duals conj(g f_(M-1-n)) of the
+    # per-vector products up to rounding, and the broadcast conjugation rule
+    # gives the per-row partner chain bit for bit
+    for name, spec in catalog_spectra.items():
+        gnorm = np.linalg.norm(spec.g, 2)
+        for b in spec.blocks:
+            m = b.size
+            want = np.array([np.conj(spec.g @ b.chain[m - 1 - n])
+                             for n in range(m)])
+            scale = gnorm * np.linalg.norm(b.chain, axis=1)[::-1, None]
+            assert np.all(np.abs(b.duals - want) <= 1e-15 * scale), name
+            rows = [1j**m * (-1.0) ** n * np.conj(b.chain[n]) for n in range(m)]
+            assert _bits(conjugate_chain(b.chain)) == _bits(rows), name
+
 
 def test_global_biorthogonality_catalog(catalog_spectra):
     for name, spec in catalog_spectra.items():
