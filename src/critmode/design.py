@@ -347,23 +347,10 @@ def _mu(m11, m12, m22) -> np.ndarray:
     return np.array([[m11, m12], [m12, m22]], dtype=float)
 
 
-# K and Gamma of each catalog system, by name: catalog_system builds the
-# system alone, without the fixture rows of its entry.
-_MATRICES = {
-    "single-critical": ([[1.0]], [[2.0]]),
-    "quartic-jb4": ([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]]),
-    "cubic-jb3": (np.array([[41.0, 8.0], [8.0, 4.0]]) / 5.0,
-                  [[6.0, 0.0], [0.0, 1.0]]),
-    "double-jb2": (np.array([[61.0, -30.0], [-30.0, 25.0]]) / 9.0,
-                   [[4.0, 0.0], [0.0, 0.0]]),
-    "crossed-pair": (np.eye(2), 2.0 * np.eye(2)),
-}
-
-
-def _single_critical() -> CatalogEntry:
+def _single_critical(system: OscillatorSystem) -> CatalogEntry:
     return CatalogEntry(
-        name="single-critical",
-        system=catalog_system("single-critical"),
+        name=system.label,
+        system=system,
         expected_blocks=(((-1j), 2),),
         chains={
             0: _rows(
@@ -383,10 +370,10 @@ def _single_critical() -> CatalogEntry:
     )
 
 
-def _quartic_jb4() -> CatalogEntry:
+def _quartic_jb4(system: OscillatorSystem) -> CatalogEntry:
     return CatalogEntry(
-        name="quartic-jb4",
-        system=catalog_system("quartic-jb4"),
+        name=system.label,
+        system=system,
         expected_blocks=(((-1j), 4),),
         chains={
             0: _rows(
@@ -413,10 +400,10 @@ def _quartic_jb4() -> CatalogEntry:
     )
 
 
-def _cubic_jb3() -> CatalogEntry:
+def _cubic_jb3(system: OscillatorSystem) -> CatalogEntry:
     return CatalogEntry(
-        name="cubic-jb3",
-        system=catalog_system("cubic-jb3"),
+        name=system.label,
+        system=system,
         expected_blocks=(((-1j), 3), ((-4j), 1)),
         chains={
             0: _rows(
@@ -444,10 +431,10 @@ def _cubic_jb3() -> CatalogEntry:
     )
 
 
-def _double_jb2() -> CatalogEntry:
+def _double_jb2(system: OscillatorSystem) -> CatalogEntry:
     return CatalogEntry(
-        name="double-jb2",
-        system=catalog_system("double-jb2"),
+        name=system.label,
+        system=system,
         expected_blocks=((4.0 / 3.0 - 1j, 2), (-4.0 / 3.0 - 1j, 2)),
         chains={
             0: _rows(
@@ -467,42 +454,44 @@ def _double_jb2() -> CatalogEntry:
     )
 
 
-def _crossed_pair() -> CatalogEntry:
+def _crossed_pair(system: OscillatorSystem) -> CatalogEntry:
     return CatalogEntry(
-        name="crossed-pair",
-        system=catalog_system("crossed-pair"),
+        name=system.label,
+        system=system,
         expected_blocks=(((-1j), 2), ((-1j), 2)),
         crossing=True,
     )
 
 
-# One builder per entry, so that a lookup by name builds one system and its
-# fixtures rather than all of them.
-_BUILDERS = {
-    "single-critical": _single_critical,
-    "quartic-jb4": _quartic_jb4,
-    "cubic-jb3": _cubic_jb3,
-    "double-jb2": _double_jb2,
-    "crossed-pair": _crossed_pair,
+# Each catalog entry by name: its K and Gamma, and the builder of its
+# fixtures from its system.  A lookup by name builds one system (and, for
+# catalog_entry, its fixtures) rather than all of them.
+_CATALOG = {
+    "single-critical": ([[1.0]], [[2.0]], _single_critical),
+    "quartic-jb4": ([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]],
+                    _quartic_jb4),
+    "cubic-jb3": (np.array([[41.0, 8.0], [8.0, 4.0]]) / 5.0,
+                  [[6.0, 0.0], [0.0, 1.0]], _cubic_jb3),
+    "double-jb2": (np.array([[61.0, -30.0], [-30.0, 25.0]]) / 9.0,
+                   [[4.0, 0.0], [0.0, 0.0]], _double_jb2),
+    "crossed-pair": (np.eye(2), 2.0 * np.eye(2), _crossed_pair),
 }
 
 
 def catalog() -> list:
     """Reference systems with exact fixtures and perturbation coefficients."""
-    return [build() for build in _BUILDERS.values()]
+    return [catalog_entry(name) for name in _CATALOG]
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    if name not in _BUILDERS:
-        raise KeyError(f"no catalog entry named {name!r}")
-    return _BUILDERS[name]()
+    return _CATALOG[name][2](catalog_system(name))
 
 
 def catalog_system(name: str) -> OscillatorSystem:
     """The system of catalog entry name, built without the entry's fixtures."""
-    if name not in _MATRICES:
+    if name not in _CATALOG:
         raise KeyError(f"no catalog entry named {name!r}")
-    k, gamma = _MATRICES[name]
+    k, gamma, _ = _CATALOG[name]
     return build_system(k, gamma, label=name)
 
 

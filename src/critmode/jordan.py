@@ -47,14 +47,14 @@ equal-height chains, and normalizes every simple eigenvector, as a stack of
 one-vector chains, in one call; biorthogonalize_crossing calls it on one
 chain at a time.  Every pairing (u, v) = u^T g v in this module comes from
 one evaluator, _pairings, two matmuls over a stack of vector pairs;
-compute_spectrum builds g once and hands it to both normalizers.  The duals
+compute_spectrum builds g and |g|_2 once and passes both to the two
+normalizers.  The duals
 of a block take one product with g, and verify_spectrum forms F^T g once for
 its pairing and completeness residuals.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,8 +432,7 @@ def _pairings(g: np.ndarray, u: np.ndarray, v: np.ndarray):
     return (u @ g) @ v.swapaxes(1, 2)
 
 
-def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None,
-                    g: np.ndarray | None = None):
+def normalize_block(chains, g: np.ndarray, gnorm: float):
     """Normalize raw chains to the canonical anti-diagonal pairing.
 
     chains is one chain (M, 2N), giving (chain, ledger), or a stack of
@@ -441,18 +440,14 @@ def normalize_block(chains, sys: OscillatorSystem, *, gnorm: float | None = None
     a stack comes out bit for bit as from its own call.  Raises
     DegenerateChainError, with the value of the first chain at fault, when
     a top pairing A_{M-1} vanishes, which cannot happen for a chain of a
-    valid block and signals broken input.  Every pairing is u^T g v
-    (_pairings) with g the metric of sys, and gnorm is |g|_2, the scale of
-    that test; each is computed when not given.
+    valid block and signals broken input.  g is the metric of the system,
+    every pairing is u^T g v (_pairings), and gnorm is |g|_2, the scale of
+    that test.
     """
     f = np.array(chains, dtype=complex, order="C")
     single = f.ndim == 2
     f = f.reshape(-1, *f.shape[-2:])
     m = f.shape[1]
-    if gnorm is None:
-        gnorm = metric_norm(sys)
-    if g is None:
-        g = metric(sys)
     a_top = _pairings(g, f[:, :1], f[:, -1:])[:, 0, 0]
     ends = np.linalg.norm(f[:, [0, -1]], axis=2)
     scale = gnorm * ends[:, 0] * ends[:, 1]
@@ -503,30 +498,26 @@ def _sign_flips(f0: np.ndarray) -> np.ndarray:
 # level crossing
 # ---------------------------------------------------------------------------
 
-def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
-                             omega: complex, tol: Tolerances | None = None, *,
-                             gnorm: float | None = None,
-                             g: np.ndarray | None = None):
+def biorthogonalize_crossing(chains, g: np.ndarray, gnorm: float,
+                             h: np.ndarray, omega: complex,
+                             tol: Tolerances | None = None):
     """Enforce the anti-diagonal pairing across blocks sharing one eigenvalue.
 
     Implements the recursive construction: secure a normalizable top vector
     for (one of) the largest blocks, normalize that block, mix the remaining
     tops so their pairings with the first block vanish, rebuild them
     downward, and recurse on the rest.  Returns a list of (chain, ledger)
-    pairs sorted by descending size.  g is the metric of sys and gnorm its
-    |g|_2, each computed when not given; every pairing is one stacked
-    _pairings call.
+    pairs sorted by descending size.  g is the metric of the system and
+    gnorm its |g|_2; every pairing is one stacked _pairings call.  Among
+    top-vector candidates of equal quality up to a relative 1e-8 the first
+    one is taken, so rounding noise cannot pick the chain.
     """
     tol = tol or DEFAULT_TOL
     chains = sorted([list(c) for c in chains], key=lambda c: -len(c))
     if not chains:
         return []
-    if gnorm is None:
-        gnorm = metric_norm(sys)
-    if g is None:
-        g = metric(sys)
     if len(chains) == 1:
-        chain, ledger = normalize_block(chains[0], sys, gnorm=gnorm, g=g)
+        chain, ledger = normalize_block(chains[0], g, gnorm)
         return [(chain, ledger)]
 
     dim = h.shape[0]
@@ -547,7 +538,7 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         vals = _pairings(g, cand, cand @ apow.T)[:, 0, 0]
         scales = gnorm * anorm * np.linalg.norm(cand[:, 0], axis=1) ** 2
         quality = np.abs(vals) / np.maximum(scales, 1e-300)
-        best = int(np.argmax(quality))
+        best = int(np.argmax(quality >= (1.0 - 1e-8) * quality.max()))
         if quality[best] <= 1e3 * tol.rank_tol:
             raise CrossingError(
                 "the quadratic form on the top-vector span vanishes "
@@ -565,7 +556,7 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         chains = rebuilt + [chains[i] for i in range(len(chains)) if i not in maxed]
         chains.sort(key=lambda c: -len(c))
 
-    first, ledger1 = normalize_block(chains[0], sys, gnorm=gnorm, g=g)
+    first, ledger1 = normalize_block(chains[0], g, gnorm)
     # (t, f_n) of every other top t with every f_n of the normalized chain;
     # with (f_n, f_n') = delta_{n+n', M-1}, subtracting (t, f_n) f_(M-1-n)
     # for n = M - M_j .. M - 1 clears each of these pairings without
@@ -578,7 +569,7 @@ def biorthogonalize_crossing(chains, sys: OscillatorSystem, h: np.ndarray,
         top = c[-1] - pair[m1 - mj:] @ first[mj - 1::-1]
         rest.append(chain_from_top(a, top, mj))
     return [(first, ledger1)] + biorthogonalize_crossing(
-        rest, sys, h, omega, tol, gnorm=gnorm, g=g
+        rest, g, gnorm, h, omega, tol
     )
 
 
@@ -724,13 +715,10 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
             (h_norm + np.abs(form.omega))
             * np.maximum(1.0, np.linalg.norm(f_mat, axis=0))
         )
-        if any(b.near_critical for b in blocks):
-            flagged = np.repeat([b.near_critical for b in blocks],
-                                [b.size for b in blocks])
-            chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
-            flagged_chain_res = float(np.max(chain_cols[flagged]))
-        else:
-            chain_res, flagged_chain_res = float(np.max(chain_cols)), 0.0
+        flagged = np.repeat([b.near_critical for b in blocks],
+                            [b.size for b in blocks])
+        chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
+        flagged_chain_res = float(np.max(chain_cols[flagged], initial=0.0))
         ftg = f_mat.T @ g
         gram_res = float(np.max(np.abs(ftg @ f_mat - p_mat)))
         eye = np.eye(dim)
@@ -804,36 +792,26 @@ def _unmirrored_groups(groups, axis_tol: float):
     Every group with Re(omega) > axis_tol must have one mirror group at
     -conj(omega), within 10 axis_tol and with the same block sizes, and every
     group with Re(omega) < -axis_tol must be such a mirror; otherwise
-    PairingError.  The groups take their mirrors in order, each the first
-    free one that matches; the mirrors are sorted by imaginary part, so a
-    group tests only those whose Im lies within twice that reach of its own.
+    PairingError.
     """
     kept = [g for g in groups if g[0].real >= -axis_tol]
     mirrors = [g for g in groups if g[0].real < -axis_tol]
-    reach = 10.0 * axis_tol
-    order = sorted(range(len(mirrors)), key=lambda j: mirrors[j][0].imag)
-    imags = [mirrors[j][0].imag for j in order]
-    free = [True] * len(mirrors)
     for omega, sizes, _ in kept:
         if omega.real > axis_tol:
-            near = order[bisect_left(imags, omega.imag - 2.0 * reach):
-                         bisect_right(imags, omega.imag + 2.0 * reach)]
             match = [
-                j for j in near
-                if free[j] and mirrors[j][1] == sizes
-                and abs(mirrors[j][0] + omega.conjugate()) <= reach
+                i for i, (w, s, _) in enumerate(mirrors)
+                if abs(w + np.conj(omega)) <= 10.0 * axis_tol and s == sizes
             ]
             if not match:
                 raise PairingError(
                     f"eigenvalue {omega} has no mirror partner at "
                     f"{-np.conj(omega)}"
                 )
-            free[min(match)] = False
-    if any(free):
-        omega = mirrors[free.index(True)][0]
+            del mirrors[match[0]]
+    if mirrors:
         raise PairingError(
-            f"eigenvalue {omega} is the mirror of no eigenvalue at "
-            f"{-np.conj(omega)}"
+            f"eigenvalue {mirrors[0][0]} is the mirror of no eigenvalue at "
+            f"{-np.conj(mirrors[0][0])}"
         )
     return kept
 
@@ -914,7 +892,7 @@ def compute_spectrum(sys: OscillatorSystem,
     if simple:
         simple_omegas, vectors = _simple_eigenvectors(lam, vecs, simple)
         normalized = zip(simple_omegas, *normalize_block(
-            vectors[:, None, :], sys, gnorm=gnorm, g=g))
+            vectors[:, None, :], g, gnorm))
 
     blocks = []
     for omega, sizes, kernels in kept:
@@ -924,8 +902,7 @@ def compute_spectrum(sys: OscillatorSystem,
             built = [(chain, ledger)]
         else:
             raw = build_chain(h, omega, sizes, tol, kernels=kernels)
-            built = biorthogonalize_crossing(raw, sys, h, omega, tol,
-                                             gnorm=gnorm, g=g)
+            built = biorthogonalize_crossing(raw, g, gnorm, h, omega, tol)
         blocks.extend(
             JordanBlock(
                 omega=omega,

@@ -37,7 +37,13 @@ from critmode.linalg import (
     char_poly,
     poly_roots,
 )
-from critmode.model import bilinear, build_system, evolution_operator, metric
+from critmode.model import (
+    bilinear,
+    build_system,
+    evolution_operator,
+    metric,
+    metric_norm,
+)
 
 from conftest import well_separated_system
 
@@ -534,7 +540,7 @@ def test_normalize_block_single_critical_ledger():
     # on f1 = (0, -i)
     sys = build_system([[1.0]], [[2.0]])
     raw = [np.array([1.0, -1.0], dtype=complex), np.array([-1.0j, 0.0])]
-    chain, ledger = normalize_block(raw, sys)
+    chain, ledger = normalize_block(raw, metric(sys), metric_norm(sys))
     assert np.allclose(chain[0], [1.0, -1.0], atol=1e-14)
     assert np.allclose(chain[1], [0.0, -1.0j], atol=1e-14)
     assert abs(ledger.c[0] - 1.0) < 1e-14
@@ -547,7 +553,7 @@ def test_normalize_block_m1_unit_norm():
     sys = build_system(np.diag([1.0, 4.0]), np.zeros((2, 2)))
     h = evolution_operator(sys)
     [raw] = build_chain(h, 1.0, [1])
-    chain, _ = normalize_block([3.7 * raw[0]], sys)
+    chain, _ = normalize_block([3.7 * raw[0]], metric(sys), metric_norm(sys))
     assert abs(bilinear(sys, chain[0], chain[0]) - 1.0) < 1e-12
 
 
@@ -566,7 +572,7 @@ def test_normalize_block_scrambled_quartic_recovers_fixture():
     scrambled = [
         sum(c[k] * fix[n - k] for k in range(n + 1)) for n in range(4)
     ]
-    chain, _ = normalize_block(scrambled, sys)
+    chain, _ = normalize_block(scrambled, metric(sys), metric_norm(sys))
     diff = min(
         max(np.linalg.norm(sgn * chain[n] - fix[n]) for n in range(4))
         for sgn in (1, -1)
@@ -594,7 +600,7 @@ def test_normalize_block_degenerate_rejected():
     # two vectors with vanishing mutual pairing: not a valid chain
     v = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DegenerateChainError):
-        normalize_block([v, v], sys)
+        normalize_block([v, v], metric(sys), metric_norm(sys))
 
 
 def _kept_simple_eigenvalues(sys):
@@ -639,11 +645,11 @@ def test_pairings_match_bilinear(catalog_spectra):
         _assert_pairings_match_bilinear(sys, u, v)
 
 
-def _assert_stack_equals_one_chain_calls(stack, sys, gnorm):
-    chains, ledgers = normalize_block(stack, sys, gnorm=gnorm)
+def _assert_stack_equals_one_chain_calls(stack, g, gnorm):
+    chains, ledgers = normalize_block(stack, g, gnorm)
     assert len(chains) == len(ledgers) == len(stack)
     for raw, chain, ledger in zip(stack, chains, ledgers):
-        want, want_ledger = normalize_block(raw, sys, gnorm=gnorm)
+        want, want_ledger = normalize_block(raw, g, gnorm)
         assert _bits(chain) == _bits(want)
         assert _bits(ledger.A) == _bits(want_ledger.A)
         assert _bits(ledger.c) == _bits(want_ledger.c)
@@ -672,7 +678,8 @@ def test_normalize_block_stack_equals_one_chain_calls(catalog_entries):
             continue
         _, vectors = _simple_eigenvectors(*eig, omegas)
         gnorm = float(np.linalg.norm(metric(sys), 2))
-        _assert_stack_equals_one_chain_calls(vectors[:, None, :], sys, gnorm)
+        _assert_stack_equals_one_chain_calls(vectors[:, None, :], metric(sys),
+                                            gnorm)
         rows_checked += len(vectors)
     assert demoted == 2
     assert rows_checked >= 250
@@ -685,11 +692,12 @@ def test_normalize_block_stack_equals_one_chain_calls(catalog_entries):
         [sum(c[k] * chain[n - k] for k in range(n + 1)) for n in range(4)]
         for c in coeffs
     ])
-    gnorm = float(np.linalg.norm(metric(sys), 2))
-    _assert_stack_equals_one_chain_calls(scrambled, sys, gnorm)
+    g = metric(sys)
+    gnorm = float(np.linalg.norm(g, 2))
+    _assert_stack_equals_one_chain_calls(scrambled, g, gnorm)
     # and each one normalizes to the same chain up to the block sign
-    first = normalize_block(scrambled[0], sys)[0]
-    for chain in normalize_block(scrambled, sys)[0]:
+    first = normalize_block(scrambled[0], g, gnorm)[0]
+    for chain in normalize_block(scrambled, g, gnorm)[0]:
         assert min(np.max(np.abs(chain - sgn * first)) for sgn in (1, -1)) <= 1e-9
 
 
@@ -702,16 +710,17 @@ def test_degenerate_simple_eigenvector_keeps_normalize_block_text():
         sys = quartic_critical(5.0, 5.0)
     eig, omegas, _ = _kept_simple_eigenvalues(sys)
     _, vectors = _simple_eigenvectors(*eig, omegas)
-    gnorm = float(np.linalg.norm(metric(sys), 2))
+    g = metric(sys)
+    gnorm = float(np.linalg.norm(g, 2))
     texts = []
     for vector in vectors:
         try:
-            normalize_block([vector], sys, gnorm=gnorm)
+            normalize_block([vector], g, gnorm)
         except DegenerateChainError as exc:
             texts.append(str(exc))
     assert texts
     with pytest.raises(DegenerateChainError) as stacked:
-        normalize_block(vectors[:, None, :], sys, gnorm=gnorm)
+        normalize_block(vectors[:, None, :], g, gnorm)
     with pytest.raises(DegenerateChainError) as full:
         compute_spectrum(sys)
     assert str(stacked.value) == str(full.value) == texts[0]
@@ -763,7 +772,8 @@ def test_crossing_two_identical_oscillators(catalog_spectra):
 def test_crossing_single_block_passthrough():
     sys = build_system([[1.0]], [[2.0]])
     h = evolution_operator(sys)
-    out = biorthogonalize_crossing(build_chain(h, -1j, [2]), sys, h, -1j)
+    out = biorthogonalize_crossing(build_chain(h, -1j, [2]), metric(sys),
+                                   metric_norm(sys), h, -1j)
     assert len(out) == 1
     chain, _ = out[0]
     assert abs(bilinear(sys, chain[0], chain[1]) - 1.0) <= 1e-12
@@ -793,13 +803,30 @@ def test_crossing_random_admissible_remix_round_trip(catalog_spectra):
         return [n1, n2]
 
     for _ in range(5):
-        out = biorthogonalize_crossing(mix(), sys, h, -1j)
+        out = biorthogonalize_crossing(mix(), metric(sys), metric_norm(sys),
+                                       h, -1j)
         chains = [chain for chain, _ in out]
         assert crossing_gram_residual(sys, chains) <= 1e-9
         for chain in chains:
             a = h + 1j * np.eye(4)
             assert np.linalg.norm(a @ chain[1] - chain[0]) <= 1e-9
             assert np.linalg.norm(a @ chain[0]) <= 1e-9
+
+
+def test_crossing_top_choice_ignores_rounding_ties(catalog_entries):
+    # at the crossing the top-vector candidates (t1, t2, t1 + t2) have equal
+    # quality in exact arithmetic; rounding noise, or a 1e-12 change of K,
+    # must not pick the other oscillator's chain as the first block
+    sys = catalog_entries["crossed-pair"].system
+    dk = np.zeros((2, 2))
+    dk[0, 0] = 1.0
+    f0 = [
+        compute_spectrum(build_system(sys.K + eps * dk, sys.Gamma))
+        .largest_block().chain[0]
+        for eps in (0.0, -1e-12, 1e-12, 1e-11)
+    ]
+    for f in f0[1:]:
+        assert np.max(np.abs(f - f0[0])) <= 1e-9
 
 
 # --- conjugation -------------------------------------------------------------
