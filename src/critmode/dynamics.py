@@ -22,12 +22,16 @@ each middle factor is a phase, or pole, times a polynomial in N:
     e^{-iJt}            = diag(exp(-i omega t)) sum_l ((-i t)^l / l!) N^l,
     i (omega - J)^{-1}  = sum_l diag(i / (omega - omega_k)^(l+1)) N^l,
 
-with l below the largest block size.  The kernels evaluate these on a grid
-of times or frequencies (a scalar is a grid of one) from the matrices the
-spectrum stores (Spectrum.matrices: F repeated once per order l, the stack
-N^l D^H as one matrix, the column eigenvalues and -i times them), so
-nothing is rebuilt per call and the matrices that compute_spectrum verified
-are the ones the kernels propagate with.
+with l below the largest block size L.  The kernels evaluate these on a
+grid of T times or frequencies (a scalar is a grid of one) from the layouts
+the spectrum stores (Spectrum.matrices), all in one flat order of L dim
+columns, column l dim + k for order l and basis column k: F repeated once
+per order, the stack N^l D^H as one matrix, and per column l, (-i)^l / l!,
+log l!, l + 1, omega_k and -i omega_k.  A coefficient table is then a few
+whole-array ufuncs on (T, L dim) arrays, t^l (-i)^l / l! exp(-i omega_k t)
+or i r_k^(l+1) with r_k = 1 / (omega - omega_k), and one product per grid
+point applies it.  Nothing is rebuilt per call, and the matrices that
+compute_spectrum verified are the ones the kernels propagate with.
 
 Separating the completeness relation F P F^T g = I (P the block
 anti-identity) into coordinates and momenta yields four sum rules on the
@@ -60,16 +64,6 @@ from .model import OscillatorSystem, metric, symmetric_matrix
 from .perturb import _exact_perturbed_spectrum, _predict_splitting
 
 _EPS = np.finfo(float).eps
-# Orders l, (-i)^l / l! and log l! of the Taylor coefficients of e^{-iJt},
-# for Jordan blocks of up to 1024 vectors (N = 512 oscillators in one chain):
-# (-i t)^l / l! is taken as the real t^l times the exact phase (-i)^l over
-# l!; 1/l! is below the smallest normal float past l = 170, and the table
-# keeps 0 there
-_ORDERS = np.arange(1025.0)
-_PHASES = np.array([1.0, -1j, -1.0, 1j])[np.arange(1024) % 4] * np.array(
-    [1 / math.factorial(l) if l <= 170 else 0.0 for l in range(1024)]
-)
-_LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
 # C_l(omega, t) is taken directly for orders l <= _DIRECT_MAX_ORDER at
 # |t| < _LOG_SPACE_TIME, and in log space otherwise, so that neither t^l nor
 # l! overflows on its own
@@ -81,6 +75,13 @@ _LOG_SPACE_TIME = 1e3
 # and nothing overflows unless |F| |D| |phi| pass about 1e178; above it the
 # kernel runs under np.errstate and the finiteness check alone decides.
 _QUIET_BOUND = 300.0
+# greens_freq takes r_k = 1 / (omega - omega_k) under np.errstate once the
+# largest real or imaginary part of omega plus scale passes this bound.
+# numpy divides complex numbers by Smith's method, whose denominator is at
+# most twice the largest part of the divisor, so below the bound nothing
+# overflows; above it |r_k| is below the smallest normal float, and r_k is 0
+# where the denominator overflows
+_RESOLVENT_QUIET = np.finfo(float).max / 2.0
 # _increment_power squares the RK4 increment P_j while ||P_j||_1 is at most
 # this.  Below it ||(I + P_j)^-1||_1 <= 1 / (1 - 1/2) = 2, and the last
 # power, I + P_k = (I + P_{k-1})^2, has an inverse of norm at most 4, so no
@@ -125,7 +126,7 @@ def evolve_basis_vector(block: JordanBlock, n: int, t: float) -> np.ndarray:
 def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
                             peak: float) -> np.ndarray:
     """C_l(omega_k, t) for every time, order l and column k, flat: shape
-    (T, L dim), entry [x, l dim + k].
+    (T, L dim), entry [x, l dim + k], on the flat layouts of form.
 
     t^l (-i)^l / l! times exp(t (-i omega_k)), except at the times with
     |t| >= _LOG_SPACE_TIME (and every nonzero time once the orders pass
@@ -133,22 +134,18 @@ def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
     exp(l log(-i t) - log l! - i omega_k t).  The choice is made per time,
     so a grid gives each time the values a grid of one gives it.
     """
-    size, dim = form.duals.shape[:2]
     far = None
-    high = size - 1 > _DIRECT_MAX_ORDER
+    high = form.duals.shape[0] - 1 > _DIRECT_MAX_ORDER
     if peak >= _LOG_SPACE_TIME or high:
         far = (np.abs(times) >= _LOG_SPACE_TIME) | (high & (times != 0.0))
     direct = times[:, None] if far is None else np.where(far, 0.0, times)[:, None]
-    coef = (
-        (direct ** _ORDERS[:size] * _PHASES[:size])[:, :, None]
-        * np.exp(direct * form.minus_i_omega)[:, None, :]
-    ).reshape(times.size, size * dim)
+    coef = direct ** form.orders * form.phases * np.exp(direct * form.minus_i_omega)
     if far is not None:
         late = times[far, None]
-        log_c = _ORDERS[:size] * np.log(-1j * late) - _LOG_FACTORIALS[:size]
         coef[far] = np.exp(
-            log_c[:, :, None] + (late * form.minus_i_omega)[:, None, :]
-        ).reshape(late.size, size * dim)
+            form.orders * np.log(-1j * late) - form.log_factorials
+            + late * form.minus_i_omega
+        )
     return coef
 
 
@@ -175,27 +172,34 @@ def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
     are silenced, so the typed error is all the caller sees.
     """
     if peak * form.scale <= _QUIET_BOUND:
-        return _finite_states(form, phi, times, peak)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_states(form, phi, times, peak)
+        states = _states(form, phi, times, peak)
+        _check_finite(states, times, "the state")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = _states(form, phi, times, peak)
+            _check_finite(states, times, "the state")
+    return states
 
 
-def _finite_states(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
-                   peak: float) -> np.ndarray:
-    """The states of _evolve; ArgumentError at the first one not finite."""
+def _states(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
+            peak: float) -> np.ndarray:
+    """The states of _evolve, one row per time."""
     coef = _evolution_coefficients(form, times, peak)
     # one product per time, so that every row is computed as a grid of one
-    states = ((coef * (form.dual_rows @ phi))[:, None, :] @ form.f_tiled.T)[:, 0]
+    return ((coef * (form.dual_rows @ phi))[:, None, :] @ form.f_tiled.T)[:, 0]
+
+
+def _check_finite(rows: np.ndarray, times: np.ndarray, what: str) -> None:
+    """ArgumentError naming the first time whose row of rows is not finite."""
     # a sum that is finite clears every entry; one that is not may only
     # have overflowed, so the rows decide
-    if not cmath.isfinite(states.sum()):
-        lost = times[~np.isfinite(states).all(axis=1)]
+    if not cmath.isfinite(np.add.reduce(rows, axis=None)):
+        lost = times[~np.isfinite(rows.reshape(times.size, -1)).all(axis=1)]
         if lost.size:
             raise ArgumentError(
-                f"the state at t={lost[0]:g} is not finite: e^(-iJt) overflows "
+                f"{what} at t={lost[0]:g} is not finite: e^(-iJt) overflows "
                 "float64 there"
             )
-    return states
 
 
 def _state(phi, dim: int) -> np.ndarray:
@@ -226,18 +230,29 @@ def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
 def greens_time(spectrum: Spectrum, t) -> np.ndarray:
     """Retarded Green's function at time t (zero matrix for t < 0).
 
-    t may be a scalar or a 1-D grid; raises ArgumentError if not finite.
+    t may be a scalar or a 1-D grid.  Raises ArgumentError for a time that
+    is not finite or whose Green's function is not, by _evolve's rule.
     """
     times, scalar, peak = as_grid(t, "t", float)
     form = spectrum.matrices
+    if peak * form.scale <= _QUIET_BOUND:
+        out = _retarded(form, times, peak)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _retarded(form, times, peak)
+            _check_finite(out, times, "the Green's function")
+    return out[0] if scalar else out
+
+
+def _retarded(form: MatrixForm, times: np.ndarray, peak: float) -> np.ndarray:
+    """theta(t) F e^{-iJt} D^H per time."""
     # a Python min over the list costs a third of times.min() on one time
     if min(times.tolist(), default=0.0) < 0.0:
         coef = _evolution_coefficients(form, np.maximum(times, 0.0), peak)
         coef[times < 0.0] = 0.0
     else:
         coef = _evolution_coefficients(form, times, peak)
-    out = _jordan_function(form, coef)
-    return out[0] if scalar else out
+    return _jordan_function(form, coef)
 
 
 def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
@@ -247,22 +262,25 @@ def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     is not finite or sits within cluster_tol * (1 + max |omega_k|) of a pole
     omega_k (MatrixForm.scale).
     """
-    freqs, scalar, _ = as_grid(omega, "omega", complex)
+    freqs, scalar, peak = as_grid(omega, "omega", complex)
     form = spectrum.matrices
-    gap = freqs[:, None] - form.omega
+    gap = freqs[:, None] - form.omega_tiled
     radius = spectrum.tol.cluster_tol * form.scale
     dist = np.abs(gap)
-    if dist.min(initial=np.inf) <= radius:
+    # the ufunc's own reduce skips the Python wrapper of dist.min
+    if np.minimum.reduce(dist, axis=None, initial=np.inf) <= radius:
         x, k = np.argwhere(dist <= radius)[0]
         raise ArgumentError(
             f"omega={freqs[x]} is within cluster_tol * (1 + max |omega_k|) = "
-            f"{radius:g} of the pole at {form.omega[k]}"
+            f"{radius:g} of the pole at {form.omega_tiled[k]}"
         )
-    # i (omega - J)^{-1} = sum_l diag(i / (omega - omega_k)^(l+1)) N^l
-    size, dim = form.duals.shape[:2]
-    coef = (1j / gap[:, None, :] ** _ORDERS[1 : size + 1, None]).reshape(
-        freqs.size, size * dim
-    )
+    # i (omega - J)^{-1} = sum_l diag(i r_k^(l+1)) N^l, r_k = 1 / (omega -
+    # omega_k); the power of r cannot overflow where that of the gap would
+    if peak + form.scale <= _RESOLVENT_QUIET:
+        coef = 1j * np.reciprocal(gap) ** form.pole_powers
+    else:
+        with np.errstate(over="ignore"):
+            coef = 1j * np.reciprocal(gap) ** form.pole_powers
     out = _jordan_function(form, coef)
     return out[0] if scalar else out
 

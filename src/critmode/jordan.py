@@ -55,6 +55,7 @@ its pairing and completeness residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,20 @@ class CrossingGroup:
         return len(self.sizes)
 
 
+# Per order l of the Taylor coefficients of e^{-iJt} and of the poles of the
+# resolvent, for Jordan blocks of up to 1024 vectors (N = 512 oscillators in
+# one chain): l, (-i)^l / l!, log l! and l + 1.  (-i t)^l / l! is taken as
+# the real t^l times that exact phase; 1/l! is below the smallest normal
+# float past l = 170, and the table keeps 0 there.  The pole powers are
+# complex so that a complex base takes them without a cast
+_ORDERS = np.arange(1024.0)
+_PHASES = np.array([1.0, -1j, -1.0, 1j])[np.arange(1024) % 4] * np.array(
+    [1 / math.factorial(l) if l <= 170 else 0.0 for l in range(1024)]
+)
+_LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
+_POLE_POWERS = _ORDERS + (1.0 + 0j)
+
+
 @dataclass(frozen=True)
 class MatrixForm:
     """The Jordan basis as matrices, columns in block order.
@@ -158,14 +173,18 @@ class MatrixForm:
     block-diagonal and P the block anti-identity.  J = diag(omega) + N:
     omega holds each column's eigenvalue and N, with ones on the first
     superdiagonal inside each block, is nilpotent.  duals stacks N^l D^H for
-    l = 0 .. max M - 1: the conjugated duals as rows, moved up l places
-    inside each block, so duals[0] is D^H.  scale is 1 + max |omega|.
+    l = 0 .. L - 1, L = max M: the conjugated duals as rows, moved up l
+    places inside each block, so duals[0] is D^H.  scale is 1 + max |omega|.
 
-    The dynamics kernels read two more layouts of the same numbers:
+    The dynamics kernels read the same numbers in one flat column order of
+    L dim columns, column l dim + k standing for order l and basis column k:
     dual_rows is the duals stack as one (L dim, dim) matrix (a view), and
     f_tiled is F repeated L times side by side, (dim, L dim), so that
-    column l dim + k of f_tiled meets row l dim + k of dual_rows.
-    minus_i_omega is -i omega.
+    column l dim + k of f_tiled meets row l dim + k of dual_rows.  Per flat
+    column, orders holds l, phases (-i)^l / l!, log_factorials log l!,
+    pole_powers l + 1, omega_tiled omega_k and minus_i_omega -i omega_k, so
+    a coefficient table over times or frequencies is a few ufuncs on
+    (T, L dim) arrays.
     """
 
     f: np.ndarray
@@ -176,6 +195,11 @@ class MatrixForm:
     scale: float
     dual_rows: np.ndarray
     f_tiled: np.ndarray
+    orders: np.ndarray
+    phases: np.ndarray
+    log_factorials: np.ndarray
+    pole_powers: np.ndarray
+    omega_tiled: np.ndarray
     minus_i_omega: np.ndarray
 
 
@@ -655,14 +679,15 @@ def _basis_matrices(blocks):
 
 def _matrix_form(blocks) -> MatrixForm:
     """F, the N^l D^H stack, J, P, the column eigenvalues of the blocks, and
-    the layouts of F, the stack and -i omega that the dynamics kernels read."""
+    the flat per-column layouts that the dynamics kernels read."""
     f_mat, d_mat = _basis_matrices(blocks)
     d_h = d_mat.conj().T
     sizes = [b.size for b in blocks]
     omega = np.repeat(np.array([b.omega for b in blocks], dtype=complex), sizes)
     j_mat = np.diag(omega)
     p_mat = np.zeros(j_mat.shape)
-    duals = np.zeros((max(sizes),) + d_h.shape, dtype=complex)
+    levels, cols = max(sizes), omega.size
+    duals = np.zeros((levels,) + d_h.shape, dtype=complex)
     pos = 0
     for m in sizes:
         for k in range(pos, pos + m):
@@ -671,6 +696,7 @@ def _matrix_form(blocks) -> MatrixForm:
             p_mat[k, 2 * pos + m - 1 - k] = 1.0
             duals[: pos + m - k, k] = d_h[k : pos + m]
         pos += m
+    omega_tiled = np.concatenate([omega] * levels)
     return MatrixForm(
         f=f_mat,
         duals=duals,
@@ -678,9 +704,14 @@ def _matrix_form(blocks) -> MatrixForm:
         p=p_mat,
         omega=omega,
         scale=1.0 + float(np.abs(omega).max()),
-        dual_rows=duals.reshape(-1, duals.shape[2]),
-        f_tiled=np.concatenate([f_mat] * len(duals), axis=1),
-        minus_i_omega=-1j * omega,
+        dual_rows=duals.reshape(-1, d_h.shape[1]),
+        f_tiled=np.concatenate([f_mat] * levels, axis=1),
+        orders=_ORDERS[:levels].repeat(cols),
+        phases=_PHASES[:levels].repeat(cols),
+        log_factorials=_LOG_FACTORIALS[:levels].repeat(cols),
+        pole_powers=_POLE_POWERS[:levels].repeat(cols),
+        omega_tiled=omega_tiled,
+        minus_i_omega=-1j * omega_tiled,
     )
 
 

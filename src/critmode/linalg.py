@@ -20,6 +20,7 @@ iteration.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,15 +80,27 @@ def _as_square(m) -> np.ndarray:
 
 
 def as_grid(values, name: str, dtype) -> tuple:
-    """(values as a 1-D grid, whether a scalar was given, largest magnitude).
+    """(values as a 1-D grid, whether a scalar was given, peak), peak the
+    largest magnitude of a real or an imaginary part (for real values the
+    largest |value|).
 
-    Raises ArgumentError unless every value is finite.
+    Raises ArgumentError unless every value is finite.  Finiteness is
+    judged by the parts, so a finite complex value whose modulus overflows
+    is accepted.
     """
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim > 1:
         raise ArgumentError(f"{name} must be a scalar or a 1-D grid")
     grid = arr.reshape(-1)
-    peak = abs(arr.item()) if arr.ndim == 0 else float(np.abs(grid).max(initial=0.0))
+    if arr.ndim == 0:
+        value = arr.item()
+        finite = cmath.isfinite(value)
+        peak = max(abs(value.real), abs(value.imag)) if finite else math.inf
+    else:
+        # np.max propagates a NaN part, so a finite peak clears every part
+        real = grid.dtype.kind == "f"
+        parts = grid if real else np.concatenate((grid.real, grid.imag))
+        peak = float(np.abs(parts).max(initial=0.0))
     if not math.isfinite(peak):
         raise ArgumentError(f"{name} must be finite, got {values!r}")
     return grid, arr.ndim == 0, peak

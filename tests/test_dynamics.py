@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from critmode.dynamics import (
     NonDiagonalizableError,
@@ -19,8 +21,8 @@ from critmode.dynamics import (
 )
 from critmode import dynamics, jordan
 from critmode.design import catalog_system, scale_system
-from critmode.jordan import compute_spectrum
-from critmode.linalg import ArgumentError
+from critmode.jordan import JordanBlock, _matrix_form, compute_spectrum
+from critmode.linalg import ArgumentError, as_grid
 from critmode.model import build_system, evolution_operator
 
 from conftest import well_separated_system
@@ -62,6 +64,39 @@ def test_coefficient_log_space_branch():
 def test_coefficient_negative_order_rejected():
     with pytest.raises(ArgumentError):
         evolution_coefficient(-1, 0.0, 1.0)
+
+
+def test_tall_block_takes_every_nonzero_time_in_log_space():
+    # a block of 24 vectors passes _DIRECT_MAX_ORDER, so the kernels take
+    # every nonzero time in log space; with unit chain and duals the flat
+    # table holds C_l(omega, t) at column l dim + k for every column k
+    omega, size = 0.8 - 0.01j, 24
+    assert size - 1 > dynamics._DIRECT_MAX_ORDER
+    unit = np.eye(size, dtype=complex)
+    form = _matrix_form([JordanBlock(omega=omega, size=size, chain=unit, duals=unit)])
+    times = [-0.5, 0.0, 0.3, 2e3]
+    for t in times:
+        grid, _, peak = as_grid(t, "t", float)
+        coef = dynamics._evolution_coefficients(form, grid, peak)
+        assert coef.shape == (1, size * size)
+        for l in range(size):
+            want = evolution_coefficient(l, omega, t)
+            got = coef[0, l * size : (l + 1) * size]
+            if t == 0.0 or l > dynamics._DIRECT_MAX_ORDER or abs(t) >= 1e3:
+                # exact at t = 0, and evolution_coefficient is in log space too
+                assert np.all(got == want), (t, l)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-13 * abs(want)), (t, l)
+    # a grid row is its time's grid of one, bit for bit
+    grid, _, peak = as_grid(times, "t", float)
+    coef = dynamics._evolution_coefficients(form, grid, peak)
+    phi = np.linspace(1.0, 2.0, size) + 0.5j
+    states = dynamics._evolve(form, phi, grid, peak)
+    for i, t in enumerate(times):
+        one, _, one_peak = as_grid(t, "t", float)
+        row = dynamics._evolution_coefficients(form, one, one_peak)[0]
+        assert np.array_equal(coef[i], row)
+        assert np.array_equal(states[i], dynamics._evolve(form, phi, one, one_peak)[0])
 
 
 def test_basis_vector_derivative_identity(catalog_spectra):
@@ -363,6 +398,48 @@ def test_empty_grid_gives_no_rows(kernel_spectra):
         assert greens_freq(spec, []).shape == (0, dim, dim), name
 
 
+# the kernel property: finite rows equal to the scalar calls, or ArgumentError,
+# for times and frequencies from 0 and 1e-300 up to 1e308 in magnitude
+_MAGNITUDES = st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
+_REALS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), _MAGNITUDES),
+)
+_FREQS = st.one_of(_REALS, st.builds(complex, _REALS, _REALS))
+
+
+def _scalar_or_grid(values):
+    return st.one_of(values, st.lists(values, min_size=1, max_size=4))
+
+
+def _assert_rows_or_typed(kernel, arg):
+    """kernel(arg) is finite, and each row of a grid is its scalar call bit
+    for bit, unless the call raises ArgumentError."""
+    try:
+        out = kernel(arg)
+    except ArgumentError:
+        return
+    assert np.isfinite(out).all(), arg
+    if isinstance(arg, list):
+        assert len(out) == len(arg)
+        for row, value in zip(out, arg):
+            assert np.array_equal(row, kernel(value)), (arg, value)
+
+
+@settings(derandomize=True)
+@given(t=_scalar_or_grid(_REALS), w=_scalar_or_grid(_FREQS))
+def test_kernels_give_finite_rows_or_argument_error(kernel_spectra, t, w):
+    # no numpy RuntimeWarning and no builtin exception at any magnitude, on
+    # the catalog spectra and one random spectrum per N = 1..5
+    for spec in kernel_spectra.values():
+        phi = np.linspace(1.0, 2.0, spec.system.dim) + 0.5j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_rows_or_typed(lambda x: evolve_state(spec, phi, x), t)
+            _assert_rows_or_typed(lambda x: greens_time(spec, x), t)
+            _assert_rows_or_typed(lambda x: greens_freq(spec, x), w)
+
+
 def _entrywise_sum(spec, coefficient):
     """sum over blocks j, chain n and l <= n of coefficient(l, omega_j)
     f_{j,n-l} conj(d_{j,n})^T, entry by entry in plain loops, with the sum
@@ -495,6 +572,56 @@ def test_greens_freq_decay_at_infinity(catalog_spectra):
     n2 = np.linalg.norm(greens_freq(spec, 1e4j), 2)
     assert n1 <= 2e-3
     assert n2 / n1 == pytest.approx(0.1, rel=0.05)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [1.2e77, 1e154, 1e300, -1e300, 1e300j])
+def test_greens_freq_far_from_the_poles_is_i_over_omega(catalog_spectra, w):
+    # G(omega) = i I / omega + O(|omega|^-2); the gap's power
+    # (omega - omega_k)^(l+1) overflows from |omega| ~ 1e77 on at l = 3,
+    # where the power of its reciprocal only underflows
+    spec = catalog_spectra["quartic-jb4"]
+    want = 1j * np.eye(4) / w
+    assert np.max(np.abs(greens_freq(spec, w) - want)) <= 1e-12 * abs(1 / w)
+    grid = greens_freq(spec, [w, 1.0])
+    assert np.array_equal(grid[0], greens_freq(spec, w))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [complex(1.7e308, 1.7e308), complex(-1.7e308, 1e308)])
+def test_greens_freq_takes_omega_whose_modulus_overflows(catalog_spectra, w):
+    # |omega| overflows but omega is finite: the resolvent is below the
+    # smallest normal float, not an OverflowError from |omega| or a claim
+    # that omega is not finite
+    spec = catalog_spectra["quartic-jb4"]
+    g = greens_freq(spec, w)
+    assert np.isfinite(g).all()
+    assert np.max(np.abs(g)) <= np.finfo(float).tiny
+    assert np.array_equal(greens_freq(spec, [w, 1.0])[0], g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_greens_time_names_a_time_whose_value_overflows():
+    # negative damping: the mode grows like e^{t/4}, and G(1e4) overflows;
+    # greens_time names the time as evolve_state does, with no NaN matrix
+    with pytest.warns(UserWarning):
+        sys = build_system([[1.0]], [[-0.5]])
+    spec = compute_spectrum(sys)
+    assert np.isfinite(greens_time(spec, 10.0)).all()
+    with pytest.raises(ArgumentError, match="t=10000"):
+        greens_time(spec, 1e4)
+    with pytest.raises(ArgumentError, match="t=10000"):
+        greens_time(spec, [0.0, 10.0, 1e4])
+    with pytest.raises(ArgumentError, match="t=10000"):
+        evolve_state(spec, np.ones(2), 1e4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_greens_time_at_the_largest_times_is_quiet(catalog_spectra):
+    # a decayed Green's function is zero, with no numpy overflow warning
+    spec = catalog_spectra["cubic-jb3"]
+    assert not np.any(greens_time(spec, 1.7e308))
+    assert not np.any(greens_time(spec, [1.0, 1.7e308])[1])
 
 
 def test_greens_freq_pole_order(catalog_spectra):

@@ -6,6 +6,7 @@ from critmode.linalg import (
     ArgumentError,
     InconsistentSystemError,
     Tolerances,
+    as_grid,
     char_poly,
     companion_roots,
     numeric_rank_and_nullspace,
@@ -285,3 +286,19 @@ def test_tolerances_must_be_finite_and_positive(name, value):
     # an infinite residual_tol would pass every basis, verified or not
     with pytest.raises(ArgumentError, match=name):
         Tolerances(**{name: value})
+
+
+@pytest.mark.filterwarnings("error")
+def test_as_grid_judges_finiteness_by_the_parts():
+    # |omega| overflows for this finite value: abs() raised Python's
+    # OverflowError on a scalar, and a grid was refused as not finite
+    big = complex(1.7e308, 1.7e308)
+    grid, scalar, peak = as_grid(big, "omega", complex)
+    assert scalar and grid.tolist() == [big] and peak == 1.7e308
+    grid, scalar, peak = as_grid([1.0, big], "omega", complex)
+    assert not scalar and grid.tolist() == [1.0, big] and peak == 1.7e308
+    assert as_grid([-3.0, 2.0], "t", float)[2] == 3.0
+    for bad in (complex(1.0, np.nan), complex(np.inf, 0.0), [1.0, complex(1.0, np.nan)],
+                [complex(np.nan, 1.0), 2.0], [np.inf]):
+        with pytest.raises(ArgumentError, match="must be finite"):
+            as_grid(bad, "omega", complex)
