@@ -22,7 +22,9 @@ failures (exit 2 and 4) and --help between ordinary runs, so the run also
 exercises one parser serving many calls.
 
 Commands:
-  - reproduce-figure 1..5 at eps0 = +-1e-4 and +-3e-5;
+  - reproduce-figure 1..5 at eps0 = +-1e-4 and +-3e-5, and at the default
+    eps0 with --eps-count 2 and 5 (display grids of 1 and 4 points ahead of
+    the fit grid);
   - cancellation on single-critical, quartic-jb4, cubic-jb3, double-jb2;
   - perturb on the same four systems x --dk {e11, mu:1,-1.5,2,
     mu:-2,0.5,1} x {the default grid, --eps0=-3e-5 --eps-power 3};
@@ -61,6 +63,10 @@ def commands():
         for eps0 in ("1e-4", "-1e-4", "3e-5", "-3e-5"):
             yield (f"figure{fig}_eps0={eps0}",
                    ["reproduce-figure", "--figure", str(fig), f"--eps0={eps0}"])
+        for count in ("2", "5"):
+            yield (f"figure{fig}_eps-count={count}",
+                   ["reproduce-figure", "--figure", str(fig),
+                    "--eps-count", count])
     for name in SYSTEMS:
         yield f"cancellation_{name}", ["cancellation", "--system", f"catalog:{name}"]
     for name in SYSTEMS:

@@ -82,14 +82,12 @@ EXIT_VERIFICATION = 3
 EXIT_NUMERICAL = 4
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """header, then one line per row of numbers, each number written as
+    float(v) with 17 significant digits; one format string per row."""
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    lines += [fmt % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -296,44 +294,48 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _track(spectrum, block, delta_k, eps_values, predict):
-    """Cluster shifts and predictions over an eps grid, as arrays.
+def _track(spectrum, block, delta_k, eps_values, predict, count):
+    """Cluster shifts over an eps grid and predictions over its head, as arrays.
 
     Returns (shifts, predicted shifts, predicted eigenvalues): an (E, M)
-    array of the shifts of the M eigenvalues nearest omega, checked against
-    the spectral gap, and the predictions stacked (None without predict).
-    One call of each stage covers the grid; predict runs before any
-    matching, so a direction without a prediction raises its own error.
+    array of the shifts of the M eigenvalues nearest omega at every eps,
+    checked against the spectral gap, and the predictions of the first
+    count points stacked.  One call of each stage covers the grid; predict
+    runs before any matching, so a direction without a prediction raises
+    its own error.
     """
     gap = spectral_gap(spectrum, block)
     evals = exact_perturbed_spectrum(spectrum.system, delta_k, eps_values)
-    preds = predict(block, delta_k, eps_values) if predict else None
+    preds = predict(block, delta_k, eps_values[:count])
     shifts = cluster_shifts(evals, block.omega, block.size, gap)
-    if preds is None:
-        return shifts, None, None
     return (shifts, np.array([p.shifts for p in preds]),
             np.array([p.eigenvalues for p in preds]))
 
 
-def _sweep_rows(spectrum, block, delta_k, eps_values, generic):
+def _sweep_rows(block, eps_values, numerical, predicted):
     """Numerical vs predicted eigenvalue tracks, one row per (eps, mode).
 
     eps_values is an _eps_grid, whose first point (n = 0, as in the caption
-    grids) is the unperturbed one: both columns hold omega there.
+    grids) is the unperturbed one: both columns hold omega there.  numerical
+    and predicted are the (E - 1, M) eigenvalue tracks over the rest of the
+    grid; each row of predictions is paired with its numerical row by
+    assign_predictions.  abs_error is np.hypot of the difference, which
+    rounds as abs() of one complex does (np.abs over an array may not).
     """
-    w = block.omega
-    rows = [[0.0, k, w.real, w.imag, w.real, w.imag, 0.0]
-            for k in range(block.size)]
-    predict = predict_splitting if generic else predict_splitting_nongeneric
-    shifts, _, predicted = _track(spectrum, block, delta_k, eps_values[1:],
-                                  predict)
-    numerical = w + shifts
+    w, m = block.omega, block.size
     predicted = np.take_along_axis(
         predicted, assign_predictions(numerical, predicted), axis=-1)
-    for eps, nums, preds in zip(eps_values[1:], numerical, predicted):
-        rows += [[eps, k, z.real, z.imag, p.real, p.imag, abs(z - p)]
-                 for k, (z, p) in enumerate(zip(nums, preds))]
-    return rows
+    nums = np.concatenate([np.full((1, m), w), numerical]).ravel()
+    preds = np.concatenate([np.full((1, m), w), predicted]).ravel()
+    errors = nums - preds
+    # n = 0 is written as 0, not as the -0.0 that a negative eps0 gives
+    eps = np.concatenate([[0.0], eps_values[1:]])
+    table = np.column_stack([
+        np.repeat(eps, m), np.tile(np.arange(m, dtype=float), eps.size),
+        nums.real, nums.imag, preds.real, preds.imag,
+        np.hypot(errors.real, errors.imag),
+    ])
+    return table.tolist()
 
 
 SWEEP_HEADER = [
@@ -365,7 +367,10 @@ def cmd_perturb(args) -> int:
                 f"is a level crossing of blocks of sizes {group.sizes}"
             )
     generic = is_generic(block, delta_k)
-    rows = _sweep_rows(spectrum, block, delta_k, eps_values, generic)
+    predict = predict_splitting if generic else predict_splitting_nongeneric
+    shifts, _, predicted = _track(spectrum, block, delta_k, eps_values[1:],
+                                  predict, eps_values.size - 1)
+    rows = _sweep_rows(block, eps_values, block.omega + shifts, predicted)
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     summary = {
         "omega": complex(block.omega),
@@ -420,17 +425,21 @@ FIGURES = {
     5: {"system": "double-jb2", "dk": "e11", "power": 2,
         "fit_decades": (-8, -4)},
 }
+FIT_POINTS = 9
+# The static mode of a non-generic direction moves at O(eps); it is fitted
+# on a higher grid, where it stands clear of the eigensolver noise floor.
+STATIC_DECADES = (-5, -2)
+STATIC_POINTS = 8
 
 
-def figure_summary(spectrum, block, delta_k, eps0, generic, fit_decades):
+def figure_summary(generic, fit_grid, shifts, predicted, static_grid, statics):
     """Exponent fits, equiangularity, and first-order accuracy diagnostics.
 
-    ``generic`` says whether xi is nonzero (``is_generic``): if not, the
-    M-1 moving modes are fitted and the static one separately.
+    shifts (E, M) and predicted (E, M or M - 1) are the _track arrays over
+    fit_grid.  ``generic`` says whether xi is nonzero (``is_generic``): if
+    not, the M-1 moving modes are fitted, and the static one separately
+    from statics, the (S, M) shifts over static_grid (empty when generic).
     """
-    fit_grid = np.sign(eps0) * np.logspace(fit_decades[0], fit_decades[1], 9)
-    predict = predict_splitting if generic else predict_splitting_nongeneric
-    shifts, predicted, _ = _track(spectrum, block, delta_k, fit_grid, predict)
     movings = shifts if generic else np.take_along_axis(
         shifts, np.argsort(np.abs(shifts), axis=-1)[:, 1:], axis=-1)
     errors = np.mean(np.abs(movings - np.take_along_axis(
@@ -461,12 +470,8 @@ def figure_summary(spectrum, block, delta_k, eps0, generic, fit_decades):
         "lambda_smallest": lams[0],
     }
     if not generic:
-        # The static mode moves at O(eps); fit it on a higher grid where it
-        # stands clear of the eigensolver noise floor.
-        eps_disp = np.sign(eps0) * np.logspace(-5, -2, 8)
-        statics, _, _ = _track(spectrum, block, delta_k, eps_disp, None)
         static_slope, _ = loglog_slope(
-            np.abs(eps_disp), np.min(np.abs(statics), axis=-1))
+            np.abs(static_grid), np.min(np.abs(statics), axis=-1))
         summary["static_mode_slope"] = static_slope
     return summary
 
@@ -484,19 +489,32 @@ def cmd_reproduce_figure(args) -> int:
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
     generic = is_generic(block, delta_k)
-    rows = _sweep_rows(spectrum, block, delta_k, eps_values, generic)
+    # one track over the display grid (n = 1..count-1), the fit grid and,
+    # for a non-generic direction, the static grid; the static points need
+    # no prediction
+    sign = np.sign(args.eps0)
+    fit_grid = sign * np.logspace(*fig["fit_decades"], FIT_POINTS)
+    static_grid = (np.empty(0) if generic
+                   else sign * np.logspace(*STATIC_DECADES, STATIC_POINTS))
+    display = eps_values.size - 1
+    fit = display + FIT_POINTS
+    predict = predict_splitting if generic else predict_splitting_nongeneric
+    shifts, predicted_shifts, predicted = _track(
+        spectrum, block, delta_k,
+        np.concatenate([eps_values[1:], fit_grid, static_grid]), predict, fit)
+    numerical = block.omega + shifts[:display]
+    rows = _sweep_rows(block, eps_values, numerical, predicted[:display])
     _write_csv(out / f"figure{args.figure}.csv", SWEEP_HEADER, rows)
-    summary = figure_summary(
-        spectrum, block, delta_k, args.eps0, generic, fig["fit_decades"]
-    )
+    summary = figure_summary(generic, fit_grid, shifts[display:fit],
+                             predicted_shifts[display:], static_grid,
+                             shifts[fit:])
     if generic:
         # the caption grids make |shift| proportional to n; report how
-        # closely the numerical tracks follow that spacing (rows hold the
-        # M modes of n = 0, 1, ... in turn)
-        m = block.size
-        shifts = [abs(complex(row[2], row[3]) - block.omega) for row in rows]
-        ratios = np.array([np.mean(shifts[n * m:(n + 1) * m]) / n
-                           for n in range(1, args.eps_count)])
+        # closely the numerical tracks follow that spacing (|shift| by
+        # np.hypot, as in _sweep_rows)
+        moved = numerical - block.omega
+        ratios = (np.hypot(moved.real, moved.imag).mean(axis=-1)
+                  / np.arange(1, args.eps_count))
         summary["spacing_linearity_max_dev"] = float(
             np.max(np.abs(ratios / np.mean(ratios) - 1.0))
         )

@@ -131,8 +131,10 @@ def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
     t^l (-i)^l / l! times exp(t (-i omega_k)), except at the times with
     |t| >= _LOG_SPACE_TIME (and every nonzero time once the orders pass
     _DIRECT_MAX_ORDER), which take evolution_coefficient's log-space form
-    exp(l log(-i t) - log l! - i omega_k t).  The choice is made per time,
-    so a grid gives each time the values a grid of one gives it.
+    exp(l log(-i t) - log l! - i omega_k t), and are 0 where that
+    exponent's phase overflows while its magnitude underflows.  The choice
+    is made per time, so a grid gives each time the values a grid of one
+    gives it.
     """
     far = None
     high = form.duals.shape[0] - 1 > _DIRECT_MAX_ORDER
@@ -142,10 +144,18 @@ def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
     coef = direct ** form.orders * form.phases * np.exp(direct * form.minus_i_omega)
     if far is not None:
         late = times[far, None]
-        coef[far] = np.exp(
-            form.orders * np.log(-1j * late) - form.log_factorials
-            + late * form.minus_i_omega
-        )
+        exponent = (form.orders * np.log(-1j * late) - form.log_factorials
+                    + late * form.minus_i_omega)
+        late_coef = np.exp(exponent)
+        # past |t Re omega| ~ 1.8e308 the phase overflows and exp gives NaN,
+        # even where e^{Re exponent} underflows to 0 and so makes the
+        # coefficient 0 whatever its phase
+        dead = ~np.isfinite(exponent.imag)
+        if dead.any():
+            with np.errstate(over="ignore"):
+                dead &= np.exp(exponent.real) == 0.0
+            late_coef[dead] = 0.0
+        coef[far] = late_coef
     return coef
 
 

@@ -62,7 +62,7 @@ def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
     """m as a real array, checked as build_system checks K and Gamma.
 
     ArgumentError names the matrix unless it is square (size x size when
-    size is given), finite and symmetric to SYMMETRY_TOL.
+    size is given), nonempty, finite and symmetric to SYMMETRY_TOL.
     """
     try:
         m = np.asarray(m, dtype=float)
@@ -74,10 +74,15 @@ def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
     if size is not None and m.shape != (size, size):
         raise ArgumentError(f"{name} must be {size}x{size}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.size == 0:
+        raise ArgumentError(f"{name} is empty, got shape {m.shape}")
+    # the max propagates a NaN, so one reduction checks finiteness and
+    # gives the scale
+    peak = float(np.abs(m).max())
+    if not math.isfinite(peak):
         raise ArgumentError(f"{name} has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    d = float(np.max(np.abs(m - m.T)))
+    scale = max(1.0, peak)
+    d = float(np.abs(m - m.T).max())
     if d > SYMMETRY_TOL * scale:
         raise ArgumentError(f"{name} is asymmetric (defect {d:.3e})")
     return m
@@ -96,15 +101,15 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
         raise ArgumentError(
             f"size mismatch: K is {K.shape}, Gamma is {Gamma.shape}"
         )
-    gamma_eigs = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))
-    if gamma_eigs.size and gamma_eigs[0] < -1e-12 * max(1.0, abs(gamma_eigs[-1])):
+    Gamma = 0.5 * (Gamma + Gamma.T)
+    gamma_eigs = np.linalg.eigvalsh(Gamma)
+    if gamma_eigs[0] < -1e-12 * max(1.0, abs(gamma_eigs[-1])):
         warnings.warn(
             f"Gamma is not positive semidefinite (min eigenvalue "
             f"{gamma_eigs[0]:.3e}); the formalism tolerates this",
             stacklevel=2,
         )
-    return OscillatorSystem(K=0.5 * (K + K.T), Gamma=0.5 * (Gamma + Gamma.T),
-                            label=label)
+    return OscillatorSystem(K=0.5 * (K + K.T), Gamma=Gamma, label=label)
 
 
 def evolution_operator(sys: OscillatorSystem) -> np.ndarray:

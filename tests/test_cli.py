@@ -375,6 +375,39 @@ def test_figure_spacing_or_static_mode(tmp_path, figure):
         assert "spacing_linearity_max_dev" not in summary
 
 
+def test_figure_checks_every_track_row_before_writing(tmp_path, monkeypatch):
+    # the display, fit and static rows are matched in one track, so a fit
+    # row beyond half the spectral gap fails the run before the CSV is
+    # written; the display row alone (eps = 1e-12, shift ~1e-3) would pass
+    from critmode import cli
+
+    monkeypatch.setattr(cli, "spectral_gap", lambda spectrum, block: 0.01)
+    assert run([
+        "reproduce-figure", "--figure", "1", "--eps0", "1e-12",
+        "--eps-count", "2", "--out", str(tmp_path),
+    ]) == 4
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    # one format string per row writes what float(v) with 17 significant
+    # digits writes, value by value
+    from critmode.cli import _write_csv
+
+    rows = [
+        [0, -3, 2**60 + 1, -0.0, 0.0],
+        [np.nan, np.inf, -np.inf, 1e-300, 5e-324],
+        [np.float64(0.1), np.float64(-2.5e-17), 1.0 / 3.0, 1e16, -1e308],
+        [np.int64(-7), 7, np.float64(np.nan), np.float64(-0.0), 123456.789],
+    ]
+    header = ["a", "b", "c", "d", "e"]
+    _write_csv(tmp_path / "out.csv", header, rows)
+    want = "\n".join([",".join(header)] + [
+        ",".join(f"{float(v):.17g}" for v in row) for row in rows
+    ]) + "\n"
+    assert (tmp_path / "out.csv").read_bytes() == want.encode("utf-8")
+
+
 def test_figure_rejects_bad_id(tmp_path):
     assert run(["reproduce-figure", "--figure", "7", "--out", str(tmp_path)]) == 2
 

@@ -617,6 +617,19 @@ def test_greens_time_names_a_time_whose_value_overflows():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e307, 1e308, 1.7976931348623157e308])
+def test_kernels_are_zero_where_the_phase_overflows(t):
+    # at t |Re omega| past the float range the phase of e^{-i omega t} is
+    # inf, while e^{t Im omega} underflows to 0: a decayed state, not an
+    # overflow
+    spec = compute_spectrum(well_separated_system(np.random.default_rng(11), 2))
+    assert not np.any(greens_time(spec, t))
+    assert not np.any(greens_time(spec, [1.0, t])[1])
+    assert not np.any(evolve_state(spec, np.ones(4), t))
+    assert not np.any(evolve_state(spec, np.ones(4), [0.5, t])[1])
+
+
+@pytest.mark.filterwarnings("error")
 def test_greens_time_at_the_largest_times_is_quiet(catalog_spectra):
     # a decayed Green's function is zero, with no numpy overflow warning
     spec = catalog_spectra["cubic-jb3"]

@@ -16,6 +16,7 @@ from critmode.model import (
     metric_norm,
     save_system,
     system_from_json,
+    symmetric_matrix,
     system_to_json,
 )
 
@@ -41,6 +42,23 @@ def test_build_rejects_mismatch_and_nonsquare():
         build_system(np.eye(2), np.zeros((3, 3)))
     with pytest.raises(ArgumentError):
         build_system(np.ones((2, 3)), np.zeros((2, 3)))
+
+
+def test_build_rejects_empty_matrices():
+    # the checks name the matrix instead of numpy's bare "zero-size array
+    # to reduction operation maximum"
+    with pytest.raises(ArgumentError, match="K is empty"):
+        build_system(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(ArgumentError, match="DK is empty"):
+        symmetric_matrix("DK", np.zeros((0, 0)))
+    with pytest.raises(ArgumentError, match="DK is empty"):
+        symmetric_matrix("DK", np.zeros((0, 0)), 0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_symmetric_matrix_rejects_non_finite_entries(entry):
+    with pytest.raises(ArgumentError, match="Gamma has non-finite entries"):
+        build_system(np.eye(2), [[1.0, 0.0], [0.0, entry]])
 
 
 def test_build_warns_on_indefinite_damping():

@@ -282,21 +282,27 @@ def test_predictions_reject_bad_eps(catalog_spectra, predict, dk, eps):
 def test_track_predicts_each_sweep_in_one_call(tmp_path, monkeypatch, figure):
     from critmode import cli
 
-    grids = []
+    grids = {"predict": [], "solve": []}
 
-    def counted(predict):
-        def wrapper(block, delta_k, eps):
-            grids.append(np.shape(eps))
-            return predict(block, delta_k, eps)
+    def counted(stage, fn):
+        def wrapper(first, delta_k, eps):
+            grids[stage].append(np.shape(eps))
+            return fn(first, delta_k, eps)
         return wrapper
 
-    monkeypatch.setattr(cli, "predict_splitting", counted(predict_splitting))
+    monkeypatch.setattr(cli, "predict_splitting",
+                        counted("predict", predict_splitting))
     monkeypatch.setattr(cli, "predict_splitting_nongeneric",
-                        counted(predict_splitting_nongeneric))
+                        counted("predict", predict_splitting_nongeneric))
+    monkeypatch.setattr(cli, "exact_perturbed_spectrum",
+                        counted("solve", exact_perturbed_spectrum))
     assert cli.main(["reproduce-figure", "--figure", str(figure),
                      "--out", str(tmp_path)]) == 0
-    # the display sweep (n = 1..8 of the caption grid) and the 9-point fit
-    assert grids == [(8,), (9,)]
+    # one track: the display sweep (n = 1..8 of the caption grid) and the
+    # 9-point fit are predicted, and the non-generic direction's 8-point
+    # static grid is solved along with them
+    assert grids["predict"] == [(17,)]
+    assert grids["solve"] == [(17,) if figure == 1 else (25,)]
 
 
 def _per_eps_sweep_rows(spectrum, block, dk, eps_values, predict):
@@ -361,8 +367,9 @@ def _per_eps_figure_summary(spectrum, block, dk, eps0, generic, fit_decades):
 @pytest.mark.parametrize("eps0", [1e-4, -1e-4])
 @pytest.mark.parametrize("figure", range(1, 6))
 def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
-    # the sweep rows and the summary of one call per stage and grid equal,
-    # bit for bit, those of one scalar call per eps on the same spectra
+    # the sweep rows and the summary taken from one track over the display,
+    # fit and static grids equal, bit for bit, those of one scalar call per
+    # stage and eps on the same spectra
     from critmode import cli
 
     fig = cli.FIGURES[figure]
@@ -372,11 +379,18 @@ def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
     generic = is_generic(block, dk)
     predict = predict_splitting if generic else predict_splitting_nongeneric
     eps_values = cli._eps_grid(eps0, fig["power"], 9)
-    got = cli._sweep_rows(spec, block, dk, eps_values, generic)
+    fit_grid = np.sign(eps0) * np.logspace(*fig["fit_decades"], cli.FIT_POINTS)
+    static_grid = (np.empty(0) if generic else np.sign(eps0)
+                   * np.logspace(*cli.STATIC_DECADES, cli.STATIC_POINTS))
+    shifts, predicted_shifts, predicted = cli._track(
+        spec, block, dk, np.concatenate([eps_values[1:], fit_grid, static_grid]),
+        predict, 8 + fit_grid.size)
+    got = cli._sweep_rows(block, eps_values, block.omega + shifts[:8],
+                          predicted[:8])
     want = _per_eps_sweep_rows(spec, block, dk, eps_values, predict)
     assert _same_bits(np.array(got), np.array(want))
-    got = cli.figure_summary(spec, block, dk, eps0, generic,
-                             fig["fit_decades"])
+    got = cli.figure_summary(generic, fit_grid, shifts[8:17],
+                             predicted_shifts[8:], static_grid, shifts[17:])
     want = _per_eps_figure_summary(spec, block, dk, eps0, generic,
                                    fig["fit_decades"])
     assert got.keys() == want.keys()
