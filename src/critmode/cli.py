@@ -56,6 +56,7 @@ from .jordan import (
 from .linalg import ArgumentError, ConvergenceError, Tolerances
 from .model import (
     OscillatorSystem,
+    _write_text,
     bilinear,
     load_system,
     save_system,
@@ -64,13 +65,12 @@ from .model import (
 from .perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
+    _predictor,
     assign_predictions,
     cluster_shifts,
     exact_perturbed_spectrum,
     is_generic,
     loglog_slope,
-    predict_splitting,
-    predict_splitting_nongeneric,
     spectral_gap,
     xi_generic,
     xi_prime,
@@ -88,13 +88,13 @@ def _write_csv(path: Path, header, rows) -> None:
     fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     lines += [fmt % tuple(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(
+    _write_text(
+        path,
         json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
     )
 
 
@@ -300,16 +300,15 @@ def _track(spectrum, block, delta_k, eps_values, predict, count):
     Returns (shifts, predicted shifts, predicted eigenvalues): an (E, M)
     array of the shifts of the M eigenvalues nearest omega at every eps,
     checked against the spectral gap, and the predictions of the first
-    count points stacked.  One call of each stage covers the grid; predict
-    runs before any matching, so a direction without a prediction raises
-    its own error.
+    count points, as predict(block, delta_k, eps) stacks them.  One call of
+    each stage covers the grid; predict runs before any matching, so a
+    direction without a prediction raises its own error.
     """
     gap = spectral_gap(spectrum, block)
     evals = exact_perturbed_spectrum(spectrum.system, delta_k, eps_values)
-    preds = predict(block, delta_k, eps_values[:count])
+    pred = predict(block, delta_k, eps_values[:count])
     shifts = cluster_shifts(evals, block.omega, block.size, gap)
-    return (shifts, np.array([p.shifts for p in preds]),
-            np.array([p.eigenvalues for p in preds]))
+    return shifts, pred.shifts, pred.eigenvalues
 
 
 def _sweep_rows(block, eps_values, numerical, predicted):
@@ -366,8 +365,7 @@ def cmd_perturb(args) -> int:
                 f"perturb needs an isolated block: omega = {block.omega:.6g} "
                 f"is a level crossing of blocks of sizes {group.sizes}"
             )
-    generic = is_generic(block, delta_k)
-    predict = predict_splitting if generic else predict_splitting_nongeneric
+    generic, predict = _predictor(block, delta_k)
     shifts, _, predicted = _track(spectrum, block, delta_k, eps_values[1:],
                                   predict, eps_values.size - 1)
     rows = _sweep_rows(block, eps_values, block.omega + shifts, predicted)
@@ -488,7 +486,7 @@ def cmd_reproduce_figure(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     block = spectrum.largest_block()
-    generic = is_generic(block, delta_k)
+    generic, predict = _predictor(block, delta_k)
     # one track over the display grid (n = 1..count-1), the fit grid and,
     # for a non-generic direction, the static grid; the static points need
     # no prediction
@@ -498,7 +496,6 @@ def cmd_reproduce_figure(args) -> int:
                    else sign * np.logspace(*STATIC_DECADES, STATIC_POINTS))
     display = eps_values.size - 1
     fit = display + FIT_POINTS
-    predict = predict_splitting if generic else predict_splitting_nongeneric
     shifts, predicted_shifts, predicted = _track(
         spectrum, block, delta_k,
         np.concatenate([eps_values[1:], fit_grid, static_grid]), predict, fit)

@@ -61,7 +61,11 @@ from .jordan import (
 )
 from .linalg import ArgumentError, Tolerances, as_grid
 from .model import OscillatorSystem, metric, symmetric_matrix
-from .perturb import _exact_perturbed_spectrum, _predict_splitting
+from .perturb import (
+    _exact_perturbed_spectrum,
+    _genericity_threshold,
+    _predict_splitting,
+)
 
 _EPS = np.finfo(float).eps
 # C_l(omega, t) is taken directly for orders l <= _DIRECT_MAX_ORDER at
@@ -69,12 +73,14 @@ _EPS = np.finfo(float).eps
 # l! overflows on its own
 _DIRECT_MAX_ORDER = 20
 _LOG_SPACE_TIME = 1e3
-# Largest peak |t| * scale (scale = 1 + max |omega|) at which _evolve lets
-# numpy warn.  |(-it)^l / l!| <= e^|t| and |e^{-i omega t}| <= e^{|omega| |t|},
-# so below the bound no coefficient exceeds e^{peak * scale} <= e^300 ~ 2e130
-# and nothing overflows unless |F| |D| |phi| pass about 1e178; above it the
-# kernel runs under np.errstate and the finiteness check alone decides.
+# Largest peak |t| * scale (scale = 1 + max |omega|), and largest state mass
+# sum |phi_i|, at which _evolve lets numpy warn.  |(-it)^l / l!| <= e^|t|
+# and |e^{-i omega t}| <= e^{|omega| |t|}, so below the bounds no
+# coefficient exceeds e^{peak * scale} <= e^300 ~ 2e130 and nothing
+# overflows unless |F| |D| pass about 1e128; above either the kernel runs
+# under np.errstate and the finiteness check alone decides.
 _QUIET_BOUND = 300.0
+_QUIET_MASS = 1e50
 # greens_freq takes r_k = 1 / (omega - omega_k) under np.errstate once the
 # largest real or imaginary part of omega plus scale passes this bound.
 # numpy divides complex numbers by Smith's method, whose denominator is at
@@ -172,22 +178,30 @@ def _jordan_function(form: MatrixForm, coef: np.ndarray) -> np.ndarray:
 
 
 def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
-            peak: float) -> np.ndarray:
+            peak: float, mass: float) -> np.ndarray:
     """F e^{-iJt} D^H phi per time, with the N^l D^H phi formed once.
 
     Raises ArgumentError naming the first time whose state is not finite:
     going back in time the modes grow like e^{|Im omega| |t|}, which
-    overflows float64 once |Im omega| |t| passes about 709.  Where that
-    can happen (peak * scale above _QUIET_BOUND) numpy's overflow warnings
-    are silenced, so the typed error is all the caller sees.
+    overflows float64 once |Im omega| |t| passes about 709, and a state
+    whose entries come near the float range overflows at any time.  Where
+    either can happen (peak * scale above _QUIET_BOUND, or the state's
+    mass sum |phi_i|, from _state, above _QUIET_MASS) numpy's overflow
+    warnings are silenced, so the typed error is all the caller sees; it
+    blames the state when only the mass passed its bound.
     """
-    if peak * form.scale <= _QUIET_BOUND:
+    loud_time = peak * form.scale <= _QUIET_BOUND
+    if loud_time and mass <= _QUIET_MASS:
         states = _states(form, phi, times, peak)
         _check_finite(states, times, "the state")
     else:
+        cause = None
+        if loud_time:
+            cause = (f"phi has parts up to {np.abs(phi.view(float)).max():.3g}"
+                     ", too large to propagate in float64")
         with np.errstate(over="ignore", invalid="ignore"):
             states = _states(form, phi, times, peak)
-            _check_finite(states, times, "the state")
+            _check_finite(states, times, "the state", cause)
     return states
 
 
@@ -199,29 +213,39 @@ def _states(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
     return ((coef * (form.dual_rows @ phi))[:, None, :] @ form.f_tiled.T)[:, 0]
 
 
-def _check_finite(rows: np.ndarray, times: np.ndarray, what: str) -> None:
-    """ArgumentError naming the first time whose row of rows is not finite."""
+def _check_finite(rows: np.ndarray, times: np.ndarray, what: str,
+                  cause: str | None = None) -> None:
+    """ArgumentError naming the first time whose row of rows is not finite,
+    and the cause (by default e^(-iJt) overflowing)."""
     # a sum that is finite clears every entry; one that is not may only
     # have overflowed, so the rows decide
     if not cmath.isfinite(np.add.reduce(rows, axis=None)):
         lost = times[~np.isfinite(rows.reshape(times.size, -1)).all(axis=1)]
         if lost.size:
             raise ArgumentError(
-                f"{what} at t={lost[0]:g} is not finite: e^(-iJt) overflows "
-                "float64 there"
+                f"{what} at t={lost[0]:g} is not finite: "
+                + (cause or "e^(-iJt) overflows float64 there")
             )
 
 
-def _state(phi, dim: int) -> np.ndarray:
-    """phi as a complex vector; ArgumentError unless it has dim finite entries."""
+def _state(phi, dim: int) -> tuple[np.ndarray, float]:
+    """(phi as a complex vector, its mass sum |phi_i|, inf where that
+    overflows); ArgumentError unless phi has dim finite entries."""
     phi = np.asarray(phi, dtype=complex).ravel()
     if phi.size != dim:
         raise ArgumentError(f"state must have length {dim}, got {phi.size}")
-    # cmath over the 2N entries costs a third of np.isfinite(phi).all(),
-    # and evolve_state checks its state once per call
-    if not all(map(cmath.isfinite, phi.tolist())):
+    # Python over the 2N entries costs a third of np.isfinite(phi).all(),
+    # and evolve_state checks its state once per call.  The mass propagates
+    # a NaN or an inf entry, so only a mass that is not finite needs the
+    # entries checked one by one: it may just have overflowed
+    entries = phi.tolist()
+    try:
+        mass = sum(map(abs, entries))
+    except OverflowError:  # abs() of a finite entry past the float range
+        mass = math.inf
+    if not math.isfinite(mass) and not all(map(cmath.isfinite, entries)):
         raise ArgumentError("state has non-finite entries")
-    return phi
+    return phi, mass
 
 
 def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
@@ -231,9 +255,9 @@ def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
     Raises ArgumentError for a state that is not finite, and for a time
     that is not finite or whose state is not (a time far in the past).
     """
-    phi = _state(phi, spectrum.system.dim)
+    phi, mass = _state(phi, spectrum.system.dim)
     times, scalar, peak = as_grid(t, "t", float)
-    states = _evolve(spectrum.matrices, phi, times, peak)
+    states = _evolve(spectrum.matrices, phi, times, peak, mass)
     return states[0] if scalar else states
 
 
@@ -389,7 +413,7 @@ def rk4_evolve(sys: OscillatorSystem, phi0, times, step: float = 1e-4) -> np.nda
     if grid.min(initial=0.0) < 0.0 or (grid[1:] < grid[:-1]).any():
         raise ArgumentError("times must be ascending and nonnegative")
     n = sys.N
-    y = _state(phi0, 2 * n)
+    y, _ = _state(phi0, 2 * n)
     a = np.block([[np.zeros((n, n)), np.eye(n)], [-sys.K, -sys.Gamma]])
     eye = np.eye(2 * n)
 
@@ -476,7 +500,7 @@ def cluster_cancellation_experiment(
     t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
         raise ArgumentError("t_grid must hold at least one time")
-    phi = _state(phi, sys.dim)
+    phi, mass = _state(phi, sys.dim)
     dk = symmetric_matrix("DK", delta_k, sys.N)
     spectrum = _spectrum_for(sys, spectrum, tol)
     nontrivial = [b for b in spectrum.blocks if b.size >= 2]
@@ -500,12 +524,12 @@ def cluster_cancellation_experiment(
             f"below the resolvable floor {sep_floor:.3e}"
         )
 
-    pred = _predict_splitting(block, dk, eps)
+    pred = _predict_splitting(block, dk, eps, _genericity_threshold(block, dk))
     weights = pred.split_vectors @ metric(sys) @ phi / pred.norms
     naive = (
         np.exp(-1j * np.outer(t_grid, pred.eigenvalues)) * weights
     ) @ pred.split_vectors
-    jordan = _evolve(_matrix_form([block]), phi, t_grid, peak)
+    jordan = _evolve(_matrix_form([block]), phi, t_grid, peak, mass)
     diffs = np.linalg.norm(naive - jordan, axis=1)
     return CancellationReport(
         eps=eps,

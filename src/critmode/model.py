@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -209,7 +210,28 @@ def load_system(path) -> OscillatorSystem:
 
 
 def save_system(sys: OscillatorSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(sys), fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(system_to_json(sys), indent=2) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Make the file at path hold exactly text, UTF-8 encoded.
+
+    An existing file is rewritten in place, through a symlink as open()
+    follows it, and then cut to the new length, so its inode and mode are
+    kept; a new one is made with mode 0o666 less the umask, as open("w")
+    makes it.  The file is never opened with O_TRUNC: on ext4 (mounted
+    with the default auto_da_alloc) closing a file truncated to zero starts
+    the writeback of its new blocks, which makes rewriting a few kB some
+    twenty times slower than writing them in place.  Nothing is fsynced:
+    after a crash the file may hold old bytes, new bytes or a mix.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = len(data)
+        while data:
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 

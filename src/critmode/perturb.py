@@ -20,7 +20,8 @@ order while the other M-1 split like a generic block of size M-1 with
 Delta_omega^(M-1) = 2 eps xi', where xi' = f_{j,1}^x . DK . f_{j,0}^x.
 Which case applies depends on xi, not on eps; is_generic states the test.
 The predictors take a scalar eps or a 1-D grid and make that test once per
-call, so a whole sweep is predicted after one genericity decision.
+call, so a whole sweep is predicted after one genericity decision, into one
+prediction whose fields stack a row per eps.
 
 The numerical truth is the real LAPACK spectrum of a = -i H(K + eps DK), with
 omega = i lambda, for a scalar eps or a whole grid in one stacked call; a is
@@ -37,7 +38,9 @@ lambda^2 per eigenvalue.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +129,28 @@ def is_generic(block: JordanBlock, delta_k) -> bool:
     return abs(_xi(block, dk)) > _genericity_threshold(block, dk)
 
 
+def _predictor(block: JordanBlock, dk: np.ndarray):
+    """(generic, predict): is_generic's decision for the checked DK, and the
+    predictor core of its case as predict(block, dk, eps), which takes the
+    threshold of that decision instead of working out |DK|_2 again."""
+    threshold = _genericity_threshold(block, dk)
+    generic = abs(_xi(block, dk)) > threshold
+    core = _predict_splitting if generic else _predict_nongeneric
+    return generic, functools.partial(core, threshold=threshold)
+
+
 @dataclass
 class SplitPrediction:
-    """First-order splitting of one block under a generic perturbation."""
+    """First-order splitting of one block under a generic perturbation.
+
+    For a scalar eps, lam is a complex, shifts, eigenvalues and norms are
+    (M,) and split_vectors is (M, 2N); for a grid of E values each of these
+    fields gains a leading axis of length E, whose row e is the scalar call
+    at the e-th eps.
+    """
 
     xi: complex
-    lam: complex
+    lam: complex | np.ndarray
     omega: complex
     size: int
     shifts: np.ndarray
@@ -140,26 +159,26 @@ class SplitPrediction:
     norms: np.ndarray
 
 
-def predict_splitting(
-    block: JordanBlock, delta_k, eps
-) -> SplitPrediction | list[SplitPrediction]:
+def predict_splitting(block: JordanBlock, delta_k, eps) -> SplitPrediction:
     """Equiangular first-order prediction for a generic perturbation.
 
-    eps is a scalar (one SplitPrediction) or a 1-D grid (a list with one
-    prediction per eps, each equal to the scalar call bit for bit).  The
+    eps is a scalar or a 1-D grid (one SplitPrediction whose fields stack
+    one row per eps, each equal to the scalar call bit for bit).  The
     direction is checked once per call: NonGenericPerturbationError when it
     is not generic (see is_generic); callers should then use
     predict_splitting_nongeneric.  ArgumentError for an eps that is not
     finite or not at most 1-D, and for a DK that is not N x N, finite and
     symmetric.
     """
-    return _predict_splitting(block, _checked_dk(block, delta_k), eps)
+    dk = _checked_dk(block, delta_k)
+    return _predict_splitting(block, dk, eps, _genericity_threshold(block, dk))
 
 
-def _predict_splitting(block: JordanBlock, dk: np.ndarray, eps):
+def _predict_splitting(block: JordanBlock, dk: np.ndarray, eps,
+                       threshold: float) -> SplitPrediction:
     grid, scalar, _ = as_grid(eps, "eps", float)
     xi = _xi(block, dk)
-    if not abs(xi) > _genericity_threshold(block, dk):
+    if not abs(xi) > threshold:
         raise NonGenericPerturbationError(
             f"xi = {xi:.3e} is below the genericity threshold; use the "
             "non-generic path"
@@ -175,18 +194,21 @@ def _predict_splitting(block: JordanBlock, dk: np.ndarray, eps):
     lz.imag = lams.real[:, None] * zeta.imag + lams.imag[:, None] * zeta.real
     vectors = sum(np.power(lz, n)[:, :, None] * block.chain[n]
                   for n in range(m))
-    preds = [
-        SplitPrediction(xi=xi, lam=complex(lam), omega=block.omega, size=m,
-                        shifts=shifts, eigenvalues=block.omega + shifts,
-                        split_vectors=vecs, norms=m * shifts ** (m - 1))
-        for lam, shifts, vecs in zip(lams, scaled, vectors)
-    ]
-    return preds[0] if scalar else preds
+    if scalar:
+        lams, scaled, vectors = complex(lams[0]), scaled[0], vectors[0]
+    return SplitPrediction(xi=xi, lam=lams, omega=block.omega, size=m,
+                           shifts=scaled, eigenvalues=block.omega + scaled,
+                           split_vectors=vectors, norms=m * scaled ** (m - 1))
 
 
 @dataclass
 class NonGenericPrediction:
-    """Leading-order splitting when xi = 0: one static mode, M-1 moving."""
+    """Leading-order splitting when xi = 0: one static mode, M-1 moving.
+
+    For a scalar eps, shifts is (M-1,) and eigenvalues (M,), the static
+    mode first; for a grid of E values each gains a leading axis of length
+    E, whose row e is the scalar call at the e-th eps.
+    """
 
     xi: complex
     xi_prime: complex
@@ -200,11 +222,11 @@ class NonGenericPrediction:
 
 def predict_splitting_nongeneric(
     block: JordanBlock, delta_k, eps
-) -> NonGenericPrediction | list[NonGenericPrediction]:
+) -> NonGenericPrediction:
     """Reduced splitting Delta_omega^(M-1) = 2 eps xi' plus one static mode.
 
-    eps is a scalar (one NonGenericPrediction) or a 1-D grid (a list with
-    one prediction per eps, each equal to the scalar call bit for bit); xi
+    eps is a scalar or a 1-D grid (one NonGenericPrediction whose fields
+    stack one row per eps, each equal to the scalar call bit for bit); xi
     and xi' are checked once per call.  ArgumentError for a generic
     direction, M < 2, an eps that is not finite or not at most 1-D, or a
     DK that is not N x N, finite and symmetric; HigherOrderNonGenericError
@@ -214,10 +236,14 @@ def predict_splitting_nongeneric(
     the same order, so the prediction is order-of-magnitude only; the report
     carries an m2_caveat flag for that case.
     """
-    grid, scalar, _ = as_grid(eps, "eps", float)
     dk = _checked_dk(block, delta_k)
+    return _predict_nongeneric(block, dk, eps, _genericity_threshold(block, dk))
+
+
+def _predict_nongeneric(block: JordanBlock, dk: np.ndarray, eps,
+                        threshold: float) -> NonGenericPrediction:
+    grid, scalar, _ = as_grid(eps, "eps", float)
     xi = _xi(block, dk)
-    threshold = _genericity_threshold(block, dk)
     if abs(xi) > threshold:
         raise ArgumentError(
             f"perturbation is generic (xi = {xi:.3e}); use predict_splitting"
@@ -232,20 +258,24 @@ def predict_splitting_nongeneric(
         )
     m = block.size
     zeta = np.exp(2j * np.pi * np.arange(m - 1) / (m - 1))
-    preds = []
-    for e in grid:
-        shifts = complex(2.0 * e * xp) ** (1.0 / (m - 1)) * zeta
-        preds.append(NonGenericPrediction(
-            xi=xi,
-            xi_prime=xp,
-            omega=block.omega,
-            size=m,
-            unshifted_count=1,
-            shifts=shifts,
-            eigenvalues=np.concatenate([[block.omega], block.omega + shifts]),
-            m2_caveat=(m == 2),
-        ))
-    return preds[0] if scalar else preds
+    roots = np.array([complex(2.0 * e * xp) ** (1.0 / (m - 1)) for e in grid],
+                     dtype=complex)
+    shifts = roots[:, None] * zeta  # (E, M - 1)
+    eigenvalues = np.empty((grid.size, m), dtype=complex)
+    eigenvalues[:, 0] = block.omega
+    eigenvalues[:, 1:] = block.omega + shifts
+    if scalar:
+        shifts, eigenvalues = shifts[0], eigenvalues[0]
+    return NonGenericPrediction(
+        xi=xi,
+        xi_prime=xp,
+        omega=block.omega,
+        size=m,
+        unshifted_count=1,
+        shifts=shifts,
+        eigenvalues=eigenvalues,
+        m2_caveat=(m == 2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +467,26 @@ def assign_predictions(numerical: np.ndarray, predicted: np.ndarray) -> np.ndarr
 
 
 def loglog_slope(x, y):
-    """(slope, rms residual) of a straight-line fit to log10 data."""
+    """(slope, rms residual) of the least-squares line through (log10 x,
+    log10 y), in closed form about the means: with dx and dy the centred
+    logs, slope = dx.dy / dx.dx and the residuals are dy - slope dx.
+
+    ArgumentError unless x and y are 1-D of one length with at least two
+    distinct log10 x.
+    """
     lx = np.log10(np.asarray(x, dtype=float))
     ly = np.log10(np.asarray(y, dtype=float))
-    coeff = np.polyfit(lx, ly, 1)
-    fit = np.polyval(coeff, lx)
-    return float(coeff[0]), float(np.sqrt(np.mean((ly - fit) ** 2)))
+    if lx.ndim != 1 or lx.shape != ly.shape:
+        raise ArgumentError(
+            f"loglog_slope needs 1-D x and y of one length, got shapes "
+            f"{lx.shape} and {ly.shape}")
+    if lx.size < 2 or lx.min() == lx.max():
+        raise ArgumentError("loglog_slope needs at least two distinct x")
+    dx = lx - lx.mean()
+    dy = ly - ly.mean()
+    slope = float(dx @ dy) / float(dx @ dx)
+    residual = dy - slope * dx
+    return slope, math.sqrt(float(residual @ residual) / residual.size)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +521,6 @@ def _deltaH_prime(block: JordanBlock, dk: np.ndarray, lam: complex) -> np.ndarra
 def second_order_eigenvalues(block: JordanBlock, delta_k, eps: float) -> np.ndarray:
     """First-order split eigenvalues plus the diagonal lambda^2 correction."""
     dk = _checked_dk(block, delta_k)
-    pred = _predict_splitting(block, dk, eps)
+    pred = _predict_splitting(block, dk, eps, _genericity_threshold(block, dk))
     dhp = _deltaH_prime(block, dk, pred.lam)
     return pred.eigenvalues + eps * np.diag(dhp)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critmode
 from critmode.cli import main
 from critmode.model import save_system, build_system
 
@@ -253,6 +258,31 @@ def test_eps_grid_rejects_zero_or_negative_scale(tmp_path, capsys, args, option)
 def test_flags_a_subcommand_ignores_are_rejected(tmp_path, args):
     assert run(args + ["--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
+
+
+def test_rewritten_figure_equals_fresh_one(tmp_path):
+    # outputs are rewritten in place and cut to their new length: a shorter
+    # run over a longer one leaves exactly the shorter run's bytes
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    figure = ["reproduce-figure", "--figure", "3"]
+    assert run(figure + ["--eps-count", "10", "--out", str(again)]) == 0
+    long_csv = (again / "figure3.csv").stat().st_size
+    assert run(figure + ["--eps-count", "5", "--out", str(again)]) == 0
+    assert run(figure + ["--eps-count", "5", "--out", str(fresh)]) == 0
+    assert (again / "figure3.csv").stat().st_size < long_csv
+    for name in ("figure3.csv", "figure3_summary.json"):
+        assert (again / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_python_m_critmode_runs_the_cli():
+    src = str(Path(critmode.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "critmode", "--help"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "reproduce-figure" in out.stdout
 
 
 def test_deterministic_output(tmp_path, capsys):

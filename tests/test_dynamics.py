@@ -90,13 +90,14 @@ def test_tall_block_takes_every_nonzero_time_in_log_space():
     # a grid row is its time's grid of one, bit for bit
     grid, _, peak = as_grid(times, "t", float)
     coef = dynamics._evolution_coefficients(form, grid, peak)
-    phi = np.linspace(1.0, 2.0, size) + 0.5j
-    states = dynamics._evolve(form, phi, grid, peak)
+    phi, mass = dynamics._state(np.linspace(1.0, 2.0, size) + 0.5j, size)
+    states = dynamics._evolve(form, phi, grid, peak, mass)
     for i, t in enumerate(times):
         one, _, one_peak = as_grid(t, "t", float)
         row = dynamics._evolution_coefficients(form, one, one_peak)[0]
         assert np.array_equal(coef[i], row)
-        assert np.array_equal(states[i], dynamics._evolve(form, phi, one, one_peak)[0])
+        assert np.array_equal(
+            states[i], dynamics._evolve(form, phi, one, one_peak, mass)[0])
 
 
 def test_basis_vector_derivative_identity(catalog_spectra):
@@ -427,17 +428,30 @@ def _assert_rows_or_typed(kernel, arg):
 
 
 @settings(derandomize=True)
-@given(t=_scalar_or_grid(_REALS), w=_scalar_or_grid(_FREQS))
-def test_kernels_give_finite_rows_or_argument_error(kernel_spectra, t, w):
-    # no numpy RuntimeWarning and no builtin exception at any magnitude, on
-    # the catalog spectra and one random spectrum per N = 1..5
+@given(t=_scalar_or_grid(_REALS), w=_scalar_or_grid(_FREQS),
+       size=st.one_of(st.just(1.0), _MAGNITUDES))
+def test_kernels_give_finite_rows_or_argument_error(kernel_spectra, t, w, size):
+    # no numpy RuntimeWarning and no builtin exception at any magnitude of
+    # the time, the frequency or the state (norm 1e-300 up to 1e308), on the
+    # catalog spectra and one random spectrum per N = 1..5
     for spec in kernel_spectra.values():
         phi = np.linspace(1.0, 2.0, spec.system.dim) + 0.5j
+        phi *= size / np.linalg.norm(phi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _assert_rows_or_typed(lambda x: evolve_state(spec, phi, x), t)
             _assert_rows_or_typed(lambda x: greens_time(spec, x), t)
             _assert_rows_or_typed(lambda x: greens_freq(spec, x), w)
+
+
+def test_huge_state_is_blamed_for_its_overflow(catalog_spectra):
+    # e^(-iJt) stays near 1 at t = 0.5; the state's own size overflows
+    spec = catalog_spectra["quartic-jb4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="phi has parts up to 1e"):
+            evolve_state(spec, 1e308 * np.ones(4), 0.5)
+        assert np.isfinite(evolve_state(spec, 1e300 * np.ones(4), 0.5)).all()
 
 
 def _entrywise_sum(spec, coefficient):

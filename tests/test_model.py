@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from critmode.design import catalog
 from critmode.linalg import ArgumentError, char_poly, poly_roots
 from critmode.model import (
+    _write_text,
     bilinear,
     build_system,
     evolution_operator,
@@ -213,9 +216,46 @@ def test_system_json_round_trip(tmp_path):
     assert np.allclose(back.Gamma, sys.Gamma)
     assert back.label == "ref"
     path = tmp_path / "sys.json"
+    # saved over the longer file of a larger system, the file holds the
+    # new system alone
+    save_system(build_system(np.eye(3), np.zeros((3, 3)), label="wider"), path)
     save_system(sys, path)
+    assert path.read_text() == json.dumps(obj, indent=2) + "\n"
     again = load_system(path)
-    assert np.allclose(again.K, sys.K)
+    assert np.array_equal(again.K, sys.K)
+    assert np.array_equal(again.Gamma, sys.Gamma)
+    assert again.label == "ref"
+
+
+def test_write_text_rewrites_in_place_to_the_new_length(tmp_path):
+    path = tmp_path / "out.txt"
+    _write_text(path, "x" * 5000 + "\n")
+    inode = path.stat().st_ino
+    _write_text(path, "short \u03be\n")
+    assert path.read_bytes() == "short \u03be\n".encode("utf-8")
+    assert path.stat().st_ino == inode
+    _write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_write_text_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old contents, longer than the new ones\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    _write_text(link, "new\n")
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == b"new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    # a new file gets 0o666 less the umask, as open(path, "w") gives it
+    umask = os.umask(0)
+    os.umask(umask)
+    _write_text(tmp_path / "new.csv", "a\n")
+    with open(tmp_path / "by_open.csv", "w") as fh:
+        fh.write("a\n")
+    assert (stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "by_open.csv").stat().st_mode)
+            == 0o666 & ~umask)
 
 
 def test_system_json_validation(tmp_path):

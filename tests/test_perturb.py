@@ -216,14 +216,17 @@ def _same_bits(a, b):
 
 
 def test_grid_predictions_equal_scalar_calls(catalog_spectra):
-    # a grid call is one scalar call per eps: every field bit for bit, and a
-    # direction without a prediction raises what the scalar call raises
+    # a grid call is one prediction whose fields stack the scalar calls:
+    # row e of every per-eps field equals the call at the e-th eps bit for
+    # bit, the other fields are the scalar call's, and a direction without
+    # a prediction raises what the scalar call raises
     compared = 0
     for name, spec in catalog_spectra.items():
         n = spec.system.N
         for block in spec.blocks:
             for dk in (E11[:n, :n], MU_QUARTIC[:n, :n], MU_CUBIC[:n, :n]):
-                predict = (predict_splitting if is_generic(block, dk)
+                generic = is_generic(block, dk)
+                predict = (predict_splitting if generic
                            else predict_splitting_nongeneric)
                 try:
                     want = [predict(block, dk, eps) for eps in SIGNED_EPS_GRID]
@@ -232,23 +235,30 @@ def test_grid_predictions_equal_scalar_calls(catalog_spectra):
                         predict(block, dk, SIGNED_EPS_GRID)
                     continue
                 got = predict(block, dk, SIGNED_EPS_GRID)
-                assert isinstance(got, list) and len(got) == SIGNED_EPS_GRID.size
-                for g, w in zip(got, want):
-                    assert type(g) is type(w)
-                    for field, value in vars(w).items():
-                        assert _same_bits(getattr(g, field), value), (
-                            name, block.label, field)
-                    if predict is predict_splitting:
-                        # f_k = sum_n (lambda zeta_k)^n f_n, one vector at
-                        # a time in scalar arithmetic
-                        m = block.size
-                        zeta = np.exp(2j * np.pi * np.arange(m) / m)
+                assert type(got) is type(want[0])
+                stacked = ({"lam", "shifts", "eigenvalues", "split_vectors",
+                            "norms"} if generic else {"shifts", "eigenvalues"})
+                for field, value in vars(got).items():
+                    if field not in stacked:
+                        assert all(_same_bits(value, getattr(w, field))
+                                   for w in want), (name, field)
+                        continue
+                    assert len(value) == SIGNED_EPS_GRID.size
+                    for e, w in enumerate(want):
+                        assert _same_bits(value[e], getattr(w, field)), (
+                            name, block.label, field, e)
+                if generic:
+                    # f_k = sum_n (lambda zeta_k)^n f_n, one vector at a
+                    # time in scalar arithmetic
+                    m = block.size
+                    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+                    for lam, vectors in zip(got.lam, got.split_vectors):
                         want_vectors = np.array([
-                            sum((g.lam * z) ** n * block.chain[n]
+                            sum((complex(lam) * z) ** n * block.chain[n]
                                 for n in range(m))
                             for z in zeta
                         ])
-                        assert _same_bits(g.split_vectors, want_vectors)
+                        assert _same_bits(vectors, want_vectors)
                 compared += 1
     # 24 cases, three of them non-generic; only crossed-pair's second block
     # along e11 has neither xi nor xi'
@@ -280,20 +290,21 @@ def test_predictions_reject_bad_eps(catalog_spectra, predict, dk, eps):
 
 @pytest.mark.parametrize("figure", [1, 2])  # generic and non-generic
 def test_track_predicts_each_sweep_in_one_call(tmp_path, monkeypatch, figure):
-    from critmode import cli
+    from critmode import cli, perturb
 
     grids = {"predict": [], "solve": []}
 
     def counted(stage, fn):
-        def wrapper(first, delta_k, eps):
+        def wrapper(first, delta_k, eps, *args, **kwargs):
             grids[stage].append(np.shape(eps))
-            return fn(first, delta_k, eps)
+            return fn(first, delta_k, eps, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "predict_splitting",
-                        counted("predict", predict_splitting))
-    monkeypatch.setattr(cli, "predict_splitting_nongeneric",
-                        counted("predict", predict_splitting_nongeneric))
+    # cli predicts through the cores that perturb._predictor hands it
+    monkeypatch.setattr(perturb, "_predict_splitting",
+                        counted("predict", perturb._predict_splitting))
+    monkeypatch.setattr(perturb, "_predict_nongeneric",
+                        counted("predict", perturb._predict_nongeneric))
     monkeypatch.setattr(cli, "exact_perturbed_spectrum",
                         counted("solve", exact_perturbed_spectrum))
     assert cli.main(["reproduce-figure", "--figure", str(figure),
@@ -303,6 +314,31 @@ def test_track_predicts_each_sweep_in_one_call(tmp_path, monkeypatch, figure):
     # static grid is solved along with them
     assert grids["predict"] == [(17,)]
     assert grids["solve"] == [(17,) if figure == 1 else (25,)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce-figure", "--figure", "1"], ["reproduce-figure", "--figure", "2"],
+     ["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11"],
+     ["perturb", "--system", "catalog:quartic-jb4", "--dk", "mu:1,-1.5,2"]],
+    ids=["figure-generic", "figure-nongeneric", "perturb-generic",
+         "perturb-nongeneric"],
+)
+def test_run_takes_one_genericity_threshold(tmp_path, monkeypatch, argv):
+    # the genericity decision, with its |DK|_2, is made once per run and
+    # handed to the predictor
+    from critmode import cli, perturb
+
+    calls = []
+
+    def counted(block, dk):
+        calls.append(block.omega)
+        return threshold(block, dk)
+
+    threshold = perturb._genericity_threshold
+    monkeypatch.setattr(perturb, "_genericity_threshold", counted)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def _per_eps_sweep_rows(spectrum, block, dk, eps_values, predict):
@@ -787,3 +823,28 @@ def test_deltaH_prime_rejects_zero_lambda(catalog_spectra):
     block = catalog_spectra["quartic-jb4"].largest_block()
     with pytest.raises(ArgumentError):
         deltaH_prime_matrix(block, E11, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_loglog_slope_matches_polyfit(seed):
+    # the closed-form centred fit against numpy's least-squares line
+    rng = np.random.default_rng(seed)
+    x = np.logspace(-8, -4, 9) * rng.uniform(0.5, 2.0, 9)
+    y = 3.0 * x ** rng.uniform(0.2, 2.0) * np.exp(rng.normal(0.0, 0.1, 9))
+    lx, ly = np.log10(x), np.log10(y)
+    coeff = np.polyfit(lx, ly, 1)
+    rms = np.sqrt(np.mean((ly - np.polyval(coeff, lx)) ** 2))
+    slope, residual = loglog_slope(x, y)
+    assert slope == pytest.approx(coeff[0], rel=1e-12)
+    assert residual == pytest.approx(rms, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [([1e-3], [2e-3]), ([1e-3, 1e-3, 1e-3], [1.0, 2.0, 3.0]),
+     ([1e-3, 1e-2], [1.0, 2.0, 3.0]), (np.ones((2, 2)), np.ones((2, 2)))],
+    ids=["one-point", "one-x", "lengths", "2d"],
+)
+def test_loglog_slope_rejects_a_degenerate_fit(x, y):
+    with pytest.raises(ArgumentError):
+        loglog_slope(x, y)
