@@ -25,13 +25,16 @@ Commands:
   - reproduce-figure 1..5 at eps0 = +-1e-4 and +-3e-5, and at the default
     eps0 with --eps-count 2 and 5 (display grids of 1 and 4 points ahead of
     the fit grid);
-  - cancellation on single-critical, quartic-jb4, cubic-jb3, double-jb2;
+  - cancellation on single-critical, quartic-jb4, cubic-jb3, double-jb2,
+    on quartic-jb4 with --eps-count 2 (the smallest grid), and on
+    quartic-jb4 along the non-generic --dk mu:1,-1.5,2 (exit 2);
   - perturb on the same four systems x --dk {e11, mu:1,-1.5,2,
     mu:-2,0.5,1} x {the default grid, --eps0=-3e-5 --eps-power 3};
   - perturb on crossed-pair (a level crossing, exit 2) and along an
     all-zero --dk file (exit 4);
   - analyze on the five catalog systems;
-  - evolve --oracle on quartic-jb4 and crossed-pair;
+  - evolve --oracle on quartic-jb4 and crossed-pair, and evolve on
+    quartic-jb4 at the one time --times 0.5 (a one-row table);
   - --help of the program and of each subcommand (at 80 columns).
 
 Usage: PYTHONPATH=src python scripts/output_snapshot.py [--out DIR]
@@ -69,6 +72,12 @@ def commands():
                     "--eps-count", count])
     for name in SYSTEMS:
         yield f"cancellation_{name}", ["cancellation", "--system", f"catalog:{name}"]
+    quartic = ["--system", "catalog:quartic-jb4"]
+    yield ("cancellation_quartic-jb4_eps-count=2",
+           ["cancellation", *quartic, "--eps-count", "2"])
+    yield ("cancellation_quartic-jb4_mu:1,-1.5,2",
+           ["cancellation", *quartic, "--dk", "mu:1,-1.5,2",
+            "--eps-min", "1e-3", "--eps-max", "1e-2"])
     for name in SYSTEMS:
         for dk in DIRECTIONS:
             base = ["perturb", "--system", f"catalog:{name}", "--dk", dk]
@@ -84,6 +93,7 @@ def commands():
     for name in ("quartic-jb4", "crossed-pair"):
         yield (f"evolve_{name}_oracle",
                ["evolve", "--system", f"catalog:{name}", "--oracle"])
+    yield "evolve_quartic-jb4_times=0.5", ["evolve", *quartic, "--times", "0.5"]
     yield "help", ["--help"]
     for sub in SUBCOMMANDS:
         yield f"help_{sub}", [sub, "--help"]

@@ -66,6 +66,7 @@ from .perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
     _predictor,
+    _require_isolated,
     assign_predictions,
     cluster_shifts,
     exact_perturbed_spectrum,
@@ -264,25 +265,15 @@ def cmd_evolve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     states = evolve_state(spectrum, phi, times)
-    header = ["t"]
-    for i in range(system.dim):
-        header += [f"c{i}_re", f"c{i}_im"]
+    parts = [f"c{i}_{p}" for i in range(system.dim) for p in ("re", "im")]
+    header = ["t"] + parts
+    columns = [times[:, None], states.view(float)]
     if oracle is not None:
-        header += [f"rk_c{i}_{p}" for i in range(system.dim) for p in ("re", "im")]
-    rows = []
-    deviation = 0.0
-    for it, t in enumerate(times):
-        row = [t]
-        for z in states[it]:
-            row += [z.real, z.imag]
-        if oracle is not None:
-            for z in oracle[it]:
-                row += [z.real, z.imag]
-            deviation = max(
-                deviation, float(np.linalg.norm(states[it] - oracle[it]))
-            )
-        rows.append(row)
-    _write_csv(out / "trajectory.csv", header, rows)
+        header += ["rk_" + part for part in parts]
+        columns.append(oracle.view(float))
+        # one norm per time: a norm along axis 1 may round differently
+        deviation = float(max(map(np.linalg.norm, states - oracle)))
+    _write_csv(out / "trajectory.csv", header, np.hstack(columns).tolist())
     summary = {"t_count": int(times.size)}
     if args.oracle:
         summary["max_oracle_deviation"] = deviation
@@ -359,12 +350,7 @@ def cmd_perturb(args) -> int:
     block = spectrum.largest_block()
     if block.size < 2:
         raise ArgumentError("perturb needs a critical system (a block with M >= 2)")
-    for group in spectrum.crossing_groups:
-        if group.omega == block.omega:  # split by a matrix of DH, not one xi
-            raise ArgumentError(
-                f"perturb needs an isolated block: omega = {block.omega:.6g} "
-                f"is a level crossing of blocks of sizes {group.sizes}"
-            )
+    _require_isolated(spectrum, block, "perturb")
     generic, predict = _predictor(block, delta_k)
     shifts, _, predicted = _track(spectrum, block, delta_k, eps_values[1:],
                                   predict, eps_values.size - 1)
@@ -442,7 +428,8 @@ def figure_summary(generic, fit_grid, shifts, predicted, static_grid, statics):
         shifts, np.argsort(np.abs(shifts), axis=-1)[:, 1:], axis=-1)
     errors = np.mean(np.abs(movings - np.take_along_axis(
         predicted, assign_predictions(movings, predicted), axis=-1)), axis=-1)
-    lams = [float(abs(s)) for s in predicted[:, 0]]  # zeta_0 = 1: the splitting scale
+    scale = predicted[:, 0]  # zeta_0 = 1: the splitting scale, |lambda|
+    lams = np.hypot(scale.real, scale.imag)  # rounds as abs() of a complex
     exponent, exp_res = loglog_slope(
         np.abs(fit_grid), np.mean(np.abs(movings), axis=-1)
     )
@@ -549,13 +536,12 @@ def cmd_cancellation(args) -> int:
     )
     spectrum = compute_spectrum(system, tol)
     nontrivial = [b for b in spectrum.blocks if b.size >= 2]
-    rows = []
     if not nontrivial:
         # Far from criticality every mode stands alone: per-mode weights are
         # O(1) and there is no small denominator to cancel.
-        for b in spectrum.blocks:
-            w = bilinear(system, b.chain[0], phi)  # (f,f) = 1 after normalization
-            rows.append([0.0, b.label, abs(w), 0.0, 0.0])
+        # (f,f) = 1 after normalization
+        rows = [[0.0, b.label, abs(bilinear(system, b.chain[0], phi)), 0.0, 0.0]
+                for b in spectrum.blocks]
         _write_csv(
             out / "cancellation.csv",
             ["eps", "mode", "weight", "lambda_abs", "max_diff"],
@@ -573,23 +559,23 @@ def cmd_cancellation(args) -> int:
             f"cancellation needs a generic --dk: xi = {xi:.3e} vanishes at "
             f"this scale, so the block does not split as eps^(1/M)"
         )
-    lams, weights, diffs = [], [], []
-    for eps in eps_values:
-        rep = cluster_cancellation_experiment(
-            system, delta_k, eps, phi, t_grid, tol, spectrum
-        )
-        lams.append(abs(rep.lam))
-        weights.append(rep.max_weight)
-        diffs.append(rep.max_diff)
-        for k in range(rep.size):
-            rows.append([eps, k, rep.mode_weights[k], abs(rep.lam), rep.max_diff])
+    rep = cluster_cancellation_experiment(
+        system, delta_k, eps_values, phi, t_grid, tol, spectrum
+    )
+    m = rep.size
+    # np.hypot rounds as abs() of one complex does (np.abs over an array
+    # may not); one row per (eps, mode)
+    lams = np.hypot(rep.lam.real, rep.lam.imag)
+    columns = np.broadcast_arrays(
+        eps_values[:, None], np.arange(m, dtype=float), rep.mode_weights,
+        lams[:, None], rep.max_diff[:, None])
     _write_csv(
         out / "cancellation.csv",
         ["eps", "mode", "weight", "lambda_abs", "max_diff"],
-        rows,
+        np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist(),
     )
-    w_slope, w_res = loglog_slope(lams, weights)
-    d_slope, d_res = loglog_slope(lams, diffs)
+    w_slope, w_res = loglog_slope(lams, rep.max_weight)
+    d_slope, d_res = loglog_slope(lams, rep.max_diff)
     _write_json(
         out / "cancellation_summary.json",
         {
@@ -598,7 +584,7 @@ def cmd_cancellation(args) -> int:
             "weight_fit_residual": w_res,
             "diff_slope": d_slope,
             "diff_fit_residual": d_res,
-            "block_size": nontrivial[0].size,
+            "block_size": m,
         },
     )
     print(

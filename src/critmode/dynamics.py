@@ -60,11 +60,12 @@ from .jordan import (
     _spectrum_for,
 )
 from .linalg import ArgumentError, Tolerances, as_grid
-from .model import OscillatorSystem, metric, symmetric_matrix
+from .model import OscillatorSystem, symmetric_matrix
 from .perturb import (
     _exact_perturbed_spectrum,
     _genericity_threshold,
     _predict_splitting,
+    cluster_shifts,
 )
 
 _EPS = np.finfo(float).eps
@@ -441,33 +442,31 @@ def energy(sys: OscillatorSystem, phi) -> float:
 
 @dataclass
 class CancellationReport:
-    """Outcome of one epsilon point of the small-denominator experiment."""
+    """Outcome of the small-denominator experiment.  For a scalar eps, lam
+    is a complex, mode_weights (M,) and diffs (T,); a grid of E values gives
+    them, max_weight and max_diff a leading axis of length E, row e the
+    scalar call at the e-th eps.  jordan, the (T, 2N) critical evolution of
+    the block, is the same at every eps."""
 
-    eps: float
-    xi: complex
-    lam: complex
-    omega: complex
+    lam: complex | np.ndarray
     size: int
-    cluster_eigenvalues: np.ndarray
     mode_weights: np.ndarray
-    times: np.ndarray
-    naive: np.ndarray
     jordan: np.ndarray
     diffs: np.ndarray
 
     @property
-    def max_diff(self) -> float:
-        return float(np.max(self.diffs))
+    def max_diff(self):
+        return np.max(self.diffs, axis=-1)
 
     @property
-    def max_weight(self) -> float:
-        return float(np.max(self.mode_weights))
+    def max_weight(self):
+        return np.max(self.mode_weights, axis=-1)
 
 
 def cluster_cancellation_experiment(
     sys: OscillatorSystem,
     delta_k,
-    eps: float,
+    eps,
     phi,
     t_grid,
     tol: Tolerances | None = None,
@@ -490,9 +489,13 @@ def cluster_cancellation_experiment(
     part reproduces the Jordan evolution exactly, and the remainder is
     higher order in lambda.
 
-    The perturbed system must actually be diagonalizable near the block;
-    an exact eigensolve guards that precondition and its cluster eigenvalues
-    are recorded for reference.  The state phi, the times and DK (N x N,
+    eps is a scalar or a 1-D grid (see CancellationReport), taken in one
+    exact eigensolve, one prediction and one Jordan evolution.
+
+    The perturbed system must actually be diagonalizable near the block:
+    the exact eigensolve guards that precondition, raising
+    NonDiagonalizableError for the first eps whose M cluster eigenvalues
+    are not resolvably apart.  The state phi, eps, the times and DK (N x N,
     finite, symmetric) are checked (ArgumentError) before any eigensolve,
     DK once for both the exact spectrum and the prediction.  spectrum, when
     given, must be the spectrum of sys (ArgumentError otherwise).
@@ -500,6 +503,8 @@ def cluster_cancellation_experiment(
     t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
         raise ArgumentError("t_grid must hold at least one time")
+    if as_grid(eps, "eps", float)[0].size == 0:
+        raise ArgumentError("eps must hold at least one value")
     phi, mass = _state(phi, sys.dim)
     dk = symmetric_matrix("DK", delta_k, sys.N)
     spectrum = _spectrum_for(sys, spectrum, tol)
@@ -513,34 +518,27 @@ def cluster_cancellation_experiment(
     m = block.size
 
     evals = _exact_perturbed_spectrum(sys, dk, eps)
-    order = np.argsort(np.abs(evals - block.omega))
-    w_exact = evals[order[:m]]
-    scale = 1.0 + float(np.max(np.abs(evals)))
-    sep_floor = 10.0 * _EPS ** (1.0 / m) * scale
-    pair = np.abs(w_exact[:, None] - w_exact[None, :]) + np.eye(m)
-    if float(np.min(pair)) < sep_floor:
+    shifts = cluster_shifts(evals, block.omega, m)
+    floors = 10.0 * _EPS ** (1.0 / m) * (1.0 + np.max(np.abs(evals), axis=-1))
+    seps = np.min(np.abs(shifts[..., :, None] - shifts[..., None, :])
+                  + np.eye(m), axis=(-2, -1))
+    fault = np.flatnonzero(seps < floors)  # the first eps at fault is named
+    if fault.size:
         raise NonDiagonalizableError(
-            f"cluster eigenvalues are separated by {float(np.min(pair)):.3e}, "
-            f"below the resolvable floor {sep_floor:.3e}"
-        )
+            f"cluster eigenvalues are separated by {np.ravel(seps)[fault[0]]:.3e}"
+            f", below the resolvable floor {np.ravel(floors)[fault[0]]:.3e}")
 
     pred = _predict_splitting(block, dk, eps, _genericity_threshold(block, dk))
-    weights = pred.split_vectors @ metric(sys) @ phi / pred.norms
+    weights = pred.split_vectors @ spectrum.g @ phi / pred.norms
     naive = (
-        np.exp(-1j * np.outer(t_grid, pred.eigenvalues)) * weights
+        np.exp(-1j * (t_grid[:, None] * pred.eigenvalues[..., None, :]))
+        * weights[..., None, :]
     ) @ pred.split_vectors
     jordan = _evolve(_matrix_form([block]), phi, t_grid, peak, mass)
-    diffs = np.linalg.norm(naive - jordan, axis=1)
     return CancellationReport(
-        eps=eps,
-        xi=pred.xi,
         lam=pred.lam,
-        omega=block.omega,
         size=m,
-        cluster_eigenvalues=w_exact,
         mode_weights=np.abs(weights),
-        times=t_grid,
-        naive=naive,
         jordan=jordan,
-        diffs=diffs,
+        diffs=np.linalg.norm(naive - jordan, axis=-1),
     )

@@ -102,9 +102,9 @@ def _xi_prime(block: JordanBlock, dk: np.ndarray) -> complex:
 
 def _genericity_threshold(block: JordanBlock, dk: np.ndarray) -> float:
     """GENERICITY_FACTOR |DK|_2 |f_0|^2: below it xi (or xi') counts as 0."""
-    return GENERICITY_FACTOR * float(
-        np.linalg.norm(dk, 2) * np.linalg.norm(block.chain[0]) ** 2
-    )
+    # |DK|_2 is the first singular value (norm(dk, 2) adds an axis shuffle)
+    return GENERICITY_FACTOR * float(np.linalg.svd(dk, compute_uv=False)[0]
+                                     * np.linalg.norm(block.chain[0]) ** 2)
 
 
 def xi_generic(block: JordanBlock, delta_k) -> complex:
@@ -335,7 +335,7 @@ def j1_coefficient(
       extrapolation.
 
     spectrum, when given, must be the spectrum of sys (ArgumentError
-    otherwise).
+    otherwise); ArgumentError too when the largest block is in a crossing.
     """
     spectrum = _spectrum_for(sys, spectrum, tol)
     block = spectrum.largest_block()
@@ -343,6 +343,7 @@ def j1_coefficient(
         raise ArgumentError(
             "system is not critical: no block of size >= 2 at this tolerance"
         )
+    _require_isolated(spectrum, block, "j1_coefficient")
     w = block.omega
     dk = symmetric_matrix("DK", delta_k, sys.N)
 
@@ -401,10 +402,23 @@ def _exact_perturbed_spectrum(sys: OscillatorSystem, dk: np.ndarray, eps):
     return evals[0] if scalar else evals
 
 
+def _require_isolated(spectrum: Spectrum, block: JordanBlock, what: str) -> None:
+    """ArgumentError, naming what needs the block, when block is in a level
+    crossing: the crossing splits by a matrix of DH, not by one xi."""
+    for group in spectrum.crossing_groups:
+        if group.omega == block.omega:
+            raise ArgumentError(
+                f"{what} needs an isolated block: omega = {block.omega:.6g} "
+                f"is a level crossing of blocks of sizes {group.sizes}"
+            )
+
+
 def spectral_gap(spectrum: Spectrum, block: JordanBlock) -> float:
-    """Distance from block.omega to the nearest eigenvalue of another block."""
+    """Distance from block.omega to the nearest eigenvalue at another omega:
+    the other blocks of a level crossing split with the block."""
     return min(
-        (abs(block.omega - b.omega) for b in spectrum.blocks if b is not block),
+        (abs(block.omega - b.omega) for b in spectrum.blocks
+         if b.omega != block.omega),
         default=np.inf,
     )
 

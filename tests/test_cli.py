@@ -132,6 +132,31 @@ def test_evolve_oracle_random_double(tmp_path):
     assert summary["max_oracle_deviation"] <= 1e-8
 
 
+def test_evolve_table_holds_the_per_time_rows(tmp_path):
+    # the table built from the stacked arrays is, row by row, the time and
+    # the (re, im) pairs of the state and the oracle at that time; the
+    # summary holds the largest of the per-time deviations
+    from critmode import cli
+
+    assert run([
+        "evolve", "--system", "catalog:double-jb2", "--seed", "3",
+        "--t-max", "2", "--t-steps", "5", "--oracle", "--out", str(tmp_path),
+    ]) == 0
+    system = critmode.catalog_system("double-jb2")
+    phi = cli._parse_phi("random", system.dim, 3)
+    times = np.linspace(0.0, 2.0, 5)
+    states = critmode.evolve_state(critmode.compute_spectrum(system), phi, times)
+    oracle = critmode.rk4_evolve(system, phi, times)
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + times.size
+    for t, line, state, rk in zip(times, lines[1:], states, oracle):
+        row = [t] + [p for z in [*state, *rk] for p in (z.real, z.imag)]
+        assert line == ",".join("%.17g" % v for v in row)
+    summary = json.loads((tmp_path / "evolve_summary.json").read_text())
+    assert summary["max_oracle_deviation"] == max(
+        float(np.linalg.norm(state - rk)) for state, rk in zip(states, oracle))
+
+
 def test_evolve_oracle_rejects_negative_time(tmp_path, capsys):
     out = tmp_path / "out"
     code = run([
@@ -461,6 +486,42 @@ def test_cancellation_cubic(tmp_path):
     summary = json.loads((tmp_path / "cancellation_summary.json").read_text())
     # weights for an M = 3 block blow up like lambda^(-2)
     assert summary["weight_slope"] == pytest.approx(-2.0, abs=0.2)
+
+
+def test_cancellation_makes_one_call_of_each_stage(tmp_path, monkeypatch):
+    # the whole eps grid in one eigensolve, one prediction, one matrix form
+    # and one Jordan evolution; |DK|_2 once for the CLI's genericity check
+    # and once in the experiment
+    from critmode import dynamics, perturb
+
+    calls = {}
+
+    def counted(module, name, record=lambda *args: None):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(record(*args))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dynamics, "_exact_perturbed_spectrum",
+            lambda sys, dk, eps: np.shape(eps))
+    counted(dynamics, "_predict_splitting")
+    counted(dynamics, "_matrix_form")
+    counted(dynamics, "_evolve")
+    counted(dynamics, "_genericity_threshold")
+    counted(perturb, "_genericity_threshold")
+    code = run(["cancellation", "--system", "catalog:quartic-jb4",
+                "--out", str(tmp_path)])
+    assert code == 0
+    assert calls["_exact_perturbed_spectrum"] == [(9,)]
+    assert len(calls["_predict_splitting"]) == 1
+    assert len(calls["_matrix_form"]) == 1
+    assert len(calls["_evolve"]) == 1
+    assert len(calls["_genericity_threshold"]) <= 2
+    rows = (tmp_path / "cancellation.csv").read_text().splitlines()
+    assert len(rows) == 1 + 9 * 4  # header, then one row per (eps, mode)
 
 
 def test_cancellation_diagonalizable_fallback(tmp_path):

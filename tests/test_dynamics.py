@@ -725,6 +725,65 @@ def test_cancellation_weights_and_difference(catalog_spectra):
     assert rep.max_diff <= 5.0 * lam
 
 
+@pytest.mark.parametrize("name", ["quartic-jb4", "cubic-jb3", "single-critical"])
+def test_cancellation_grid_call_equals_scalar_calls(catalog_spectra, name):
+    # one call over an eps grid: every per-eps row is the scalar call's
+    # result bit for bit, and the Jordan evolution is the scalar call's
+    spec = catalog_spectra[name]
+    e11 = np.zeros((spec.system.N, spec.system.N))
+    e11[0, 0] = 1.0
+    rng = np.random.default_rng(4)
+    phi = rng.standard_normal(spec.system.dim) + 1j * rng.standard_normal(
+        spec.system.dim)
+    t_grid = np.linspace(0.0, 1.5, 7)
+    grid = np.logspace(-10, -6, 9)
+    rep = cluster_cancellation_experiment(
+        spec.system, e11, grid, phi, t_grid, spectrum=spec)
+    assert rep.lam.shape == (9,)
+    assert rep.mode_weights.shape == (9, rep.size)
+    assert rep.diffs.shape == (9, t_grid.size)
+    for e, eps in enumerate(grid):
+        one = cluster_cancellation_experiment(
+            spec.system, e11, eps, phi, t_grid, spectrum=spec)
+        assert one.size == rep.size
+        assert one.lam == rep.lam[e]
+        assert np.array_equal(one.mode_weights, rep.mode_weights[e])
+        assert np.array_equal(one.diffs, rep.diffs[e])
+        assert one.max_weight == rep.max_weight[e]
+        assert one.max_diff == rep.max_diff[e]
+        assert np.array_equal(one.jordan, rep.jordan)
+
+
+def test_cancellation_names_the_first_unsplit_eps(catalog_spectra):
+    # a grid is checked as a whole, and the error is worded for its first
+    # eps at fault, as the scalar call at that eps words it
+    spec = catalog_spectra["quartic-jb4"]
+    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(NonDiagonalizableError) as scalar:
+        cluster_cancellation_experiment(
+            spec.system, e11, 0.0, np.ones(4), [0.0, 1.0], spectrum=spec)
+    with pytest.raises(NonDiagonalizableError) as grid:
+        cluster_cancellation_experiment(
+            spec.system, e11, [1e-8, 0.0, 1e-7, 0.0], np.ones(4), [0.0, 1.0],
+            spectrum=spec)
+    assert str(grid.value) == str(scalar.value)
+
+
+def test_cancellation_rejects_empty_eps_grid(catalog_entries, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before eps was checked")
+
+    monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
+    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    system = catalog_entries["quartic-jb4"].system
+    with pytest.raises(ArgumentError, match="eps must hold"):
+        cluster_cancellation_experiment(system, e11, [], np.ones(4), [0.0])
+    with pytest.raises(ArgumentError, match="eps must be finite"):
+        cluster_cancellation_experiment(system, e11, [1e-8, np.nan],
+                                        np.ones(4), [0.0])
+
+
 def test_cancellation_rejects_unsplit_system(catalog_spectra):
     spec = catalog_spectra["quartic-jb4"]
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -502,6 +503,18 @@ def test_j1_rejects_the_spectrum_of_another_system(catalog_spectra):
                        spectrum=catalog_spectra["quartic-jb4"])
 
 
+def test_j1_rejects_a_block_in_a_level_crossing(catalog_spectra):
+    # crossed-pair's two size-2 blocks sit at one omega: the spectator
+    # factor of either would hold the other at distance 0, so the block is
+    # refused with a typed error and no numpy warning before it
+    spec = catalog_spectra["crossed-pair"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError,
+                           match=r"isolated block.*sizes \[2, 2\]"):
+            j1_coefficient(spec.system, E11, spectrum=spec)
+
+
 def test_j1_requires_critical_system():
     sys = build_system(np.diag([1.0, 4.0]), np.zeros((2, 2)))
     with pytest.raises(ArgumentError):
@@ -595,6 +608,23 @@ def test_double_family_stays_doubly_degenerate():
         sys = double2_critical(b)
         spec = compute_spectrum(sys)
         assert sorted(bb.size for bb in spec.blocks) == [2, 2], b
+
+
+def test_spectral_gap_skips_the_blocks_of_its_own_crossing(catalog_spectra):
+    # crossed-pair's two size-2 blocks split together: neither is the
+    # other's neighbour, so there is no foreign eigenvalue at all; with a
+    # third oscillator beside them, the gap is the distance to its modes at
+    # +-sqrt(63)/4 - i/4, sqrt(4.5) from -i
+    spec = catalog_spectra["crossed-pair"]
+    assert [spectral_gap(spec, b) for b in spec.blocks] == [np.inf, np.inf]
+    k, gamma = np.zeros((3, 3)), np.zeros((3, 3))
+    k[:2, :2], gamma[:2, :2] = spec.system.K, spec.system.Gamma
+    k[2, 2], gamma[2, 2] = 4.0, 0.5
+    wider = compute_spectrum(build_system(k, gamma))
+    crossing = [b for b in wider.blocks if b.size == 2]
+    assert len(crossing) == 2
+    for b in crossing:
+        assert spectral_gap(wider, b) == pytest.approx(np.sqrt(4.5), rel=1e-12)
 
 
 def test_cluster_shifts_ambiguity():
