@@ -17,7 +17,12 @@ Inputs:
   - random well-separated systems (tests/conftest.py) at N = 1..12, 16
     and 32 with seeds 0..29; their eigenvalues do not cluster, so they
     take the real-eig route of compute_spectrum, and every row is ok;
-  - the design-family points that tests/test_design.py samples.
+  - the design-family points that tests/test_design.py samples;
+  - semisimple systems with repeated eigenvalues: K = I2 with Gamma = 0,
+    0.5 I and 3 I; K = I3, Gamma = 0.3 I; K = diag(1, 1, 2), Gamma =
+    diag(0.1, 0.1, 0.2); K = 0, Gamma = I2; the rings of tests/conftest.py
+    at N = 3, 4, 5, 6 and 8 with Gamma = 0 and 0.2 I; and K = I2 + 1e-8 e11,
+    Gamma = 3 I, whose pairs sit 1e-8 apart.
 
 Usage: PYTHONPATH=src python scripts/outcome_sweep.py [--out FILE]
 """
@@ -43,7 +48,7 @@ from critmode.jordan import VerificationError, compute_spectrum, verify_spectrum
 from critmode.model import build_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import well_separated_system  # noqa: E402
+from conftest import ring_system, well_separated_system  # noqa: E402
 
 EPS_VALUES = (
     [0.0]
@@ -103,6 +108,27 @@ def design_inputs():
         yield f"double2 b={b!r}", lambda b=b: double2_critical(b)
 
 
+def repeated_inputs():
+    """Semisimple systems whose omegas repeat, and one whose pairs split."""
+    eye2, eye3, zero2 = np.eye(2), np.eye(3), np.zeros((2, 2))
+    systems = [
+        ("K=I2 Gamma=0", eye2, zero2),
+        ("K=I2 Gamma=0.5I", eye2, 0.5 * eye2),
+        ("K=I2 Gamma=3I", eye2, 3.0 * eye2),
+        ("K=I3 Gamma=0.3I", eye3, 0.3 * eye3),
+        ("K=diag(1 1 2) Gamma=diag(0.1 0.1 0.2)", np.diag([1.0, 1.0, 2.0]),
+         np.diag([0.1, 0.1, 0.2])),
+        ("K=0 Gamma=I2", zero2, eye2),
+        ("K=I2+1e-8e11 Gamma=3I", eye2 + np.diag([1e-8, 0.0]), 3.0 * eye2),
+    ]
+    for name, k, gamma in systems:
+        yield f"repeated {name}", lambda k=k, g=gamma: build_system(k, g)
+    for n in (3, 4, 5, 6, 8):
+        for gamma in (0.0, 0.2):
+            yield (f"ring N={n} gamma={gamma}",
+                   lambda n=n, g=gamma: ring_system(n, g))
+
+
 def digest(*chunks: bytes) -> str:
     """First 16 hex digits of the sha256 of the concatenated chunks."""
     return hashlib.sha256(b"".join(chunks)).hexdigest()[:16]
@@ -131,7 +157,8 @@ def run(stream) -> None:
         # quartic points outside the physical region warn about a Gamma
         # with negative eigenvalues; the outcome is what is recorded
         warnings.simplefilter("ignore", UserWarning)
-        for inputs in (catalog_inputs(), random_inputs(), design_inputs()):
+        for inputs in (catalog_inputs(), random_inputs(), design_inputs(),
+                       repeated_inputs()):
             for name, build in inputs:
                 writer.writerow([name] + outcome(build))
 

@@ -26,12 +26,15 @@ Commands:
     eps0 with --eps-count 2 and 5 (display grids of 1 and 4 points ahead of
     the fit grid);
   - cancellation on single-critical, quartic-jb4, cubic-jb3, double-jb2,
-    on quartic-jb4 with --eps-count 2 (the smallest grid), and on
-    quartic-jb4 along the non-generic --dk mu:1,-1.5,2 (exit 2);
+    on quartic-jb4 with --eps-count 2 (the smallest grid), on quartic-jb4
+    along the non-generic --dk mu:1,-1.5,2 (exit 2), and on crossed-pair
+    (a level crossing, exit 2);
   - perturb on the same four systems x --dk {e11, mu:1,-1.5,2,
     mu:-2,0.5,1} x {the default grid, --eps0=-3e-5 --eps-power 3};
   - perturb on crossed-pair (a level crossing, exit 2) and along an
     all-zero --dk file (exit 4);
+  - perturb (exit 2) and cancellation (the diagonalizable branch, exit 0)
+    on a system file with no critical block, K = [[2]], Gamma = [[1]];
   - analyze on the five catalog systems;
   - evolve --oracle on quartic-jb4 and crossed-pair, and evolve on
     quartic-jb4 at the one time --times 0.5 (a one-row table);
@@ -57,6 +60,7 @@ DIRECTIONS = ("e11", "mu:1,-1.5,2", "mu:-2,0.5,1")
 SUBCOMMANDS = ("analyze", "evolve", "perturb", "design", "reproduce-figure",
                "cancellation")
 ZERO_DK = "zero-dk.json"
+NONCRITICAL = "noncritical.json"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -78,6 +82,8 @@ def commands():
     yield ("cancellation_quartic-jb4_mu:1,-1.5,2",
            ["cancellation", *quartic, "--dk", "mu:1,-1.5,2",
             "--eps-min", "1e-3", "--eps-max", "1e-2"])
+    yield ("cancellation_crossed-pair",
+           ["cancellation", "--system", "catalog:crossed-pair"])
     for name in SYSTEMS:
         for dk in DIRECTIONS:
             base = ["perturb", "--system", f"catalog:{name}", "--dk", dk]
@@ -88,6 +94,9 @@ def commands():
            ["perturb", "--system", "catalog:crossed-pair", "--dk", "e11"])
     yield ("perturb_quartic-jb4_zero-dk",
            ["perturb", "--system", "catalog:quartic-jb4", "--dk", ZERO_DK])
+    for sub in ("perturb", "cancellation"):
+        yield (f"{sub}_noncritical",
+               [sub, "--system", NONCRITICAL, "--dk", "e11"])
     for name in CATALOG:
         yield f"analyze_{name}", ["analyze", "--system", f"catalog:{name}"]
     for name in ("quartic-jb4", "crossed-pair"):
@@ -104,6 +113,9 @@ def run_one(directory: Path, argv) -> int:
     directory.mkdir(parents=True)
     if ZERO_DK in argv:
         (directory / ZERO_DK).write_text(json.dumps([[0.0, 0.0], [0.0, 0.0]]))
+    if NONCRITICAL in argv:
+        (directory / NONCRITICAL).write_text(
+            json.dumps({"N": 1, "K": [[2.0]], "Gamma": [[1.0]]}))
     if "--help" not in argv:
         argv = argv + ["--out", "."]
     stdout, stderr = io.StringIO(), io.StringIO()

@@ -51,7 +51,6 @@ from .jordan import (
     compute_spectrum,
     spectrum_to_json,
     verify_representations,
-    verify_spectrum,
 )
 from .linalg import ArgumentError, ConvergenceError, Tolerances
 from .model import (
@@ -66,9 +65,9 @@ from .perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
     _predictor,
-    _require_isolated,
     assign_predictions,
     cluster_shifts,
+    critical_block,
     exact_perturbed_spectrum,
     is_generic,
     loglog_slope,
@@ -201,7 +200,7 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
     _write_json(out / "spectrum.json", spectrum_to_json(spectrum))
-    verification = verify_spectrum(spectrum, strict=False)
+    verification = dict(spectrum.verification)
     reps = verify_representations(spectrum)
     sumrules = check_sum_rules(spectrum)
     verification["representation_max_deviation"] = reps["max_deviation"]
@@ -347,10 +346,7 @@ def cmd_perturb(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
-    block = spectrum.largest_block()
-    if block.size < 2:
-        raise ArgumentError("perturb needs a critical system (a block with M >= 2)")
-    _require_isolated(spectrum, block, "perturb")
+    block = critical_block(spectrum, "perturb")
     generic, predict = _predictor(block, delta_k)
     shifts, _, predicted = _track(spectrum, block, delta_k, eps_values[1:],
                                   predict, eps_values.size - 1)
@@ -472,7 +468,7 @@ def cmd_reproduce_figure(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spectrum = compute_spectrum(system, tol)
-    block = spectrum.largest_block()
+    block = critical_block(spectrum, "reproduce-figure")
     generic, predict = _predictor(block, delta_k)
     # one track over the display grid (n = 1..count-1), the fit grid and,
     # for a non-generic direction, the static grid; the static points need
@@ -535,8 +531,7 @@ def cmd_cancellation(args) -> int:
         np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count
     )
     spectrum = compute_spectrum(system, tol)
-    nontrivial = [b for b in spectrum.blocks if b.size >= 2]
-    if not nontrivial:
+    if all(b.size == 1 for b in spectrum.blocks):
         # Far from criticality every mode stands alone: per-mode weights are
         # O(1) and there is no small denominator to cancel.
         # (f,f) = 1 after normalization
@@ -553,8 +548,9 @@ def cmd_cancellation(args) -> int:
         )
         print("cancellation: diagonalizable system, per-mode weights O(1)")
         return EXIT_OK
-    if len(nontrivial) == 1 and not is_generic(nontrivial[0], delta_k):
-        xi = complex(xi_generic(nontrivial[0], delta_k))
+    block = critical_block(spectrum, "cancellation")
+    if not is_generic(block, delta_k):
+        xi = complex(xi_generic(block, delta_k))
         raise ArgumentError(
             f"cancellation needs a generic --dk: xi = {xi:.3e} vanishes at "
             f"this scale, so the block does not split as eps^(1/M)"

@@ -66,6 +66,7 @@ from .perturb import (
     _genericity_threshold,
     _predict_splitting,
     cluster_shifts,
+    critical_block,
 )
 
 _EPS = np.finfo(float).eps
@@ -498,7 +499,8 @@ def cluster_cancellation_experiment(
     are not resolvably apart.  The state phi, eps, the times and DK (N x N,
     finite, symmetric) are checked (ArgumentError) before any eigensolve,
     DK once for both the exact spectrum and the prediction.  spectrum, when
-    given, must be the spectrum of sys (ArgumentError otherwise).
+    given, must be the spectrum of sys (ArgumentError otherwise).  The
+    block is critical_block's, with its ArgumentError.
     """
     t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
@@ -508,13 +510,7 @@ def cluster_cancellation_experiment(
     phi, mass = _state(phi, sys.dim)
     dk = symmetric_matrix("DK", delta_k, sys.N)
     spectrum = _spectrum_for(sys, spectrum, tol)
-    nontrivial = [b for b in spectrum.blocks if b.size >= 2]
-    if len(nontrivial) != 1:
-        raise ArgumentError(
-            f"experiment needs exactly one nontrivial block, found "
-            f"{len(nontrivial)}"
-        )
-    block = nontrivial[0]
+    block = critical_block(spectrum, "cluster_cancellation_experiment")
     m = block.size
 
     evals = _exact_perturbed_spectrum(sys, dk, eps)

@@ -139,18 +139,6 @@ class JordanBlock:
     near_critical: bool = False
 
 
-@dataclass
-class CrossingGroup:
-    """Blocks sharing one eigenvalue, sorted by descending size."""
-
-    omega: complex
-    sizes: list
-
-    @property
-    def L(self) -> int:
-        return len(self.sizes)
-
-
 # Per order l of the Taylor coefficients of e^{-iJt} and of the poles of the
 # resolvent, for Jordan blocks of up to 1024 vectors (N = 512 oscillators in
 # one chain): l, (-i)^l / l!, log l! and l + 1.  (-i t)^l / l! is taken as
@@ -211,6 +199,9 @@ class Spectrum:
     by compute_spectrum; the duals and the verifications read them.
     matrices is the basis in matrix form, assembled once by compute_spectrum
     after the duals; verification and the dynamics kernels all read it.
+    verification is the report of compute_spectrum's strict verify_spectrum
+    call.  The blocks of a level crossing are the blocks that share one
+    omega.
     """
 
     system: OscillatorSystem
@@ -218,9 +209,9 @@ class Spectrum:
     tol: Tolerances
     h: np.ndarray
     g: np.ndarray
-    crossing_groups: list = field(default_factory=list)
     near_critical_clusters: list = field(default_factory=list)
     matrices: MatrixForm | None = None
+    verification: dict | None = None
 
     @property
     def nu(self) -> int:
@@ -901,7 +892,7 @@ def compute_spectrum(sys: OscillatorSystem,
     and eigenvector from the same eig (_simple_eigenvectors), and the
     simple eigenvectors are normalized together, as one stack of
     one-vector chains (normalize_block).  H and g are built once, and the
-    spectrum keeps them.
+    spectrum keeps them, and the report of its one verify_spectrum call.
 
     Raises VerificationError when the constructed basis misses its
     invariants at residual_tol (never silently returns a bad basis).
@@ -950,17 +941,12 @@ def compute_spectrum(sys: OscillatorSystem,
         tol=tol,
         h=h,
         g=g,
-        crossing_groups=[
-            CrossingGroup(omega=w, sizes=sorted(sizes, reverse=True))
-            for w, sizes, _ in groups
-            if len(sizes) > 1
-        ],
         near_critical_clusters=flagged,
     )
     enforce_conjugation(spectrum)
     dual_basis(spectrum)
     spectrum.matrices = _matrix_form(spectrum.blocks)
-    verify_spectrum(spectrum, strict=True)
+    spectrum.verification = verify_spectrum(spectrum, strict=True)
     return spectrum
 
 

@@ -69,6 +69,26 @@ class MatchingAmbiguityError(RuntimeError):
 # xi, xi' and the leading-order splitting predictions
 # ---------------------------------------------------------------------------
 
+def critical_block(spectrum: Spectrum, what: str) -> JordanBlock:
+    """The block that the splitting theory perturbs: spectrum.largest_block().
+
+    ArgumentError, naming what needs the block, unless it has M >= 2 and no
+    other block shares its omega: the blocks of a level crossing split
+    together, by a matrix of DH, not by one xi.
+    """
+    block = spectrum.largest_block()
+    if block.size < 2:
+        raise ArgumentError(f"{what} needs a critical system (a block with M >= 2)")
+    # blocks come sorted by descending size, so the sizes list does too
+    sizes = [b.size for b in spectrum.blocks if b.omega == block.omega]
+    if len(sizes) > 1:
+        raise ArgumentError(
+            f"{what} needs an isolated block: omega = {block.omega:.6g} "
+            f"is a level crossing of blocks of sizes {sizes}"
+        )
+    return block
+
+
 def delta_h(delta_k) -> np.ndarray:
     """Phase-space form of a stiffness perturbation: i[[0,0],[-DK,0]]."""
     dk = np.asarray(delta_k, dtype=float)
@@ -335,15 +355,10 @@ def j1_coefficient(
       extrapolation.
 
     spectrum, when given, must be the spectrum of sys (ArgumentError
-    otherwise); ArgumentError too when the largest block is in a crossing.
+    otherwise); the block is critical_block's, with its ArgumentError.
     """
     spectrum = _spectrum_for(sys, spectrum, tol)
-    block = spectrum.largest_block()
-    if block.size < 2:
-        raise ArgumentError(
-            "system is not critical: no block of size >= 2 at this tolerance"
-        )
-    _require_isolated(spectrum, block, "j1_coefficient")
+    block = critical_block(spectrum, "j1_coefficient")
     w = block.omega
     dk = symmetric_matrix("DK", delta_k, sys.N)
 
@@ -400,17 +415,6 @@ def _exact_perturbed_spectrum(sys: OscillatorSystem, dk: np.ndarray, eps):
     a = a + grid[:, None, None] * (-1j * dh).real
     evals = np.sort_complex(1j * np.linalg.eigvals(a))
     return evals[0] if scalar else evals
-
-
-def _require_isolated(spectrum: Spectrum, block: JordanBlock, what: str) -> None:
-    """ArgumentError, naming what needs the block, when block is in a level
-    crossing: the crossing splits by a matrix of DH, not by one xi."""
-    for group in spectrum.crossing_groups:
-        if group.omega == block.omega:
-            raise ArgumentError(
-                f"{what} needs an isolated block: omega = {block.omega:.6g} "
-                f"is a level crossing of blocks of sizes {group.sizes}"
-            )
 
 
 def spectral_gap(spectrum: Spectrum, block: JordanBlock) -> float:

@@ -53,3 +53,17 @@ def well_separated_system(rng, n, min_gap=0.05):
         if float(np.min(d)) >= min_gap:
             return sys
     raise RuntimeError("could not sample a well-separated system")
+
+
+def ring_system(n, gamma=0.0):
+    """n identical unit oscillators on a ring, each coupled to its two
+    neighbours by springs of 0.5, with damping gamma * I.
+
+    K = 2 I - 0.5 (P + P^T), P the cyclic shift, is circulant: its
+    eigenvalues 2 - cos(2 pi k / n) come in equal pairs k, n - k, and gamma I
+    commutes with it, so H has repeated simple eigenvalues (no Jordan block).
+    """
+    from critmode.model import build_system
+
+    p = np.roll(np.eye(n), 1, axis=1)
+    return build_system(2.0 * np.eye(n) - 0.5 * (p + p.T), gamma * np.eye(n))

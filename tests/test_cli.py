@@ -39,6 +39,36 @@ def test_analyze_crossed_pair(tmp_path):
     assert sorted(b["M"] for b in spectrum["blocks"]) == [2, 2]
 
 
+def test_analyze_writes_the_report_of_the_one_verification(tmp_path,
+                                                          monkeypatch):
+    # compute_spectrum keeps the report of its strict verify_spectrum call,
+    # and analyze writes a copy of it: one verification per spectrum
+    import critmode.cli as cli
+    import critmode.jordan as jordan
+
+    calls, spectra = [], []
+    verify, compute = jordan.verify_spectrum, cli.compute_spectrum
+
+    def counting_verify(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    def keeping_compute(*args, **kwargs):
+        spectra.append(compute(*args, **kwargs))
+        return spectra[-1]
+
+    monkeypatch.setattr(jordan, "verify_spectrum", counting_verify)
+    monkeypatch.setattr(cli, "compute_spectrum", keeping_compute)
+    code = run(["analyze", "--system", "catalog:double-jb2", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+    report = spectra[0].verification
+    written = json.loads((tmp_path / "verification.json").read_text())
+    assert {key: written[key] for key in report} == report
+    # the representations and signs go to the copy, not to the spectrum
+    assert "representations" in written and "representations" not in report
+
+
 def test_analyze_random_diagonalizable(tmp_path):
     rng = np.random.default_rng(101)
     sys = well_separated_system(rng, 3)

@@ -24,6 +24,7 @@ from critmode.design import catalog_system, scale_system
 from critmode.jordan import JordanBlock, _matrix_form, compute_spectrum
 from critmode.linalg import ArgumentError, as_grid
 from critmode.model import build_system, evolution_operator
+from critmode.perturb import loglog_slope
 
 from conftest import well_separated_system
 
@@ -793,12 +794,20 @@ def test_cancellation_rejects_unsplit_system(catalog_spectra):
         )
 
 
-def test_cancellation_needs_single_nontrivial_block(catalog_spectra):
-    spec = catalog_spectra["double-jb2"]  # two nontrivial blocks
-    with pytest.raises(ArgumentError):
-        cluster_cancellation_experiment(
-            spec.system, np.eye(2), 1e-8, np.ones(4), [0.0], spectrum=spec
-        )
+def test_cancellation_runs_on_the_largest_of_two_critical_blocks(
+        catalog_spectra):
+    # double-jb2 has two isolated size-2 blocks; the experiment takes
+    # critical_block's, and its per-mode weights grow like |lambda|^(1-M)
+    spec = catalog_spectra["double-jb2"]
+    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    rng = np.random.default_rng(0)
+    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rep = cluster_cancellation_experiment(
+        spec.system, e11, np.logspace(-10, -6, 9), phi,
+        np.linspace(0.0, 1.5, 7), spectrum=spec)
+    assert rep.size == 2
+    slope, _ = loglog_slope(np.abs(rep.lam), rep.max_weight)
+    assert abs(slope - (1 - rep.size)) <= 0.05
 
 
 def test_cancellation_rejects_empty_time_grid(catalog_entries, monkeypatch):

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,16 +12,19 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import critmode
+from critmode.cli import main as cli_main
 from critmode.design import catalog_entry
+from critmode.dynamics import cluster_cancellation_experiment
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
-from critmode.model import build_system, evolution_operator
+from critmode.model import build_system, evolution_operator, save_system
 from critmode.perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
     NonGenericPerturbationError,
     assign_predictions,
     cluster_shifts,
+    critical_block,
     deltaH_prime_matrix,
     exact_perturbed_spectrum,
     is_generic,
@@ -33,6 +38,8 @@ from critmode.perturb import (
     xi_generic,
     xi_prime,
 )
+
+from conftest import well_separated_system
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
 MU_QUARTIC = np.array([[1.0, -1.5], [-1.5, 2.0]])
@@ -519,6 +526,56 @@ def test_j1_requires_critical_system():
     sys = build_system(np.diag([1.0, 4.0]), np.zeros((2, 2)))
     with pytest.raises(ArgumentError):
         j1_coefficient(sys, E11)
+
+
+# --- the perturbed block -----------------------------------------------------
+
+CROSSING = (r"needs an isolated block: omega = \S+ is a level crossing of "
+            r"blocks of sizes \[2, 2\]")
+NOT_CRITICAL = r"needs a critical system \(a block with M >= 2\)"
+
+
+def test_critical_block_is_the_largest_block(catalog_spectra):
+    for name in ("single-critical", "quartic-jb4", "cubic-jb3", "double-jb2"):
+        spec = catalog_spectra[name]
+        assert critical_block(spec, "test") is spec.largest_block(), name
+    with pytest.raises(ArgumentError, match="^test " + CROSSING):
+        critical_block(catalog_spectra["crossed-pair"], "test")
+
+
+@pytest.mark.parametrize("system", ["crossed-pair", "random N=2"])
+@pytest.mark.parametrize("entry", ["perturb", "cancellation",
+                                   "cluster_cancellation_experiment",
+                                   "j1_coefficient"])
+def test_entry_points_refuse_by_critical_block(entry, system, catalog_entries,
+                                               tmp_path, capsys):
+    # one rule picks the perturbed block and decides whether it is
+    # admissible, and every entry point words its refusal by its own name
+    if system == "crossed-pair":
+        sys, match = catalog_entries[system].system, CROSSING
+    else:
+        sys = well_separated_system(np.random.default_rng(0), 2)
+        match = NOT_CRITICAL
+    if entry == "cluster_cancellation_experiment":
+        with pytest.raises(ArgumentError, match=f"^{entry} {match}"):
+            cluster_cancellation_experiment(sys, E11, 1e-8, np.ones(4), [0.0])
+    elif entry == "j1_coefficient":
+        with pytest.raises(ArgumentError, match=f"^{entry} {match}"):
+            j1_coefficient(sys, E11)
+    else:
+        save_system(sys, tmp_path / "system.json")
+        code = cli_main([entry, "--system", str(tmp_path / "system.json"),
+                         "--dk", "e11", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if entry == "cancellation" and system == "random N=2":
+            # every block has M = 1: the diagonalizable branch runs first
+            assert code == 0
+            summary = json.loads(
+                (tmp_path / "out" / "cancellation_summary.json").read_text())
+            assert summary["diagonalizable"] is True
+        else:
+            assert code == 2
+            assert re.match(f"error: {entry} {match}", err), err
 
 
 # --- exact spectra and fits ---------------------------------------------------------
