@@ -307,13 +307,15 @@ def _sweep_rows(block, eps_values, numerical, predicted):
     eps_values is an _eps_grid, whose first point (n = 0, as in the caption
     grids) is the unperturbed one: both columns hold omega there.  numerical
     and predicted are the (E - 1, M) eigenvalue tracks over the rest of the
-    grid; each row of predictions is paired with its numerical row by
-    assign_predictions.  abs_error is np.hypot of the difference, which
-    rounds as abs() of one complex does (np.abs over an array may not).
+    grid.  Row k of an eps is predicted mode k (the order of predict), with
+    the numerical eigenvalue that assign_predictions pairs with it, so k
+    follows one mode along eps.  abs_error is np.hypot of the difference,
+    which rounds as abs() of one complex does (np.abs over an array may not).
     """
     w, m = block.omega, block.size
-    predicted = np.take_along_axis(
-        predicted, assign_predictions(numerical, predicted), axis=-1)
+    numerical = np.take_along_axis(
+        numerical, assign_predictions(numerical, predicted).argsort(axis=-1),
+        axis=-1)
     nums = np.concatenate([np.full((1, m), w), numerical]).ravel()
     preds = np.concatenate([np.full((1, m), w), predicted]).ravel()
     errors = nums - preds

@@ -48,9 +48,12 @@ one-vector chains, in one call; biorthogonalize_crossing calls it on one
 chain at a time.  Every pairing (u, v) = u^T g v in this module comes from
 one evaluator, _pairings, two matmuls over a stack of vector pairs;
 compute_spectrum builds g and |g|_2 once and passes both to the two
-normalizers.  The duals
-of a block take one product with g, and verify_spectrum forms F^T g once for
-its pairing and completeness residuals.
+normalizers.  After the chains, the basis is handled as whole arrays: the
+partners, self-symmetry signs and duals of all blocks of one size come from
+one stack (one 3-D product with g for the duals, numpy running one product
+per stack entry, so every block keeps the bits of its own product), and
+verify_spectrum forms F^T g once and takes its pairing, dual and
+completeness residuals with one stacked abs and one max.
 """
 
 from __future__ import annotations
@@ -151,6 +154,9 @@ _PHASES = np.array([1.0, -1j, -1.0, 1j])[np.arange(1024) % 4] * np.array(
 )
 _LOG_FACTORIALS = np.array([math.lgamma(l + 1.0) for l in range(1024)])
 _POLE_POWERS = _ORDERS + (1.0 + 0j)
+# The phases i^M (-1)^n of the conjugation rule, row M % 4 and column n, for
+# chains of up to 1024 vectors
+_CONJ_PHASES = np.array([1j**r for r in range(4)])[:, None] * (-1.0) ** _ORDERS
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,7 @@ def _linkage_radius(tol: Tolerances, omegas) -> float:
     test is authoritative about which clusters are true blocks.
     """
     return max(10.0 * tol.cluster_tol,
-               3e-3 * (1.0 + float(np.max(np.abs(omegas)))))
+               3e-3 * (1.0 + float(np.abs(omegas).max())))
 
 
 def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
@@ -440,6 +446,12 @@ def chain_from_top(a: np.ndarray, top: np.ndarray, size: int):
     return chain[::-1]
 
 
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis) of a complex x, by the same ufuncs
+    without its argument handling (bit for bit the same norms)."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
 def _pairings(g: np.ndarray, u: np.ndarray, v: np.ndarray):
     """(u_p, v_q) = u_p^T g v_q of (B, P, 2N) and (B, Q, 2N) stacks as
     (B, P, Q), by two 3-D matmuls; numpy runs one product per stack entry,
@@ -464,8 +476,8 @@ def normalize_block(chains, g: np.ndarray, gnorm: float):
     f = f.reshape(-1, *f.shape[-2:])
     m = f.shape[1]
     a_top = _pairings(g, f[:, :1], f[:, -1:])[:, 0, 0]
-    ends = np.linalg.norm(f[:, [0, -1]], axis=2)
-    scale = gnorm * ends[:, 0] * ends[:, 1]
+    norms = _norms(f, 2)
+    scale = gnorm * norms[:, 0] * norms[:, -1]
     vanishing = np.abs(a_top) <= np.maximum(1e-12 * scale, 1e-300)
     if vanishing.any():
         raise DegenerateChainError(
@@ -481,8 +493,8 @@ def normalize_block(chains, g: np.ndarray, gnorm: float):
         coeffs[:, n] = -_pairings(g, f[:, n:n + 1], f[:, -1:])[:, 0, 0] / 2.0
         f[:, n:] += coeffs[:, n, None, None] * f[:, :m - n]
     flips = _sign_flips(f[:, 0])
-    f[flips] = -f[flips]
-    coeffs[flips, 0] = -coeffs[flips, 0]
+    np.negative(f, out=f, where=flips[:, None, None])
+    np.negative(coeffs[:, 0], out=coeffs[:, 0], where=flips)
     # A_q = mean of (f_n, f_(q-n)): the anti-diagonal means of the Gram
     gram = _pairings(g, f, f)
     a_q = np.zeros((len(f), 2 * m - 1), dtype=complex)
@@ -503,7 +515,8 @@ def _sign_flips(f0: np.ndarray) -> np.ndarray:
     decides, so rounding noise cannot pick the entry.
     """
     mags = np.abs(f0)
-    idx = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=1, keepdims=True), axis=1)
+    top = np.maximum.reduce(mags, axis=1, keepdims=True)
+    idx = (mags >= (1.0 - 1e-8) * top).argmax(axis=1)
     a = f0[np.arange(len(f0)), idx]
     tiny = 1e-12 * np.abs(a)
     return np.where(np.abs(a.real) > tiny, a.real < 0.0, a.imag <= 0.0)
@@ -593,20 +606,31 @@ def biorthogonalize_crossing(chains, g: np.ndarray, gnorm: float,
 # ---------------------------------------------------------------------------
 
 def conjugate_chain(chain: np.ndarray) -> np.ndarray:
-    """Partner chain f_{-j,n} = + i^M (-1)^n conj(f_{j,n})."""
-    m = len(chain)
-    phases = np.array([1j**m * (-1.0) ** n for n in range(m)])
-    return phases[:, None] * np.conj(chain)
+    """Partner chain f_{-j,n} = + i^M (-1)^n conj(f_{j,n}); a stack of
+    equal-height chains (B, M, 2N) gives the partner of each."""
+    chain = np.asarray(chain)
+    m = chain.shape[-2]
+    return _CONJ_PHASES[m % 4, :m, None] * np.conj(chain)
 
 
-def _detect_self_conjugation(chain: np.ndarray) -> int | None:
-    """Realized sign of the conjugation rule as a self-symmetry, or None."""
-    cand = conjugate_chain(chain)
-    norms = np.linalg.norm(chain, axis=1)
-    for sign in (1, -1):
-        if np.max(np.linalg.norm(chain - sign * cand, axis=1) / norms) <= 1e-8:
-            return sign
-    return None
+def _self_conjugation_signs(chains: np.ndarray, partners: np.ndarray) -> list:
+    """Realized sign of the conjugation rule as a self-symmetry of each chain
+    of a stack (B, M, 2N), given their partners (conjugate_chain): +1 where
+    every vector lies within a relative 1e-8 of its partner, else -1 where
+    every one lies that close to minus its partner, else None."""
+    devs = _norms(np.array([chains - partners, chains + partners]), 3)
+    close = (np.maximum.reduce(devs / _norms(chains, 2), axis=2)
+             <= 1e-8).tolist()
+    return [1 if plus else -1 if minus else None
+            for plus, minus in zip(*close)]
+
+
+def _size_groups(blocks) -> list:
+    """Indices of the blocks of each size, each list in block order."""
+    groups = {}
+    for i, b in enumerate(blocks):
+        groups.setdefault(b.size, []).append(i)
+    return list(groups.values())
 
 
 def _axis_tol(tol: Tolerances, omegas) -> float:
@@ -621,15 +645,28 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
     Blocks on the negative imaginary axis are labeled 0 and carry the
     detected self-symmetry sign.  The others get labels j = 1, 2, ... and a
     partner at -conj(omega) with the conjugated chain (sign +), labeled -j,
-    without a ledger.  The blocks are sorted afterwards, so each +j comes
-    before its -j.
+    without a ledger.  The conjugated chains and the self-symmetry signs
+    come from one stack per block size.  The blocks are sorted afterwards,
+    so each +j comes before its -j.
     """
-    axis_tol = _axis_tol(spectrum.tol, [b.omega for b in spectrum.blocks])
+    blocks = spectrum.blocks
+    axis_tol = _axis_tol(spectrum.tol, [b.omega for b in blocks])
+    on_axis = [abs(b.omega.real) <= axis_tol for b in blocks]
+    conjugated = [None] * len(blocks)
+    for idx in _size_groups(blocks):
+        chains = np.array([blocks[i].chain for i in idx])
+        conjugates = conjugate_chain(chains)
+        axis = [k for k, i in enumerate(idx) if on_axis[i]]
+        if axis:
+            signs = _self_conjugation_signs(chains[axis], conjugates[axis])
+            for k, sign in zip(axis, signs):
+                blocks[idx[k]].conj_sign = sign
+        for i, chain in zip(idx, conjugates):
+            conjugated[i] = chain
     partners = []
-    for b in spectrum.blocks:
-        if abs(b.omega.real) <= axis_tol:
+    for b, axis, chain in zip(blocks, on_axis, conjugated):
+        if axis:
             b.label = 0
-            b.conj_sign = _detect_self_conjugation(b.chain)
             continue
         b.label = len(partners) + 1
         b.conj_sign = 1
@@ -637,14 +674,14 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
             JordanBlock(
                 omega=-np.conj(b.omega),
                 size=b.size,
-                chain=conjugate_chain(b.chain),
+                chain=chain,
                 label=-b.label,
                 conj_sign=1,
                 near_critical=b.near_critical,
             )
         )
-    spectrum.blocks.extend(partners)
-    _sort_blocks(spectrum.blocks)
+    blocks.extend(partners)
+    _sort_blocks(blocks)
     return spectrum
 
 
@@ -652,11 +689,16 @@ def dual_basis(spectrum: Spectrum) -> Spectrum:
     """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block.
 
     g is symmetric, so the duals of a block are the rows of conj(R g), R
-    the reversed chain as rows: one product per block.
+    the reversed chain as rows.  One 3-D product per block size takes the
+    duals of every block of that size; numpy runs one product per stack
+    entry, so each block gets the bits of its own product.
     """
     g = spectrum.g
-    for b in spectrum.blocks:
-        b.duals = np.conj(b.chain[::-1] @ g)
+    blocks = spectrum.blocks
+    for idx in _size_groups(blocks):
+        duals = np.conj(np.array([blocks[i].chain for i in idx])[:, ::-1] @ g)
+        for i, d in zip(idx, duals):
+            blocks[i].duals = d
     return spectrum
 
 
@@ -716,7 +758,8 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     residual_tol.  The chain residuals of blocks demoted from near-critical
     clusters (whose accuracy is limited by the cluster diameter) are
     reported apart as chain_residual_flagged and kept out of max_residual;
-    the Gram, dual and completeness residuals count for every block.  The
+    the Gram, dual and completeness residuals count for every block, and
+    come from one stacked abs and one max.  The
     block sizes are checked first: when they do not sum to dim the
     residuals are not formed (NaN in the report) and the spectrum fails.
     """
@@ -729,23 +772,28 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
     if sizes_ok:
         h, g = spectrum.h, spectrum.g
         form = spectrum.matrices
-        f_mat, j_mat, p_mat = form.f, form.j, form.p
+        f_mat, p_mat = form.f, form.p
         # H = i a with a real, so ||H||_2 is the largest singular value of
         # the real a = Im H
         h_norm = np.linalg.svd(h.imag, compute_uv=False)[0]
-        chain_cols = np.linalg.norm(h @ f_mat - f_mat @ j_mat, axis=0) / (
-            (h_norm + np.abs(form.omega))
-            * np.maximum(1.0, np.linalg.norm(f_mat, axis=0))
+        chain_cols = _norms(h @ f_mat - f_mat @ form.j, 0) / (
+            (h_norm + np.abs(form.omega)) * np.maximum(1.0, _norms(f_mat, 0))
         )
         flagged = np.repeat([b.near_critical for b in blocks],
                             [b.size for b in blocks])
-        chain_res = float(np.max(chain_cols[~flagged], initial=0.0))
-        flagged_chain_res = float(np.max(chain_cols[flagged], initial=0.0))
+        chain_res = float(np.maximum.reduce(chain_cols[~flagged], initial=0.0))
+        flagged_chain_res = float(np.maximum.reduce(chain_cols[flagged],
+                                                    initial=0.0))
         ftg = f_mat.T @ g
-        gram_res = float(np.max(np.abs(ftg @ f_mat - p_mat)))
         eye = np.eye(dim)
-        dual_res = float(np.max(np.abs(form.duals[0] @ f_mat - eye)))
-        comp_res = float(np.max(np.abs(f_mat @ p_mat @ ftg - eye)))
+        # the Gram, dual and completeness deviations, one abs and one max
+        deviations = np.abs(np.array([
+            ftg @ f_mat - p_mat,
+            form.duals[0] @ f_mat - eye,
+            f_mat @ p_mat @ ftg - eye,
+        ])).reshape(3, -1)
+        gram_res, dual_res, comp_res = np.maximum.reduce(
+            deviations, axis=1).tolist()
 
     report = {
         "chain_residual": chain_res,
@@ -850,7 +898,7 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
     Two omegas on one column raise ChainError.
     """
     columns = 1j * lam
-    cols = np.argmin(np.abs(columns - np.array(omegas)[:, None]), axis=1)
+    cols = np.abs(columns - np.array(omegas)[:, None]).argmin(axis=1)
     taken = cols.tolist()
     if len(set(taken)) < len(taken):
         again = next(i for i, j in enumerate(taken) if j in taken[:i])
@@ -868,11 +916,11 @@ def _eig_groups(omegas: np.ndarray, tol: Tolerances):
     decides).  The groups are sorted by (real, imag), as poly_roots sorts
     its roots."""
     gaps = np.abs(omegas[:, None] - omegas)
-    np.fill_diagonal(gaps, np.inf)
+    gaps.reshape(-1)[::omegas.size + 1] = np.inf  # the diagonal
     if gaps.min() <= _linkage_radius(tol, omegas):
         return None
-    return [(complex(w), [1], [])
-            for w in omegas[np.lexsort((omegas.imag, omegas.real))]]
+    return [(w, [1], [])
+            for w in omegas[np.lexsort((omegas.imag, omegas.real))].tolist()]
 
 
 def compute_spectrum(sys: OscillatorSystem,
@@ -929,7 +977,7 @@ def compute_spectrum(sys: OscillatorSystem,
             JordanBlock(
                 omega=omega,
                 size=len(chain),
-                chain=np.array(chain),
+                chain=chain,
                 ledger=ledger,
                 near_critical=near_critical,
             )
@@ -967,11 +1015,11 @@ def _spectrum_for(sys: OscillatorSystem, spectrum: Spectrum | None,
 # export
 # ---------------------------------------------------------------------------
 
-def _interleave(vec: np.ndarray):
-    out = []
-    for z in vec:
-        out.extend([float(z.real), float(z.imag)])
-    return out
+def _interleave(vectors: np.ndarray) -> list:
+    """Rows of a complex (M, 2N) array as lists [re_0, im_0, re_1, ...]."""
+    vectors = np.asarray(vectors)
+    return np.stack((vectors.real, vectors.imag), axis=-1).reshape(
+        len(vectors), -1).tolist()
 
 
 def spectrum_to_json(spectrum: Spectrum) -> dict:
@@ -984,10 +1032,8 @@ def spectrum_to_json(spectrum: Spectrum) -> dict:
             "M": b.size,
             "conj_sign": b.conj_sign,
             "near_critical": b.near_critical,
-            "chain": [_interleave(v) for v in b.chain],
-            "duals": [_interleave(v) for v in b.duals]
-            if b.duals is not None
-            else None,
+            "chain": _interleave(b.chain),
+            "duals": _interleave(b.duals) if b.duals is not None else None,
         }
         if b.ledger is not None:
             entry["ledger"] = {

@@ -384,6 +384,32 @@ def test_perturb_sweep_format(tmp_path):
     assert pred["xi"][1] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name,m", [("quartic-jb4", 4), ("cubic-jb3", 3)])
+def test_sweep_rows_follow_one_mode_along_eps(tmp_path, name, m):
+    # row k of every eps is predicted mode k, in the order of
+    # predict_splitting, with its assigned numerical eigenvalue; on the
+    # equiangular star of a generic direction the shift of row k then keeps
+    # its direction along the eps grid
+    from critmode import cli
+    from critmode.design import catalog_entry
+    from critmode.jordan import compute_spectrum
+    from critmode.perturb import predict_splitting
+
+    assert run(["perturb", "--system", f"catalog:{name}", "--dk", "e11",
+                "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 1], np.tile(np.arange(m), len(rows) // m))
+    block = compute_spectrum(catalog_entry(name).system).largest_block()
+    eps = rows[m::m, 0]
+    want = predict_splitting(block, cli._parse_delta_k("e11", 2),
+                             eps).eigenvalues
+    assert np.array_equal(rows[m:, 4] + 1j * rows[m:, 5], want.ravel())
+    values = rows[:, 2] + 1j * rows[:, 3]
+    shifts = (values[m:] - values[0]).reshape(-1, m)
+    turns = np.abs(np.angle(shifts[1:] / shifts[:-1]))
+    assert np.all(turns < 0.1 * np.pi / m), turns
+
+
 def test_perturb_nongeneric_direction(tmp_path):
     code = run([
         "perturb", "--system", "catalog:quartic-jb4", "--dk", "mu:1,-1.5,2",

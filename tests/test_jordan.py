@@ -942,6 +942,153 @@ def test_duals_and_partners_match_their_loop_forms(catalog_spectra):
             assert _bits(conjugate_chain(b.chain)) == _bits(rows), name
 
 
+# --- the basis tail against its loop forms -----------------------------------
+#
+# normalize_block, dual_basis, enforce_conjugation and verify_spectrum run
+# on whole arrays (a stack per block size, ufunc reduces, one stacked abs);
+# the references below are the per-block forms they replaced, and every
+# output must equal theirs bit for bit.
+
+def _loop_normalize_block(chains, g, gnorm):
+    """Reference normalize_block: (chains, A rows, c rows) of a stack."""
+    f = np.array(chains, dtype=complex, order="C")
+    m = f.shape[1]
+    a_top = _pairings(g, f[:, :1], f[:, -1:])[:, 0, 0]
+    ends = np.linalg.norm(f[:, [0, -1]], axis=2)
+    assert not np.any(np.abs(a_top) <= np.maximum(
+        1e-12 * gnorm * ends[:, 0] * ends[:, 1], 1e-300))
+    coeffs = np.empty((len(f), m), dtype=complex)
+    coeffs[:, 0] = a_top ** -0.5
+    f *= coeffs[:, :1, None]
+    for n in range(1, m):
+        coeffs[:, n] = -_pairings(g, f[:, n:n + 1], f[:, -1:])[:, 0, 0] / 2.0
+        f[:, n:] += coeffs[:, n, None, None] * f[:, :m - n]
+    f0 = f[:, 0]
+    mags = np.abs(f0)
+    idx = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=1, keepdims=True),
+                    axis=1)
+    a = f0[np.arange(len(f0)), idx]
+    flips = np.where(np.abs(a.real) > 1e-12 * np.abs(a), a.real < 0.0,
+                     a.imag <= 0.0)
+    f[flips] = -f[flips]
+    coeffs[flips, 0] = -coeffs[flips, 0]
+    gram = _pairings(g, f, f)
+    a_q = np.zeros((len(f), 2 * m - 1), dtype=complex)
+    for n in range(m):
+        a_q[:, n:n + m] += gram[:, n]
+    q = np.arange(1, 2 * m)
+    a_q /= np.minimum(q, 2 * m - q)
+    return f, a_q, coeffs
+
+
+def _loop_verify_report(spectrum):
+    """Reference residuals of verify_spectrum, one abs/max chain each."""
+    dim = spectrum.system.dim
+    form, h, g = spectrum.matrices, spectrum.h, spectrum.g
+    f_mat, p_mat = form.f, form.p
+    h_norm = np.linalg.svd(h.imag, compute_uv=False)[0]
+    cols = np.linalg.norm(h @ f_mat - f_mat @ form.j, axis=0) / (
+        (h_norm + np.abs(form.omega))
+        * np.maximum(1.0, np.linalg.norm(f_mat, axis=0)))
+    flagged = np.repeat([b.near_critical for b in spectrum.blocks],
+                        [b.size for b in spectrum.blocks])
+    ftg = f_mat.T @ g
+    eye = np.eye(dim)
+    return {
+        "chain_residual": float(np.max(cols[~flagged], initial=0.0)),
+        "chain_residual_flagged": float(np.max(cols[flagged], initial=0.0)),
+        "bilinear_gram_residual": float(np.max(np.abs(ftg @ f_mat - p_mat))),
+        "dual_biorthogonality_residual": float(
+            np.max(np.abs(form.duals[0] @ f_mat - eye))),
+        "completeness_residual": float(
+            np.max(np.abs(f_mat @ p_mat @ ftg - eye))),
+    }
+
+
+def _self_symmetry(chain):
+    """Reference conj_sign of a block on the negative imaginary axis."""
+    m = len(chain)
+    cand = np.array([1j**m * (-1.0) ** n for n in range(m)])[:, None] * np.conj(
+        chain)
+    norms = np.linalg.norm(chain, axis=1)
+    for sign in (1, -1):
+        if np.max(np.linalg.norm(chain - sign * cand, axis=1) / norms) <= 1e-8:
+            return sign
+    return None
+
+
+def _tail_inputs():
+    for entry in catalog():
+        sys = entry.system
+        dk = np.zeros((sys.N, sys.N))
+        dk[0, 0] = 1.0
+        for eps in (0.0, 1e-6, -1e-6, 1e-10):
+            yield f"{entry.name}@{eps:g}", build_system(sys.K + eps * dk,
+                                                        sys.Gamma)
+    for n in (1, 2, 5, 8, 16, 32):
+        yield f"random-N{n}", well_separated_system(np.random.default_rng(n), n)
+
+
+TAIL_INPUTS = dict(_tail_inputs())
+
+
+def _unverified_spectrum(sys, monkeypatch):
+    """compute_spectrum(sys) with its verification made non-strict, so that
+    spectra that fail it are kept."""
+    import critmode.jordan as jordan
+
+    verify = jordan.verify_spectrum
+    with monkeypatch.context() as patch:
+        patch.setattr(jordan, "verify_spectrum",
+                      lambda spectrum, strict=True: verify(spectrum, False))
+        return jordan.compute_spectrum(sys)
+
+
+@pytest.mark.parametrize("name", list(TAIL_INPUTS))
+def test_basis_tail_equals_its_loop_forms(name, monkeypatch):
+    # every input gives a spectrum: an earlier stage raising fails the test
+    spec = _unverified_spectrum(TAIL_INPUTS[name], monkeypatch)
+    g = spec.g
+    gnorm = metric_norm(spec.system)
+    blocks = {b.label: b for b in spec.blocks}
+    for b in spec.blocks:
+        # duals: one product per block; partners: the conjugation rule with
+        # the phases of a per-size list; self-symmetry signs per block
+        assert _bits(b.duals) == _bits(np.conj(b.chain[::-1] @ g))
+        if b.label < 0:
+            rule = np.array([1j**b.size * (-1.0) ** n for n in range(b.size)])
+            mirror = blocks[-b.label].chain
+            assert _bits(b.chain) == _bits(rule[:, None] * np.conj(mirror))
+        elif b.label == 0:
+            assert b.conj_sign == _self_symmetry(b.chain)
+    # a scrambled copy of every normalized chain, and the simple
+    # eigenvectors as one stack, normalize as in the loop form
+    scramble = np.array([1.3 - 0.4j, 0.2 + 0.1j, -0.05j, 0.01, 0.003j])
+    for b in spec.blocks:
+        m = b.size
+        raw = scramble[0] * b.chain.copy()
+        for n in range(1, m):
+            raw[n:] += scramble[n % 5] * raw[:m - n]
+        chain, ledger = normalize_block(raw, g, gnorm)
+        want, a_q, coeffs = _loop_normalize_block(raw[None], g, gnorm)
+        assert _bits(chain) == _bits(want[0])
+        assert _bits(ledger.A) == _bits(a_q[0])
+        assert _bits(ledger.c) == _bits(coeffs[0])
+    simple = [b.omega for b in spec.blocks if b.size == 1]
+    if simple:
+        lam, vecs = np.linalg.eig(spec.h.imag)
+        stack = _simple_eigenvectors(lam, vecs, simple)[1][:, None, :]
+        chains, ledgers = normalize_block(stack, g, gnorm)
+        want, a_q, coeffs = _loop_normalize_block(stack, g, gnorm)
+        assert _bits(chains) == _bits(want)
+        assert _bits([led.A for led in ledgers]) == _bits(a_q)
+        assert _bits([led.c for led in ledgers]) == _bits(coeffs)
+    # the report, per residual
+    report = verify_spectrum(spec, strict=False)
+    for key, value in _loop_verify_report(spec).items():
+        assert np.array(report[key]).tobytes() == np.array(value).tobytes(), key
+
+
 def test_global_biorthogonality_catalog(catalog_spectra):
     for name, spec in catalog_spectra.items():
         report = verify_spectrum(spec, strict=False)
@@ -1094,7 +1241,8 @@ def test_catalog_sweep_verifies_or_raises_typed(catalog_entries, name, eps):
 # --- export ------------------------------------------------------------------
 
 def test_spectrum_json_shape(catalog_spectra):
-    obj = spectrum_to_json(catalog_spectra["cubic-jb3"])
+    spec = catalog_spectra["cubic-jb3"]
+    obj = spectrum_to_json(spec)
     assert obj["N"] == 2
     assert obj["nu"] == 2
     sizes = sorted(b["M"] for b in obj["blocks"])
@@ -1103,3 +1251,10 @@ def test_spectrum_json_shape(catalog_spectra):
     assert len(b3["chain"]) == 3
     assert len(b3["chain"][0]) == 8  # interleaved re/im of a length-4 vector
     assert "ledger" in b3
+    # each vector as [re_0, im_0, re_1, im_1, ...]
+    for b, entry in zip(spec.blocks, obj["blocks"]):
+        for key, rows in (("chain", b.chain), ("duals", b.duals)):
+            assert entry[key] == [
+                [x for z in row for x in (float(z.real), float(z.imag))]
+                for row in rows
+            ]

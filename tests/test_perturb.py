@@ -358,7 +358,8 @@ def _per_eps_sweep_rows(spectrum, block, dk, eps_values, predict):
     for eps, row in zip(eps_values[1:], evals):
         numerical = w + cluster_shifts(row, w, block.size, gap)
         predicted = predict(block, dk, eps).eigenvalues
-        predicted = predicted[assign_predictions(numerical, predicted)]
+        numerical = numerical[np.argsort(assign_predictions(numerical,
+                                                            predicted))]
         rows += [[eps, k, z.real, z.imag, p.real, p.imag, abs(z - p)]
                  for k, (z, p) in enumerate(zip(numerical, predicted))]
     return rows
