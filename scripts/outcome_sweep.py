@@ -24,7 +24,15 @@ Inputs:
     at N = 3, 4, 5, 6 and 8 with Gamma = 0 and 0.2 I; and K = I2 + 1e-8 e11,
     Gamma = 3 I, whose pairs sit 1e-8 apart.
 
+With --against EARLIER.csv (an earlier output of this script) the script
+prints one line for each input whose outcome, residual, block sizes or
+digest moved, with the old and the new value of each field that moved, and
+one for each input found in only one of the two files; it writes the CSV
+only to --out then.  Two versions that reach the same outcomes print
+nothing.
+
 Usage: PYTHONPATH=src python scripts/outcome_sweep.py [--out FILE]
+           [--against EARLIER.csv]
 """
 
 import argparse
@@ -150,9 +158,9 @@ def outcome(build) -> list:
     return ["ok", f"{res:.3e}", sizes, digest(form.f.tobytes(), form.duals.tobytes())]
 
 
-def run(stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(HEADER)
+def rows() -> list:
+    """HEADER, then the row of every input."""
+    table = [HEADER]
     with warnings.catch_warnings():
         # quartic points outside the physical region warn about a Gamma
         # with negative eigenvalues; the outcome is what is recorded
@@ -160,15 +168,47 @@ def run(stream) -> None:
         for inputs in (catalog_inputs(), random_inputs(), design_inputs(),
                        repeated_inputs()):
             for name, build in inputs:
-                writer.writerow([name] + outcome(build))
+                table.append([name] + outcome(build))
+    return table
+
+
+def write(stream, table) -> None:
+    csv.writer(stream, lineterminator="\n").writerows(table)
+
+
+def moved(earlier: str, table):
+    """One line per input whose row differs from its row in the CSV file
+    earlier, or that is in only one of the two."""
+    with open(earlier, encoding="utf-8", newline="") as fh:
+        old = {row[0]: row for row in list(csv.reader(fh))[1:]}
+    new = {row[0]: row for row in table[1:]}
+    for name, row in new.items():
+        if name not in old:
+            yield f"{name}: only in this run"
+        elif row != old[name]:
+            changes = [f"{field} {a or '-'} -> {b or '-'}"
+                       for field, a, b in zip(HEADER[1:], old[name][1:], row[1:])
+                       if a != b]
+            yield f"{name}: {', '.join(changes)}"
+    for name in old:
+        if name not in new:
+            yield f"{name}: only in {earlier}"
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", help="CSV file to write (default: stdout)")
+    parser.add_argument("--out", help="CSV file to write (default: stdout, "
+                        "unless --against is given)")
+    parser.add_argument("--against", metavar="EARLIER.csv",
+                        help="an earlier output: print the inputs whose row "
+                        "moved from it")
     args = parser.parse_args()
+    table = rows()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            run(fh)
-    else:
-        run(sys.stdout)
+            write(fh, table)
+    elif not args.against:
+        write(sys.stdout, table)
+    if args.against:
+        for line in moved(args.against, table):
+            print(line)

@@ -31,11 +31,13 @@ Commands:
     (a level crossing, exit 2);
   - perturb on the same four systems x --dk {e11, mu:1,-1.5,2,
     mu:-2,0.5,1} x {the default grid, --eps0=-3e-5 --eps-power 3};
-  - perturb on crossed-pair (a level crossing, exit 2) and along an
-    all-zero --dk file (exit 4);
+  - perturb on crossed-pair (a level crossing, exit 2), along an
+    all-zero --dk file (exit 4) and along a --dk file that is not JSON
+    (exit 2);
   - perturb (exit 2) and cancellation (the diagonalizable branch, exit 0)
     on a system file with no critical block, K = [[2]], Gamma = [[1]];
-  - analyze on the five catalog systems;
+  - analyze on the five catalog systems, and on catalog:no-such (exit 2);
+  - design --family catalog --name no-such (exit 2);
   - evolve --oracle on quartic-jb4 and crossed-pair, and evolve on
     quartic-jb4 at the one time --times 0.5 (a one-row table);
   - --help of the program and of each subcommand (at 80 columns).
@@ -60,6 +62,7 @@ DIRECTIONS = ("e11", "mu:1,-1.5,2", "mu:-2,0.5,1")
 SUBCOMMANDS = ("analyze", "evolve", "perturb", "design", "reproduce-figure",
                "cancellation")
 ZERO_DK = "zero-dk.json"
+NOT_JSON_DK = "not-json-dk.json"
 NONCRITICAL = "noncritical.json"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -94,11 +97,16 @@ def commands():
            ["perturb", "--system", "catalog:crossed-pair", "--dk", "e11"])
     yield ("perturb_quartic-jb4_zero-dk",
            ["perturb", "--system", "catalog:quartic-jb4", "--dk", ZERO_DK])
+    yield ("perturb_quartic-jb4_not-json-dk",
+           ["perturb", "--system", "catalog:quartic-jb4", "--dk", NOT_JSON_DK])
     for sub in ("perturb", "cancellation"):
         yield (f"{sub}_noncritical",
                [sub, "--system", NONCRITICAL, "--dk", "e11"])
     for name in CATALOG:
         yield f"analyze_{name}", ["analyze", "--system", f"catalog:{name}"]
+    yield "analyze_no-such", ["analyze", "--system", "catalog:no-such"]
+    yield ("design_catalog_no-such",
+           ["design", "--family", "catalog", "--name", "no-such"])
     for name in ("quartic-jb4", "crossed-pair"):
         yield (f"evolve_{name}_oracle",
                ["evolve", "--system", f"catalog:{name}", "--oracle"])
@@ -113,6 +121,8 @@ def run_one(directory: Path, argv) -> int:
     directory.mkdir(parents=True)
     if ZERO_DK in argv:
         (directory / ZERO_DK).write_text(json.dumps([[0.0, 0.0], [0.0, 0.0]]))
+    if NOT_JSON_DK in argv:
+        (directory / NOT_JSON_DK).write_text("not json\n")
     if NONCRITICAL in argv:
         (directory / NONCRITICAL).write_text(
             json.dumps({"N": 1, "K": [[2.0]], "Gamma": [[1.0]]}))

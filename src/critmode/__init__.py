@@ -17,6 +17,7 @@ from .dynamics import (
     rk4_evolve,
 )
 from .jordan import VerificationError, compute_spectrum
+from .linalg import ArgumentError, NumericalError
 from .model import build_system
 from .perturb import predict_splitting
 

@@ -16,9 +16,9 @@ come from defaults, overridden by the --tol-rank, --tol-cluster and
 --tol-residual flags (every subcommand but design).
 
 Output is data, not plots: CSV files with 17-significant-digit floats (byte
-deterministic for a fixed configuration) plus JSON summaries.  Exit codes:
-0 success, 2 parse/configuration error, 3 verification failure, 4 numerical
-convergence failure.
+deterministic for a fixed configuration) plus JSON summaries.  Exit codes
+follow the error's base: 0 success, 2 ArgumentError or OSError, 3
+VerificationError, 4 NumericalError or numpy's LinAlgError.
 """
 
 from __future__ import annotations
@@ -34,25 +34,20 @@ from pathlib import Path
 import numpy as np
 
 from . import design as design_mod
-from .design import DesignError, catalog_entry, catalog_system, catalog_to_json
+from .design import catalog_entry, catalog_system, catalog_to_json
 from .dynamics import (
-    NonDiagonalizableError,
     check_sum_rules,
     cluster_cancellation_experiment,
     evolve_state,
     rk4_evolve,
 )
 from .jordan import (
-    ChainError,
-    CrossingError,
-    DegenerateChainError,
-    PairingError,
     VerificationError,
     compute_spectrum,
     spectrum_to_json,
     verify_representations,
 )
-from .linalg import ArgumentError, ConvergenceError, Tolerances
+from .linalg import ArgumentError, NumericalError, Tolerances
 from .model import (
     OscillatorSystem,
     _write_text,
@@ -62,8 +57,6 @@ from .model import (
     symmetric_matrix,
 )
 from .perturb import (
-    HigherOrderNonGenericError,
-    MatchingAmbiguityError,
     _predictor,
     assign_predictions,
     cluster_shifts,
@@ -143,11 +136,7 @@ def _resolve_tol(args) -> Tolerances:
 
 def _resolve_system(ref: str) -> OscillatorSystem:
     if ref.startswith("catalog:"):
-        name = ref.split(":", 1)[1]
-        try:
-            return catalog_system(name)
-        except KeyError as exc:
-            raise ArgumentError(str(exc)) from exc
+        return catalog_system(ref.split(":", 1)[1])
     return load_system(ref)
 
 
@@ -185,7 +174,11 @@ def _parse_delta_k(spec: str, n: int) -> np.ndarray:
         path = Path(spec)
         if not path.exists():
             raise ArgumentError(f"no such perturbation file: {spec}")
-        dk = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            dk = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ArgumentError(
+                f"cannot parse perturbation file {spec}: {exc}") from exc
     return symmetric_matrix("--dk", dk, n)
 
 
@@ -701,8 +694,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ArgumentError, DesignError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except VerificationError as exc:
@@ -714,17 +706,7 @@ def main(argv=None) -> int:
                 file=_sys.stderr,
             )
         return EXIT_VERIFICATION
-    except (
-        ConvergenceError,
-        NonDiagonalizableError,
-        ChainError,
-        DegenerateChainError,
-        CrossingError,
-        PairingError,
-        MatchingAmbiguityError,
-        HigherOrderNonGenericError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
 

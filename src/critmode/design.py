@@ -52,7 +52,7 @@ from .model import OscillatorSystem, build_system
 CONSTRAINT_TOL = 1e-12
 
 
-class DesignError(RuntimeError):
+class DesignError(ArgumentError, RuntimeError):
     """No real solution exists for the requested design parameters."""
 
 
@@ -318,13 +318,15 @@ class CatalogEntry:
     chains: dict = field(default_factory=dict)
     duals: dict = field(default_factory=dict)
     perturbations: tuple = ()
-    crossing: bool = False
+
+    @property
+    def crossing(self) -> bool:
+        """Whether two expected blocks share one omega: a level crossing."""
+        omegas = [w for w, _ in self.expected_blocks]
+        return len(set(omegas)) < len(omegas)
 
     def chain_array(self, index: int) -> np.ndarray:
         return np.array([row.to_array() for row in self.chains[index]])
-
-    def dual_array(self, index: int) -> np.ndarray:
-        return np.array([row.to_array() for row in self.duals[index]])
 
     def matching_block(self, spectrum, index: int):
         """The spectrum block matching expected_blocks[index] by (omega, M)."""
@@ -459,7 +461,6 @@ def _crossed_pair(system: OscillatorSystem) -> CatalogEntry:
         name=system.label,
         system=system,
         expected_blocks=(((-1j), 2), ((-1j), 2)),
-        crossing=True,
     )
 
 
@@ -484,13 +485,14 @@ def catalog() -> list:
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    return _CATALOG[name][2](catalog_system(name))
+    system = catalog_system(name)
+    return _CATALOG[name][2](system)
 
 
 def catalog_system(name: str) -> OscillatorSystem:
     """The system of catalog entry name, built without the entry's fixtures."""
     if name not in _CATALOG:
-        raise KeyError(f"no catalog entry named {name!r}")
+        raise ArgumentError(f"no catalog entry named {name!r}")
     k, gamma, _ = _CATALOG[name]
     return build_system(k, gamma, label=name)
 

@@ -59,7 +59,7 @@ from .jordan import (
     _matrix_form,
     _spectrum_for,
 )
-from .linalg import ArgumentError, Tolerances, as_grid
+from .linalg import ArgumentError, NumericalError, Tolerances, as_grid
 from .model import OscillatorSystem, symmetric_matrix
 from .perturb import (
     _exact_perturbed_spectrum,
@@ -101,7 +101,7 @@ _RESOLVENT_QUIET = np.finfo(float).max / 2.0
 _SQUARING_BOUND = 0.5
 
 
-class NonDiagonalizableError(RuntimeError):
+class NonDiagonalizableError(NumericalError):
     """The perturbed system is still too close to critical to diagonalize."""
 
 

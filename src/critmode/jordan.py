@@ -66,6 +66,7 @@ import numpy as np
 from .linalg import (
     ArgumentError,
     DEFAULT_TOL,
+    NumericalError,
     Tolerances,
     char_poly,
     orthonormal_columns,
@@ -80,21 +81,21 @@ from .model import (
 )
 
 
-class ChainError(RuntimeError):
+class ChainError(NumericalError):
     """Raised when the kernels of (H - omega)^k do not fit the block sizes,
     their rank threshold overflows, or two simple eigenvalues match one
     eigenvector."""
 
 
-class DegenerateChainError(RuntimeError):
+class DegenerateChainError(NumericalError):
     """Raised when a chain has (f_0, f_top) = 0, which no valid block allows."""
 
 
-class CrossingError(RuntimeError):
+class CrossingError(NumericalError):
     """Raised when the level-crossing quadratic form vanishes identically."""
 
 
-class PairingError(RuntimeError):
+class PairingError(NumericalError):
     """Raised when an off-axis eigenvalue has no mirror partner."""
 
 
@@ -913,14 +914,12 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
 def _eig_groups(omegas: np.ndarray, tol: Tolerances):
     """The eigenvalues omegas as simple groups, or None if two of them lie
     within the linkage radius (a cluster, which the polynomial route
-    decides).  The groups are sorted by (real, imag), as poly_roots sorts
-    its roots."""
+    decides), in the order of omegas."""
     gaps = np.abs(omegas[:, None] - omegas)
     gaps.reshape(-1)[::omegas.size + 1] = np.inf  # the diagonal
     if gaps.min() <= _linkage_radius(tol, omegas):
         return None
-    return [(w, [1], [])
-            for w in omegas[np.lexsort((omegas.imag, omegas.real))].tolist()]
+    return [(w, [1], []) for w in omegas.tolist()]
 
 
 def compute_spectrum(sys: OscillatorSystem,

@@ -30,14 +30,18 @@ _EPS = np.finfo(float).eps
 
 
 class ArgumentError(ValueError):
-    """Raised when an input violates a documented precondition."""
+    """Raised when an input violates a documented precondition (exit 2)."""
 
 
-class ConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Raised when a numerical decision fails on a valid input (exit 4)."""
+
+
+class ConvergenceError(NumericalError):
     """Raised when an iterative method fails to reach its tolerance."""
 
 
-class InconsistentSystemError(ValueError):
+class InconsistentSystemError(NumericalError, ValueError):
     """Raised by solve_affine when A x = b has no solution within tolerance."""
 
 
@@ -49,7 +53,10 @@ class Tolerances:
         Relative singular-value cutoff (fraction of the largest singular
         value) below which directions count as null.
     cluster_tol
-        Radius within which polynomial roots are considered one eigenvalue.
+        Half-width, relative to 1 + max |omega|, of the band around the
+        imaginary axis and of the pole exclusion of greens_freq.  It does
+        not cluster eigenvalues: the linkage radius is max(10 cluster_tol,
+        3e-3 (1 + max |omega|)), so the default never sets it.
     residual_tol
         Acceptance threshold for verification residuals.
     """

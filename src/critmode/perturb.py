@@ -46,22 +46,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import JordanBlock, Spectrum, _basis_matrices, _spectrum_for
-from .linalg import ArgumentError, Tolerances, as_grid
+from .linalg import ArgumentError, NumericalError, Tolerances, as_grid
 from .model import OscillatorSystem, bilinear, evolution_operator, symmetric_matrix
 
 GENERICITY_FACTOR = 1e-8
 MAX_ASSIGNMENT_SIZE = 8
 
 
-class NonGenericPerturbationError(RuntimeError):
+class NonGenericPerturbationError(ArgumentError, RuntimeError):
     """xi vanishes at this scale; use the non-generic splitting path."""
 
 
-class HigherOrderNonGenericError(RuntimeError):
+class HigherOrderNonGenericError(NumericalError):
     """Both xi and xi' vanish; fall back to exact diagonalization."""
 
 
-class MatchingAmbiguityError(RuntimeError):
+class MatchingAmbiguityError(NumericalError):
     """Eigenvalue shifts too large to assign to the unperturbed cluster."""
 
 
@@ -234,7 +234,6 @@ class NonGenericPrediction:
     xi_prime: complex
     omega: complex
     size: int
-    unshifted_count: int
     shifts: np.ndarray
     eigenvalues: np.ndarray
     m2_caveat: bool
@@ -291,7 +290,6 @@ def _predict_nongeneric(block: JordanBlock, dk: np.ndarray, eps,
         xi_prime=xp,
         omega=block.omega,
         size=m,
-        unshifted_count=1,
         shifts=shifts,
         eigenvalues=eigenvalues,
         m2_caveat=(m == 2),

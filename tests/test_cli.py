@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import critmode
+from critmode import ArgumentError, NumericalError, VerificationError
 from critmode.cli import main
 from critmode.model import save_system, build_system
 
@@ -81,11 +84,24 @@ def test_analyze_random_diagonalizable(tmp_path):
     assert all(b["M"] == 1 for b in spectrum["blocks"])
 
 
-def test_exit_code_parse_error(tmp_path):
+def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run(["analyze", "--system", str(bad), "--out", str(tmp_path)]) == 2
-    assert run(["analyze", "--system", "catalog:nope", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # an unknown catalog name and a --dk file that is not JSON print the
+    # error's text, not the repr of a KeyError or a bare decoder message
+    unknown = "error: no catalog entry named 'nope'\n"
+    cases = [
+        (["analyze", "--system", "catalog:nope"], unknown),
+        (["design", "--family", "catalog", "--name", "nope"], unknown),
+        (["perturb", "--system", "catalog:quartic-jb4", "--dk", str(bad)],
+         f"error: cannot parse perturbation file {bad}: Expecting property "
+         "name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    ]
+    for argv, message in cases:
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == message
 
 
 def test_exit_code_verification_failure(tmp_path):
@@ -103,6 +119,47 @@ def test_exit_code_numerical_failure(tmp_path):
         "--out", str(tmp_path),
     ])
     assert code == 4
+
+
+def _critmode_exceptions():
+    """Every exception class defined in a critmode module."""
+    found = []
+    for info in pkgutil.iter_modules(critmode.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"critmode.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+EXIT_OF_BASE = {ArgumentError: 2, VerificationError: 3, NumericalError: 4}
+# the classes that gained a critmode base kept the builtin base they had
+BUILTIN_BASE = {"DesignError": RuntimeError,
+                "NonGenericPerturbationError": RuntimeError,
+                "InconsistentSystemError": ValueError}
+
+
+@pytest.mark.parametrize("cls", _critmode_exceptions(),
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_has_one_base_and_its_exit_code(cls, tmp_path,
+                                                         monkeypatch, capsys):
+    import critmode.cli as cli
+
+    bases = [base for base in EXIT_OF_BASE if issubclass(cls, base)]
+    assert len(bases) == 1
+    assert issubclass(cls, BUILTIN_BASE.get(cls.__name__, Exception))
+
+    def raising(args):
+        raise cls("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_analyze", raising)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    code = main(["analyze", "--system", "catalog:single-critical",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OF_BASE[bases[0]]
+    assert "raised by the command" in capsys.readouterr().err
 
 
 def test_tolerance_flag_applies(tmp_path):

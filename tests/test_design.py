@@ -257,6 +257,7 @@ def test_catalog_entry_matches_catalog():
         one = catalog_entry(entry.name)
         assert catalog_to_json(one) == catalog_to_json(entry)
         assert one.crossing == entry.crossing
+    assert [e.name for e in entries if e.crossing] == ["crossed-pair"]
 
 
 def test_catalog_system_is_the_entry_system():
@@ -269,7 +270,8 @@ def test_catalog_system_is_the_entry_system():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
-        catalog_entry("no-such-entry")
-    with pytest.raises(KeyError, match="no catalog entry named 'no-such-entry'"):
-        catalog_system("no-such-entry")
+    # the message is the error's whole text, with no quotes around it
+    for lookup in (catalog_entry, catalog_system):
+        with pytest.raises(ArgumentError) as info:
+            lookup("no-such-entry")
+        assert str(info.value) == "no catalog entry named 'no-such-entry'"

@@ -182,7 +182,6 @@ def test_nongeneric_trigger(catalog_spectra):
 def test_nongeneric_quartic_reduced_shifts(catalog_spectra):
     block = catalog_spectra["quartic-jb4"].largest_block()
     ng = predict_splitting_nongeneric(block, MU_QUARTIC, 1e-4)
-    assert ng.unshifted_count == 1
     assert abs(ng.xi_prime - 1j) <= 1e-12
     assert np.allclose(np.abs(ng.shifts), (2e-4) ** (1.0 / 3.0), atol=1e-12)
     assert not ng.m2_caveat
