@@ -176,7 +176,7 @@ def _parse_delta_k(spec: str, n: int) -> np.ndarray:
             raise ArgumentError(f"no such perturbation file: {spec}")
         try:
             dk = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ArgumentError(
                 f"cannot parse perturbation file {spec}: {exc}") from exc
     return symmetric_matrix("--dk", dk, n)

@@ -31,13 +31,13 @@ Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 
 H = i a with a real, and compute_spectrum starts from np.linalg.eig(a):
-omega = i lambda.  When no two omegas lie within the linkage radius
-(_linkage_radius), every one is simple and the characteristic polynomial is
-never formed.  Otherwise the companion-matrix roots of the polynomial are
-clustered with the same radius (_eigenstructure).  The kernels of a root
-cluster come from one SVD per power k of A = H - omega at the cluster's
-polished centre (_kernel_sequence, with the rank rule rank_tol *
-max(|A|_2, 1e-6)^k), up to the first power whose kernel grows no more.  The
+omega = i lambda.  When _single_linkage within the linkage radius links no
+two omegas, every one is simple and the characteristic polynomial is never
+formed.  Otherwise the same rule clusters the polynomial's companion-matrix
+roots (_eigenstructure).  The kernels of a root cluster come from one
+stacked SVD of the powers of A = H - omega at its polished centre
+(_kernel_sequence, with the rank rule rank_tol * max(|A|_2, 1e-6)^k), up
+to the first power whose kernel grows no more.  The
 block sizes of the cluster are read from the nullities of the same sequence
 that build_chain then takes as its kernel bases.  Simple eigenvalues take no
 rank decision: each takes the eigenvalue i lambda and eigenvector of the
@@ -240,29 +240,28 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 def _single_linkage(roots: np.ndarray, radius: float):
-    """Group roots whose pairwise chains of distances stay within radius."""
+    """Index lists of the roots that chains of distances <= radius link."""
     n = roots.size
     parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= radius:
-                parent[find(i)] = find(j)
+    rows, cols = np.nonzero(np.abs(roots[:, None] - roots) <= radius)
+    for i, j in zip(rows.tolist(), cols.tolist()):  # pairs i < j, row by row
+        if i < j:
+            parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return [np.array(idx) for idx in groups.values()]
+    return list(groups.values())
 
 
 def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
                      tol: Tolerances):
-    """[ker A, ker A^2, ...] of A = H - omega, one SVD per power.
+    """[ker A, ker A^2, ...] of A = H - omega, from one stacked SVD.
 
     ker A^k is an orthonormal basis (as columns) of the right singular
     vectors of A^k whose singular values stay at or below rank_tol *
@@ -270,16 +269,14 @@ def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
     sequence ends after ``levels`` kernels or at the first stall, a kernel
     no wider than the one before it (counting nullity(A^0) = 0), which it
     keeps: the stall is the last level block_sizes_at and build_chain read.
-    ChainError when the threshold overflows float64.
+    ChainError when the threshold overflows float64.  One SVD takes the A^k
+    with max(|A|_F, 2)^k < 1.7e308 (|A|_F^k >= |A^k|_2: none overflows), a
+    second, if the sequence gets that far, the rest, with |A|_2 for |A|_F.
     """
     a = h - omega * np.eye(h.shape[0])
-    ak, kernels, nullity = a, [], 0
+    powers, svds, kernels, nullity = [a], [], [], 0
+    base = float(_norms(a, None))  # |A|_F, until the SVD of A gives |A|_2
     for k in range(1, levels + 1):
-        if k > 1:
-            ak = ak @ a
-        _, s, vh = np.linalg.svd(ak)
-        if k == 1:
-            base = max(float(s[0]), 1e-6)
         try:
             threshold = tol.rank_tol * base**k
         except OverflowError:
@@ -287,6 +284,14 @@ def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
                 f"the rank threshold rank_tol * |H - omega|_2^{k} at "
                 f"omega={omega} overflows float64 (|H - omega|_2 = {base:.3e})"
             ) from None
+        if k > len(svds):
+            stop = min(levels, max(k, int(math.log(1.7e308, max(base, 2.0)))))
+            while len(powers) < stop:
+                powers.append(powers[-1] @ a)
+            svds += zip(*np.linalg.svd(np.array(powers[k - 1:stop]))[1:])
+            base = max(float(svds[0][0][0]), 1e-6)
+            threshold = tol.rank_tol * base**k
+        s, vh = svds[k - 1]
         rank = int(np.count_nonzero(s > threshold))
         kernels.append(vh[rank:].conj().T)
         if s.size - rank <= nullity:
@@ -911,17 +916,6 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
     return columns[cols].tolist(), vecs[:, cols].T.astype(complex)
 
 
-def _eig_groups(omegas: np.ndarray, tol: Tolerances):
-    """The eigenvalues omegas as simple groups, or None if two of them lie
-    within the linkage radius (a cluster, which the polynomial route
-    decides), in the order of omegas."""
-    gaps = np.abs(omegas[:, None] - omegas)
-    gaps.reshape(-1)[::omegas.size + 1] = np.inf  # the diagonal
-    if gaps.min() <= _linkage_radius(tol, omegas):
-        return None
-    return [(w, [1], []) for w in omegas.tolist()]
-
-
 def compute_spectrum(sys: OscillatorSystem,
                      tol: Tolerances | None = None) -> Spectrum:
     """Full Jordan decomposition: detect, build, normalize, pair, verify.
@@ -948,8 +942,9 @@ def compute_spectrum(sys: OscillatorSystem,
     h = evolution_operator(sys)
     g = metric(sys)
     lam, vecs = np.linalg.eig((-1j * h).real)
-    groups, flagged = _eig_groups(1j * lam, tol), []
-    if groups is None:
+    omegas, flagged = 1j * lam, []
+    groups = [(w, [1], []) for w in omegas.tolist()]
+    if len(_single_linkage(omegas, _linkage_radius(tol, omegas))) < lam.size:
         coeffs = char_poly(h)
         roots = poly_roots(coeffs, tol)
         groups, flagged = _eigenstructure(h, coeffs, roots, tol)

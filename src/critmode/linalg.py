@@ -258,20 +258,30 @@ def polish_root(coeffs, z0: complex, multiplicity: int = 1) -> complex:
 
     An m-fold root of p is a simple root of p^(m-1), where Newton converges
     quadratically; this recovers cluster centers far more accurately than
-    the raw root scatter of a multiple root.  At most 50 Newton steps.
+    the raw root scatter of a multiple root.  At most 50 Newton steps; the
+    iteration stops after a step within 10 eps (1 + |z|), and before a step
+    no shorter than the one before it (rounding noise, not convergence).
+    p^(m-1) and its derivative come from one Horner pass over the two
+    coefficient columns.
     """
     c = np.asarray(coeffs, dtype=complex)
     for _ in range(multiplicity - 1):
         c = polyder(c)
-    dc = polyder(c)
-    z = complex(z0)
+    # c and its derivative's coefficients (polyder's, padded to c's length)
+    pair = np.zeros((c.size, 2), dtype=complex)
+    pair[:, 0] = c
+    pair[:-1, 1] = c[1:] * np.arange(1, c.size)
+    z, last = complex(z0), math.inf
     for _ in range(50):
-        dp = complex(polyval(dc, z))
+        p, dp = polyval(pair, z).tolist()
         if dp == 0.0:
             break
-        step = complex(polyval(c, z)) / dp
+        step = p / dp
+        if abs(step) >= last:
+            break
         z -= step
-        if abs(step) <= 10.0 * _EPS * (1.0 + abs(z)):
+        last = abs(step)
+        if last <= 10.0 * _EPS * (1.0 + abs(z)):
             break
     return z
 

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,11 @@ class OscillatorSystem:
     K: np.ndarray
     Gamma: np.ndarray
     label: str | None = None
+    gamma_eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma_eigenvalues",
+                           np.linalg.eigvalsh(self.Gamma))
 
     @property
     def N(self) -> int:
@@ -94,7 +99,8 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
 
     K and Gamma must be real, square, equal-size, and symmetric to 1e-12.
     A Gamma with negative eigenvalues is physically questionable but not
-    forbidden by the formalism, so it only triggers a warning.
+    forbidden by the formalism, so it only triggers a warning.  Both are
+    stored as (m + m^T) / 2.
     """
     K = symmetric_matrix("K", K)
     Gamma = symmetric_matrix("Gamma", Gamma)
@@ -102,15 +108,25 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
         raise ArgumentError(
             f"size mismatch: K is {K.shape}, Gamma is {Gamma.shape}"
         )
-    Gamma = 0.5 * (Gamma + Gamma.T)
-    gamma_eigs = np.linalg.eigvalsh(Gamma)
+    sys = OscillatorSystem(K=_symmetrized(K), Gamma=_symmetrized(Gamma),
+                           label=label)
+    gamma_eigs = sys.gamma_eigenvalues
     if gamma_eigs[0] < -1e-12 * max(1.0, abs(gamma_eigs[-1])):
         warnings.warn(
             f"Gamma is not positive semidefinite (min eigenvalue "
             f"{gamma_eigs[0]:.3e}); the formalism tolerates this",
             stacklevel=2,
         )
-    return OscillatorSystem(K=0.5 * (K + K.T), Gamma=Gamma, label=label)
+    return sys
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """0.5 (m + m^T), with 0.5 m + 0.5 m^T where m + m^T overflows."""
+    if np.maximum.reduce(np.abs(m), axis=None) <= 8e307:  # no sum overflows
+        return 0.5 * (m + m.T)
+    with np.errstate(over="ignore"):
+        out = 0.5 * (m + m.T)
+    return np.where(np.isinf(out), 0.5 * m + 0.5 * m.T, out)
 
 
 def evolution_operator(sys: OscillatorSystem) -> np.ndarray:
@@ -141,7 +157,7 @@ def metric_norm(sys: OscillatorSystem) -> float:
     |gamma|) / 2, so |g|_2 = (gamma_max + sqrt(gamma_max^2 + 4)) / 2 with
     gamma_max = max |gamma| over the eigenvalues of Gamma.
     """
-    gamma_max = float(np.max(np.abs(np.linalg.eigvalsh(sys.Gamma))))
+    gamma_max = float(np.max(np.abs(sys.gamma_eigenvalues)))
     return (gamma_max + math.hypot(gamma_max, 2.0)) / 2.0
 
 
@@ -190,10 +206,11 @@ def system_from_json(obj: dict) -> OscillatorSystem:
     try:
         k = np.asarray(obj["K"], dtype=float)
         gamma = np.asarray(obj["Gamma"], dtype=float)
+        declared = int(obj["N"]) if "N" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"invalid system JSON: {exc}") from exc
     sys = build_system(k, gamma, label=obj.get("label"))
-    if "N" in obj and int(obj["N"]) != sys.N:
+    if declared is not None and declared != sys.N:
         raise ArgumentError(
             f"declared N={obj['N']} does not match matrix size {sys.N}"
         )
@@ -201,10 +218,11 @@ def system_from_json(obj: dict) -> OscillatorSystem:
 
 
 def load_system(path) -> OscillatorSystem:
+    """The system of a JSON file; ArgumentError unless it is UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ArgumentError(f"cannot parse system file {path}: {exc}") from exc
     return system_from_json(obj)
 

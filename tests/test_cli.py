@@ -104,6 +104,29 @@ def test_exit_code_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("case", ["N-not-a-number", "system-not-utf8",
+                                  "dk-not-utf8"])
+def test_exit_code_unreadable_input_file(case, tmp_path, capsys):
+    # a declared N that is no integer, and a system or --dk file that is
+    # not UTF-8, are refused with exit 2 and one line, not a traceback
+    path = tmp_path / "input.json"
+    if case == "N-not-a-number":
+        path.write_text('{"N": "two", "K": [[1]], "Gamma": [[2]]}')
+        argv, want = (["analyze", "--system", str(path)],
+                      "error: invalid system JSON: invalid literal for int() "
+                      "with base 10: 'two'\n")
+    else:
+        path.write_bytes(b"\xff\xfe")
+        what = "system" if case == "system-not-utf8" else "perturbation"
+        argv = (["analyze", "--system", str(path)] if what == "system" else
+                ["perturb", "--system", "catalog:quartic-jb4", "--dk",
+                 str(path)])
+        want = (f"error: cannot parse {what} file {path}: 'utf-8' codec "
+                "can't decode byte 0xff in position 0: invalid start byte\n")
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == want
+
+
 def test_exit_code_verification_failure(tmp_path):
     # an absurd residual tolerance turns healthy output into a failure
     code = run(["analyze", "--system", "catalog:quartic-jb4",

@@ -416,26 +416,66 @@ def test_build_chain_with_and_without_kernels_agree(name):
         build_chain(h, groups[0][0], [1], kernels=sequences[0][:1])
 
 
+def _nilpotent_plus_diagonal(size, t, d):
+    """t times a nilpotent Jordan block of the given size, then d, d."""
+    a = np.diag(np.r_[np.zeros(size), d, d]).astype(complex)
+    a[np.arange(size - 1), np.arange(1, size)] = t
+    return a
+
+
+def test_kernel_sequence_takes_the_powers_that_cannot_overflow_first(
+        monkeypatch):
+    # |A|_F^k overflows from k = 5 on (|A|_F = 3e61 sqrt 5), |A|_2^k only
+    # from k = 6: the first stack takes A .. A^4, the second A^5, and the
+    # kernels are those of one SVD per power; with a block of 6 the
+    # threshold overflows at k = 6 (ChainError) before any SVD of A^6
+    heights = []
+    original = np.linalg.svd
+
+    def counting(x, *args, **kwargs):
+        heights.append(len(x))
+        return original(x, *args, **kwargs)
+
+    a = _nilpotent_plus_diagonal(4, 3e61, 3e61)
+    with np.errstate(over="ignore", invalid="ignore"):  # A^6, formed last
+        ref = _power_kernels(a, 5, DEFAULT_TOL)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no power overflows
+        seq = _kernel_sequence(a, 0.0, 5, DEFAULT_TOL)
+        assert heights == [4, 1]
+        assert [k.shape[1] for k in seq] == [1, 2, 3, 4, 4]
+        for ker, ker_o in zip(seq, ref):
+            assert np.array_equal(ker, ker_o)
+        heights.clear()
+        with pytest.raises(ChainError, match="overflows float64"):
+            _kernel_sequence(_nilpotent_plus_diagonal(6, 3e61, 3e61), 0.0, 7,
+                             DEFAULT_TOL)
+        assert heights == [4, 1]
+
+
 def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
                                                        catalog_entries):
     # one real eig of every system, which on a cluster-free system is the
-    # whole root stage; one SVD per kernel level of each root cluster, read
-    # once for both its sizes and its chains, up to the first stall or
+    # whole root stage; one stacked SVD of the powers of H - omega per root
+    # cluster, read once for both its sizes and its chains, its height
     # multiplicity + 1; the simple eigenvalues take no kernel level, and are
     # normalized together, in one stacked normalize_block call; besides
-    # those, |H|_2 once (|g|_2 has a closed form), and one eigvals of the
-    # companion matrix only where the eigenvalues cluster
+    # those, |H|_2 once, and one eigvals of the companion matrix only where
+    # the eigenvalues cluster; |g|_2 reads the eigenvalues of Gamma that the
+    # system keeps, so no eigvalsh
     import critmode.jordan as jordan
 
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     original_svd, original_eig = np.linalg.svd, np.linalg.eig
     original_eigvals, original_normalize = np.linalg.eigvals, jordan.normalize_block
+    original_eigvalsh = np.linalg.eigvalsh
     calls, other = [], []
 
     def counting_svd(*args, **kwargs):
         # the kernel SVDs pass no options; the norms pass compute_uv=False
         # and build_chain's seeding of crossings full_matrices=False
-        calls.append(("kernel" if not kwargs else "other", np.ndim(args[0])))
+        calls.append(("kernel" if not kwargs else "other", np.shape(args[0])))
         return original_svd(*args, **kwargs)
 
     def counting_eig(*args, **kwargs):
@@ -446,6 +486,10 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
         other.append("eigvals")
         return original_eigvals(*args, **kwargs)
 
+    def counting_eigvalsh(*args, **kwargs):
+        other.append("eigvalsh")
+        return original_eigvalsh(*args, **kwargs)
+
     def counting_normalize(*args, **kwargs):
         other.append("normalize_block")
         return original_normalize(*args, **kwargs)
@@ -454,6 +498,7 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
     monkeypatch.setattr(impl, "svd", counting_svd)  # np.linalg.norm(x, 2)
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(jordan, "normalize_block", counting_normalize)
     for n in (2, 8):
         sys = well_separated_system(np.random.default_rng(0), n)
@@ -461,20 +506,27 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
         other.clear()
         compute_spectrum(sys)
         # (kernel SVDs, eig calls, SVDs in all)
-        assert (calls.count(("kernel", 2)), calls.count("eig"),
-                len(calls) - 1) == (0, 1, 1)
+        assert (sum(c[0] == "kernel" for c in calls if c != "eig"),
+                calls.count("eig"), len(calls) - 1) == (0, 1, 1)
         assert other == ["normalize_block"]
-    want = {"single-critical": 3, "quartic-jb4": 5, "cubic-jb3": 4,
-            "double-jb2": 6, "crossed-pair": 3}
+    # the heights of the kernel SVD stacks, one per root cluster
+    want = {"single-critical": [3], "quartic-jb4": [5], "cubic-jb3": [4],
+            "double-jb2": [3, 3], "crossed-pair": [5]}
     got = {}
     for name in want:
         calls.clear()
-        compute_spectrum(catalog_entries[name].system)
-        got[name] = calls.count(("kernel", 2))
-        # every SVD is of one matrix
-        assert all(c == "eig" or c[1] == 2 for c in calls), name
+        other.clear()
+        system = catalog_entries[name].system
+        compute_spectrum(system)
+        dim = system.dim
+        kernel = [c[1] for c in calls if c != "eig" and c[0] == "kernel"]
+        # every kernel SVD is of a stack of dim x dim powers
+        assert all(len(shape) == 3 and shape[1:] == (dim, dim)
+                   for shape in kernel), name
+        got[name] = [shape[0] for shape in kernel]
         # one eig, which also serves cubic-jb3's simple eigenvalue at -4i
         assert calls.count("eig") == 1, name
+        assert "eigvalsh" not in other, name
     assert got == want
 
 

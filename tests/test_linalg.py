@@ -10,8 +10,10 @@ from critmode.linalg import (
     char_poly,
     companion_roots,
     numeric_rank_and_nullspace,
+    polish_root,
     poly_from_roots,
     poly_roots,
+    polyder,
     polyval,
     solve_affine,
 )
@@ -163,6 +165,82 @@ def test_poly_roots_double_root_within_cluster_tol():
     coeffs = poly_from_roots([0.7 + 0.2j, 0.7 + 0.2j, -1.5j])
     got = poly_roots(coeffs)
     assert np.sum(np.abs(got - (0.7 + 0.2j)) < 1e-6) == 2
+
+
+
+# --- polish_root -------------------------------------------------------------
+
+def _newton_reference(coeffs, z0, m):
+    """Newton on p^(m-1) with p^(m-1) and p^(m) from two polyval calls,
+    stopping only on a step within 10 eps (1 + |z|): (z, steps taken)."""
+    c = np.asarray(coeffs, dtype=complex)
+    for _ in range(m - 1):
+        c = polyder(c)
+    dc = polyder(c)
+    z = complex(z0)
+    for n in range(1, 51):
+        step = complex(polyval(c, z)) / complex(polyval(dc, z))
+        z -= step
+        if abs(step) <= 10.0 * np.finfo(float).eps * (1.0 + abs(z)):
+            return z, n
+    return z, 50
+
+
+def _catalog_clusters(eps):
+    """(name, coeffs, centre, m) of every root cluster compute_spectrum
+    polishes for the catalog at K + eps e11."""
+    from critmode.design import catalog
+    from critmode.jordan import _linkage_radius, _single_linkage
+    from critmode.linalg import DEFAULT_TOL
+    from critmode.model import build_system, evolution_operator
+
+    for entry in catalog():
+        dk = np.zeros((entry.system.N,) * 2)
+        dk[0, 0] = eps
+        h = evolution_operator(build_system(entry.system.K + dk,
+                                            entry.system.Gamma))
+        coeffs = char_poly(h)
+        roots = poly_roots(coeffs)
+        for idx in _single_linkage(roots, _linkage_radius(DEFAULT_TOL, roots)):
+            if len(idx) > 1:
+                yield entry.name, coeffs, complex(np.mean(roots[idx])), len(idx)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-10, -1e-6])
+def test_polish_root_keeps_the_bits_of_two_polyval_newton(eps):
+    # one Horner pass over the two coefficient columns gives the bits of
+    # two polyval calls: wherever the reference converges, the polish
+    # lands on its very bits
+    for name, coeffs, centre, m in _catalog_clusters(eps):
+        want, steps = _newton_reference(coeffs, centre, m)
+        if steps < 50:
+            assert polish_root(coeffs, centre, m) == want, name
+
+
+def test_polish_root_stops_when_steps_stop_shrinking(monkeypatch):
+    # crossed-pair at K + 0.01 e11 keeps a double root at -i; rounding
+    # keeps every Newton step near 9e-14, above 10 eps (1 + |z|), so the
+    # step-size test alone runs all 50 steps (100 polyval calls)
+    import critmode.linalg as linalg
+    from critmode.design import catalog_system
+    from critmode.jordan import compute_spectrum
+    from critmode.model import build_system
+
+    base = catalog_system("crossed-pair")
+    system = build_system(base.K + np.diag([0.01, 0.0]), base.Gamma)
+    (name, coeffs, centre, m), = [
+        c for c in _catalog_clusters(0.01) if c[0] == "crossed-pair"]
+    assert _newton_reference(coeffs, centre, m)[1] == 50
+    passes = []
+    monkeypatch.setattr(linalg, "polyval",
+                        lambda c, z: passes.append(1) or polyval(c, z))
+    omega = polish_root(coeffs, centre, m)
+    assert len(passes) <= 4
+    assert abs(omega + 1j) <= 1e-13
+    monkeypatch.undo()
+    spectrum = compute_spectrum(system)
+    assert spectrum.verification["pass"]
+    assert [b.omega for b in spectrum.blocks if b.size == 2] == [omega]
 
 
 # --- rank / nullspace --------------------------------------------------------

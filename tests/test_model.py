@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -265,3 +266,25 @@ def test_system_json_validation(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ArgumentError):
         load_system(bad)
+
+
+def test_build_system_symmetrizes_huge_entries_without_overflow():
+    # (m + m^T) / 2 overflows past about 9e307; the halves do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_system([[1e308]], [[1.0]]).K[0, 0] == 1e308
+        assert build_system([[1.0]], [[1.7e308]]).Gamma[0, 0] == 1.7e308
+        top = np.nextafter(1.7e308, np.inf)
+        k = build_system([[1.0, 1.7e308], [top, 1.0]], np.eye(2)).K
+    assert k[0, 1] == k[1, 0] and 1.7e308 <= k[0, 1] <= top
+
+
+def test_build_system_keeps_symmetric_input_and_gamma_eigenvalues():
+    # exactly symmetric K and Gamma keep their bits, signed zeros and
+    # subnormals included; the eigenvalues of Gamma are kept with them
+    k = np.array([[5e-324, -0.0], [-0.0, 2.5]])
+    gamma = np.array([[0.3, 1e-310], [1e-310, -0.0]])
+    sys = build_system(k, gamma)
+    for got, want in ((sys.K, k), (sys.Gamma, gamma)):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(sys.gamma_eigenvalues, np.linalg.eigvalsh(gamma))
