@@ -31,15 +31,14 @@ Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 
 H = i a with a real, and compute_spectrum starts from np.linalg.eig(a):
-omega = i lambda.  When _single_linkage within the linkage radius links no
-two omegas, every one is simple and the characteristic polynomial is never
-formed.  Otherwise the same rule clusters the polynomial's companion-matrix
-roots (_eigenstructure).  The kernels of a root cluster come from one
-stacked SVD of the powers of A = H - omega at its polished centre
-(_kernel_sequence, with the rank rule rank_tol * max(|A|_2, 1e-6)^k), up
-to the first power whose kernel grows no more.  The
-block sizes of the cluster are read from the nullities of the same sequence
-that build_chain then takes as its kernel bases.  Simple eigenvalues take no
+omega = i lambda.  When _single_linkage links no two omegas within the
+linkage radius, every one is simple and the characteristic polynomial is
+never formed; otherwise the same rule clusters its companion-matrix roots
+(_eigenstructure).  A root cluster reads ker A^k, A = H - omega at its
+polished centre, from at most two SVD calls (_kernel_sequence: rank rule
+rank_tol * max(|A|_2, 1e-6)^k) up to the first power whose kernel grows
+no more, and its block sizes from the nullities of the sequence that
+build_chain then takes as its kernel bases.  Simple eigenvalues take no
 rank decision: each takes the eigenvalue i lambda and eigenvector of the
 column of that eig whose i lambda lies nearest (_simple_eigenvectors).
 normalize_block is the one normalizer: it takes one chain or a stack of
@@ -58,6 +57,8 @@ completeness residuals with one stacked abs and one max.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -241,8 +242,7 @@ class Spectrum:
 
 def _single_linkage(roots: np.ndarray, radius: float):
     """Index lists of the roots that chains of distances <= radius link."""
-    n = roots.size
-    parent = list(range(n))
+    parent = list(range(roots.size))
 
     def find(i):
         while parent[i] != i:
@@ -250,18 +250,18 @@ def _single_linkage(roots: np.ndarray, radius: float):
         return i
 
     rows, cols = np.nonzero(np.abs(roots[:, None] - roots) <= radius)
-    for i, j in zip(rows.tolist(), cols.tolist()):  # pairs i < j, row by row
-        if i < j:
-            parent[find(i)] = find(j)
+    upper = rows < cols  # the pairs i < j, row by row
+    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+        parent[find(i)] = find(j)
     groups = {}
-    for i in range(n):
+    for i in range(roots.size):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
 def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
                      tol: Tolerances):
-    """[ker A, ker A^2, ...] of A = H - omega, from one stacked SVD.
+    """[ker A, ker A^2, ...] of A = H - omega, from at most two SVD calls.
 
     ker A^k is an orthonormal basis (as columns) of the right singular
     vectors of A^k whose singular values stay at or below rank_tol *
@@ -269,34 +269,33 @@ def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
     sequence ends after ``levels`` kernels or at the first stall, a kernel
     no wider than the one before it (counting nullity(A^0) = 0), which it
     keeps: the stall is the last level block_sizes_at and build_chain read.
-    ChainError when the threshold overflows float64.  One SVD takes the A^k
-    with max(|A|_F, 2)^k < 1.7e308 (|A|_F^k >= |A^k|_2: none overflows), a
-    second, if the sequence gets that far, the rest, with |A|_2 for |A|_F.
+    ChainError when the threshold overflows float64.  A takes one SVD; if it
+    has a kernel, the later powers with finite thresholds take one more.
     """
     a = h - omega * np.eye(h.shape[0])
-    powers, svds, kernels, nullity = [a], [], [], 0
-    base = float(_norms(a, None))  # |A|_F, until the SVD of A gives |A|_2
-    for k in range(1, levels + 1):
-        try:
-            threshold = tol.rank_tol * base**k
-        except OverflowError:
-            raise ChainError(
-                f"the rank threshold rank_tol * |H - omega|_2^{k} at "
-                f"omega={omega} overflows float64 (|H - omega|_2 = {base:.3e})"
-            ) from None
-        if k > len(svds):
-            stop = min(levels, max(k, int(math.log(1.7e308, max(base, 2.0)))))
-            while len(powers) < stop:
-                powers.append(powers[-1] @ a)
-            svds += zip(*np.linalg.svd(np.array(powers[k - 1:stop]))[1:])
-            base = max(float(svds[0][0][0]), 1e-6)
-            threshold = tol.rank_tol * base**k
+    _, s, vh = np.linalg.svd(a)
+    base = max(float(s[0]), 1e-6)
+    thresholds = []
+    with contextlib.suppress(OverflowError):  # up to the first that overflows
+        for k in range(1, levels + 1):
+            thresholds.append(tol.rank_tol * base**k)
+    svds, kernels, nullity = [(s, vh)], [], 0
+    for k, threshold in enumerate(thresholds, 1):
+        if k == 2:  # A has a kernel; |A^k|_2 <= |A|_2^k, so none overflows
+            powers = itertools.accumulate([a] * len(thresholds), np.matmul)
+            svds += zip(*np.linalg.svd(np.array(list(powers)[1:]))[1:])
         s, vh = svds[k - 1]
         rank = int(np.count_nonzero(s > threshold))
         kernels.append(vh[rank:].conj().T)
         if s.size - rank <= nullity:
-            break
+            return kernels
         nullity = s.size - rank
+    if len(thresholds) < levels:
+        k = len(thresholds) + 1
+        raise ChainError(
+            f"the rank threshold rank_tol * |H - omega|_2^{k} at "
+            f"omega={omega} overflows float64 (|H - omega|_2 = {base:.3e})"
+        )
     return kernels
 
 
@@ -354,8 +353,7 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
     simple groups.
     """
     radius = _linkage_radius(tol, roots)
-    groups = []
-    flagged = []
+    groups, flagged = [], []
     for idx in _single_linkage(roots, radius):
         members = roots[idx]
         m = members.size

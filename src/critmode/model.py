@@ -108,8 +108,8 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
         raise ArgumentError(
             f"size mismatch: K is {K.shape}, Gamma is {Gamma.shape}"
         )
-    sys = OscillatorSystem(K=_symmetrized(K), Gamma=_symmetrized(Gamma),
-                           label=label)
+    K, Gamma = _symmetrized(np.array([K, Gamma]))
+    sys = OscillatorSystem(K, Gamma, label)
     gamma_eigs = sys.gamma_eigenvalues
     if gamma_eigs[0] < -1e-12 * max(1.0, abs(gamma_eigs[-1])):
         warnings.warn(
@@ -121,12 +121,12 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """0.5 (m + m^T), with 0.5 m + 0.5 m^T where m + m^T overflows."""
-    if np.maximum.reduce(np.abs(m), axis=None) <= 8e307:  # no sum overflows
-        return 0.5 * (m + m.T)
+    """0.5 (m + m^T) of each matrix of a stack, with 0.5 m + 0.5 m^T where
+    m + m^T overflows."""
+    mt = m.swapaxes(-1, -2)
     with np.errstate(over="ignore"):
-        out = 0.5 * (m + m.T)
-    return np.where(np.isinf(out), 0.5 * m + 0.5 * m.T, out)
+        out = 0.5 * (m + mt)
+    return np.where(np.isinf(out), 0.5 * m + 0.5 * mt, out)
 
 
 def evolution_operator(sys: OscillatorSystem) -> np.ndarray:

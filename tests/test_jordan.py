@@ -423,17 +423,17 @@ def _nilpotent_plus_diagonal(size, t, d):
     return a
 
 
-def test_kernel_sequence_takes_the_powers_that_cannot_overflow_first(
+def test_kernel_sequence_stacks_only_powers_that_cannot_overflow(
         monkeypatch):
-    # |A|_F^k overflows from k = 5 on (|A|_F = 3e61 sqrt 5), |A|_2^k only
-    # from k = 6: the first stack takes A .. A^4, the second A^5, and the
-    # kernels are those of one SVD per power; with a block of 6 the
-    # threshold overflows at k = 6 (ChainError) before any SVD of A^6
+    # |A|_2^k overflows from k = 6 on (|A|_2 = 3e61): A takes one SVD, one
+    # stack takes A^2 .. A^5, and the kernels are those of one SVD per
+    # power; with a block of 6 the threshold overflows at k = 6 (ChainError)
+    # without any product or SVD of A^6
     heights = []
     original = np.linalg.svd
 
     def counting(x, *args, **kwargs):
-        heights.append(len(x))
+        heights.append(len(x) if x.ndim == 3 else None)
         return original(x, *args, **kwargs)
 
     a = _nilpotent_plus_diagonal(4, 3e61, 3e61)
@@ -443,7 +443,7 @@ def test_kernel_sequence_takes_the_powers_that_cannot_overflow_first(
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no power overflows
         seq = _kernel_sequence(a, 0.0, 5, DEFAULT_TOL)
-        assert heights == [4, 1]
+        assert heights == [None, 4]
         assert [k.shape[1] for k in seq] == [1, 2, 3, 4, 4]
         for ker, ker_o in zip(seq, ref):
             assert np.array_equal(ker, ker_o)
@@ -451,15 +451,15 @@ def test_kernel_sequence_takes_the_powers_that_cannot_overflow_first(
         with pytest.raises(ChainError, match="overflows float64"):
             _kernel_sequence(_nilpotent_plus_diagonal(6, 3e61, 3e61), 0.0, 7,
                              DEFAULT_TOL)
-        assert heights == [4, 1]
+        assert heights == [None, 4]
 
 
 def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
                                                        catalog_entries):
     # one real eig of every system, which on a cluster-free system is the
-    # whole root stage; one stacked SVD of the powers of H - omega per root
-    # cluster, read once for both its sizes and its chains, its height
-    # multiplicity + 1; the simple eigenvalues take no kernel level, and are
+    # whole root stage; per root cluster one SVD of A = H - omega and, as A
+    # has a kernel, one stacked SVD of A^2 .. A^(multiplicity + 1), read once
+    # for both its sizes and its chains; the simple eigenvalues take no kernel level, and are
     # normalized together, in one stacked normalize_block call; besides
     # those, |H|_2 once, and one eigvals of the companion matrix only where
     # the eigenvalues cluster; |g|_2 reads the eigenvalues of Gamma that the
@@ -509,9 +509,10 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
         assert (sum(c[0] == "kernel" for c in calls if c != "eig"),
                 calls.count("eig"), len(calls) - 1) == (0, 1, 1)
         assert other == ["normalize_block"]
-    # the heights of the kernel SVD stacks, one per root cluster
-    want = {"single-critical": [3], "quartic-jb4": [5], "cubic-jb3": [4],
-            "double-jb2": [3, 3], "crossed-pair": [5]}
+    # the kernel SVDs, as the number of powers each takes: two per cluster
+    want = {"single-critical": [1, 2], "quartic-jb4": [1, 4],
+            "cubic-jb3": [1, 3], "double-jb2": [1, 2, 1, 2],
+            "crossed-pair": [1, 4]}
     got = {}
     for name in want:
         calls.clear()
@@ -520,10 +521,11 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
         compute_spectrum(system)
         dim = system.dim
         kernel = [c[1] for c in calls if c != "eig" and c[0] == "kernel"]
-        # every kernel SVD is of a stack of dim x dim powers
+        # A alone, then a stack of dim x dim powers
+        assert kernel[::2] == [(dim, dim)] * (len(kernel) // 2), name
         assert all(len(shape) == 3 and shape[1:] == (dim, dim)
-                   for shape in kernel), name
-        got[name] = [shape[0] for shape in kernel]
+                   for shape in kernel[1::2]), name
+        got[name] = [shape[0] if len(shape) == 3 else 1 for shape in kernel]
         # one eig, which also serves cubic-jb3's simple eigenvalue at -4i
         assert calls.count("eig") == 1, name
         assert "eigvalsh" not in other, name

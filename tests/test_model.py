@@ -288,3 +288,13 @@ def test_build_system_keeps_symmetric_input_and_gamma_eigenvalues():
     for got, want in ((sys.K, k), (sys.Gamma, gamma)):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(sys.gamma_eigenvalues, np.linalg.eigvalsh(gamma))
+
+
+def test_build_system_stores_the_mean_of_m_and_its_transpose():
+    # K and Gamma within the symmetry tolerance are stored as (m + m^T) / 2,
+    # bit for bit, each from its own matrix
+    k = np.array([[2.0, 1.0], [1.0 + 2**-52, 3.0]])
+    gamma = np.array([[0.5, -0.1 - 2**-55], [-0.1, 0.25]])
+    sys = build_system(k, gamma)
+    assert sys.K.tobytes() == (0.5 * (k + k.T)).tobytes()
+    assert sys.Gamma.tobytes() == (0.5 * (gamma + gamma.T)).tobytes()
