@@ -25,8 +25,15 @@ line per input set: the five catalog systems, and five random
 well-separated systems (tests/conftest.py) at each N of --sizes; each
 figure is the mean over the set, in microseconds.
 
+With --kernels it times the dynamics kernels instead: evolve_state,
+greens_time and greens_freq on each spectrum, called once per point of a
+101-point grid (t in [0, 5], omega in [-4, 4]) with the point as a scalar,
+as a loop over the grid calls them, and once on the whole grid.  Each
+figure is microseconds per call, the mean over the input set of the best
+of 7 repeats; the default sizes are then N = 1..5.
+
 Usage: PYTHONPATH=src python scripts/stage_times.py [--against DIR]
-           [--sizes 1 4 8 32]
+           [--sizes 1 4 8 32] [--kernels]
 """
 
 import argparse
@@ -53,6 +60,8 @@ STAGES = (
     "_matrix_form", "verify_spectrum",
 )
 REPEATS = 7
+KERNEL_TIMES = np.linspace(0.0, 5.0, 101)
+KERNEL_FREQS = np.linspace(-4.0, 4.0, 101)
 
 
 def _load(name: str, path: Path):
@@ -62,7 +71,7 @@ def _load(name: str, path: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return sys.modules[f"{name}.jordan"]
+    return module
 
 
 class Recorder:
@@ -157,24 +166,77 @@ def stage_table(recorders, systems, number):
     return table
 
 
+def kernel_jobs(package, system, phi):
+    """(label, callable, calls per run) for each kernel on the spectrum
+    that package computes for system: the scalar calls over the grid's
+    points, then one call on the grid."""
+    spectrum = package.compute_spectrum(
+        package.build_system(system.K, system.Gamma))
+    kernels = (
+        ("evolve_state", lambda x: package.evolve_state(spectrum, phi, x),
+         KERNEL_TIMES),
+        ("greens_time", lambda x: package.greens_time(spectrum, x),
+         KERNEL_TIMES),
+        ("greens_freq", lambda x: package.greens_freq(spectrum, x),
+         KERNEL_FREQS),
+    )
+    jobs = []
+    for name, kernel, grid in kernels:
+        points = list(grid)  # numpy scalars, as iterating the grid gives
+        jobs.append((f"{name} scalar",
+                     lambda k=kernel, p=points: [k(x) for x in p], len(points)))
+        jobs.append((f"{name} grid", lambda k=kernel, g=grid: k(g), 1))
+    return jobs
+
+
+def kernel_table(packages, systems):
+    """{kernel and call form: [mean us per call per version]} over
+    systems, versions timed in turn, 3 runs a repeat."""
+    table, number = {}, 3
+    rng = np.random.default_rng(0)
+    for system in systems:
+        phi = (rng.standard_normal(system.dim)
+               + 1j * rng.standard_normal(system.dim))
+        versions = [kernel_jobs(p, system, phi) for p in packages]
+        for k, (label, _, calls) in enumerate(versions[0]):
+            best = [float("inf")] * len(packages)
+            for _ in range(REPEATS):
+                for v, jobs in enumerate(versions):
+                    best[v] = min(best[v],
+                                  timeit.timeit(jobs[k][1], number=number))
+            row = table.setdefault(label, [0.0] * len(packages))
+            for v, t in enumerate(best):
+                row[v] += t / number / calls * 1e6 / len(systems)
+    return table
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="DIR",
                         help="checkout whose src/critmode is timed first")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[1, 4, 8, 32])
+    parser.add_argument("--sizes", type=int, nargs="+",
+                        help="random system sizes (default 1 4 8 32, and "
+                        "1 2 3 4 5 with --kernels)")
+    parser.add_argument("--kernels", action="store_true",
+                        help="time the dynamics kernels, not the stages")
     args = parser.parse_args()
-    recorders = []
+    packages = [critmode]
     if args.against:
-        recorders.append(Recorder(_load(
-            "critmode_against", Path(args.against) / "src" / "critmode")))
-    recorders.append(Recorder(critmode.jordan))
+        packages.insert(0, _load("critmode_against",
+                                 Path(args.against) / "src" / "critmode"))
+    sizes = args.sizes or ([1, 2, 3, 4, 5] if args.kernels else [1, 4, 8, 32])
+    if not args.kernels:
+        recorders = [Recorder(p.jordan) for p in packages]
     inputs = {"catalog": [e.system for e in catalog()]}
-    for n in args.sizes:
+    for n in sizes:
         rng = np.random.default_rng(n)
         inputs[f"N={n}"] = [well_separated_system(rng, n) for _ in range(5)]
     for label, systems in inputs.items():
-        number = 5 if systems[0].N > 16 else 30
-        table = stage_table(recorders, systems, number)
+        if args.kernels:
+            table = kernel_table(packages, systems)
+        else:
+            number = 5 if systems[0].N > 16 else 30
+            table = stage_table(recorders, systems, number)
         cells = [f"{name} " + " -> ".join(f"{t:.1f}" for t in row)
                  for name, row in table.items()]
         print(f"{label}: " + "; ".join(cells), flush=True)

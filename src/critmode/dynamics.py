@@ -22,16 +22,20 @@ each middle factor is a phase, or pole, times a polynomial in N:
     e^{-iJt}            = diag(exp(-i omega t)) sum_l ((-i t)^l / l!) N^l,
     i (omega - J)^{-1}  = sum_l diag(i / (omega - omega_k)^(l+1)) N^l,
 
-with l below the largest block size L.  The kernels evaluate these on a
-grid of T times or frequencies (a scalar is a grid of one) from the layouts
-the spectrum stores (Spectrum.matrices), all in one flat order of L dim
-columns, column l dim + k for order l and basis column k: F repeated once
-per order, the stack N^l D^H as one matrix, and per column l, (-i)^l / l!,
-log l!, l + 1, omega_k and -i omega_k.  A coefficient table is then a few
-whole-array ufuncs on (T, L dim) arrays, t^l (-i)^l / l! exp(-i omega_k t)
-or i r_k^(l+1) with r_k = 1 / (omega - omega_k), and one product per grid
-point applies it.  Nothing is rebuilt per call, and the matrices that
-compute_spectrum verified are the ones the kernels propagate with.
+with l below the largest block size L.  The kernels evaluate these from the
+layouts the spectrum stores (Spectrum.matrices), all in one flat order of
+L dim columns, column l dim + k for order l and basis column k: F repeated
+once per order, the stack N^l D^H as one matrix, and per column l,
+(-i)^l / l!, log l!, l + 1, omega_k and -i omega_k.  A scalar time or
+frequency is taken as a point (a numpy scalar) and a grid of T as a (T, 1)
+column, and one set of formulas broadcasts over either: a few ufuncs give
+the coefficients, t^l (-i)^l / l! exp(-i omega_k t) or i r_k^(l+1) with
+r_k = 1 / (omega - omega_k), as an (L dim) row for a point or a (T, L dim)
+table for a column, and one product per point applies them.  Every step
+is elementwise or per point, so each row of a grid call is bit for bit
+the scalar call at its point.  Nothing is rebuilt per call, and the
+matrices that compute_spectrum verified are the ones the kernels
+propagate with.
 
 Separating the completeness relation F P F^T g = I (P the block
 anti-identity) into coordinates and momenta yields four sum rules on the
@@ -131,57 +135,62 @@ def evolve_basis_vector(block: JordanBlock, n: int, t: float) -> np.ndarray:
     return out
 
 
-def _evolution_coefficients(form: MatrixForm, times: np.ndarray,
-                            peak: float) -> np.ndarray:
-    """C_l(omega_k, t) for every time, order l and column k, flat: shape
-    (T, L dim), entry [x, l dim + k], on the flat layouts of form.
+def _evolution_coefficients(form: MatrixForm, x, peak: float) -> np.ndarray:
+    """C_l(omega_k, t) for every order l and column k, flat, on the flat
+    layouts of form: for a point t (a numpy scalar) shape (L dim,), entry
+    l dim + k; for a (T, 1) column of times shape (T, L dim), one row per
+    time.  peak is the largest |t|.
 
     t^l (-i)^l / l! times exp(t (-i omega_k)), except at the times with
     |t| >= _LOG_SPACE_TIME (and every nonzero time once the orders pass
     _DIRECT_MAX_ORDER), which take evolution_coefficient's log-space form
     exp(l log(-i t) - log l! - i omega_k t), and are 0 where that
     exponent's phase overflows while its magnitude underflows.  The choice
-    is made per time, so a grid gives each time the values a grid of one
-    gives it.
+    is made per time, and every formula is elementwise, so a row of a
+    column is bit for bit the point call at its time.
     """
     far = None
     high = form.duals.shape[0] - 1 > _DIRECT_MAX_ORDER
-    if peak >= _LOG_SPACE_TIME or high:
-        far = (np.abs(times) >= _LOG_SPACE_TIME) | (high & (times != 0.0))
-    direct = times[:, None] if far is None else np.where(far, 0.0, times)[:, None]
+    if peak >= _LOG_SPACE_TIME or (high and peak > 0.0):
+        far = (np.abs(x) >= _LOG_SPACE_TIME) | (high & (x != 0.0))
+    direct = x if far is None else np.where(far, 0.0, x)
     coef = direct ** form.orders * form.phases * np.exp(direct * form.minus_i_omega)
-    if far is not None:
-        late = times[far, None]
-        exponent = (form.orders * np.log(-1j * late) - form.log_factorials
-                    + late * form.minus_i_omega)
-        late_coef = np.exp(exponent)
-        # past |t Re omega| ~ 1.8e308 the phase overflows and exp gives NaN,
-        # even where e^{Re exponent} underflows to 0 and so makes the
-        # coefficient 0 whatever its phase
-        dead = ~np.isfinite(exponent.imag)
-        if dead.any():
-            with np.errstate(over="ignore"):
-                dead &= np.exp(exponent.real) == 0.0
-            late_coef[dead] = 0.0
-        coef[far] = late_coef
-    return coef
+    if far is None:
+        return coef
+    # the other times stand in as t = peak, inside the bound peak * scale
+    # that sets the callers' errstate, and np.where drops their values
+    late = np.where(far, x, peak)
+    exponent = (form.orders * np.log(-1j * late) - form.log_factorials
+                + late * form.minus_i_omega)
+    late_coef = np.exp(exponent)
+    # past |t Re omega| ~ 1.8e308 the phase overflows and exp gives NaN,
+    # even where e^{Re exponent} underflows to 0 and so makes the
+    # coefficient 0 whatever its phase
+    dead = ~np.isfinite(exponent.imag)
+    if dead.any():
+        with np.errstate(over="ignore"):
+            dead &= np.exp(exponent.real) == 0.0
+        late_coef[dead] = 0.0
+    return np.where(far, late_coef, coef)
 
 
 def _jordan_function(form: MatrixForm, coef: np.ndarray) -> np.ndarray:
-    """F T_x D^H with T_x = sum_l diag(coef[x, l dim + k]) N^l, per grid point x.
+    """F T_x D^H with T_x = sum_l diag(coef[..., l dim + k]) N^l, for a
+    point's coefficient row or per row of a table.
 
-    T_x = f(J) for any f with f^(l)(omega_k) / l! = coef[x, l dim + k], so
+    T_x = f(J) for any f with f^(l)(omega_k) / l! = coef[..., l dim + k], so
     the result is f(H) on the span of the basis (Higham, Functions of
     Matrices, ch. 1).  With the duals stack N^l D^H as rows it is one
-    product per point: [F diag(coef[x, :dim]) | F diag(coef[x, dim:2 dim])
+    product per point: [F diag(coef[:dim]) | F diag(coef[dim:2 dim])
     | ...] times the stacked rows.
     """
-    return (form.f_tiled * coef[:, None, :]) @ form.dual_rows
+    return (form.f_tiled * coef[..., None, :]) @ form.dual_rows
 
 
-def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
-            peak: float, mass: float) -> np.ndarray:
-    """F e^{-iJt} D^H phi per time, with the N^l D^H phi formed once.
+def _evolve(form: MatrixForm, phi: np.ndarray, x, peak: float,
+            mass: float) -> np.ndarray:
+    """F e^{-iJt} D^H phi at a point t or per time of a (T, 1) column, with
+    the N^l D^H phi formed once.
 
     Raises ArgumentError naming the first time whose state is not finite:
     going back in time the modes grow like e^{|Im omega| |t|}, which
@@ -194,34 +203,36 @@ def _evolve(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
     """
     loud_time = peak * form.scale <= _QUIET_BOUND
     if loud_time and mass <= _QUIET_MASS:
-        states = _states(form, phi, times, peak)
-        _check_finite(states, times, "the state")
+        states = _states(form, phi, x, peak)
+        _check_finite(states, x, "the state")
     else:
         cause = None
         if loud_time:
             cause = (f"phi has parts up to {np.abs(phi.view(float)).max():.3g}"
                      ", too large to propagate in float64")
         with np.errstate(over="ignore", invalid="ignore"):
-            states = _states(form, phi, times, peak)
-            _check_finite(states, times, "the state", cause)
+            states = _states(form, phi, x, peak)
+            _check_finite(states, x, "the state", cause)
     return states
 
 
-def _states(form: MatrixForm, phi: np.ndarray, times: np.ndarray,
-            peak: float) -> np.ndarray:
-    """The states of _evolve, one row per time."""
-    coef = _evolution_coefficients(form, times, peak)
-    # one product per time, so that every row is computed as a grid of one
-    return ((coef * (form.dual_rows @ phi))[:, None, :] @ form.f_tiled.T)[:, 0]
+def _states(form: MatrixForm, phi: np.ndarray, x, peak: float) -> np.ndarray:
+    """The states of _evolve: one for a point, one row per time of a column."""
+    coef = _evolution_coefficients(form, x, peak)
+    # one matrix-vector product per time, so that every row of a column is
+    # computed as the point is
+    return (form.f_tiled @ (coef * (form.dual_rows @ phi))[..., None])[..., 0]
 
 
-def _check_finite(rows: np.ndarray, times: np.ndarray, what: str,
+def _check_finite(rows: np.ndarray, x, what: str,
                   cause: str | None = None) -> None:
-    """ArgumentError naming the first time whose row of rows is not finite,
-    and the cause (by default e^(-iJt) overflowing)."""
+    """ArgumentError naming the first time of the point or column x whose
+    part of rows is not finite, and the cause (by default e^(-iJt)
+    overflowing)."""
     # a sum that is finite clears every entry; one that is not may only
     # have overflowed, so the rows decide
     if not cmath.isfinite(np.add.reduce(rows, axis=None)):
+        times = np.reshape(x, -1)
         lost = times[~np.isfinite(rows.reshape(times.size, -1)).all(axis=1)]
         if lost.size:
             raise ArgumentError(
@@ -253,62 +264,69 @@ def _state(phi, dim: int) -> tuple[np.ndarray, float]:
 def evolve_state(spectrum: Spectrum, phi, t) -> np.ndarray:
     """Propagate phi to time t through the Jordan-basis expansion.
 
-    t may be a scalar or a 1-D grid, which gives one state per row.
-    Raises ArgumentError for a state that is not finite, and for a time
-    that is not finite or whose state is not (a time far in the past).
+    t may be a scalar or a 1-D grid, which gives one state per row, each
+    bit for bit the scalar call at its time.  Raises ArgumentError for a
+    state that is not finite, and for a time that is not finite or whose
+    state is not (a time far in the past).
     """
     phi, mass = _state(phi, spectrum.system.dim)
     times, scalar, peak = as_grid(t, "t", float)
-    states = _evolve(spectrum.matrices, phi, times, peak, mass)
-    return states[0] if scalar else states
+    x = times[0] if scalar else times[:, None]
+    return _evolve(spectrum.matrices, phi, x, peak, mass)
 
 
 def greens_time(spectrum: Spectrum, t) -> np.ndarray:
     """Retarded Green's function at time t (zero matrix for t < 0).
 
-    t may be a scalar or a 1-D grid.  Raises ArgumentError for a time that
-    is not finite or whose Green's function is not, by _evolve's rule.
+    t may be a scalar or a 1-D grid, each row bit for bit the scalar call
+    at its time.  Raises ArgumentError for a time that is not finite or
+    whose Green's function is not, by _evolve's rule.
     """
     times, scalar, peak = as_grid(t, "t", float)
+    x = times[0] if scalar else times[:, None]
+    # a Python min over the list costs a third of times.min() on one time
+    past = min(times.tolist(), default=0.0) < 0.0
     form = spectrum.matrices
     if peak * form.scale <= _QUIET_BOUND:
-        out = _retarded(form, times, peak)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _retarded(form, times, peak)
-            _check_finite(out, times, "the Green's function")
-    return out[0] if scalar else out
+        return _retarded(form, x, peak, past)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _retarded(form, x, peak, past)
+        _check_finite(out, x, "the Green's function")
+    return out
 
 
-def _retarded(form: MatrixForm, times: np.ndarray, peak: float) -> np.ndarray:
-    """theta(t) F e^{-iJt} D^H per time."""
-    # a Python min over the list costs a third of times.min() on one time
-    if min(times.tolist(), default=0.0) < 0.0:
-        coef = _evolution_coefficients(form, np.maximum(times, 0.0), peak)
-        coef[times < 0.0] = 0.0
+def _retarded(form: MatrixForm, x, peak: float, past: bool) -> np.ndarray:
+    """theta(t) F e^{-iJt} D^H at a point t or per time of a column; past
+    says whether any time is negative."""
+    if past:
+        coef = np.where(x < 0.0, 0.0,
+                        _evolution_coefficients(form, np.maximum(x, 0.0), peak))
     else:
-        coef = _evolution_coefficients(form, times, peak)
+        coef = _evolution_coefficients(form, x, peak)
     return _jordan_function(form, coef)
 
 
 def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     """Frequency-domain Green's function (resolvent form) at omega.
 
-    omega may be a scalar or a 1-D grid.  Raises ArgumentError when omega
-    is not finite or sits within cluster_tol * (1 + max |omega_k|) of a pole
-    omega_k (MatrixForm.scale).
+    omega may be a scalar or a 1-D grid, each row bit for bit the scalar
+    call at its frequency.  Raises ArgumentError when omega is not finite
+    or sits within cluster_tol * (1 + max |omega_k|) of a pole omega_k
+    (MatrixForm.scale).
     """
     freqs, scalar, peak = as_grid(omega, "omega", complex)
+    x = freqs[0] if scalar else freqs[:, None]
     form = spectrum.matrices
-    gap = freqs[:, None] - form.omega_tiled
+    gap = x - form.omega_tiled
     radius = spectrum.tol.cluster_tol * form.scale
     dist = np.abs(gap)
     # the ufunc's own reduce skips the Python wrapper of dist.min
     if np.minimum.reduce(dist, axis=None, initial=np.inf) <= radius:
-        x, k = np.argwhere(dist <= radius)[0]
+        i, k = np.argwhere(np.atleast_2d(dist <= radius))[0]
         raise ArgumentError(
-            f"omega={freqs[x]} is within cluster_tol * (1 + max |omega_k|) = "
-            f"{radius:g} of the pole at {form.omega_tiled[k]}"
+            f"omega={freqs[i]} is within cluster_tol * "
+            f"(1 + max |omega_k|) = {radius:g} of the pole at "
+            f"{form.omega_tiled[k]}"
         )
     # i (omega - J)^{-1} = sum_l diag(i r_k^(l+1)) N^l, r_k = 1 / (omega -
     # omega_k); the power of r cannot overflow where that of the gap would
@@ -317,8 +335,7 @@ def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     else:
         with np.errstate(over="ignore"):
             coef = 1j * np.reciprocal(gap) ** form.pole_powers
-    out = _jordan_function(form, coef)
-    return out[0] if scalar else out
+    return _jordan_function(form, coef)
 
 
 @dataclass
@@ -530,7 +547,7 @@ def cluster_cancellation_experiment(
         np.exp(-1j * (t_grid[:, None] * pred.eigenvalues[..., None, :]))
         * weights[..., None, :]
     ) @ pred.split_vectors
-    jordan = _evolve(_matrix_form([block]), phi, t_grid, peak, mass)
+    jordan = _evolve(_matrix_form([block]), phi, t_grid[:, None], peak, mass)
     return CancellationReport(
         lam=pred.lam,
         size=m,

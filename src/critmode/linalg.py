@@ -38,7 +38,8 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """Raised when an iterative method fails to reach its tolerance."""
+    """Raised when an iterative method fails to reach its tolerance, or a
+    recursion (char_poly's) leaves the float range."""
 
 
 class InconsistentSystemError(NumericalError, ValueError):
@@ -95,6 +96,12 @@ def as_grid(values, name: str, dtype) -> tuple:
     judged by the parts, so a finite complex value whose modulus overflows
     is accepted.
     """
+    # a real Python scalar (np.float64 is one) gives the array route's
+    # grid, flag and peak without building and reading back a 0-d array
+    if isinstance(values, (float, int)):
+        if not math.isfinite(values):
+            raise ArgumentError(f"{name} must be finite, got {values!r}")
+        return np.array((values,), dtype=dtype), True, abs(float(values))
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim > 1:
         raise ArgumentError(f"{name} must be a scalar or a 1-D grid")
@@ -129,6 +136,13 @@ def char_poly(m) -> np.ndarray:
     -------
     (n+1,) ndarray
         Coefficients c with det(M - omega*I) = sum_k c[k] * omega**k.
+
+    Raises
+    ------
+    ConvergenceError
+        If a coefficient, or a product the recursion forms on the way to
+        it, overflows float64 (M with entries near 1e308, say); the error
+        names the first coefficient lost.
     """
     a = _as_square(m)
     n = a.shape[0]
@@ -136,11 +150,20 @@ def char_poly(m) -> np.ndarray:
     desc = np.zeros(n + 1, dtype=complex)
     desc[0] = 1.0
     mk = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        mk = a @ mk
-        ck = -mk.trace() / k
-        desc[k] = ck
-        mk.flat[:: n + 1] += ck  # the diagonal
+    # an overflow in a @ mk reaches the next trace as inf or NaN, so the
+    # coefficients alone tell whether the recursion stayed in range
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            mk = a @ mk
+            ck = -mk.trace() / k
+            if not cmath.isfinite(ck):
+                raise ConvergenceError(
+                    f"the coefficient of omega^{n - k} of the characteristic "
+                    f"polynomial overflows float64 (Faddeev-LeVerrier step "
+                    f"{k} of {n})"
+                )
+            desc[k] = ck
+            mk.flat[:: n + 1] += ck  # the diagonal
     sign = 1.0 if n % 2 == 0 else -1.0
     return sign * desc[::-1].copy()
 

@@ -88,7 +88,10 @@ def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
     if not math.isfinite(peak):
         raise ArgumentError(f"{name} has non-finite entries")
     scale = max(1.0, peak)
-    d = float(np.abs(m - m.T).max())
+    # entries past half the float range may give an infinite defect, which
+    # the test below refuses as it is
+    with np.errstate(over="ignore"):
+        d = float(np.abs(m - m.T).max())
     if d > SYMMETRY_TOL * scale:
         raise ArgumentError(f"{name} is asymmetric (defect {d:.3e})")
     return m

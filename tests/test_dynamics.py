@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -22,7 +23,7 @@ from critmode.dynamics import (
 from critmode import dynamics, jordan
 from critmode.design import catalog_system, scale_system
 from critmode.jordan import JordanBlock, _matrix_form, compute_spectrum
-from critmode.linalg import ArgumentError, as_grid
+from critmode.linalg import ArgumentError, Tolerances, as_grid
 from critmode.model import build_system, evolution_operator
 from critmode.perturb import loglog_slope
 
@@ -78,27 +79,27 @@ def test_tall_block_takes_every_nonzero_time_in_log_space():
     times = [-0.5, 0.0, 0.3, 2e3]
     for t in times:
         grid, _, peak = as_grid(t, "t", float)
-        coef = dynamics._evolution_coefficients(form, grid, peak)
-        assert coef.shape == (1, size * size)
+        coef = dynamics._evolution_coefficients(form, grid[0], peak)
+        assert coef.shape == (size * size,)
         for l in range(size):
             want = evolution_coefficient(l, omega, t)
-            got = coef[0, l * size : (l + 1) * size]
+            got = coef[l * size : (l + 1) * size]
             if t == 0.0 or l > dynamics._DIRECT_MAX_ORDER or abs(t) >= 1e3:
                 # exact at t = 0, and evolution_coefficient is in log space too
                 assert np.all(got == want), (t, l)
             else:
                 assert np.all(np.abs(got - want) <= 1e-13 * abs(want)), (t, l)
-    # a grid row is its time's grid of one, bit for bit
+    # a row of a column of times is its time's point call, bit for bit
     grid, _, peak = as_grid(times, "t", float)
-    coef = dynamics._evolution_coefficients(form, grid, peak)
+    coef = dynamics._evolution_coefficients(form, grid[:, None], peak)
     phi, mass = dynamics._state(np.linspace(1.0, 2.0, size) + 0.5j, size)
-    states = dynamics._evolve(form, phi, grid, peak, mass)
+    states = dynamics._evolve(form, phi, grid[:, None], peak, mass)
     for i, t in enumerate(times):
         one, _, one_peak = as_grid(t, "t", float)
-        row = dynamics._evolution_coefficients(form, one, one_peak)[0]
+        row = dynamics._evolution_coefficients(form, one[0], one_peak)
         assert np.array_equal(coef[i], row)
         assert np.array_equal(
-            states[i], dynamics._evolve(form, phi, one, one_peak, mass)[0])
+            states[i], dynamics._evolve(form, phi, one[0], one_peak, mass))
 
 
 def test_basis_vector_derivative_identity(catalog_spectra):
@@ -369,13 +370,26 @@ def test_non_finite_state_is_refused_at_the_door(catalog_spectra, monkeypatch,
         cluster_cancellation_experiment(spec.system, e11, 1e-6, phi, [0.0, 1.0])
 
 
+def _tall_block_spectrum(size=24):
+    """What the kernels read of a spectrum, for one block of size vectors
+    (unit chain and duals) at 0.8 - 0.01i: past _DIRECT_MAX_ORDER, so every
+    nonzero time takes the log-space branch."""
+    unit = np.eye(size, dtype=complex)
+    block = JordanBlock(omega=0.8 - 0.01j, size=size, chain=unit, duals=unit)
+    return SimpleNamespace(matrices=_matrix_form([block]),
+                           system=SimpleNamespace(dim=size), tol=Tolerances())
+
+
 def test_grid_call_equals_scalar_calls(kernel_spectra):
-    # a scalar call is a grid of one: every grid row must be the scalar
-    # call's result bit for bit, including rows on the log-space branch
+    # a scalar is taken as a point and a grid as a column of points, by the
+    # same formulas: every grid row must be the scalar call's result bit for
+    # bit, for a numpy and a Python scalar, including rows on the log-space
+    # branch (|t| >= 1e3, and every nonzero time of a block taller than 21)
     rng = np.random.default_rng(12)
     times = np.array([-1.0, 0.0, 0.3, 1.7, 5.0, 1e3, 2e3])
-    freqs = np.array([0.5 + 0.2j, -1.5 + 0.0j, 3.0 - 0.1j])
-    for name, spec in kernel_spectra.items():
+    freqs = np.array([0.5 + 0.2j, -1.5 + 0.0j, 3.0 - 0.1j, 2.0])
+    spectra = dict(kernel_spectra, tall=_tall_block_spectrum())
+    for name, spec in spectra.items():
         dim = spec.system.dim
         phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         states = evolve_state(spec, phi, times)
@@ -384,10 +398,12 @@ def test_grid_call_equals_scalar_calls(kernel_spectra):
         assert states.shape == (times.size, dim), name
         assert greens.shape == (times.size, dim, dim), name
         for i, t in enumerate(times):
-            assert np.array_equal(states[i], evolve_state(spec, phi, t)), name
-            assert np.array_equal(greens[i], greens_time(spec, t)), name
+            for point in (t, float(t)):
+                assert np.array_equal(states[i], evolve_state(spec, phi, point)), name
+                assert np.array_equal(greens[i], greens_time(spec, point)), name
         for i, w in enumerate(freqs):
             assert np.array_equal(resolvents[i], greens_freq(spec, w)), name
+            assert np.array_equal(resolvents[i], greens_freq(spec, complex(w))), name
 
 
 def test_empty_grid_gives_no_rows(kernel_spectra):

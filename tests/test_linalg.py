@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from critmode.linalg import (
     ArgumentError,
+    ConvergenceError,
     InconsistentSystemError,
     Tolerances,
     as_grid,
@@ -75,6 +76,24 @@ def test_char_poly_matches_cofactor_oracle():
 def test_char_poly_rejects_nonsquare():
     with pytest.raises(ArgumentError):
         char_poly(np.ones((2, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_char_poly_names_the_coefficient_that_overflows():
+    # K = 1e308 I2, Gamma = I: the entries of H are finite, but the products
+    # of the recursion pass the float range; the coefficient of omega^2 is
+    # the first one lost, and numpy warns of nothing on the way
+    from critmode.jordan import compute_spectrum
+    from critmode.model import build_system, evolution_operator
+
+    sys = build_system(1e308 * np.eye(2), np.eye(2))
+    with pytest.raises(ConvergenceError, match=r"coefficient of omega\^2 .* "
+                       r"overflows float64 \(Faddeev-LeVerrier step 2 of 4\)"):
+        char_poly(evolution_operator(sys))
+    # compute_spectrum reaches char_poly there (the eigenvalues cluster in
+    # pairs) and passes the typed error on
+    with pytest.raises(ConvergenceError, match="omega\\^2"):
+        compute_spectrum(sys)
 
 
 def test_char_poly_at_dense_eigenvalues():
@@ -380,3 +399,50 @@ def test_as_grid_judges_finiteness_by_the_parts():
                 [complex(np.nan, 1.0), 2.0], [np.inf]):
         with pytest.raises(ArgumentError, match="must be finite"):
             as_grid(bad, "omega", complex)
+
+
+_AS_GRID_SCALARS = [0.0, -0.0, 2.5, -1e308, 5e-324, 3, -7, 2**60 + 1, True, False,
+                    np.float64(-1.25), np.float64(1.7e308)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("value", _AS_GRID_SCALARS,
+                         ids=lambda v: f"{type(v).__name__}({v!r})")
+def test_as_grid_scalar_gives_the_bits_of_the_array_route(value, dtype):
+    # a real Python scalar skips np.asarray, so its grid, flag and peak are
+    # checked against the array route taken by a 0-d array, a list of one
+    # and a 1-D array of the same value
+    grid, scalar, peak = as_grid(value, "t", dtype)
+    assert scalar and grid.shape == (1,) and grid.dtype == np.dtype(dtype)
+    assert type(peak) is float
+    zero_d = np.asarray(value, dtype=dtype)
+    want, want_scalar, want_peak = as_grid(zero_d, "t", dtype)
+    assert want_scalar
+    assert grid.tobytes() == want.tobytes()
+    assert np.float64(peak).tobytes() == np.float64(want_peak).tobytes()
+    for one in ([value], np.array([value], dtype=dtype)):
+        row, row_scalar, row_peak = as_grid(one, "t", dtype)
+        assert not row_scalar and row_peak == peak
+        assert row.tobytes() == grid.tobytes()
+    grid1, _, peak1 = as_grid(np.array([value, value], dtype=dtype), "t", dtype)
+    assert grid1[:1].tobytes() == grid.tobytes() and peak1 == peak
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   np.float64("nan"), np.float64("-inf")],
+                         ids=repr)
+def test_as_grid_scalar_refuses_what_the_array_route_refuses(value, dtype):
+    with pytest.raises(ArgumentError) as fast:
+        as_grid(value, "t", dtype)
+    assert str(fast.value) == f"t must be finite, got {value!r}"
+    with pytest.raises(ArgumentError) as array:
+        as_grid(np.asarray(value), "t", dtype)
+    assert str(array.value) == f"t must be finite, got {np.asarray(value)!r}"
+    with pytest.raises(ArgumentError, match="t must be finite"):
+        as_grid([value], "t", dtype)
+    # a Python int past the float range fails alike on both routes
+    for route in (10**400, [10**400]):
+        with pytest.raises(OverflowError, match="int too large to convert"):
+            as_grid(route, "t", dtype)

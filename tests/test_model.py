@@ -41,6 +41,16 @@ def test_build_rejects_asymmetric():
         build_system([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_defect_is_refused_without_a_warning():
+    # K - K^T overflows to inf here; the defect is refused as infinite,
+    # with no numpy RuntimeWarning before the error
+    with pytest.raises(ArgumentError, match=r"^K is asymmetric \(defect inf\)$"):
+        build_system([[1.0, 1e308], [-1e308, 1.0]], np.eye(2))
+    with pytest.raises(ArgumentError, match=r"^DK is asymmetric \(defect inf\)$"):
+        symmetric_matrix("DK", [[0.0, -1.5e308], [1.5e308, 0.0]])
+
+
 def test_build_rejects_mismatch_and_nonsquare():
     with pytest.raises(ArgumentError):
         build_system(np.eye(2), np.zeros((3, 3)))
