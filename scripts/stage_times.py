@@ -25,6 +25,11 @@ line per input set: the five catalog systems, and five random
 well-separated systems (tests/conftest.py) at each N of --sizes; each
 figure is the mean over the set, in microseconds.
 
+With --near-critical it times one input set instead, the clustered route
+of the near-critical regime: each catalog system at K + eps e11 for eps =
+0, 1e-2, 1e-4, ..., 1e-14, less the inputs on which some version's
+compute_spectrum raises (the line gives how many were kept).
+
 With --kernels it times the dynamics kernels instead: evolve_state,
 greens_time and greens_freq on each spectrum, called once per point of a
 101-point grid (t in [0, 5], omega in [-4, 4]) with the point as a scalar,
@@ -33,7 +38,7 @@ figure is microseconds per call, the mean over the input set of the best
 of 7 repeats; the default sizes are then N = 1..5.
 
 Usage: PYTHONPATH=src python scripts/stage_times.py [--against DIR]
-           [--sizes 1 4 8 32] [--kernels]
+           [--sizes 1 4 8 32] [--kernels | --near-critical]
 """
 
 import argparse
@@ -62,6 +67,7 @@ STAGES = (
 REPEATS = 7
 KERNEL_TIMES = np.linspace(0.0, 5.0, 101)
 KERNEL_FREQS = np.linspace(-4.0, 4.0, 101)
+NEAR_EPS = [0.0] + [10.0**-p for p in range(2, 16, 2)]
 
 
 def _load(name: str, path: Path):
@@ -210,6 +216,29 @@ def kernel_table(packages, systems):
     return table
 
 
+def near_critical_inputs(packages):
+    """Each catalog system at K + eps e11, eps in NEAR_EPS, that every
+    package's compute_spectrum takes without raising; and the count of
+    inputs."""
+    systems = []
+    for entry in catalog():
+        base = entry.system
+        e11 = np.zeros((base.N, base.N))
+        e11[0, 0] = 1.0
+        systems += [critmode.build_system(base.K + eps * e11, base.Gamma)
+                    for eps in NEAR_EPS]
+
+    def computes(package, system):
+        try:
+            package.compute_spectrum(system)
+        except (package.NumericalError, package.VerificationError):
+            return False
+        return True
+
+    kept = [s for s in systems if all(computes(p, s) for p in packages)]
+    return kept, len(systems)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="DIR",
@@ -217,8 +246,12 @@ def main() -> int:
     parser.add_argument("--sizes", type=int, nargs="+",
                         help="random system sizes (default 1 4 8 32, and "
                         "1 2 3 4 5 with --kernels)")
-    parser.add_argument("--kernels", action="store_true",
-                        help="time the dynamics kernels, not the stages")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--kernels", action="store_true",
+                      help="time the dynamics kernels, not the stages")
+    mode.add_argument("--near-critical", action="store_true",
+                      help="time the stages on the catalog systems at "
+                      "K + eps e11, eps = 0, 1e-2 .. 1e-14")
     args = parser.parse_args()
     packages = [critmode]
     if args.against:
@@ -227,10 +260,15 @@ def main() -> int:
     sizes = args.sizes or ([1, 2, 3, 4, 5] if args.kernels else [1, 4, 8, 32])
     if not args.kernels:
         recorders = [Recorder(p.jordan) for p in packages]
-    inputs = {"catalog": [e.system for e in catalog()]}
-    for n in sizes:
-        rng = np.random.default_rng(n)
-        inputs[f"N={n}"] = [well_separated_system(rng, n) for _ in range(5)]
+    if args.near_critical:
+        kept, total = near_critical_inputs(packages)
+        inputs = {f"near-critical ({len(kept)} of {total})": kept}
+    else:
+        inputs = {"catalog": [e.system for e in catalog()]}
+        for n in sizes:
+            rng = np.random.default_rng(n)
+            inputs[f"N={n}"] = [well_separated_system(rng, n)
+                                for _ in range(5)]
     for label, systems in inputs.items():
         if args.kernels:
             table = kernel_table(packages, systems)

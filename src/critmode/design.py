@@ -464,17 +464,18 @@ def _crossed_pair(system: OscillatorSystem) -> CatalogEntry:
     )
 
 
-# Each catalog entry by name: its K and Gamma, and the builder of its
-# fixtures from its system.  A lookup by name builds one system (and, for
-# catalog_entry, its fixtures) rather than all of them.
+# Each catalog entry by name: its K and Gamma, as float arrays, and the
+# builder of its fixtures from its system.  A lookup by name builds one
+# system (and, for catalog_entry, its fixtures) rather than all of them.
 _CATALOG = {
-    "single-critical": ([[1.0]], [[2.0]], _single_critical),
-    "quartic-jb4": ([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]],
-                    _quartic_jb4),
+    "single-critical": (np.array([[1.0]]), np.array([[2.0]]),
+                        _single_critical),
+    "quartic-jb4": (np.array([[5.0, -2.0], [-2.0, 1.0]]),
+                    np.array([[4.0, 0.0], [0.0, 0.0]]), _quartic_jb4),
     "cubic-jb3": (np.array([[41.0, 8.0], [8.0, 4.0]]) / 5.0,
-                  [[6.0, 0.0], [0.0, 1.0]], _cubic_jb3),
+                  np.array([[6.0, 0.0], [0.0, 1.0]]), _cubic_jb3),
     "double-jb2": (np.array([[61.0, -30.0], [-30.0, 25.0]]) / 9.0,
-                   [[4.0, 0.0], [0.0, 0.0]], _double_jb2),
+                   np.array([[4.0, 0.0], [0.0, 0.0]]), _double_jb2),
     "crossed-pair": (np.eye(2), 2.0 * np.eye(2), _crossed_pair),
 }
 

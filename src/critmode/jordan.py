@@ -67,6 +67,7 @@ import numpy as np
 from .linalg import (
     ArgumentError,
     DEFAULT_TOL,
+    ConvergenceError,
     NumericalError,
     Tolerances,
     char_poly,
@@ -399,11 +400,16 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
     stall, fails this too).  kernels is that sequence of kernel bases, [ker
     A, ker A^2, ...] as _kernel_sequence returns it for this h and omega
     (compute_spectrum hands on the one each cluster's sizes were read
-    from); without it, build_chain computes its own.  Top vectors of height
-    M are taken in ker(A^M), independent of ker(A^(M-1)) and of the members
-    A^(M'-M) t' = c'[M-1] of the taller chains c' (where there is nothing
-    to project out, the kernel basis itself); lower members follow by
-    iterating A (Golub & Wilkinson, SIAM Rev. 18, 1976).
+    from, each basis orthonormal); without it, build_chain computes its
+    own.  Top vectors of height M are taken in ker(A^M), independent of
+    ker(A^(M-1)) and of the members A^(M'-M) t' = c'[M-1] of the taller
+    chains c' (where there is nothing to project out, the kernel basis
+    itself), as the leading left singular vectors of ker(A^M) projected
+    off an orthonormal basis of those.  For the tallest size, when it has
+    one chain, that basis is the ker A^(M-1) handed in, with no SVD of its
+    own; the lower sizes, and a tallest size that repeats (a crossing),
+    take it from orthonormal_columns.  Lower members follow by iterating A
+    (Golub & Wilkinson, SIAM Rev. 18, 1976).
     """
     tol = tol or DEFAULT_TOL
     h = np.asarray(h, dtype=complex)
@@ -426,10 +432,16 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
     chains = []
     for m in sorted(set(sizes), reverse=True):
         copies = sizes.count(m)
-        forbidden = np.hstack([nulls[m - 1]] + [c[m - 1][:, None] for c in chains])
         tops = nulls[m]
-        if forbidden.shape[1]:
-            f_basis = orthonormal_columns(forbidden, tol)
+        if chains or nulls[m - 1].shape[1]:
+            if chains or copies > 1:
+                # the members of taller chains join ker A^(M-1); the tops of
+                # a crossing's tallest size, fixed only by rounding, keep
+                # the basis this SVD gives them
+                f_basis = orthonormal_columns(np.hstack(
+                    [nulls[m - 1]] + [c[m - 1][:, None] for c in chains]), tol)
+            else:  # ker A^(M-1) comes orthonormal from _kernel_sequence
+                f_basis = nulls[m - 1]
             proj = tops - f_basis @ (f_basis.conj().T @ tops)
             tops, s, _ = np.linalg.svd(proj, full_matrices=False)
             avail = int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
@@ -934,7 +946,9 @@ def compute_spectrum(sys: OscillatorSystem,
     spectrum keeps them, and the report of its one verify_spectrum call.
 
     Raises VerificationError when the constructed basis misses its
-    invariants at residual_tol (never silently returns a bad basis).
+    invariants at residual_tol (never silently returns a bad basis), and
+    ConvergenceError, naming both counts, when the root stage returns
+    fewer roots than dim.
     """
     tol = tol or DEFAULT_TOL
     h = evolution_operator(sys)
@@ -946,6 +960,13 @@ def compute_spectrum(sys: OscillatorSystem,
         coeffs = char_poly(h)
         roots = poly_roots(coeffs, tol)
         groups, flagged = _eigenstructure(h, coeffs, roots, tol)
+        # a rank threshold that overflows at a cluster is reported first
+        if roots.size < lam.size:
+            raise ConvergenceError(
+                f"the root stage returned {roots.size} of the {lam.size} "
+                "roots of the characteristic polynomial (its leading "
+                "coefficients vanish at the polynomial's scale)"
+            )
     flagged_omegas = {complex(r) for cl in flagged for r in cl["roots"]}
     axis_tol = _axis_tol(tol, [w for w, _, _ in groups])
     kept = _unmirrored_groups(groups, axis_tol)

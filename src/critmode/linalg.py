@@ -142,7 +142,8 @@ def char_poly(m) -> np.ndarray:
     ConvergenceError
         If a coefficient, or a product the recursion forms on the way to
         it, overflows float64 (M with entries near 1e308, say); the error
-        names the first coefficient lost.
+        names the first coefficient lost.  The recursion runs to its end
+        without a check, and the coefficients are checked once after it.
     """
     a = _as_square(m)
     n = a.shape[0]
@@ -151,19 +152,21 @@ def char_poly(m) -> np.ndarray:
     desc[0] = 1.0
     mk = np.eye(n, dtype=complex)
     # an overflow in a @ mk reaches the next trace as inf or NaN, so the
-    # coefficients alone tell whether the recursion stayed in range
+    # coefficients alone, read once after the recursion, tell whether and
+    # where it left the float range
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n + 1):
             mk = a @ mk
-            ck = -mk.trace() / k
-            if not cmath.isfinite(ck):
-                raise ConvergenceError(
-                    f"the coefficient of omega^{n - k} of the characteristic "
-                    f"polynomial overflows float64 (Faddeev-LeVerrier step "
-                    f"{k} of {n})"
-                )
-            desc[k] = ck
+            desc[k] = ck = -mk.trace() / k
             mk.flat[:: n + 1] += ck  # the diagonal
+    coeffs = desc.tolist()
+    if not all(map(cmath.isfinite, coeffs)):
+        k = next(k for k, c in enumerate(coeffs) if not cmath.isfinite(c))
+        raise ConvergenceError(
+            f"the coefficient of omega^{n - k} of the characteristic "
+            f"polynomial overflows float64 (Faddeev-LeVerrier step "
+            f"{k} of {n})"
+        )
     sign = 1.0 if n % 2 == 0 else -1.0
     return sign * desc[::-1].copy()
 

@@ -35,6 +35,8 @@ import numpy as np
 from .linalg import ArgumentError
 
 SYMMETRY_TOL = 1e-12
+# Below this largest |entry| neither m - m^T nor m + m^T can overflow
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,11 @@ def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
     ArgumentError names the matrix unless it is square (size x size when
     size is given), nonempty, finite and symmetric to SYMMETRY_TOL.
     """
+    return _checked_symmetric(name, m, size)[0]
+
+
+def _checked_symmetric(name: str, m, size: int | None = None) -> tuple:
+    """(m, peak): symmetric_matrix's array and its largest |entry|."""
     try:
         m = np.asarray(m, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -87,14 +94,15 @@ def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
     peak = float(np.abs(m).max())
     if not math.isfinite(peak):
         raise ArgumentError(f"{name} has non-finite entries")
-    scale = max(1.0, peak)
-    # entries past half the float range may give an infinite defect, which
-    # the test below refuses as it is
-    with np.errstate(over="ignore"):
+    if peak <= _HALF_MAX:
         d = float(np.abs(m - m.T).max())
-    if d > SYMMETRY_TOL * scale:
+    else:
+        # the defect may be infinite, which the test below refuses as it is
+        with np.errstate(over="ignore"):
+            d = float(np.abs(m - m.T).max())
+    if d > SYMMETRY_TOL * max(1.0, peak):
         raise ArgumentError(f"{name} is asymmetric (defect {d:.3e})")
-    return m
+    return m, peak
 
 
 def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
@@ -103,16 +111,17 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
     K and Gamma must be real, square, equal-size, and symmetric to 1e-12.
     A Gamma with negative eigenvalues is physically questionable but not
     forbidden by the formalism, so it only triggers a warning.  Both are
-    stored as (m + m^T) / 2.
+    stored as (m + m^T) / 2, taken as m / 2 + m^T / 2 where m + m^T
+    overflows (only possible past half the float range).
     """
-    K = symmetric_matrix("K", K)
-    Gamma = symmetric_matrix("Gamma", Gamma)
+    K, k_peak = _checked_symmetric("K", K)
+    Gamma, gamma_peak = _checked_symmetric("Gamma", Gamma)
     if K.shape != Gamma.shape:
         raise ArgumentError(
             f"size mismatch: K is {K.shape}, Gamma is {Gamma.shape}"
         )
-    K, Gamma = _symmetrized(np.array([K, Gamma]))
-    sys = OscillatorSystem(K, Gamma, label)
+    sys = OscillatorSystem(_symmetrized(K, k_peak),
+                           _symmetrized(Gamma, gamma_peak), label)
     gamma_eigs = sys.gamma_eigenvalues
     if gamma_eigs[0] < -1e-12 * max(1.0, abs(gamma_eigs[-1])):
         warnings.warn(
@@ -123,13 +132,14 @@ def build_system(K, Gamma, label: str | None = None) -> OscillatorSystem:
     return sys
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """0.5 (m + m^T) of each matrix of a stack, with 0.5 m + 0.5 m^T where
-    m + m^T overflows."""
-    mt = m.swapaxes(-1, -2)
+def _symmetrized(m: np.ndarray, peak: float) -> np.ndarray:
+    """0.5 (m + m^T), with 0.5 m + 0.5 m^T where m + m^T overflows; peak is
+    the largest |entry| of m, below _HALF_MAX no sum can."""
+    if peak <= _HALF_MAX:
+        return 0.5 * (m + m.T)
     with np.errstate(over="ignore"):
-        out = 0.5 * (m + mt)
-    return np.where(np.isinf(out), 0.5 * m + 0.5 * mt, out)
+        out = 0.5 * (m + m.T)
+    return np.where(np.isinf(out), 0.5 * m + 0.5 * m.T, out)
 
 
 def evolution_operator(sys: OscillatorSystem) -> np.ndarray:

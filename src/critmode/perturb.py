@@ -407,10 +407,15 @@ def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps) -> np.ndarray:
 
 
 def _exact_perturbed_spectrum(sys: OscillatorSystem, dk: np.ndarray, eps):
-    dh = delta_h(dk)
+    """exact_perturbed_spectrum for a checked DK.  The real stack a(eps) is
+    assembled from K, Gamma and DK directly, with no complex H or DH; its
+    eigenvalues equal, bit for bit, those of (-i H).real + eps (-i DH).real."""
     grid, scalar, _ = as_grid(eps, "eps", float)
-    a = (-1j * evolution_operator(sys)).real  # H = i a, a real
-    a = a + grid[:, None, None] * (-1j * dh).real
+    n = sys.N
+    a = np.zeros((grid.size, 2 * n, 2 * n))
+    a[:, :n, n:] = np.eye(n)
+    a[:, n:, :n] = -(sys.K + grid[:, None, None] * dk)
+    a[:, n:, n:] = -sys.Gamma
     evals = np.sort_complex(1j * np.linalg.eigvals(a))
     return evals[0] if scalar else evals
 

@@ -532,6 +532,32 @@ def test_compute_spectrum_svd_count_does_not_grow_with_n(monkeypatch,
     assert got == want
 
 
+def test_chain_seeding_orthonormalizes_only_crossings(monkeypatch,
+                                                     catalog_entries):
+    # the one tallest chain of a cluster is seeded off the orthonormal
+    # ker A^(M-1) basis as _kernel_sequence returns it, with no
+    # orthonormal_columns call; the crossing of crossed-pair (two blocks of
+    # size 2) keeps one in build_chain and two in biorthogonalize_crossing
+    import critmode.jordan as jordan
+
+    original = jordan.orthonormal_columns
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jordan, "orthonormal_columns", counting)
+    want = {"single-critical": 0, "quartic-jb4": 0, "cubic-jb3": 0,
+            "double-jb2": 0, "crossed-pair": 3}
+    got = {}
+    for name in want:
+        calls.clear()
+        compute_spectrum(catalog_entries[name].system)
+        got[name] = len(calls)
+    assert got == want
+
+
 def test_one_operator_and_one_metric_per_spectrum(monkeypatch,
                                                   catalog_entries):
     # compute_spectrum builds H and g once and keeps them on the spectrum;
@@ -803,15 +829,33 @@ def test_degenerate_simple_eigenvector_keeps_normalize_block_text():
     assert str(stacked.value) == str(full.value) == texts[0]
 
 
-def test_block_sizes_checked_before_residuals():
-    # the roots of K = diag(1e14, 2) come back short, so the blocks span 2
-    # of 4 dimensions; the residuals are dim x dim and used to end in
-    # numpy's broadcast ValueError
+def test_block_sizes_checked_before_residuals(catalog_entries):
+    # with one block of double-jb2 removed the blocks span 2 of 4
+    # dimensions; the residuals are dim x dim and used to end in numpy's
+    # broadcast ValueError
+    spec = compute_spectrum(catalog_entries["double-jb2"].system)
+    spec.blocks.pop()
     with pytest.raises(VerificationError, match="block sizes sum to 2") as raised:
-        compute_spectrum(build_system(np.diag([1e14, 2.0]), np.eye(2)))
+        verify_spectrum(spec)
     report = raised.value.report
     assert report["block_sizes_sum_ok"] is False and report["pass"] is False
     assert np.isnan(report["max_residual"])
+
+
+def test_root_loss_is_a_convergence_error(tmp_path):
+    # the companion roots of K = diag(1e14, 2), Gamma = I come back 2 of 4
+    # (the leading coefficients vanish at the polynomial's scale); that is
+    # the root stage's failure (exit 4), not a verification one (exit 3)
+    from critmode.cli import main
+    from critmode.model import save_system
+
+    sys = build_system(np.diag([1e14, 2.0]), np.eye(2))
+    with pytest.raises(ConvergenceError,
+                       match="root stage returned 2 of the 4 roots"):
+        compute_spectrum(sys)
+    save_system(sys, tmp_path / "system.json")
+    assert main(["analyze", "--system", str(tmp_path / "system.json"),
+                 "--out", str(tmp_path / "out")]) == 4
 
 
 def test_rank_threshold_overflow_is_a_chain_error():

@@ -51,6 +51,29 @@ def test_overflowing_defect_is_refused_without_a_warning():
         symmetric_matrix("DK", [[0.0, -1.5e308], [1.5e308, 0.0]])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", [-np.inf, np.inf])
+def test_symmetrization_at_half_the_float_range(side):
+    # just below max / 2 no sum m + m^T can overflow, and K is 0.5 (m + m^T);
+    # just above, the doubled diagonal entry does, and takes 0.5 m + 0.5 m^T
+    # while the rest keeps 0.5 (m + m^T); either way without a warning
+    peak = np.nextafter(np.finfo(float).max / 2.0, side)
+    m = np.array([[peak, 0.1], [0.7, 3.0]])
+    with np.errstate(over="ignore"):
+        summed = 0.5 * (m + m.T)
+    want = np.where(np.isinf(summed), 0.5 * m + 0.5 * m.T, summed)
+    assert np.isinf(summed).any() == (side > 0)
+    sys = build_system(m, np.eye(2))
+    assert np.array_equal(sys.K, want)
+    assert np.array_equal(sys.Gamma, np.eye(2))
+    # an asymmetric pair: a finite defect below, an infinite one above
+    defect = "inf" if side > 0 else f"{peak:.3e}"
+    with pytest.raises(ArgumentError) as refused:
+        build_system([[peak, peak], [-peak if side > 0 else 0.0, 1.0]],
+                     np.eye(2))
+    assert str(refused.value) == f"K is asymmetric (defect {defect})"
+
+
 def test_build_rejects_mismatch_and_nonsquare():
     with pytest.raises(ArgumentError):
         build_system(np.eye(2), np.zeros((3, 3)))

@@ -640,6 +640,34 @@ def test_exact_perturbed_spectrum_grid_is_scalar_and_rebuilt_system(catalog_spec
                     name, eps)
 
 
+SIGNED_DECADES = np.concatenate([s * np.logspace(-14, -1, 14) for s in (1, -1)])
+
+
+def test_exact_perturbed_spectrum_is_the_complex_route_bit_for_bit(
+        catalog_spectra):
+    # the real stack a(eps) is assembled from K, Gamma and DK; its
+    # eigenvalues must be those of (-i H).real + eps (-i DH).real, the
+    # route through the complex operators, to the last bit, along e11 and a
+    # random symmetric direction of every catalog system
+    from critmode.perturb import delta_h
+
+    rng = np.random.default_rng(11)
+    for name, spec in catalog_spectra.items():
+        sys = spec.system
+        r = rng.standard_normal((sys.N, sys.N))
+        e11 = np.zeros((sys.N, sys.N))
+        e11[0, 0] = 1.0
+        for dk in (e11, r + r.T):
+            a0 = (-1j * evolution_operator(sys)).real
+            da = (-1j * delta_h(dk)).real
+            grid = exact_perturbed_spectrum(sys, dk, SIGNED_DECADES)
+            for eps, row in zip(SIGNED_DECADES, grid):
+                want = np.sort_complex(1j * np.linalg.eigvals(a0 + eps * da))
+                assert np.array_equal(row, want), (name, eps)
+                assert np.array_equal(
+                    exact_perturbed_spectrum(sys, dk, eps), want), (name, eps)
+
+
 @pytest.mark.parametrize(
     "dk, eps",
     [
