@@ -27,11 +27,15 @@ def run(out_dir: Path) -> None:
         if code != 0:
             raise SystemExit(code)
         summary = json.loads((out / "cancellation_summary.json").read_text())
+        # the diff slope is null when fewer than two diffs clear the
+        # modal sum's rounding floor
+        d_slope = summary["diff_slope"]
         print(
             f"{name}: M={summary['block_size']}  "
             f"weight slope {summary['weight_slope']:+.3f} "
             f"(expect {1 - summary['block_size']})  "
-            f"diff slope {summary['diff_slope']:+.3f}"
+            f"diff slope {'null' if d_slope is None else f'{d_slope:+.3f}'} "
+            f"over {summary['diff_fit_points']} eps"
         )
 
 

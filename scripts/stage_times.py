@@ -35,13 +35,17 @@ greens_time and greens_freq on each spectrum, called once per point of a
 101-point grid (t in [0, 5], omega in [-4, 4]) with the point as a scalar,
 as a loop over the grid calls them, and once on the whole grid.  Each
 figure is microseconds per call, the mean over the input set of the best
-of 7 repeats; the default sizes are then N = 1..5.
+of 7 repeats; the default sizes are then N = 1..5.  Beside them,
+``MatrixForm kB`` is the memory the kernels' layouts hold per spectrum
+(Spectrum.matrices, each array counted once whatever views it has), the
+mean over the set in kilobytes.
 
 Usage: PYTHONPATH=src python scripts/stage_times.py [--against DIR]
            [--sizes 1 4 8 32] [--kernels | --near-critical]
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import sys
 import timeit
@@ -172,10 +176,23 @@ def stage_table(recorders, systems, number):
     return table
 
 
+def form_bytes(form) -> int:
+    """Bytes held by the arrays of a MatrixForm, each counted once: a view
+    (dual_rows of duals, say) adds nothing beyond the array it views."""
+    roots = {}
+    for field in dataclasses.fields(form):
+        array = getattr(form, field.name)
+        if isinstance(array, np.ndarray):
+            while array.base is not None:
+                array = array.base
+            roots[id(array)] = array.nbytes
+    return sum(roots.values())
+
+
 def kernel_jobs(package, system, phi):
     """(label, callable, calls per run) for each kernel on the spectrum
     that package computes for system: the scalar calls over the grid's
-    points, then one call on the grid."""
+    points, then one call on the grid; and the bytes of its MatrixForm."""
     spectrum = package.compute_spectrum(
         package.build_system(system.K, system.Gamma))
     kernels = (
@@ -192,18 +209,24 @@ def kernel_jobs(package, system, phi):
         jobs.append((f"{name} scalar",
                      lambda k=kernel, p=points: [k(x) for x in p], len(points)))
         jobs.append((f"{name} grid", lambda k=kernel, g=grid: k(g), 1))
-    return jobs
+    return jobs, form_bytes(spectrum.matrices)
 
 
 def kernel_table(packages, systems):
     """{kernel and call form: [mean us per call per version]} over
-    systems, versions timed in turn, 3 runs a repeat."""
+    systems, versions timed in turn, 3 runs a repeat, and "MatrixForm kB":
+    [mean kilobytes of the layouts per version]."""
     table, number = {}, 3
+    memory = [0.0] * len(packages)
     rng = np.random.default_rng(0)
     for system in systems:
         phi = (rng.standard_normal(system.dim)
                + 1j * rng.standard_normal(system.dim))
-        versions = [kernel_jobs(p, system, phi) for p in packages]
+        versions = []
+        for v, p in enumerate(packages):
+            jobs, nbytes = kernel_jobs(p, system, phi)
+            versions.append(jobs)
+            memory[v] += nbytes / 1e3 / len(systems)
         for k, (label, _, calls) in enumerate(versions[0]):
             best = [float("inf")] * len(packages)
             for _ in range(REPEATS):
@@ -213,6 +236,7 @@ def kernel_table(packages, systems):
             row = table.setdefault(label, [0.0] * len(packages))
             for v, t in enumerate(best):
                 row[v] += t / number / calls * 1e6 / len(systems)
+    table["MatrixForm kB"] = memory
     return table
 
 

@@ -566,7 +566,13 @@ def cmd_cancellation(args) -> int:
         np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist(),
     )
     w_slope, w_res = loglog_slope(lams, rep.max_weight)
-    d_slope, d_res = loglog_slope(lams, rep.max_diff)
+    # the modal sum rounds to about M max_weight 2^-52; a diff below ten
+    # times that floor is rounding noise, and the slope is fitted without it
+    fit = rep.max_diff >= 10.0 * m * rep.max_weight * 2.0**-52
+    points = int(np.count_nonzero(fit))
+    d_slope = d_res = None
+    if points >= 2:
+        d_slope, d_res = loglog_slope(lams[fit], rep.max_diff[fit])
     _write_json(
         out / "cancellation_summary.json",
         {
@@ -575,12 +581,12 @@ def cmd_cancellation(args) -> int:
             "weight_fit_residual": w_res,
             "diff_slope": d_slope,
             "diff_fit_residual": d_res,
+            "diff_fit_points": points,
             "block_size": m,
         },
     )
-    print(
-        f"cancellation: weight slope {w_slope:.3f}, diff slope {d_slope:.3f}"
-    )
+    d_text = "null" if d_slope is None else f"{d_slope:.3f}"
+    print(f"cancellation: weight slope {w_slope:.3f}, diff slope {d_text}")
     return EXIT_OK
 
 

@@ -25,16 +25,20 @@ each middle factor is a phase, or pole, times a polynomial in N:
 with l below the largest block size L.  The kernels evaluate these from the
 layouts the spectrum stores (Spectrum.matrices), all in one flat order of
 L dim columns, column l dim + k for order l and basis column k: F repeated
-once per order, the stack N^l D^H as one matrix, and per column l,
-(-i)^l / l!, log l!, l + 1, omega_k and -i omega_k.  A scalar time or
-frequency is taken as a point (a numpy scalar) and a grid of T as a (T, 1)
-column, and one set of formulas broadcasts over either: a few ufuncs give
-the coefficients, t^l (-i)^l / l! exp(-i omega_k t) or i r_k^(l+1) with
+once per order, the stack N^l D^H as one matrix, the outer products of
+the two (column c of the one with row c of the other, as row c of one
+(L dim, dim^2) matrix, L dim^3 entries), and per column l, (-i)^l / l!,
+log l!, l + 1, omega_k and -i omega_k.  A scalar time or frequency is
+taken as a point (a numpy scalar) and a grid of T as a (T, 1) column, and
+one set of formulas broadcasts over either: a few ufuncs give the
+coefficients, t^l (-i)^l / l! exp(-i omega_k t) or i r_k^(l+1) with
 r_k = 1 / (omega - omega_k), as an (L dim) row for a point or a (T, L dim)
-table for a column, and one product per point applies them.  Every step
-is elementwise or per point, so each row of a grid call is bit for bit
-the scalar call at its point.  Nothing is rebuilt per call, and the
-matrices that compute_spectrum verified are the ones the kernels
+table for a column.  A Green's function is then one coefficient row times
+the outer products per point; a state takes the stack times phi once and
+F times the scaled result per point, which holds no dim^2 entries per
+time.  Every step is elementwise or per point, so each row of a grid call
+is bit for bit the scalar call at its point.  Nothing is rebuilt per call,
+and the matrices that compute_spectrum verified are the ones the kernels
 propagate with.
 
 Separating the completeness relation F P F^T g = I (P the block
@@ -180,11 +184,16 @@ def _jordan_function(form: MatrixForm, coef: np.ndarray) -> np.ndarray:
 
     T_x = f(J) for any f with f^(l)(omega_k) / l! = coef[..., l dim + k], so
     the result is f(H) on the span of the basis (Higham, Functions of
-    Matrices, ch. 1).  With the duals stack N^l D^H as rows it is one
-    product per point: [F diag(coef[:dim]) | F diag(coef[dim:2 dim])
-    | ...] times the stacked rows.
+    Matrices, ch. 1): the sum over flat columns c of coef[..., c] times the
+    outer product of column c of F with row c of the N^l D^H stack.  With
+    those outer products laid out once per spectrum (form.green_rows) it is
+    one coefficient row times one matrix per point; a table's rows go
+    through the same matmul loop one by one, so each is its point's call
+    bit for bit.
     """
-    return (form.f_tiled * coef[..., None, :]) @ form.dual_rows
+    dim = form.f.shape[0]
+    return (coef[..., None, :] @ form.green_rows).reshape(
+        coef.shape[:-1] + (dim, dim))
 
 
 def _evolve(form: MatrixForm, phi: np.ndarray, x, peak: float,

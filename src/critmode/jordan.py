@@ -39,8 +39,9 @@ polished centre, from at most two SVD calls (_kernel_sequence: rank rule
 rank_tol * max(|A|_2, 1e-6)^k) up to the first power whose kernel grows
 no more, and its block sizes from the nullities of the sequence that
 build_chain then takes as its kernel bases.  Simple eigenvalues take no
-rank decision: each takes the eigenvalue i lambda and eigenvector of the
-column of that eig whose i lambda lies nearest (_simple_eigenvectors).
+rank decision: each takes the eigenvalue i lambda and eigenvector of a
+column of that eig, its own column on the eig route and, where roots
+clustered, the column whose i lambda lies nearest (_simple_eigenvectors).
 normalize_block is the one normalizer: it takes one chain or a stack of
 equal-height chains, and normalizes every simple eigenvector, as a stack of
 one-vector chains, in one call; biorthogonalize_crossing calls it on one
@@ -177,10 +178,14 @@ class MatrixForm:
     L dim columns, column l dim + k standing for order l and basis column k:
     dual_rows is the duals stack as one (L dim, dim) matrix (a view), and
     f_tiled is F repeated L times side by side, (dim, L dim), so that
-    column l dim + k of f_tiled meets row l dim + k of dual_rows.  Per flat
-    column, orders holds l, phases (-i)^l / l!, log_factorials log l!,
-    pole_powers l + 1, omega_tiled omega_k and minus_i_omega -i omega_k, so
-    a coefficient table over times or frequencies is a few ufuncs on
+    column l dim + k of f_tiled meets row l dim + k of dual_rows.
+    green_rows lays out their outer products, (L dim, dim^2): row c is
+    np.outer(f_tiled[:, c], dual_rows[c]).ravel(), so F f(J) D^H is one
+    coefficient row times green_rows.  It holds L dim^3 complex entries
+    (L dim^3 16 bytes: 4.2 MB for dim 64 and L = 1).  Per flat column,
+    orders holds l, phases (-i)^l / l!, log_factorials log l!, pole_powers
+    l + 1, omega_tiled omega_k and minus_i_omega -i omega_k, so a
+    coefficient table over times or frequencies is a few ufuncs on
     (T, L dim) arrays.
     """
 
@@ -192,6 +197,7 @@ class MatrixForm:
     scale: float
     dual_rows: np.ndarray
     f_tiled: np.ndarray
+    green_rows: np.ndarray
     orders: np.ndarray
     phases: np.ndarray
     log_factorials: np.ndarray
@@ -728,7 +734,8 @@ def _basis_matrices(blocks):
 
 def _matrix_form(blocks) -> MatrixForm:
     """F, the N^l D^H stack, J, P, the column eigenvalues of the blocks, and
-    the flat per-column layouts that the dynamics kernels read."""
+    the flat per-column layouts that the dynamics kernels read, the outer
+    products of F's columns with the stacked dual rows among them."""
     f_mat, d_mat = _basis_matrices(blocks)
     d_h = d_mat.conj().T
     sizes = [b.size for b in blocks]
@@ -746,6 +753,8 @@ def _matrix_form(blocks) -> MatrixForm:
             duals[: pos + m - k, k] = d_h[k : pos + m]
         pos += m
     omega_tiled = np.concatenate([omega] * levels)
+    f_tiled = np.concatenate([f_mat] * levels, axis=1)
+    dual_rows = duals.reshape(-1, d_h.shape[1])
     return MatrixForm(
         f=f_mat,
         duals=duals,
@@ -753,8 +762,10 @@ def _matrix_form(blocks) -> MatrixForm:
         p=p_mat,
         omega=omega,
         scale=1.0 + float(np.abs(omega).max()),
-        dual_rows=duals.reshape(-1, d_h.shape[1]),
-        f_tiled=np.concatenate([f_mat] * levels, axis=1),
+        dual_rows=dual_rows,
+        f_tiled=f_tiled,
+        green_rows=(f_tiled.T[:, :, None] * dual_rows[:, None, :]).reshape(
+            levels * cols, -1),
         orders=_ORDERS[:levels].repeat(cols),
         phases=_PHASES[:levels].repeat(cols),
         log_factorials=_LOG_FACTORIALS[:levels].repeat(cols),
@@ -907,10 +918,10 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
 
     H = i a with a = (-i H).real = [[0, I], [-K, -Gamma]], and (lam, vecs)
     is np.linalg.eig(a), so column j of vecs is an eigenvector of H for
-    i lam_j.  Each omega (an i lam_j itself, or a root of the characteristic
-    polynomial on the clustered route) takes the column whose i lam_j lies
-    nearest, and gets the eigenvalue that belongs to the vector, not the
-    root.  Returns (eigenvalues, vectors as rows), in the order of omegas.
+    i lam_j.  Each omega, a root of the characteristic polynomial on the
+    clustered route of compute_spectrum, takes the column whose i lam_j
+    lies nearest, and gets the eigenvalue that belongs to the vector, not
+    the root.  Returns (eigenvalues, vectors as rows), in the order of omegas.
     Two omegas on one column raise ChainError.
     """
     columns = 1j * lam
@@ -940,7 +951,8 @@ def compute_spectrum(sys: OscillatorSystem,
     clusters with Jordan structure get their chains from build_chain, on
     the kernels _eigenstructure read their sizes from, normalized by
     biorthogonalize_crossing; every simple eigenvalue gets its eigenvalue
-    and eigenvector from the same eig (_simple_eigenvectors), and the
+    and eigenvector from the same eig (on the eig route its own column,
+    after the polynomial's roots the nearest, _simple_eigenvectors), and the
     simple eigenvectors are normalized together, as one stack of
     one-vector chains (normalize_block).  H and g are built once, and the
     spectrum keeps them, and the report of its one verify_spectrum call.
@@ -956,7 +968,9 @@ def compute_spectrum(sys: OscillatorSystem,
     lam, vecs = np.linalg.eig((-1j * h).real)
     omegas, flagged = 1j * lam, []
     groups = [(w, [1], []) for w in omegas.tolist()]
-    if len(_single_linkage(omegas, _linkage_radius(tol, omegas))) < lam.size:
+    clustered = (len(_single_linkage(omegas, _linkage_radius(tol, omegas)))
+                 < lam.size)
+    if clustered:
         coeffs = char_poly(h)
         roots = poly_roots(coeffs, tol)
         groups, flagged = _eigenstructure(h, coeffs, roots, tol)
@@ -973,7 +987,13 @@ def compute_spectrum(sys: OscillatorSystem,
     gnorm = metric_norm(sys)
     simple = [w for w, sizes, _ in kept if sizes == [1]]
     if simple:
-        simple_omegas, vectors = _simple_eigenvectors(lam, vecs, simple)
+        if clustered:
+            simple_omegas, vectors = _simple_eigenvectors(lam, vecs, simple)
+        else:
+            # the groups are the eig's columns in order, and
+            # _unmirrored_groups kept those with Re(omega) >= -axis_tol
+            simple_omegas = simple
+            vectors = vecs[:, omegas.real >= -axis_tol].T.astype(complex)
         normalized = zip(simple_omegas, *normalize_block(
             vectors[:, None, :], g, gnorm))
 

@@ -624,6 +624,36 @@ def test_cancellation_cubic(tmp_path):
     assert summary["weight_slope"] == pytest.approx(-2.0, abs=0.2)
 
 
+
+def test_cancellation_fits_diff_slope_above_the_rounding_floor(tmp_path, capsys):
+    # quartic-jb4 at the default window: the diffs at the smallest eps sit
+    # within 10x of the modal sum's rounding floor M max_weight 2^-52, and
+    # the diff slope is fitted over the rest only, where the diff grows
+    # like lambda^M; a window with fewer than two such eps writes null
+    from critmode.perturb import loglog_slope
+
+    assert run(["cancellation", "--system", "catalog:quartic-jb4",
+                "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "cancellation_summary.json").read_text())
+    table = np.loadtxt(tmp_path / "cancellation.csv", delimiter=",",
+                       skiprows=1).reshape(9, 4, 5)
+    lams, diffs = table[:, 0, 3], table[:, 0, 4]
+    fit = diffs >= 10.0 * 4 * table[:, :, 2].max(axis=1) * 2.0**-52
+    assert 2 <= fit.sum() < 9
+    assert summary["diff_fit_points"] == fit.sum()
+    slope, residual = loglog_slope(lams[fit], diffs[fit])
+    assert (summary["diff_slope"], summary["diff_fit_residual"]) == (slope, residual)
+    assert slope == pytest.approx(4.0, abs=0.05) and residual < 0.01
+    assert f"diff slope {slope:.3f}" in capsys.readouterr().out
+
+    assert run(["cancellation", "--system", "catalog:quartic-jb4",
+                "--eps-min", "1e-11", "--eps-max", "1e-10", "--eps-count", "3",
+                "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "cancellation_summary.json").read_text())
+    assert summary["diff_fit_points"] < 2
+    assert summary["diff_slope"] is None and summary["diff_fit_residual"] is None
+    assert "diff slope null" in capsys.readouterr().out
+
 def test_cancellation_makes_one_call_of_each_stage(tmp_path, monkeypatch):
     # the whole eps grid in one eigensolve, one prediction, one matrix form
     # and one Jordan evolution; |DK|_2 once for the CLI's genericity check

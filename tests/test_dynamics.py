@@ -406,6 +406,71 @@ def test_grid_call_equals_scalar_calls(kernel_spectra):
             assert np.array_equal(resolvents[i], greens_freq(spec, complex(w))), name
 
 
+
+def test_green_rows_are_the_outer_products(kernel_spectra):
+    # row c of green_rows is the outer product of column c of f_tiled with
+    # row c of dual_rows, bit for bit, and the layout holds L dim^3 complex
+    # entries: on the catalog, random N = 1..5 and a block of 24 vectors
+    spectra = dict(kernel_spectra, tall=_tall_block_spectrum())
+    for name, spec in spectra.items():
+        form = spec.matrices
+        levels, dim = form.duals.shape[0], spec.system.dim
+        want = np.array([np.outer(form.f_tiled[:, c], form.dual_rows[c]).ravel()
+                         for c in range(levels * dim)])
+        assert form.green_rows.shape == want.shape, name
+        assert form.green_rows.tobytes() == want.tobytes(), name
+        assert form.green_rows.nbytes == levels * dim**3 * 16, name
+
+
+def _scaled_column_product(form, coef):
+    """F T_x D^H as the columns of f_tiled scaled by each row of coef, times
+    dual_rows; and the same product of the magnitudes, which scales its
+    rounding."""
+    return ((form.f_tiled * coef[:, None, :]) @ form.dual_rows,
+            (np.abs(form.f_tiled) * np.abs(coef)[:, None, :])
+            @ np.abs(form.dual_rows))
+
+
+def test_greens_kernels_match_the_scaled_column_product(kernel_spectra):
+    # one coefficient row times green_rows is F diag(coef) D^H summed in
+    # another order: within 1e-13 of the terms' magnitudes, at points and on
+    # grids, the log-space rows (|t| >= 1e3, and every nonzero time of the
+    # 24-vector block) included
+    times = np.array([-1.0, 0.0, 0.3, 1.7, 5.0, 1e3, 2e3])
+    freqs = np.array([0.5 + 0.2j, -1.5 + 0.0j, 3.0 - 0.1j, 2.0])
+    spectra = dict(kernel_spectra, tall=_tall_block_spectrum())
+    for name, spec in spectra.items():
+        form = spec.matrices
+        coef = dynamics._evolution_coefficients(
+            form, np.maximum(times, 0.0)[:, None], times.max())
+        coef = np.where(times[:, None] < 0.0, 0.0, coef)
+        want_t, mass_t = _scaled_column_product(form, coef)
+        gap = freqs[:, None] - form.omega_tiled
+        want_w, mass_w = _scaled_column_product(
+            form, 1j * np.reciprocal(gap) ** form.pole_powers)
+        for kernel, args, want, mass in ((greens_time, times, want_t, mass_t),
+                                         (greens_freq, freqs, want_w, mass_w)):
+            _assert_close(kernel(spec, args), want, mass, name)
+            for i, x in enumerate(args):
+                _assert_close(kernel(spec, x), want[i], mass[i], (name, x))
+
+
+def test_greens_freq_names_the_grid_row_on_a_pole(catalog_spectra):
+    # a grid row on a pole, or within its radius, raises the error of its
+    # scalar call, naming that row's frequency
+    spec = catalog_spectra["cubic-jb3"]
+    radius = spec.tol.cluster_tol * spec.matrices.scale
+    for pole in (spec.blocks[0].omega, spec.blocks[1].omega + 0.5 * radius):
+        for i in range(3):
+            freqs = np.array([0.5 + 0.2j, 2.0, -1.5 + 0.1j], dtype=complex)
+            freqs[i] = pole
+            with pytest.raises(ArgumentError) as grid:
+                greens_freq(spec, freqs)
+            with pytest.raises(ArgumentError) as point:
+                greens_freq(spec, freqs[i])
+            assert str(grid.value).startswith(f"omega={freqs[i]} is within")
+            assert str(grid.value) == str(point.value)
+
 def test_empty_grid_gives_no_rows(kernel_spectra):
     # an empty grid gives no rows of the scalar call's shape, as rk4_evolve
     # does (the Green's functions used to raise numpy's reshape error)

@@ -14,8 +14,10 @@ from critmode.jordan import (
     _basis_matrices,
     _eigenstructure,
     _kernel_sequence,
+    _linkage_radius,
     _pairings,
     _simple_eigenvectors,
+    _single_linkage,
     _unmirrored_groups,
     block_sizes_at,
     biorthogonalize_crossing,
@@ -28,6 +30,7 @@ from critmode.jordan import (
     verify_representations,
     verify_spectrum,
 )
+from critmode import jordan
 from critmode.design import catalog, quartic_critical
 from critmode.linalg import (
     DEFAULT_TOL,
@@ -828,6 +831,32 @@ def test_degenerate_simple_eigenvector_keeps_normalize_block_text():
         compute_spectrum(sys)
     assert str(stacked.value) == str(full.value) == texts[0]
 
+
+
+def test_eig_route_takes_each_simple_eigenvalue_from_its_own_column(
+        catalog_entries, monkeypatch):
+    # with no two eigenvalues within the linkage radius every kept omega is
+    # i lam_j of its own column j, so the nearest-column search would give
+    # back exactly the kept columns: compute_spectrum takes them directly
+    # there, and searches only after the polynomial's roots
+    rng = np.random.default_rng(17)
+    for n in range(1, 9):
+        sys = well_separated_system(rng, n)
+        lam, vecs = np.linalg.eig((-1j * evolution_operator(sys)).real)
+        omegas = 1j * lam
+        assert len(_single_linkage(omegas, _linkage_radius(DEFAULT_TOL, omegas))) == lam.size
+        kept = omegas.real >= -_axis_tol(DEFAULT_TOL, omegas.tolist())
+        got_omegas, got_vectors = _simple_eigenvectors(lam, vecs, omegas[kept].tolist())
+        assert _bits(got_omegas) == _bits(omegas[kept])
+        assert _bits(got_vectors) == _bits(vecs[:, kept].T.astype(complex))
+    calls = []
+    search = jordan._simple_eigenvectors
+    monkeypatch.setattr(jordan, "_simple_eigenvectors",
+                        lambda *args: calls.append(args) or search(*args))
+    compute_spectrum(well_separated_system(rng, 4))
+    assert not calls
+    spec = compute_spectrum(catalog_entries["cubic-jb3"].system)
+    assert len(calls) == 1 and [b.size for b in spec.blocks] == [3, 1]
 
 def test_block_sizes_checked_before_residuals(catalog_entries):
     # with one block of double-jb2 removed the blocks span 2 of 4
