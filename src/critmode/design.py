@@ -115,9 +115,14 @@ def quartic_critical(x: float, y: float) -> OscillatorSystem:
     is taken, which reproduces the reference matrices K = [[5,-2],[-2,1]],
     Gamma = diag(4,0) at sinh x = -2, e^(2y) = 5.
     """
-    a = math.exp(y) * math.cosh(x)
-    c = math.exp(-y) * math.cosh(x)
-    b = math.sinh(x)
+    out_of_range = (f"quartic(x={x:g}, y={y:g}): K or Gamma is out of the "
+                    "float range")
+    try:
+        a = math.exp(y) * math.cosh(x)
+        c = math.exp(-y) * math.cosh(x)
+        b = math.sinh(x)
+    except OverflowError:
+        raise DesignError(out_of_range) from None
     if math.cosh(x) * math.cosh(y) > 3.0 + 1e-12:
         warnings.warn(
             "cosh(x) cosh(y) > 3: the damping matrix leaves the positive-"
@@ -125,9 +130,10 @@ def quartic_critical(x: float, y: float) -> OscillatorSystem:
             stacklevel=2,
         )
     if abs(b) > 1e-14:
-        a2 = 4.0 * b * b + (c - a) ** 2
+        # products, not ** 2: a float product overflows to inf, a power raises
+        a2 = 4.0 * b * b + (c - a) * (c - a)
         a1 = 4.0 * (a - 1.0) * (c - a) - 8.0 * b * b
-        a0 = 4.0 * (a - 1.0) ** 2 + b * b * (6.0 - a - c)
+        a0 = 4.0 * (a - 1.0) * (a - 1.0) + b * b * (6.0 - a - c)
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc < -1e-10 * max(1.0, a1 * a1):
             raise DesignError(
@@ -146,6 +152,8 @@ def quartic_critical(x: float, y: float) -> OscillatorSystem:
     else:
         u = v = 1.0
         w = 0.0
+    if not all(math.isfinite(t) for t in (u, v, w)):
+        raise DesignError(out_of_range)
     # One or two Newton steps squeeze the quadratic-formula rounding out of
     # the three gamma constraints.
     for _ in range(2):

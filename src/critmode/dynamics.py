@@ -349,9 +349,8 @@ def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
 
 @dataclass
 class SumRuleReport:
-    """Residual matrices of the four coordinate-space sum rules."""
+    """Largest residual entries of the four coordinate-space sum rules."""
 
-    residuals: list
     max_abs: list
     threshold: float
 
@@ -380,7 +379,6 @@ def check_sum_rules(spectrum: Spectrum) -> SumRuleReport:
         upu @ sys.Gamma,
     ]
     return SumRuleReport(
-        residuals=residuals,
         max_abs=[float(np.max(np.abs(r))) for r in residuals],
         threshold=spectrum.tol.residual_tol,
     )

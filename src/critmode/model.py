@@ -192,16 +192,6 @@ def bilinear(sys: OscillatorSystem, psi, phi) -> complex:
     return complex(1j * (px @ (sys.Gamma @ fx) + px @ fp + pp @ fx))
 
 
-def metric_conjugate(sys: OscillatorSystem, phi) -> np.ndarray:
-    """conj(g phi): the covector realizing <result | chi> = (phi, chi)."""
-    phi = np.asarray(phi, dtype=complex).ravel()
-    if phi.size != sys.dim:
-        raise ArgumentError(
-            f"phase vector must have length {sys.dim}, got {phi.size}"
-        )
-    return np.conj(metric(sys) @ phi)
-
-
 def system_to_json(sys: OscillatorSystem) -> dict:
     """JSON-ready dict: {"N": ..., "K": [[...]], "Gamma": [[...]], "label": ...}."""
     obj = {
@@ -219,13 +209,19 @@ def system_from_json(obj: dict) -> OscillatorSystem:
     try:
         k = np.asarray(obj["K"], dtype=float)
         gamma = np.asarray(obj["Gamma"], dtype=float)
-        declared = int(obj["N"]) if "N" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"invalid system JSON: {exc}") from exc
+    declared = obj.get("N")
+    # a JSON integer only: int() would truncate 2.5 and parse "2", and
+    # true is an int to Python
+    if "N" in obj and type(declared) is not int:
+        raise ArgumentError(
+            f"invalid system JSON: N must be an integer, got {declared!r}"
+        )
     sys = build_system(k, gamma, label=obj.get("label"))
     if declared is not None and declared != sys.N:
         raise ArgumentError(
-            f"declared N={obj['N']} does not match matrix size {sys.N}"
+            f"declared N={declared} does not match matrix size {sys.N}"
         )
     return sys
 

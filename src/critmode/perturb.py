@@ -30,10 +30,6 @@ real, so the mirror pairs omega, -conj(omega) are exact.
 The determinant route offers an independent check: expanding
 det(H(eps) - omega) in eps, the linear coefficient normalized by the
 spectator factor prod_(l != j) (omega_j - omega_l)^(M_l) equals -xi.
-
-Higher orders shift the xi term into the unperturbed operator; the residual
-matrix elements, transformed to the split basis, give corrections of order
-lambda^2 per eigenvalue.
 """
 
 from __future__ import annotations
@@ -45,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jordan import JordanBlock, Spectrum, _basis_matrices, _spectrum_for
+from .jordan import JordanBlock, Spectrum, _spectrum_for
 from .linalg import ArgumentError, NumericalError, Tolerances, as_grid
-from .model import OscillatorSystem, bilinear, evolution_operator, symmetric_matrix
+from .model import OscillatorSystem, evolution_operator, symmetric_matrix
 
 GENERICITY_FACTOR = 1e-8
 MAX_ASSIGNMENT_SIZE = 8
@@ -130,12 +126,6 @@ def _genericity_threshold(block: JordanBlock, dk: np.ndarray) -> float:
 def xi_generic(block: JordanBlock, delta_k) -> complex:
     """xi from the coordinate parts of the eigenvector."""
     return _xi(block, _checked_dk(block, delta_k))
-
-
-def xi_bilinear(sys: OscillatorSystem, block: JordanBlock, delta_k) -> complex:
-    """xi via the phase-space bilinear form (f_0, DH f_0); cross-check route."""
-    dh = delta_h(_checked_dk(block, delta_k))
-    return bilinear(sys, block.chain[0], dh @ block.chain[0])
 
 
 def xi_prime(block: JordanBlock, delta_k) -> complex:
@@ -508,40 +498,3 @@ def loglog_slope(x, y):
     slope = float(dx @ dy) / float(dx @ dx)
     residual = dy - slope * dx
     return slope, math.sqrt(float(residual @ residual) / residual.size)
-
-
-# ---------------------------------------------------------------------------
-# higher order
-# ---------------------------------------------------------------------------
-
-def deltaH_prime_matrix(block: JordanBlock, delta_k, lam: complex) -> np.ndarray:
-    """Matrix of the residual perturbation in the split basis.
-
-    The element coupling the dual top to the eigenvector (which carries xi)
-    is moved into the unperturbed part, so the returned matrix has no
-    lambda^(1-M) piece and its diagonal gives the O(lambda^2) eigenvalue
-    corrections when multiplied by epsilon.  ArgumentError for a DK that is
-    not N x N, finite and symmetric.
-    """
-    return _deltaH_prime(block, _checked_dk(block, delta_k), lam)
-
-
-def _deltaH_prime(block: JordanBlock, dk: np.ndarray, lam: complex) -> np.ndarray:
-    if lam == 0:
-        raise ArgumentError("lambda must be nonzero")
-    m = block.size
-    f_mat, d_mat = _basis_matrices([block])
-    d = d_mat.conj().T @ delta_h(dk) @ f_mat
-    d[m - 1, 0] = 0.0  # the xi element, absorbed into H0'
-    # split basis V[n, k] = (lambda zeta_k)^n; the zeta_k are the m-th roots
-    # of unity, so V^{-1} = (1/V^T)/m elementwise
-    v = (lam * np.exp(2j * np.pi * np.arange(m) / m)) ** np.arange(m)[:, None]
-    return (1.0 / v.T) @ d @ v / m
-
-
-def second_order_eigenvalues(block: JordanBlock, delta_k, eps: float) -> np.ndarray:
-    """First-order split eigenvalues plus the diagonal lambda^2 correction."""
-    dk = _checked_dk(block, delta_k)
-    pred = _predict_splitting(block, dk, eps, _genericity_threshold(block, dk))
-    dhp = _deltaH_prime(block, dk, pred.lam)
-    return pred.eigenvalues + eps * np.diag(dhp)

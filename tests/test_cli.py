@@ -104,17 +104,26 @@ def test_exit_code_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("case", ["N-not-a-number", "system-not-utf8",
+_NOT_AN_INTEGER = {"N-not-a-number": ('"two"', "'two'"),
+                   "N-fraction": ("2.5", "2.5"),
+                   "N-numeric-string": ('"2"', "'2'"),
+                   "N-boolean": ("true", "True")}
+
+
+@pytest.mark.parametrize("case", [*_NOT_AN_INTEGER, "system-not-utf8",
                                   "dk-not-utf8"])
 def test_exit_code_unreadable_input_file(case, tmp_path, capsys):
-    # a declared N that is no integer, and a system or --dk file that is
-    # not UTF-8, are refused with exit 2 and one line, not a traceback
+    # a declared N that is no JSON integer (int() used to truncate 2.5 and
+    # parse "2"), and a system or --dk file that is not UTF-8, are refused
+    # with exit 2 and one line, not a traceback
     path = tmp_path / "input.json"
-    if case == "N-not-a-number":
-        path.write_text('{"N": "two", "K": [[1]], "Gamma": [[2]]}')
+    if case in _NOT_AN_INTEGER:
+        text, shown = _NOT_AN_INTEGER[case]
+        path.write_text(f'{{"N": {text}, "K": [[1, 0], [0, 1]], '
+                        '"Gamma": [[2, 0], [0, 2]]}')
         argv, want = (["analyze", "--system", str(path)],
-                      "error: invalid system JSON: invalid literal for int() "
-                      "with base 10: 'two'\n")
+                      f"error: invalid system JSON: N must be an integer, "
+                      f"got {shown}\n")
     else:
         path.write_bytes(b"\xff\xfe")
         what = "system" if case == "system-not-utf8" else "perturbation"

@@ -179,6 +179,28 @@ def test_scale_rejects_nonpositive():
         scale_system(sys, -1.0)
 
 
+@pytest.mark.filterwarnings("ignore:cosh")
+@pytest.mark.parametrize("value", [710.0, 1e3, 1e200, math.inf, -math.inf,
+                                   math.nan])
+@pytest.mark.parametrize("make", [
+    lambda v: quartic_critical(v, Y_REF),
+    lambda v: quartic_critical(X_REF, v),
+    lambda v: cubic_critical(v, 6.0),
+    lambda v: cubic_critical(4.0, v),
+    double2_critical,
+    lambda v: scale_system(catalog_system("quartic-jb4"), v),
+], ids=["quartic-x", "quartic-y", "cubic-b", "cubic-gamma11", "double2",
+        "scale"])
+def test_design_extreme_parameters_refused_as_arguments(make, value):
+    # a parameter far out of range gives a system or an ArgumentError, never
+    # a builtin exception (quartic at |x| >= 710 used to raise OverflowError)
+    try:
+        sys = make(value)
+    except ArgumentError:
+        return
+    assert np.all(np.isfinite(sys.K)) and np.all(np.isfinite(sys.Gamma))
+
+
 def test_scaled_chains_related_by_phase_space_scaling(catalog_spectra):
     # under (x, p) -> (x, a p) the block subspace maps onto the scaled one;
     # compare spectral projectors after the induced transformation

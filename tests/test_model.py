@@ -16,7 +16,6 @@ from critmode.model import (
     evolution_operator,
     load_system,
     metric,
-    metric_conjugate,
     metric_norm,
     save_system,
     system_from_json,
@@ -193,25 +192,6 @@ def test_metric_norm_matches_the_svd():
     for sys in systems:
         want = np.linalg.norm(metric(sys), 2)
         assert abs(metric_norm(sys) - want) <= 1e-14 * want
-
-
-def test_metric_conjugate_quartic_dual():
-    sys = build_system([[5.0, -2.0], [-2.0, 1.0]], [[4.0, 0.0], [0.0, 0.0]])
-    s2 = np.sqrt(2.0)
-    f3 = s2 / 16 * np.array([-1.0, 1.0, -1.0, -3.0])
-    dual0 = s2 / 16 * 1j * np.array([5.0, 3.0, 1.0, -1.0])
-    assert np.allclose(metric_conjugate(sys, f3), dual0, atol=1e-14)
-
-
-def test_metric_conjugate_zero():
-    sys = build_system(np.eye(2), np.zeros((2, 2)))
-    assert np.allclose(metric_conjugate(sys, np.zeros(4)), 0.0)
-
-
-def test_metric_conjugate_dimension_check():
-    sys = build_system(np.eye(2), np.zeros((2, 2)))
-    with pytest.raises(ArgumentError):
-        metric_conjugate(sys, np.zeros(3))
 
 
 def test_scaling_covariance():

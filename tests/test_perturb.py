@@ -17,7 +17,7 @@ from critmode.design import catalog_entry
 from critmode.dynamics import cluster_cancellation_experiment
 from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
-from critmode.model import build_system, evolution_operator, save_system
+from critmode.model import bilinear, build_system, evolution_operator, save_system
 from critmode.perturb import (
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
@@ -25,16 +25,14 @@ from critmode.perturb import (
     assign_predictions,
     cluster_shifts,
     critical_block,
-    deltaH_prime_matrix,
+    delta_h,
     exact_perturbed_spectrum,
     is_generic,
     j1_coefficient,
     loglog_slope,
     predict_splitting,
     predict_splitting_nongeneric,
-    second_order_eigenvalues,
     spectral_gap,
-    xi_bilinear,
     xi_generic,
     xi_prime,
 )
@@ -80,7 +78,9 @@ def test_xi_bilinear_equals_coordinate_form(catalog_spectra):
             a = rng.standard_normal((n, n))
             dk = a + a.T
             want = xi_generic(block, dk)
-            got = xi_bilinear(spec.system, block, dk)
+            # xi as the phase-space element (f_0, DH f_0)
+            f0 = block.chain[0]
+            got = bilinear(spec.system, f0, delta_h(dk) @ f0)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
 
 
@@ -135,8 +135,6 @@ def test_sign_flip_bisection(catalog_spectra):
 
 
 def test_split_vector_norms_analytic(catalog_spectra):
-    from critmode.model import bilinear
-
     for name in ("quartic-jb4", "cubic-jb3", "double-jb2"):
         spec = catalog_spectra[name]
         block = spec.largest_block()
@@ -150,8 +148,6 @@ def test_split_vector_norms_analytic(catalog_spectra):
 def test_split_vector_norms_match_numerics(catalog_spectra):
     # bilinear norms of the numerically computed perturbed eigenvectors agree
     # with M (lambda zeta)^(M-1) to relative O(lambda) after phase alignment
-    from critmode.model import bilinear
-
     spec = catalog_spectra["quartic-jb4"]
     sys = spec.system
     block = spec.largest_block()
@@ -450,13 +446,14 @@ def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
         lambda sys, block, dk: is_generic(block, dk),
         lambda sys, block, dk: predict_splitting(block, dk, 1e-6),
         lambda sys, block, dk: predict_splitting_nongeneric(block, dk, 1e-6),
-        lambda sys, block, dk: xi_bilinear(sys, block, dk),
-        lambda sys, block, dk: deltaH_prime_matrix(block, dk, 1e-3),
-        lambda sys, block, dk: second_order_eigenvalues(block, dk, 1e-6),
+        lambda sys, block, dk: j1_coefficient(sys, dk),
+        lambda sys, block, dk: exact_perturbed_spectrum(sys, dk, 1e-6),
+        lambda sys, block, dk: cluster_cancellation_experiment(
+            sys, dk, 1e-6, block.chain[0], [0.0, 1.0]),
     ],
     ids=["xi_generic", "xi_prime", "is_generic", "predict_splitting",
-         "predict_splitting_nongeneric", "xi_bilinear", "deltaH_prime_matrix",
-         "second_order_eigenvalues"],
+         "predict_splitting_nongeneric", "j1_coefficient",
+         "exact_perturbed_spectrum", "cluster_cancellation_experiment"],
 )
 @pytest.mark.parametrize(
     "dk", [np.eye(2), [[np.nan]], [[np.inf]]], ids=["2x2", "nan", "inf"],
@@ -865,79 +862,6 @@ def test_first_order_accuracy_slope(catalog_spectra):
         lams.append(abs(pred.lam))
     slope, _ = loglog_slope(lams, errs)
     assert slope >= 1.9
-
-
-# --- higher order -------------------------------------------------------------------
-
-def test_deltaH_prime_removed_element(catalog_spectra):
-    from critmode.perturb import delta_h
-
-    spec = catalog_spectra["quartic-jb4"]
-    block = spec.largest_block()
-    dh = delta_h(E11)
-    d = np.array(
-        [
-            [np.vdot(block.duals[n], dh @ block.chain[k]) for k in range(4)]
-            for n in range(4)
-        ]
-    )
-    # the (dual top | eigenvector) element is xi itself
-    assert abs(d[3, 0] - xi_generic(block, E11)) <= 1e-12
-    # a rank-one direction built to carry only that element keeps the split
-    # basis exactly diagonal at this order
-    lam = 0.1 + 0.05j
-    mat = deltaH_prime_matrix(block, E11, lam)
-    assert np.all(np.isfinite(mat))
-    # reference: the double sum over chain orders without the xi element
-    d[3, 0] = 0.0
-    split = lam * np.exp(2j * np.pi * np.arange(4) / 4)
-    want = np.array(
-        [
-            [
-                sum(
-                    split[k] ** (-n) * d[n, npp] * split[kp] ** npp
-                    for n in range(4)
-                    for npp in range(4)
-                ) / 4
-                for kp in range(4)
-            ]
-            for k in range(4)
-        ]
-    )
-    assert np.max(np.abs(mat - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_second_order_improves_on_first(catalog_spectra):
-    spec = catalog_spectra["quartic-jb4"]
-    block = spec.largest_block()
-    eps = 1e-4
-    first = predict_splitting(block, E11, eps).eigenvalues
-    second = second_order_eigenvalues(block, E11, eps)
-    evals = exact_perturbed_spectrum(spec.system, E11, eps)
-    shifts = cluster_shifts(evals, block.omega, 4)
-    numerical = block.omega + shifts
-    e1 = np.abs(numerical - first[assign_predictions(numerical, first)])
-    e2 = np.abs(numerical - second[assign_predictions(numerical, second)])
-    assert np.max(e2) < 0.1 * np.max(e1)
-
-
-def test_second_order_correction_scales_quadratically(catalog_spectra):
-    spec = catalog_spectra["quartic-jb4"]
-    block = spec.largest_block()
-    lams, mags = [], []
-    for eps in np.logspace(-6, -3, 7):
-        pred = predict_splitting(block, E11, eps)
-        dhp = deltaH_prime_matrix(block, E11, pred.lam)
-        mags.append(float(np.max(np.abs(eps * np.diag(dhp)))))
-        lams.append(abs(pred.lam))
-    slope, _ = loglog_slope(lams, mags)
-    assert slope == pytest.approx(2.0, abs=0.1)
-
-
-def test_deltaH_prime_rejects_zero_lambda(catalog_spectra):
-    block = catalog_spectra["quartic-jb4"].largest_block()
-    with pytest.raises(ArgumentError):
-        deltaH_prime_matrix(block, E11, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
