@@ -2,8 +2,10 @@
 """Small-denominator sweep on the fourth- and third-order reference blocks.
 
 Per-mode expansion weights blow up like |lambda|**(1-M) as the perturbation
-shrinks, while the summed cluster evolution stays next to the critical
-Jordan-basis evolution.  Prints the fitted slopes and writes the CSVs.
+shrinks, while the summed cluster evolution differs from the critical
+Jordan-basis evolution only by the truncation of the leading-order modes,
+which goes as |lambda|**M: the diff slope reads M.  Prints the fitted
+slopes and writes the CSVs.
 """
 
 import argparse

@@ -57,12 +57,12 @@ from .model import (
     symmetric_matrix,
 )
 from .perturb import (
+    NonGenericPerturbationError,
     _predictor,
     assign_predictions,
     cluster_shifts,
     critical_block,
     exact_perturbed_spectrum,
-    is_generic,
     loglog_slope,
     spectral_gap,
     xi_generic,
@@ -411,8 +411,8 @@ def figure_summary(generic, fit_grid, shifts, predicted, static_grid, statics):
     """Exponent fits, equiangularity, and first-order accuracy diagnostics.
 
     shifts (E, M) and predicted (E, M or M - 1) are the _track arrays over
-    fit_grid.  ``generic`` says whether xi is nonzero (``is_generic``): if
-    not, the M-1 moving modes are fitted, and the static one separately
+    fit_grid.  ``generic`` is the predictors' decision that xi is nonzero:
+    if not, the M-1 moving modes are fitted, and the static one separately
     from statics, the (S, M) shifts over static_grid (empty when generic).
     """
     movings = shifts if generic else np.take_along_axis(
@@ -544,15 +544,16 @@ def cmd_cancellation(args) -> int:
         print("cancellation: diagonalizable system, per-mode weights O(1)")
         return EXIT_OK
     block = critical_block(spectrum, "cancellation")
-    if not is_generic(block, delta_k):
+    try:
+        rep = cluster_cancellation_experiment(
+            system, delta_k, eps_values, phi, t_grid, tol, spectrum
+        )
+    except NonGenericPerturbationError as exc:
         xi = complex(xi_generic(block, delta_k))
         raise ArgumentError(
             f"cancellation needs a generic --dk: xi = {xi:.3e} vanishes at "
             f"this scale, so the block does not split as eps^(1/M)"
-        )
-    rep = cluster_cancellation_experiment(
-        system, delta_k, eps_values, phi, t_grid, tol, spectrum
-    )
+        ) from exc
     m = rep.size
     # np.hypot rounds as abs() of one complex does (np.abs over an array
     # may not); one row per (eps, mode)

@@ -108,6 +108,14 @@ def _check(residuals: np.ndarray, sys: OscillatorSystem) -> None:
         )
 
 
+def _quiet_system(k, gamma, label, a=1.0) -> OscillatorSystem:
+    """build_system(a^2 k, a gamma) with every warning silenced, the
+    scaling's too: a design's Gamma may sit on the semidefinite edge."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_system(a * a * k, a * gamma, label=label)
+
+
 def quartic_critical(x: float, y: float) -> OscillatorSystem:
     """System with one fourth-order block at -i, parameterized by (x, y).
 
@@ -179,10 +187,8 @@ def quartic_critical(x: float, y: float) -> OscillatorSystem:
             break
         u, v, w = u + delta[0], v + delta[1], w + delta[2]
     gamma = np.array([[u, w], [w, v]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sys = build_system(np.array([[a, b], [b, c]]), 2.0 * gamma,
-                           label=f"quartic(x={x:g},y={y:g})")
+    sys = _quiet_system(np.array([[a, b], [b, c]]), 2.0 * gamma,
+                        f"quartic(x={x:g},y={y:g})")
     _check(quartic_constraint_residuals(sys), sys)
     return sys
 
@@ -211,13 +217,9 @@ def cubic_critical(b: float, gamma11: float) -> OscillatorSystem:
     if d < -1e-12 * max(1.0, abs(k11 * k22)):
         raise DesignError(f"k12^2 = {d:.3e} < 0 for b={b:g}, gamma11={gamma11:g}")
     k12 = math.sqrt(max(d, 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sys = build_system(
-            np.array([[k11, k12], [k12, k22]]),
-            np.array([[2.0 * g11, 0.0], [0.0, 2.0 * g22]]),
-            label=f"cubic(b={b:g},gamma11={gamma11:g})",
-        )
+    sys = _quiet_system(np.array([[k11, k12], [k12, k22]]),
+                        np.array([[2.0 * g11, 0.0], [0.0, 2.0 * g22]]),
+                        f"cubic(b={b:g},gamma11={gamma11:g})")
     _check(cubic_constraint_residuals(sys, b), sys)
     return sys
 
@@ -232,13 +234,9 @@ def double2_critical(b: float) -> OscillatorSystem:
         raise ArgumentError("b must be positive")
     c = 1.0 + b * b
     k12 = -2.0 * math.sqrt(c)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sys = build_system(
-            np.array([[5.0 + b * b, k12], [k12, c]]),
-            np.array([[4.0, 0.0], [0.0, 0.0]]),
-            label=f"double2(b={b:g})",
-        )
+    sys = _quiet_system(np.array([[5.0 + b * b, k12], [k12, c]]),
+                        np.array([[4.0, 0.0], [0.0, 0.0]]),
+                        f"double2(b={b:g})")
     _check(double2_constraint_residuals(sys, b), sys)
     return sys
 
@@ -248,9 +246,7 @@ def scale_system(sys: OscillatorSystem, a: float) -> OscillatorSystem:
     if not a > 0.0:
         raise ArgumentError("scale factor must be positive")
     label = f"{sys.label}*{a:g}" if sys.label else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_system(a * a * sys.K, a * sys.Gamma, label=label)
+    return _quiet_system(sys.K, sys.Gamma, label, a)
 
 
 # ---------------------------------------------------------------------------

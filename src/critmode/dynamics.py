@@ -48,8 +48,8 @@ zero); check_sum_rules evaluates them as products of U, J and P.
 
 The cancellation experiment probes time evolution near criticality: the
 per-mode weights of the naive modal sum diverge as the splitting scale lambda
-shrinks (like lambda**(1-M)), yet the summed evolution stays within O(lambda)
-of the critical Jordan-basis evolution.
+shrinks (like lambda**(1-M)), yet the summed evolution differs from the
+critical Jordan evolution only by the leading-order truncation, ~|lambda|**M.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ from .jordan import (
     _matrix_form,
     _spectrum_for,
 )
-from .linalg import ArgumentError, NumericalError, Tolerances, as_grid
+from .linalg import (ArgumentError, NumericalError, Tolerances, as_grid,
+                     as_numbers)
 from .model import OscillatorSystem, symmetric_matrix
 from .perturb import (
-    _exact_perturbed_spectrum,
-    _genericity_threshold,
-    _predict_splitting,
     cluster_shifts,
     critical_block,
+    exact_perturbed_spectrum,
+    predict_splitting,
 )
 
 _EPS = np.finfo(float).eps
@@ -252,8 +252,8 @@ def _check_finite(rows: np.ndarray, x, what: str,
 
 def _state(phi, dim: int) -> tuple[np.ndarray, float]:
     """(phi as a complex vector, its mass sum |phi_i|, inf where that
-    overflows); ArgumentError unless phi has dim finite entries."""
-    phi = np.asarray(phi, dtype=complex).ravel()
+    overflows); ArgumentError unless phi has dim finite numbers."""
+    phi = as_numbers(phi, "state", complex).ravel()
     if phi.size != dim:
         raise ArgumentError(f"state must have length {dim}, got {phi.size}")
     # Python over the 2N entries costs a third of np.isfinite(phi).all(),
@@ -511,20 +511,20 @@ def cluster_cancellation_experiment(
     then carries per-mode weights that blow up like |lambda|**(1-M), while
     its difference from the critical Jordan evolution of the block stays
     small: the negative powers of lambda cancel mode by mode, the resonant
-    part reproduces the Jordan evolution exactly, and the remainder is
-    higher order in lambda.
+    part reproduces the Jordan evolution exactly, and diffs measures the
+    truncation of the leading-order modes, which goes as |lambda|**M.
 
     eps is a scalar or a 1-D grid (see CancellationReport), taken in one
-    exact eigensolve, one prediction and one Jordan evolution.
+    prediction, one exact eigensolve and one Jordan evolution.
 
-    The perturbed system must actually be diagonalizable near the block:
-    the exact eigensolve guards that precondition, raising
-    NonDiagonalizableError for the first eps whose M cluster eigenvalues
-    are not resolvably apart.  The state phi, eps, the times and DK (N x N,
-    finite, symmetric) are checked (ArgumentError) before any eigensolve,
-    DK once for both the exact spectrum and the prediction.  spectrum, when
-    given, must be the spectrum of sys (ArgumentError otherwise).  The
-    block is critical_block's, with its ArgumentError.
+    predict_splitting decides genericity once, before any perturbed
+    eigensolve (NonGenericPerturbationError when xi vanishes); the exact
+    eigensolve then raises NonDiagonalizableError for the first eps whose
+    M cluster eigenvalues are not resolvably apart.  phi, eps, the times
+    and DK (N x N, finite, symmetric) are checked (ArgumentError) before
+    any eigensolve, DK again by each public stage.  spectrum, when given,
+    must be the spectrum of sys (ArgumentError otherwise).  The block is
+    critical_block's, with its ArgumentError.
     """
     t_grid, _, peak = as_grid(t_grid, "t_grid", float)
     if t_grid.size == 0:
@@ -536,8 +536,8 @@ def cluster_cancellation_experiment(
     spectrum = _spectrum_for(sys, spectrum, tol)
     block = critical_block(spectrum, "cluster_cancellation_experiment")
     m = block.size
-
-    evals = _exact_perturbed_spectrum(sys, dk, eps)
+    pred = predict_splitting(block, dk, eps)  # the one genericity decision
+    evals = exact_perturbed_spectrum(sys, dk, eps)
     shifts = cluster_shifts(evals, block.omega, m)
     floors = 10.0 * _EPS ** (1.0 / m) * (1.0 + np.max(np.abs(evals), axis=-1))
     seps = np.min(np.abs(shifts[..., :, None] - shifts[..., None, :])
@@ -548,7 +548,6 @@ def cluster_cancellation_experiment(
             f"cluster eigenvalues are separated by {np.ravel(seps)[fault[0]]:.3e}"
             f", below the resolvable floor {np.ravel(floors)[fault[0]]:.3e}")
 
-    pred = _predict_splitting(block, dk, eps, _genericity_threshold(block, dk))
     weights = pred.split_vectors @ spectrum.g @ phi / pred.norms
     naive = (
         np.exp(-1j * (t_grid[:, None] * pred.eigenvalues[..., None, :]))

@@ -87,14 +87,28 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
+def as_numbers(values, name: str, dtype) -> np.ndarray:
+    """values as an array of dtype, float or complex; ArgumentError naming
+    them unless they are numbers, real for float (numpy would raise TypeError
+    or ValueError, or drop imaginary parts).  Objects convert as in numpy."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in ("biufcO" if dtype is complex else "biufO"):
+            return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError) as exc:  # ragged, or objects not numbers
+        raise ArgumentError(f"{name} is not numeric: {exc}") from exc
+    what = "numbers" if dtype is complex else "real numbers"
+    raise ArgumentError(f"{name} must hold {what}, got {arr.dtype} values")
+
+
 def as_grid(values, name: str, dtype) -> tuple:
     """(values as a 1-D grid, whether a scalar was given, peak), peak the
     largest magnitude of a real or an imaginary part (for real values the
     largest |value|).
 
-    Raises ArgumentError unless every value is finite.  Finiteness is
-    judged by the parts, so a finite complex value whose modulus overflows
-    is accepted.
+    Raises ArgumentError unless every value is finite and, by as_numbers,
+    a number (a real one for float).  Finiteness is judged by the parts, so
+    a finite complex value whose modulus overflows is accepted.
     """
     # a real Python scalar (np.float64 is one) gives the array route's
     # grid, flag and peak without building and reading back a 0-d array
@@ -102,7 +116,7 @@ def as_grid(values, name: str, dtype) -> tuple:
         if not math.isfinite(values):
             raise ArgumentError(f"{name} must be finite, got {values!r}")
         return np.array((values,), dtype=dtype), True, abs(float(values))
-    arr = np.asarray(values, dtype=dtype)
+    arr = as_numbers(values, name, dtype)
     if arr.ndim > 1:
         raise ArgumentError(f"{name} must be a scalar or a 1-D grid")
     grid = arr.reshape(-1)

@@ -18,10 +18,10 @@ M (lambda zeta_k)^(M-1).
 When xi vanishes (non-generic direction) one eigenvalue stays put at leading
 order while the other M-1 split like a generic block of size M-1 with
 Delta_omega^(M-1) = 2 eps xi', where xi' = f_{j,1}^x . DK . f_{j,0}^x.
-Which case applies depends on xi, not on eps; is_generic states the test.
-The predictors take a scalar eps or a 1-D grid and make that test once per
-call, so a whole sweep is predicted after one genericity decision, into one
-prediction whose fields stack a row per eps.
+Which case applies depends on xi, not on eps, and the predictors decide it
+(xi counts as 0 up to GENERICITY_FACTOR |DK|_2 |f_0|^2) once per call, for
+a scalar eps or a 1-D grid, so a whole sweep is predicted after one
+genericity decision, into one prediction whose fields stack a row per eps.
 
 The numerical truth is the real LAPACK spectrum of a = -i H(K + eps DK), with
 omega = i lambda, for a scalar eps or a whole grid in one stacked call; a is
@@ -133,16 +133,10 @@ def xi_prime(block: JordanBlock, delta_k) -> complex:
     return _xi_prime(block, _checked_dk(block, delta_k))
 
 
-def is_generic(block: JordanBlock, delta_k) -> bool:
-    """|xi| > GENERICITY_FACTOR |DK|_2 |f_0|^2: the predict_splitting case."""
-    dk = _checked_dk(block, delta_k)
-    return abs(_xi(block, dk)) > _genericity_threshold(block, dk)
-
-
 def _predictor(block: JordanBlock, dk: np.ndarray):
-    """(generic, predict): is_generic's decision for the checked DK, and the
-    predictor core of its case as predict(block, dk, eps), which takes the
-    threshold of that decision instead of working out |DK|_2 again."""
+    """(generic, predict): the predictors' decision for the checked DK, and
+    the predictor core of its case as predict(block, dk, eps), which takes
+    the threshold of that decision instead of working out |DK|_2 again."""
     threshold = _genericity_threshold(block, dk)
     generic = abs(_xi(block, dk)) > threshold
     core = _predict_splitting if generic else _predict_nongeneric
@@ -174,9 +168,9 @@ def predict_splitting(block: JordanBlock, delta_k, eps) -> SplitPrediction:
 
     eps is a scalar or a 1-D grid (one SplitPrediction whose fields stack
     one row per eps, each equal to the scalar call bit for bit).  The
-    direction is checked once per call: NonGenericPerturbationError when it
-    is not generic (see is_generic); callers should then use
-    predict_splitting_nongeneric.  ArgumentError for an eps that is not
+    direction is checked once per call: NonGenericPerturbationError when
+    |xi| is at most GENERICITY_FACTOR |DK|_2 |f_0|^2; callers should then
+    use predict_splitting_nongeneric.  ArgumentError for an eps that is not
     finite or not at most 1-D, and for a DK that is not N x N, finite and
     symmetric.
     """
@@ -390,16 +384,11 @@ def exact_perturbed_spectrum(sys: OscillatorSystem, delta_k, eps) -> np.ndarray:
     the mirror pairs omega, -conj(omega) come out exactly.  eps is a scalar
     (2N eigenvalues) or a 1-D grid ((E, 2N), one stacked LAPACK call).
     ArgumentError for a DK that is not N x N, finite and symmetric, or an
-    eps that is not finite.
+    eps that is not finite.  The real stack a(eps) is assembled from K,
+    Gamma and DK directly, with no complex H or DH; its eigenvalues equal,
+    bit for bit, those of (-i H).real + eps (-i DH).real.
     """
-    return _exact_perturbed_spectrum(
-        sys, symmetric_matrix("DK", delta_k, sys.N), eps)
-
-
-def _exact_perturbed_spectrum(sys: OscillatorSystem, dk: np.ndarray, eps):
-    """exact_perturbed_spectrum for a checked DK.  The real stack a(eps) is
-    assembled from K, Gamma and DK directly, with no complex H or DH; its
-    eigenvalues equal, bit for bit, those of (-i H).real + eps (-i DH).real."""
+    dk = symmetric_matrix("DK", delta_k, sys.N)
     grid, scalar, _ = as_grid(eps, "eps", float)
     n = sys.N
     a = np.zeros((grid.size, 2 * n, 2 * n))

@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from critmode.cli import main as cli_main
 from critmode.dynamics import (
@@ -18,15 +17,10 @@ from critmode.dynamics import (
     greens_freq,
     rk4_evolve,
 )
-from critmode.design import (
-    catalog_entry,
-    cubic_critical,
-    double2_critical,
-    quartic_critical,
-)
+from critmode.design import cubic_critical, double2_critical, quartic_critical
 from critmode.jordan import compute_spectrum, verify_representations, verify_spectrum
 from critmode.linalg import char_poly, poly_from_roots
-from critmode.model import bilinear, build_system, evolution_operator
+from critmode.model import bilinear, evolution_operator
 from critmode.perturb import loglog_slope, xi_generic, xi_prime
 
 from conftest import well_separated_system

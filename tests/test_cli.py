@@ -664,9 +664,9 @@ def test_cancellation_fits_diff_slope_above_the_rounding_floor(tmp_path, capsys)
     assert "diff slope null" in capsys.readouterr().out
 
 def test_cancellation_makes_one_call_of_each_stage(tmp_path, monkeypatch):
-    # the whole eps grid in one eigensolve, one prediction, one matrix form
-    # and one Jordan evolution; |DK|_2 once for the CLI's genericity check
-    # and once in the experiment
+    # the whole eps grid in one prediction, one eigensolve, one matrix form
+    # and one Jordan evolution; |DK|_2 once, for the prediction's genericity
+    # decision
     from critmode import dynamics, perturb
 
     calls = {}
@@ -680,21 +680,20 @@ def test_cancellation_makes_one_call_of_each_stage(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(dynamics, "_exact_perturbed_spectrum",
+    counted(dynamics, "exact_perturbed_spectrum",
             lambda sys, dk, eps: np.shape(eps))
-    counted(dynamics, "_predict_splitting")
+    counted(dynamics, "predict_splitting")
     counted(dynamics, "_matrix_form")
     counted(dynamics, "_evolve")
-    counted(dynamics, "_genericity_threshold")
     counted(perturb, "_genericity_threshold")
     code = run(["cancellation", "--system", "catalog:quartic-jb4",
                 "--out", str(tmp_path)])
     assert code == 0
-    assert calls["_exact_perturbed_spectrum"] == [(9,)]
-    assert len(calls["_predict_splitting"]) == 1
+    assert calls["exact_perturbed_spectrum"] == [(9,)]
+    assert len(calls["predict_splitting"]) == 1
     assert len(calls["_matrix_form"]) == 1
     assert len(calls["_evolve"]) == 1
-    assert len(calls["_genericity_threshold"]) <= 2
+    assert len(calls["_genericity_threshold"]) == 1
     rows = (tmp_path / "cancellation.csv").read_text().splitlines()
     assert len(rows) == 1 + 9 * 4  # header, then one row per (eps, mode)
 

@@ -24,7 +24,7 @@ from critmode.linalg import (
     numeric_rank_and_nullspace,
     poly_from_roots,
 )
-from critmode.model import build_system, evolution_operator, metric
+from critmode.model import evolution_operator, metric
 from critmode.perturb import xi_generic, xi_prime
 
 X_REF = math.asinh(-2.0)

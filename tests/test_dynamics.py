@@ -25,7 +25,8 @@ from critmode.design import catalog_system, scale_system
 from critmode.jordan import JordanBlock, _matrix_form, compute_spectrum
 from critmode.linalg import ArgumentError, Tolerances, as_grid
 from critmode.model import build_system, evolution_operator
-from critmode.perturb import loglog_slope
+from critmode.perturb import (NonGenericPerturbationError,
+                              exact_perturbed_spectrum, loglog_slope)
 
 from conftest import well_separated_system
 
@@ -364,10 +365,49 @@ def test_non_finite_state_is_refused_at_the_door(catalog_spectra, monkeypatch,
         raise AssertionError("eigensolve before the state was checked")
 
     monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
-    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ArgumentError, match="state has non-finite entries"):
         cluster_cancellation_experiment(spec.system, e11, 1e-6, phi, [0.0, 1.0])
+
+
+_E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+_PHI = np.ones(4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("t", lambda s: evolve_state(s, _PHI, np.array([0.5 + 2j]))),
+        ("t", lambda s: evolve_state(s, _PHI, 1j)),
+        ("t", lambda s: evolve_state(s, _PHI, "abc")),
+        ("t", lambda s: evolve_state(s, _PHI, [[0.0, 1.0], [2.0]])),
+        ("state", lambda s: evolve_state(s, ["a", "b", "c", "d"], 0.0)),
+        ("t", lambda s: greens_time(s, 1j)),
+        ("omega", lambda s: greens_freq(s, "abc")),
+        ("times", lambda s: rk4_evolve(s.system, _PHI, 1j)),
+        ("state", lambda s: rk4_evolve(s.system, ["a", "b", "c", "d"], 0.0)),
+        ("eps", lambda s: exact_perturbed_spectrum(
+            s.system, _E11, np.array([1e-4 + 1j]))),
+        ("eps", lambda s: exact_perturbed_spectrum(s.system, _E11, 1j)),
+        ("t_grid", lambda s: cluster_cancellation_experiment(
+            s.system, _E11, 1e-6, _PHI, 1j, spectrum=s)),
+        ("eps", lambda s: cluster_cancellation_experiment(
+            s.system, _E11, 1j, _PHI, [0.0, 1.0], spectrum=s)),
+    ],
+    ids=["t-complex-grid", "t-complex", "t-string", "t-ragged",
+         "state-strings", "greens-time-complex", "greens-freq-string",
+         "rk4-complex", "rk4-state-strings", "eps-complex-grid",
+         "eps-complex", "experiment-t-grid-complex", "experiment-eps-complex"],
+)
+def test_values_that_are_not_numbers_are_refused_by_name(catalog_spectra,
+                                                          name, call):
+    # a complex time or eps used to lose its imaginary part (with only a
+    # ComplexWarning) or raise a bare TypeError, and strings a bare
+    # ValueError
+    with pytest.raises(ArgumentError, match=f"^{name} "):
+        call(catalog_spectra["quartic-jb4"])
 
 
 def _tall_block_spectrum(size=24):
@@ -856,7 +896,7 @@ def test_cancellation_rejects_empty_eps_grid(catalog_entries, monkeypatch):
         raise AssertionError("eigensolve before eps was checked")
 
     monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
-    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     system = catalog_entries["quartic-jb4"].system
     with pytest.raises(ArgumentError, match="eps must hold"):
@@ -897,7 +937,7 @@ def test_cancellation_rejects_empty_time_grid(catalog_entries, monkeypatch):
         raise AssertionError("eigensolve before the time grid was checked")
 
     monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
-    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ArgumentError, match="t_grid"):
         cluster_cancellation_experiment(
@@ -911,18 +951,36 @@ def test_cancellation_rejects_empty_time_grid(catalog_entries, monkeypatch):
 )
 def test_cancellation_checks_delta_k_before_any_eigensolve(catalog_entries,
                                                            monkeypatch, dk):
-    # DK is checked once, at entry, for both the exact spectrum and the
-    # prediction; it used to be checked only after compute_spectrum
+    # DK is checked at entry, before any eigensolve, and again by each
+    # public stage; it used to be checked only after compute_spectrum
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve before DK was checked")
 
     monkeypatch.setattr(jordan, "compute_spectrum", no_eigensolve)
-    monkeypatch.setattr(dynamics, "_exact_perturbed_spectrum", no_eigensolve)
+    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
     with pytest.raises(ArgumentError, match="DK"):
         cluster_cancellation_experiment(
             catalog_entries["quartic-jb4"].system, dk, 1e-6, np.ones(4),
             [0.0, 1.0],
         )
+
+
+@pytest.mark.parametrize("eps", [np.logspace(-10, -6, 9), 1e-4],
+                         ids=["grid", "scalar"])
+def test_cancellation_refuses_a_nongeneric_direction_before_solving(
+        catalog_spectra, monkeypatch, eps):
+    # xi = 0 along mu:1,-1.5,2 on quartic-jb4: the prediction refuses the
+    # direction before any perturbed eigensolve.  On the grid the exact
+    # eigensolve used to come first and raise NonDiagonalizableError
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("perturbed eigensolve before genericity")
+
+    monkeypatch.setattr(dynamics, "exact_perturbed_spectrum", no_eigensolve)
+    spec = catalog_spectra["quartic-jb4"]
+    mu = np.array([[1.0, -1.5], [-1.5, 2.0]])
+    with pytest.raises(NonGenericPerturbationError):
+        cluster_cancellation_experiment(spec.system, mu, eps, np.ones(4),
+                                        [0.0, 1.0], spectrum=spec)
 
 
 def test_cancellation_rejects_the_spectrum_of_another_system(catalog_spectra):

@@ -22,7 +22,6 @@ from critmode.jordan import (
     block_sizes_at,
     biorthogonalize_crossing,
     build_chain,
-    chain_from_top,
     compute_spectrum,
     conjugate_chain,
     normalize_block,

@@ -19,6 +19,7 @@ from critmode.jordan import compute_spectrum
 from critmode.linalg import ArgumentError
 from critmode.model import bilinear, build_system, evolution_operator, save_system
 from critmode.perturb import (
+    GENERICITY_FACTOR,
     HigherOrderNonGenericError,
     MatchingAmbiguityError,
     NonGenericPerturbationError,
@@ -27,7 +28,6 @@ from critmode.perturb import (
     critical_block,
     delta_h,
     exact_perturbed_spectrum,
-    is_generic,
     j1_coefficient,
     loglog_slope,
     predict_splitting,
@@ -46,6 +46,16 @@ MU_CUBIC = np.array([[-2.0, 0.5], [0.5, 1.0]])
 
 # --- xi ------------------------------------------------------------------------
 
+def _generic(block, dk):
+    """The predictors' genericity decision: whether predict_splitting
+    predicts rather than raise NonGenericPerturbationError."""
+    try:
+        predict_splitting(block, dk, 1e-6)
+    except NonGenericPerturbationError:
+        return False
+    return True
+
+
 def test_xi_reference_values(catalog_spectra):
     cases = [
         ("quartic-jb4", E11, -2.0 + 0.0j),
@@ -57,8 +67,13 @@ def test_xi_reference_values(catalog_spectra):
     for name, dk, want in cases:
         spec = catalog_spectra[name]
         block = spec.largest_block()
-        assert abs(xi_generic(block, dk) - want) <= 1e-12, name
-        assert is_generic(block, dk) == (want != 0), name
+        xi = xi_generic(block, dk)
+        assert abs(xi - want) <= 1e-12, name
+        # predict_splitting raises iff |xi| is at most the threshold
+        threshold = (GENERICITY_FACTOR * np.linalg.norm(dk, 2)
+                     * np.linalg.norm(block.chain[0]) ** 2)
+        assert (abs(xi) > threshold) == (want != 0), name
+        assert _generic(block, dk) == (want != 0), name
 
 
 def test_xi_prime_reference_values(catalog_spectra):
@@ -228,7 +243,7 @@ def test_grid_predictions_equal_scalar_calls(catalog_spectra):
         n = spec.system.N
         for block in spec.blocks:
             for dk in (E11[:n, :n], MU_QUARTIC[:n, :n], MU_CUBIC[:n, :n]):
-                generic = is_generic(block, dk)
+                generic = _generic(block, dk)
                 predict = (predict_splitting if generic
                            else predict_splitting_nongeneric)
                 try:
@@ -323,13 +338,15 @@ def test_track_predicts_each_sweep_in_one_call(tmp_path, monkeypatch, figure):
     "argv",
     [["reproduce-figure", "--figure", "1"], ["reproduce-figure", "--figure", "2"],
      ["perturb", "--system", "catalog:quartic-jb4", "--dk", "e11"],
-     ["perturb", "--system", "catalog:quartic-jb4", "--dk", "mu:1,-1.5,2"]],
+     ["perturb", "--system", "catalog:quartic-jb4", "--dk", "mu:1,-1.5,2"],
+     ["cancellation", "--system", "catalog:quartic-jb4"]],
     ids=["figure-generic", "figure-nongeneric", "perturb-generic",
-         "perturb-nongeneric"],
+         "perturb-nongeneric", "cancellation"],
 )
 def test_run_takes_one_genericity_threshold(tmp_path, monkeypatch, argv):
-    # the genericity decision, with its |DK|_2, is made once per run and
-    # handed to the predictor
+    # the genericity decision, with its |DK|_2, is made once per run: handed
+    # to the predictor by perturb and reproduce-figure, and made by the
+    # predictor itself in a cancellation run
     from critmode import cli, perturb
 
     calls = []
@@ -416,7 +433,7 @@ def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
     spec = compute_spectrum(catalog_entry(fig["system"]).system)
     block = spec.largest_block()
     dk = cli._parse_delta_k(fig["dk"], spec.system.N)
-    generic = is_generic(block, dk)
+    generic = _generic(block, dk)
     predict = predict_splitting if generic else predict_splitting_nongeneric
     eps_values = cli._eps_grid(eps0, fig["power"], 9)
     fit_grid = np.sign(eps0) * np.logspace(*fig["fit_decades"], cli.FIT_POINTS)
@@ -443,7 +460,6 @@ def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
     [
         lambda sys, block, dk: xi_generic(block, dk),
         lambda sys, block, dk: xi_prime(block, dk),
-        lambda sys, block, dk: is_generic(block, dk),
         lambda sys, block, dk: predict_splitting(block, dk, 1e-6),
         lambda sys, block, dk: predict_splitting_nongeneric(block, dk, 1e-6),
         lambda sys, block, dk: j1_coefficient(sys, dk),
@@ -451,7 +467,7 @@ def test_figure_stages_over_the_grid_equal_per_eps_calls(figure, eps0):
         lambda sys, block, dk: cluster_cancellation_experiment(
             sys, dk, 1e-6, block.chain[0], [0.0, 1.0]),
     ],
-    ids=["xi_generic", "xi_prime", "is_generic", "predict_splitting",
+    ids=["xi_generic", "xi_prime", "predict_splitting",
          "predict_splitting_nongeneric", "j1_coefficient",
          "exact_perturbed_spectrum", "cluster_cancellation_experiment"],
 )
