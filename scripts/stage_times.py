@@ -35,7 +35,10 @@ greens_time and greens_freq on each spectrum, called once per point of a
 101-point grid (t in [0, 5], omega in [-4, 4]) with the point as a scalar,
 as a loop over the grid calls them, and once on the whole grid.  Each
 figure is microseconds per call, the mean over the input set of the best
-of 7 repeats; the default sizes are then N = 1..5.  Beside them,
+of 7 repeats; the default sizes are then N = 1..5.  ``point triple`` is
+one scalar call of each of the three at one point, timed as the three
+scalar loops run in turn: a propagation operation of perfbench's dynamics
+workload makes 101 of them (and one check_sum_rules).  Beside them,
 ``MatrixForm kB`` is the memory the kernels' layouts hold per spectrum
 (Spectrum.matrices, each array counted once whatever views it has), the
 mean over the set in kilobytes.
@@ -192,7 +195,8 @@ def form_bytes(form) -> int:
 def kernel_jobs(package, system, phi):
     """(label, callable, calls per run) for each kernel on the spectrum
     that package computes for system: the scalar calls over the grid's
-    points, then one call on the grid; and the bytes of its MatrixForm."""
+    points, then one call on the grid, and last the point triple; and the
+    bytes of its MatrixForm."""
     spectrum = package.compute_spectrum(
         package.build_system(system.K, system.Gamma))
     kernels = (
@@ -203,12 +207,18 @@ def kernel_jobs(package, system, phi):
         ("greens_freq", lambda x: package.greens_freq(spectrum, x),
          KERNEL_FREQS),
     )
-    jobs = []
+    jobs, loops = [], []
     for name, kernel, grid in kernels:
         points = list(grid)  # numpy scalars, as iterating the grid gives
+        loops.append((kernel, points))
         jobs.append((f"{name} scalar",
                      lambda k=kernel, p=points: [k(x) for x in p], len(points)))
         jobs.append((f"{name} grid", lambda k=kernel, g=grid: k(g), 1))
+    # the three scalar loops in turn, as one propagation operation of the
+    # perfbench dynamics workload runs them, per point
+    jobs.append(("point triple",
+                 lambda: [[k(x) for x in p] for k, p in loops],
+                 len(KERNEL_TIMES)))
     return jobs, form_bytes(spectrum.matrices)
 
 

@@ -36,10 +36,14 @@ r_k = 1 / (omega - omega_k), as an (L dim) row for a point or a (T, L dim)
 table for a column.  A Green's function is then one coefficient row times
 the outer products per point; a state takes the stack times phi once and
 F times the scaled result per point, which holds no dim^2 entries per
-time.  Every step is elementwise or per point, so each row of a grid call
-is bit for bit the scalar call at its point.  Nothing is rebuilt per call,
-and the matrices that compute_spectrum verified are the ones the kernels
-propagate with.
+time.  A point takes these as 1-D products (a row times a matrix, a
+matrix times a vector); a column keeps the stacked loop, one (1, L dim)
+row or (L dim, 1) column per time, as one point's product each.  numpy's
+matmul runs a 1-D operand and one row or column of a stack through the
+same matrix-vector loop, and every other step is elementwise, so each row
+of a grid call is bit for bit the scalar call at its point.  Nothing is
+rebuilt per call, and the matrices that compute_spectrum verified are the
+ones the kernels propagate with.
 
 Separating the completeness relation F P F^T g = I (P the block
 anti-identity) into coordinates and momenta yields four sum rules on the
@@ -187,13 +191,17 @@ def _jordan_function(form: MatrixForm, coef: np.ndarray) -> np.ndarray:
     Matrices, ch. 1): the sum over flat columns c of coef[..., c] times the
     outer product of column c of F with row c of the N^l D^H stack.  With
     those outer products laid out once per spectrum (form.green_rows) it is
-    one coefficient row times one matrix per point; a table's rows go
-    through the same matmul loop one by one, so each is its point's call
-    bit for bit.
+    one coefficient row times one matrix per point.  A point's row is a
+    1-D product, with no stack axis to add and drop; a table's rows go
+    through the stacked loop one by one, each a (1, L dim) row that numpy's
+    matmul takes by the same matrix-vector loop as the 1-D row, so each is
+    its point's call bit for bit.  A single matrix product of the whole
+    table would block and sum the rows in its own order.
     """
     dim = form.f.shape[0]
-    return (coef[..., None, :] @ form.green_rows).reshape(
-        coef.shape[:-1] + (dim, dim))
+    if coef.ndim == 1:
+        return (coef @ form.green_rows).reshape(dim, dim)
+    return (coef[:, None, :] @ form.green_rows).reshape(-1, dim, dim)
 
 
 def _evolve(form: MatrixForm, phi: np.ndarray, x, peak: float,
@@ -226,21 +234,38 @@ def _evolve(form: MatrixForm, phi: np.ndarray, x, peak: float,
 
 
 def _states(form: MatrixForm, phi: np.ndarray, x, peak: float) -> np.ndarray:
-    """The states of _evolve: one for a point, one row per time of a column."""
-    coef = _evolution_coefficients(form, x, peak)
-    # one matrix-vector product per time, so that every row of a column is
-    # computed as the point is
-    return (form.f_tiled @ (coef * (form.dual_rows @ phi))[..., None])[..., 0]
+    """The states of _evolve: one for a point, one row per time of a column.
+
+    The coefficients scale the N^l D^H phi formed once, and F (tiled) takes
+    the scaled row: a point's as one 1-D matrix-vector product, a column's
+    as one stacked (L dim, 1) product per time, which numpy's matmul takes
+    by the same loop as the 1-D one, so every row of a column is the
+    point's state bit for bit.
+    """
+    scaled = _evolution_coefficients(form, x, peak) * (form.dual_rows @ phi)
+    if scaled.ndim == 1:
+        return form.f_tiled @ scaled
+    return (form.f_tiled @ scaled[:, :, None])[:, :, 0]
 
 
 def _check_finite(rows: np.ndarray, x, what: str,
                   cause: str | None = None) -> None:
     """ArgumentError naming the first time of the point or column x whose
     part of rows is not finite, and the cause (by default e^(-iJt)
-    overflowing)."""
-    # a sum that is finite clears every entry; one that is not may only
-    # have overflowed, so the rows decide
-    if not cmath.isfinite(np.add.reduce(rows, axis=None)):
+    overflowing).
+
+    One sum screens all the entries: a point's 1-D row takes Python's sum
+    over its list, which costs less than numpy's reduce on a few entries,
+    and anything else the reduce.  The rule is the same for both: an inf
+    or NaN part makes any sum's part inf or NaN, so a finite sum clears
+    every entry, and a sum that is not finite may only have overflowed, so
+    the rows then decide.
+    """
+    if rows.ndim == 1:
+        total = sum(rows.tolist())
+    else:
+        total = np.add.reduce(rows, axis=None)
+    if not cmath.isfinite(total):
         times = np.reshape(x, -1)
         lost = times[~np.isfinite(rows.reshape(times.size, -1)).all(axis=1)]
         if lost.size:
@@ -292,9 +317,13 @@ def greens_time(spectrum: Spectrum, t) -> np.ndarray:
     whose Green's function is not, by _evolve's rule.
     """
     times, scalar, peak = as_grid(t, "t", float)
-    x = times[0] if scalar else times[:, None]
-    # a Python min over the list costs a third of times.min() on one time
-    past = min(times.tolist(), default=0.0) < 0.0
+    if scalar:
+        x = times[0]
+        past = x < 0.0
+    else:
+        x = times[:, None]
+        # a Python min over the list costs a third of times.min()
+        past = min(times.tolist(), default=0.0) < 0.0
     form = spectrum.matrices
     if peak * form.scale <= _QUIET_BOUND:
         return _retarded(form, x, peak, past)
@@ -329,8 +358,14 @@ def greens_freq(spectrum: Spectrum, omega) -> np.ndarray:
     gap = x - form.omega_tiled
     radius = spectrum.tol.cluster_tol * form.scale
     dist = np.abs(gap)
-    # the ufunc's own reduce skips the Python wrapper of dist.min
-    if np.minimum.reduce(dist, axis=None, initial=np.inf) <= radius:
+    # a point's distances take Python's min over their list, a column's the
+    # ufunc's own reduce (no Python wrapper, as dist.min has); the gaps are
+    # finite or inf, never NaN, so both give the least distance
+    if scalar:
+        nearest = min(dist.tolist())
+    else:
+        nearest = np.minimum.reduce(dist, axis=None, initial=np.inf)
+    if nearest <= radius:
         i, k = np.argwhere(np.atleast_2d(dist <= radius))[0]
         raise ArgumentError(
             f"omega={freqs[i]} is within cluster_tol * "
@@ -429,11 +464,16 @@ def rk4_evolve(sys: OscillatorSystem, phi0, times, step: float = 1e-4) -> np.nda
     is never formed, as storing it would round away the low bits of d.
     ``times`` is a scalar, which gives one state, or a 1-D grid, nonnegative
     and ascending, which gives one state per row (phi0 corresponds to t=0).
-    Raises ArgumentError for a step that is not finite and positive, for a
-    state that is not finite, for times that are not finite or not a scalar
-    or 1-D grid, and for times that are negative or descending.
+    Raises ArgumentError for a step that is not a finite positive real
+    number, for a state that is not finite, for times that are not finite
+    or not a scalar or 1-D grid, and for times that are negative or
+    descending.
     """
-    if not (math.isfinite(step) and step > 0.0):
+    try:
+        good_step = math.isfinite(step) and step > 0.0
+    except TypeError:  # not a real number: a string, a complex, None
+        good_step = False
+    if not good_step:
         raise ArgumentError(f"step must be finite and positive, got {step}")
     grid, scalar, _ = as_grid(times, "times", float)
     if grid.min(initial=0.0) < 0.0 or (grid[1:] < grid[:-1]).any():

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ArgumentError
+from .linalg import ArgumentError, as_numbers
 
 SYMMETRY_TOL = 1e-12
 # Below this largest |entry| neither m - m^T nor m + m^T can overflow
@@ -69,20 +69,17 @@ class OscillatorSystem:
 def symmetric_matrix(name: str, m, size: int | None = None) -> np.ndarray:
     """m as a real array, checked as build_system checks K and Gamma.
 
-    ArgumentError names the matrix unless it is square (size x size when
-    size is given), nonempty, finite and symmetric to SYMMETRY_TOL.
+    ArgumentError names the matrix unless it holds real numbers (by
+    as_numbers: a complex or a string entry is refused, not cast), and is
+    square (size x size when size is given), nonempty, finite and symmetric
+    to SYMMETRY_TOL.
     """
     return _checked_symmetric(name, m, size)[0]
 
 
 def _checked_symmetric(name: str, m, size: int | None = None) -> tuple:
     """(m, peak): symmetric_matrix's array and its largest |entry|."""
-    try:
-        m = np.asarray(m, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(
-            f"{name} is not a matrix of real numbers: {exc}"
-        ) from exc
+    m = as_numbers(m, name, float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
     if size is not None and m.shape != (size, size):
@@ -206,10 +203,10 @@ def system_to_json(sys: OscillatorSystem) -> dict:
 
 def system_from_json(obj: dict) -> OscillatorSystem:
     """Build a system from the JSON schema used by :func:`system_to_json`."""
+    # build_system checks the entries of K and Gamma (real numbers, finite)
     try:
-        k = np.asarray(obj["K"], dtype=float)
-        gamma = np.asarray(obj["Gamma"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        k, gamma = obj["K"], obj["Gamma"]
+    except (KeyError, TypeError) as exc:
         raise ArgumentError(f"invalid system JSON: {exc}") from exc
     declared = obj.get("N")
     # a JSON integer only: int() would truncate 2.5 and parse "2", and

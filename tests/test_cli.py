@@ -136,6 +136,17 @@ def test_exit_code_unreadable_input_file(case, tmp_path, capsys):
     assert capsys.readouterr().err == want
 
 
+def test_system_file_with_string_entries_exits_2(tmp_path, capsys):
+    # "1" used to be read as 1.0, and the analysis ran
+    path = tmp_path / "input.json"
+    path.write_text('{"K": [["1", "0"], ["0", "1"]], '
+                    '"Gamma": [[2, 0], [0, 2]]}')
+    assert run(["analyze", "--system", str(path), "--out",
+                str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: K must hold real numbers, got <U1 values\n")
+
+
 def test_exit_code_verification_failure(tmp_path):
     # an absurd residual tolerance turns healthy output into a failure
     code = run(["analyze", "--system", "catalog:quartic-jb4",

@@ -209,14 +209,17 @@ def test_rk4_rejects_descending_times(catalog_spectra):
     "times, step",
     [([0.1], 0.0), ([0.1], -1e-3), ([0.1], np.nan), ([0.1], np.inf),
      ([0.1, np.nan, 0.2], 1e-4), ([0.1, np.inf], 1e-4),
-     ([[0.1, 0.2]], 1e-4), (-0.1, 1e-4), ([-0.1, 0.2], 1e-4)],
+     ([[0.1, 0.2]], 1e-4), (-0.1, 1e-4), ([-0.1, 0.2], 1e-4),
+     ([0.1], "abc"), ([0.1], 1j), ([0.1], None)],
     ids=["step-0", "step-negative", "step-nan", "step-inf", "times-nan",
-         "times-inf", "times-2d", "time-negative-scalar", "times-negative"],
+         "times-inf", "times-2d", "time-negative-scalar", "times-negative",
+         "step-string", "step-complex", "step-none"],
 )
 def test_rk4_rejects_bad_step_and_times(catalog_spectra, times, step):
     # step 0 used to divide by zero, a negative step took one RK4 step
-    # across the whole span, a NaN time repeated the previous state, and a
-    # 2-D grid raised TypeError from the time comparison
+    # across the whole span, a NaN time repeated the previous state, a
+    # 2-D grid raised TypeError from the time comparison, and a step that
+    # is no real number a bare TypeError from math.isfinite
     sys = catalog_spectra["single-critical"].system
     with pytest.raises(ArgumentError):
         rk4_evolve(sys, np.array([1.0, 0.0]), times, step=step)
@@ -395,17 +398,28 @@ _PHI = np.ones(4)
             s.system, _E11, 1e-6, _PHI, 1j, spectrum=s)),
         ("eps", lambda s: cluster_cancellation_experiment(
             s.system, _E11, 1j, _PHI, [0.0, 1.0], spectrum=s)),
+        ("DK", lambda s: exact_perturbed_spectrum(
+            s.system, (1.0 + 1j) * _E11, 1e-6)),
+        ("DK", lambda s: exact_perturbed_spectrum(
+            s.system, [["1", "0"], ["0", "0"]], 1e-6)),
+        ("DK", lambda s: cluster_cancellation_experiment(
+            s.system, (1.0 + 1j) * _E11, 1e-6, _PHI, [0.0, 1.0], spectrum=s)),
+        ("DK", lambda s: cluster_cancellation_experiment(
+            s.system, [["1", "0"], ["0", "0"]], 1e-6, _PHI, [0.0, 1.0],
+            spectrum=s)),
     ],
     ids=["t-complex-grid", "t-complex", "t-string", "t-ragged",
          "state-strings", "greens-time-complex", "greens-freq-string",
          "rk4-complex", "rk4-state-strings", "eps-complex-grid",
-         "eps-complex", "experiment-t-grid-complex", "experiment-eps-complex"],
+         "eps-complex", "experiment-t-grid-complex", "experiment-eps-complex",
+         "dk-complex-exact", "dk-strings-exact", "dk-complex-experiment",
+         "dk-strings-experiment"],
 )
 def test_values_that_are_not_numbers_are_refused_by_name(catalog_spectra,
                                                           name, call):
-    # a complex time or eps used to lose its imaginary part (with only a
-    # ComplexWarning) or raise a bare TypeError, and strings a bare
-    # ValueError
+    # a complex time, eps or DK used to lose its imaginary part (with only
+    # a ComplexWarning) or raise a bare TypeError, strings in a time a bare
+    # ValueError, and numeric strings in DK were read as numbers
     with pytest.raises(ArgumentError, match=f"^{name} "):
         call(catalog_spectra["quartic-jb4"])
 

@@ -97,6 +97,27 @@ def test_symmetric_matrix_rejects_non_finite_entries(entry):
         build_system(np.eye(2), [[1.0, 0.0], [0.0, entry]])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, call",
+    [("K", lambda: build_system(np.array([[1.0 + 1j]]), [[1.0]])),
+     ("Gamma", lambda: build_system([[1.0]], np.array([[2.0 + 0.5j]]))),
+     ("K", lambda: build_system([["2"]], [[1.0]])),
+     ("Gamma", lambda: build_system([[1.0]], [["2.0"]])),
+     ("K", lambda: build_system([[1.0, 0.0], [0.0]], np.eye(2))),
+     ("DK", lambda: symmetric_matrix("DK", np.array([[1.0, 1j], [1j, 0.0]]))),
+     ("DK", lambda: symmetric_matrix("DK", [["1", "0"], ["0", "1"]]))],
+    ids=["K-complex", "Gamma-complex", "K-string", "Gamma-string",
+         "K-ragged", "DK-complex", "DK-string"],
+)
+def test_matrices_that_are_not_real_numbers_are_refused_by_name(name, call):
+    # a complex matrix used to lose its imaginary part with only a
+    # ComplexWarning (K = [[1+1j]] gave K = [[1.]]), and numeric strings
+    # were read as numbers; ragged rows are refused as before
+    with pytest.raises(ArgumentError, match=f"^{name} "):
+        call()
+
+
 def test_build_warns_on_indefinite_damping():
     with pytest.warns(UserWarning):
         build_system(np.eye(2), [[-1.0, 0.0], [0.0, 1.0]])
