@@ -3,19 +3,29 @@
 another checkout.
 
 compute_spectrum runs once per input with recording wrappers on the stages
-it calls through the jordan module (root linkage, the kernel sequences of
-root clusters, mirror matching, chain building and normalization,
+it calls through the jordan module (the linkage radius and the clustered
+decision, root linkage, the kernel sequences of root clusters, the axis
+band, mirror matching, chain building and normalization, block sorting,
 conjugation, duals, the matrix form, verification, and the model and
 root-finder helpers).  Every recorded call is then timed on its own with
 timeit, best of 7 repeats, so no clock is read inside the pipeline; one
 np.linalg.eig of the real operator stands for the eig itself.  A stage
-called inside another (_kernel_sequence inside _eigenstructure, say) is
-timed as its own stage and taken off the one that called it, so each
-stage reads its own time and ``rest`` is the whole call minus the stages
-(the assembly in compute_spectrum, plus what the stages cost in the
-pipeline beyond their timing alone).  enforce_conjugation mutates its
-spectrum, so it runs on a fresh copy each time and the copy's cost is
-taken off.
+called inside another (_kernel_sequence inside _eigenstructure, or
+_axis_tol and _sort_blocks inside enforce_conjugation, say) is timed as its
+own stage and taken off the one that called it, so each stage reads its own
+time.  enforce_conjugation mutates its spectrum, so it runs on a fresh copy
+each time and the copy's cost is taken off.
+
+``rest`` is the whole call minus the stages.  It holds the assembly in
+compute_spectrum's own body, and also the gap between each stage's timing
+alone and its cost inside the pipeline: timed alone, a stage repeats with
+its code and data hot, while inside one compute_spectrum call each of its
+numpy calls runs once among a few hundred others.  The gap is most of
+``rest``: on random systems at N = 1, 4 and 8 ``rest`` reads some 35-40 % of
+TOTAL, while clocks read inside the pipeline put the body of
+compute_spectrum itself at about 25-50 us.  So a change that takes numpy
+calls out of a stage can show more in ``rest`` and TOTAL than in the
+stage's own line.
 
 With --against DIR (a checkout whose DIR/src/critmode is another version),
 both versions are loaded into this one process and timed repeat by repeat
@@ -64,12 +74,12 @@ from conftest import well_separated_system  # noqa: E402
 from critmode.design import catalog  # noqa: E402
 
 STAGES = (
-    "evolution_operator", "metric", "_single_linkage", "char_poly",
-    "poly_roots", "_eigenstructure", "_kernel_sequence",
-    "_unmirrored_groups", "metric_norm",
+    "evolution_operator", "metric", "_linkage_radius", "_any_linked",
+    "_single_linkage", "char_poly", "poly_roots", "_eigenstructure",
+    "_kernel_sequence", "_axis_tol", "_unmirrored_groups", "metric_norm",
     "_simple_eigenvectors", "normalize_block", "build_chain",
-    "biorthogonalize_crossing", "enforce_conjugation", "dual_basis",
-    "_matrix_form", "verify_spectrum",
+    "biorthogonalize_crossing", "_sort_blocks", "enforce_conjugation",
+    "dual_basis", "_matrix_form", "verify_spectrum",
 )
 REPEATS = 7
 KERNEL_TIMES = np.linspace(0.0, 5.0, 101)
@@ -105,6 +115,9 @@ class Recorder:
                 recorded = (args[0], [(b.omega, b.size, b.chain, b.ledger,
                                        b.near_critical)
                                       for b in args[0].blocks])
+            elif name == "_sort_blocks":
+                # the list grows after the call (the partners join it)
+                recorded = (list(args[0]),)
             caller = self.open[-1] if self.open else None
             self.calls.append((name, func, recorded, kwargs, caller))
             self.open.append(name)

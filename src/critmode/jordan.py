@@ -31,14 +31,15 @@ Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 
 H = i a with a real, and compute_spectrum starts from np.linalg.eig(a):
-omega = i lambda.  When _single_linkage links no two omegas within the
-linkage radius, every one is simple and the characteristic polynomial is
-never formed; otherwise the same rule clusters its companion-matrix roots
-(_eigenstructure).  A root cluster reads ker A^k, A = H - omega at its
-polished centre, from at most two SVD calls (_kernel_sequence: rank rule
-rank_tol * max(|A|_2, 1e-6)^k) up to the first power whose kernel grows
-no more, and its block sizes from the nullities of the sequence that
-build_chain then takes as its kernel bases.  Simple eigenvalues take no
+omega = i lambda.  When no two omegas lie within the linkage radius (one
+count of the pairs, _any_linked), every one is simple and the
+characteristic polynomial is never formed; otherwise single linkage at that
+radius clusters its companion-matrix roots (_eigenstructure).  A root
+cluster reads ker A^k, A = H - omega at its polished centre, from at most
+two SVD calls (_kernel_sequence: rank rule rank_tol * max(|A|_2, 1e-6)^k)
+up to the first power whose kernel grows no more, and its block sizes from
+the nullities of the sequence that build_chain then takes as its kernel
+bases.  Simple eigenvalues take no
 rank decision: each takes the eigenvalue i lambda and eigenvector of a
 column of that eig, its own column on the eig route and, where roots
 clustered, the column whose i lambda lies nearest (_simple_eigenvectors).
@@ -49,11 +50,14 @@ chain at a time.  Every pairing (u, v) = u^T g v in this module comes from
 one evaluator, _pairings, two matmuls over a stack of vector pairs;
 compute_spectrum builds g and |g|_2 once and passes both to the two
 normalizers.  After the chains, the basis is handled as whole arrays: the
-partners, self-symmetry signs and duals of all blocks of one size come from
-one stack (one 3-D product with g for the duals, numpy running one product
-per stack entry, so every block keeps the bits of its own product), and
-verify_spectrum forms F^T g once and takes its pairing, dual and
-completeness residuals with one stacked abs and one max.
+partners and self-symmetry signs of the built blocks of one size come from
+one stack, the chains of all blocks are then stacked once as rows in block
+order, and the duals of each run of equal blocks come from one slab of
+those rows (one 3-D product with g, numpy running one product per stack
+entry, so every block keeps the bits of its own product); the rows and the
+duals' rows are F and D of the matrix form, and verify_spectrum forms F^T g
+once and takes its pairing, dual and completeness residuals with one
+stacked abs and one max.
 """
 
 from __future__ import annotations
@@ -67,10 +71,10 @@ import numpy as np
 
 from .linalg import (
     ArgumentError,
-    DEFAULT_TOL,
     ConvergenceError,
     NumericalError,
     Tolerances,
+    as_tolerances,
     char_poly,
     orthonormal_columns,
     polish_root,
@@ -266,6 +270,14 @@ def _single_linkage(roots: np.ndarray, radius: float):
     return list(groups.values())
 
 
+def _any_linked(roots: np.ndarray, radius: float) -> bool:
+    """Whether _single_linkage(roots, radius) joins any two roots, that is
+    makes fewer groups than roots: one count of the pairs within radius,
+    on the same distance test, against the count on the diagonal."""
+    close = np.abs(roots[:, None] - roots) <= radius
+    return np.count_nonzero(close) > np.count_nonzero(close.diagonal())
+
+
 def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
                      tol: Tolerances):
     """[ker A, ker A^2, ...] of A = H - omega, from at most two SVD calls.
@@ -417,7 +429,7 @@ def build_chain(h: np.ndarray, omega: complex, sizes,
     take it from orthonormal_columns.  Lower members follow by iterating A
     (Golub & Wilkinson, SIAM Rev. 18, 1976).
     """
-    tol = tol or DEFAULT_TOL
+    tol = as_tolerances(tol)
     h = np.asarray(h, dtype=complex)
     dim = h.shape[0]
     sizes = sorted(sizes, reverse=True)
@@ -562,7 +574,7 @@ def biorthogonalize_crossing(chains, g: np.ndarray, gnorm: float,
     top-vector candidates of equal quality up to a relative 1e-8 the first
     one is taken, so rounding noise cannot pick the chain.
     """
-    tol = tol or DEFAULT_TOL
+    tol = as_tolerances(tol)
     chains = sorted([list(c) for c in chains], key=lambda c: -len(c))
     if not chains:
         return []
@@ -657,11 +669,12 @@ def _size_groups(blocks) -> list:
 
 def _axis_tol(tol: Tolerances, omegas) -> float:
     """Half-width of the band around the negative imaginary axis."""
-    return tol.cluster_tol * (1.0 + max(abs(w) for w in omegas))
+    return tol.cluster_tol * (1.0 + max(map(abs, omegas)))
 
 
-def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
-    """Label the built blocks and append partners from the conjugation rule.
+def enforce_conjugation(spectrum: Spectrum) -> np.ndarray:
+    """Label the built blocks, append partners from the conjugation rule,
+    and return the chains of all blocks stacked as rows.
 
     The spectrum holds the blocks with Re(omega) >= -axis_tol, in order.
     Blocks on the negative imaginary axis are labeled 0 and carry the
@@ -669,7 +682,9 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
     partner at -conj(omega) with the conjugated chain (sign +), labeled -j,
     without a ledger.  The conjugated chains and the self-symmetry signs
     come from one stack per block size.  The blocks are sorted afterwards,
-    so each +j comes before its -j.
+    so each +j comes before its -j, and their chains are stacked once, as
+    the rows of one (dim, 2N) array in block order: the stack that
+    dual_basis and _matrix_form read.
     """
     blocks = spectrum.blocks
     axis_tol = _axis_tol(spectrum.tol, [b.omega for b in blocks])
@@ -694,7 +709,7 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
         b.conj_sign = 1
         partners.append(
             JordanBlock(
-                omega=-np.conj(b.omega),
+                omega=-b.omega.conjugate(),
                 size=b.size,
                 chain=chain,
                 label=-b.label,
@@ -704,24 +719,32 @@ def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
         )
     blocks.extend(partners)
     _sort_blocks(blocks)
-    return spectrum
+    return np.concatenate([b.chain for b in blocks])
 
 
-def dual_basis(spectrum: Spectrum) -> Spectrum:
-    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block.
+def dual_basis(spectrum: Spectrum, rows: np.ndarray) -> np.ndarray:
+    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block, and return
+    the duals of all blocks as rows in block order.
 
-    g is symmetric, so the duals of a block are the rows of conj(R g), R
-    the reversed chain as rows.  One 3-D product per block size takes the
-    duals of every block of that size; numpy runs one product per stack
-    entry, so each block gets the bits of its own product.
+    rows are the chains of the blocks as rows in block order, the stack
+    enforce_conjugation returns.  g is symmetric, so the duals of a block
+    are the rows of conj(R g), R the reversed chain as rows.  A run of
+    consecutive blocks of one size is a slab of rows, a stack of equal
+    chains as it stands, and one 3-D product takes the duals of the whole
+    run; numpy runs one product per stack entry, so each block gets the bits
+    of its own product.
     """
     g = spectrum.g
-    blocks = spectrum.blocks
-    for idx in _size_groups(blocks):
-        duals = np.conj(np.array([blocks[i].chain for i in idx])[:, ::-1] @ g)
-        for i, d in zip(idx, duals):
-            blocks[i].duals = d
-    return spectrum
+    runs, pos = [], 0
+    for size, run in itertools.groupby(spectrum.blocks, lambda b: b.size):
+        run = list(run)
+        stop = pos + size * len(run)
+        duals = np.conj(rows[pos:stop].reshape(len(run), size, -1)[:, ::-1] @ g)
+        for b, d in zip(run, duals):
+            b.duals = d
+        runs.append(duals.reshape(stop - pos, -1))
+        pos = stop
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 def _basis_matrices(blocks):
@@ -732,25 +755,36 @@ def _basis_matrices(blocks):
     )
 
 
-def _matrix_form(blocks) -> MatrixForm:
+def _matrix_form(blocks, f_mat: np.ndarray, d_mat: np.ndarray) -> MatrixForm:
     """F, the N^l D^H stack, J, P, the column eigenvalues of the blocks, and
     the flat per-column layouts that the dynamics kernels read, the outer
-    products of F's columns with the stacked dual rows among them."""
-    f_mat, d_mat = _basis_matrices(blocks)
+    products of F's columns with the stacked dual rows among them.  f_mat
+    and d_mat are the chain vectors and the duals of the blocks as columns,
+    in block order: _basis_matrices(blocks), or the transposes of the row
+    stacks of enforce_conjugation and dual_basis."""
     d_h = d_mat.conj().T
     sizes = [b.size for b in blocks]
     omega = np.repeat(np.array([b.omega for b in blocks], dtype=complex), sizes)
-    j_mat = np.diag(omega)
-    p_mat = np.zeros(j_mat.shape)
     levels, cols = max(sizes), omega.size
+    j_mat = np.diag(omega)
+    p_mat = np.eye(cols)
     duals = np.zeros((levels,) + d_h.shape, dtype=complex)
+    duals[0] = d_h
+    # J and P through their flat views: the block at pos has its diagonal
+    # at corner, corner + step, ..., and its anti-diagonal runs from its top
+    # right entry in steps of cols - 1
+    j_flat, p_flat, step = j_mat.reshape(-1), p_mat.reshape(-1), cols + 1
     pos = 0
     for m in sizes:
-        for k in range(pos, pos + m):
-            if k + 1 < pos + m:
-                j_mat[k, k + 1] = 1.0
-            p_mat[k, 2 * pos + m - 1 - k] = 1.0
-            duals[: pos + m - k, k] = d_h[k : pos + m]
+        if m > 1:  # a block of one column leaves J, P and N^l D^H diagonal
+            corner = pos * step
+            # P reverses the block: its diagonal out, its anti-diagonal in
+            p_flat[corner:corner + m * step:step] = 0.0
+            p_flat[corner + m - 1:corner + (m - 1) * cols + 1:cols - 1] = 1.0
+            # N: the ones just above the diagonal inside the block
+            j_flat[corner + 1:corner + (m - 1) * step:step] = 1.0
+            for l in range(1, m):  # N^l moves the block's dual rows up l
+                duals[l, pos:pos + m - l] = d_h[pos + l:pos + m]
         pos += m
     omega_tiled = np.concatenate([omega] * levels)
     f_tiled = np.concatenate([f_mat] * levels, axis=1)
@@ -806,11 +840,16 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
         chain_cols = _norms(h @ f_mat - f_mat @ form.j, 0) / (
             (h_norm + np.abs(form.omega)) * np.maximum(1.0, _norms(f_mat, 0))
         )
-        flagged = np.repeat([b.near_critical for b in blocks],
-                            [b.size for b in blocks])
-        chain_res = float(np.maximum.reduce(chain_cols[~flagged], initial=0.0))
-        flagged_chain_res = float(np.maximum.reduce(chain_cols[flagged],
-                                                    initial=0.0))
+        near = [b.near_critical for b in blocks]
+        if any(near):
+            flagged = np.repeat(near, [b.size for b in blocks])
+            chain_res = float(np.maximum.reduce(chain_cols[~flagged],
+                                                initial=0.0))
+            flagged_chain_res = float(np.maximum.reduce(chain_cols[flagged],
+                                                        initial=0.0))
+        else:
+            chain_res = float(np.maximum.reduce(chain_cols, initial=0.0))
+            flagged_chain_res = 0.0
         ftg = f_mat.T @ g
         eye = np.eye(dim)
         # the Gram, dual and completeness deviations, one abs and one max
@@ -889,26 +928,29 @@ def _unmirrored_groups(groups, axis_tol: float):
     Every group with Re(omega) > axis_tol must have one mirror group at
     -conj(omega), within 10 axis_tol and with the same block sizes, and every
     group with Re(omega) < -axis_tol must be such a mirror; otherwise
-    PairingError.
+    PairingError.  Each group takes the first mirror not yet taken that
+    matches, scanning in group order; the scan is Python arithmetic on the
+    eigenvalues, with no numpy call per pair.
     """
     kept = [g for g in groups if g[0].real >= -axis_tol]
     mirrors = [g for g in groups if g[0].real < -axis_tol]
+    reach = 10.0 * axis_tol
     for omega, sizes, _ in kept:
         if omega.real > axis_tol:
-            match = [
-                i for i, (w, s, _) in enumerate(mirrors)
-                if abs(w + np.conj(omega)) <= 10.0 * axis_tol and s == sizes
-            ]
-            if not match:
+            conj = omega.conjugate()
+            for i, (w, s, _) in enumerate(mirrors):
+                if abs(w + conj) <= reach and s == sizes:
+                    del mirrors[i]
+                    break
+            else:
                 raise PairingError(
-                    f"eigenvalue {omega} has no mirror partner at "
-                    f"{-np.conj(omega)}"
+                    f"eigenvalue {omega} has no mirror partner at {-conj}"
                 )
-            del mirrors[match[0]]
     if mirrors:
+        w = mirrors[0][0]
         raise PairingError(
-            f"eigenvalue {mirrors[0][0]} is the mirror of no eigenvalue at "
-            f"{-np.conj(mirrors[0][0])}"
+            f"eigenvalue {w} is the mirror of no eigenvalue at "
+            f"{-w.conjugate()}"
         )
     return kept
 
@@ -921,7 +963,8 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
     i lam_j.  Each omega, a root of the characteristic polynomial on the
     clustered route of compute_spectrum, takes the column whose i lam_j
     lies nearest, and gets the eigenvalue that belongs to the vector, not
-    the root.  Returns (eigenvalues, vectors as rows), in the order of omegas.
+    the root.  Returns (eigenvalues, real vectors as rows), in the order of
+    omegas.
     Two omegas on one column raise ChainError.
     """
     columns = 1j * lam
@@ -934,7 +977,7 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
             f"simple eigenvalues omega={omegas[first]} and omega={omegas[again]} "
             f"both lie nearest the eigenvector of omega={columns[taken[again]]}"
         )
-    return columns[cols].tolist(), vecs[:, cols].T.astype(complex)
+    return columns[cols].tolist(), vecs[:, cols].T
 
 
 def compute_spectrum(sys: OscillatorSystem,
@@ -962,14 +1005,14 @@ def compute_spectrum(sys: OscillatorSystem,
     ConvergenceError, naming both counts, when the root stage returns
     fewer roots than dim.
     """
-    tol = tol or DEFAULT_TOL
+    tol = as_tolerances(tol)
     h = evolution_operator(sys)
     g = metric(sys)
-    lam, vecs = np.linalg.eig((-1j * h).real)
+    # H = i a, and H.imag is the real a = (-i H).real bit for bit
+    lam, vecs = np.linalg.eig(h.imag)
     omegas, flagged = 1j * lam, []
     groups = [(w, [1], []) for w in omegas.tolist()]
-    clustered = (len(_single_linkage(omegas, _linkage_radius(tol, omegas)))
-                 < lam.size)
+    clustered = _any_linked(omegas, _linkage_radius(tol, omegas))
     if clustered:
         coeffs = char_poly(h)
         roots = poly_roots(coeffs, tol)
@@ -993,7 +1036,8 @@ def compute_spectrum(sys: OscillatorSystem,
             # the groups are the eig's columns in order, and
             # _unmirrored_groups kept those with Re(omega) >= -axis_tol
             simple_omegas = simple
-            vectors = vecs[:, omegas.real >= -axis_tol].T.astype(complex)
+            vectors = vecs[:, omegas.real >= -axis_tol].T
+        # normalize_block takes the real columns into its complex copy
         normalized = zip(simple_omegas, *normalize_block(
             vectors[:, None, :], g, gnorm))
 
@@ -1002,10 +1046,12 @@ def compute_spectrum(sys: OscillatorSystem,
         near_critical = complex(omega) in flagged_omegas
         if sizes == [1]:
             omega, chain, ledger = next(normalized)
-            built = [(chain, ledger)]
-        else:
-            raw = build_chain(h, omega, sizes, tol, kernels=kernels)
-            built = biorthogonalize_crossing(raw, g, gnorm, h, omega, tol)
+            blocks.append(JordanBlock(omega=omega, size=1, chain=chain,
+                                      ledger=ledger,
+                                      near_critical=near_critical))
+            continue
+        raw = build_chain(h, omega, sizes, tol, kernels=kernels)
+        built = biorthogonalize_crossing(raw, g, gnorm, h, omega, tol)
         blocks.extend(
             JordanBlock(
                 omega=omega,
@@ -1024,9 +1070,9 @@ def compute_spectrum(sys: OscillatorSystem,
         g=g,
         near_critical_clusters=flagged,
     )
-    enforce_conjugation(spectrum)
-    dual_basis(spectrum)
-    spectrum.matrices = _matrix_form(spectrum.blocks)
+    rows = enforce_conjugation(spectrum)
+    dual_rows = dual_basis(spectrum, rows)
+    spectrum.matrices = _matrix_form(spectrum.blocks, rows.T, dual_rows.T)
     spectrum.verification = verify_spectrum(spectrum, strict=True)
     return spectrum
 
@@ -1034,7 +1080,10 @@ def compute_spectrum(sys: OscillatorSystem,
 def _spectrum_for(sys: OscillatorSystem, spectrum: Spectrum | None,
                   tol: Tolerances | None) -> Spectrum:
     """spectrum if it belongs to sys (same K and Gamma), compute_spectrum(sys,
-    tol) when it is None; ArgumentError for the spectrum of another system."""
+    tol) when it is None; ArgumentError for the spectrum of another system,
+    and for a tol that is neither None nor a Tolerances (as_tolerances),
+    even when the spectrum is given."""
+    tol = as_tolerances(tol)
     if spectrum is None:
         return compute_spectrum(sys, tol)
     if not (np.array_equal(spectrum.system.K, sys.K)

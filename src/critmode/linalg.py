@@ -87,18 +87,37 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
+def as_tolerances(tol) -> Tolerances:
+    """DEFAULT_TOL for None, tol itself for a Tolerances; ArgumentError
+    naming tol for anything else (0, False, a float or a string is not a
+    set of tolerances, and must not pass for the default)."""
+    if tol is None:
+        return DEFAULT_TOL
+    if isinstance(tol, Tolerances):
+        return tol
+    raise ArgumentError(f"tol must be a Tolerances or None, got {tol!r}")
+
+
 def as_numbers(values, name: str, dtype) -> np.ndarray:
     """values as an array of dtype, float or complex; ArgumentError naming
     them unless they are numbers, real for float (numpy would raise TypeError
-    or ValueError, or drop imaginary parts).  Objects convert as in numpy."""
+    or ValueError, or drop imaginary parts).  Objects convert as in numpy,
+    except strings and bytes, which numpy would parse as numbers."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind in ("biufcO" if dtype is complex else "biufO"):
+        if arr.dtype.kind in ("biufc" if dtype is complex else "biuf"):
+            return arr.astype(dtype, copy=False)
+        objects = arr.dtype.kind == "O"
+        text = next((v for v in arr.flat if isinstance(v, (str, bytes))),
+                    None) if objects else None
+        if objects and text is None:
             return arr.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:  # ragged, or objects not numbers
         raise ArgumentError(f"{name} is not numeric: {exc}") from exc
     what = "numbers" if dtype is complex else "real numbers"
-    raise ArgumentError(f"{name} must hold {what}, got {arr.dtype} values")
+    got = (f"{arr.dtype} values" if text is None
+           else f"{type(text).__name__} value {text!r}")
+    raise ArgumentError(f"{name} must hold {what}, got {got}")
 
 
 def as_grid(values, name: str, dtype) -> tuple:
@@ -256,7 +275,7 @@ def poly_roots(coeffs, tol: Tolerances | None = None) -> np.ndarray:
 
     Roots are sorted by (real, imag) for deterministic output.
     """
-    tol = tol or DEFAULT_TOL
+    tol = as_tolerances(tol)
     c = _trim(coeffs)
     if c.size == 0 or np.max(np.abs(c)) == 0.0:
         raise ArgumentError("the zero polynomial has no well-defined roots")
@@ -337,7 +356,7 @@ def numeric_rank_and_nullspace(m, tol: Tolerances | None = None):
         Orthonormal columns spanning the numerical kernel; every column v
         has ``norm(M @ v) <= residual_tol * norm(M)``.
     """
-    tol = tol or DEFAULT_TOL
+    tol = as_tolerances(tol)
     a = _as_square(np.atleast_2d(np.asarray(m, dtype=complex)))
     if a.size == 0:
         return 0, np.zeros((0, 0), dtype=complex)
@@ -356,7 +375,7 @@ def solve_affine(a, b, tol: Tolerances | None = None):
     InconsistentSystemError
         If b is not in the column space of A within ``residual_tol``.
     """
-    tol = tol or DEFAULT_TOL
+    tol = as_tolerances(tol)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex).ravel()
     if a.ndim != 2 or a.shape[0] != b.size:
@@ -382,7 +401,7 @@ def solve_affine(a, b, tol: Tolerances | None = None):
 
 def orthonormal_columns(vectors, tol: Tolerances | None = None) -> np.ndarray:
     """Orthonormal basis for the span of the given column vectors."""
-    tol = tol or DEFAULT_TOL
+    tol = as_tolerances(tol)
     v = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if v.shape[1] == 0:
         return v

@@ -140,22 +140,29 @@ def _symmetrized(m: np.ndarray, peak: float) -> np.ndarray:
 
 
 def evolution_operator(sys: OscillatorSystem) -> np.ndarray:
-    """The 2N x 2N operator H = i[[0, I], [-K, -Gamma]]."""
+    """The 2N x 2N operator H = i[[0, I], [-K, -Gamma]].
+
+    1j times the real matrix: each entry is the complex product of 1j with
+    x + 0j, as when a complex matrix is filled and scaled by 1j, and H.imag
+    is the real (-i H).real bit for bit (every zero +0).
+    """
     n = sys.N
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = np.eye(n)
-    h[n:, :n] = -sys.K
-    h[n:, n:] = -sys.Gamma
-    return 1j * h
+    a = np.zeros((2 * n, 2 * n))
+    a[n:, :n] = -sys.K
+    a[n:, n:] = -sys.Gamma
+    a.reshape(-1)[n:2 * n * n:2 * n + 1] = 1.0  # I at (i, N + i)
+    return 1j * a
 
 
 def metric(sys: OscillatorSystem) -> np.ndarray:
-    """Matrix g of the bilinear map, g = i[[Gamma, I], [I, 0]]."""
+    """Matrix g of the bilinear map, g = i[[Gamma, I], [I, 0]], as 1j times
+    the real matrix (see evolution_operator)."""
     n = sys.N
-    g = np.zeros((2 * n, 2 * n), dtype=complex)
+    g = np.zeros((2 * n, 2 * n))
     g[:n, :n] = sys.Gamma
-    g[:n, n:] = np.eye(n)
-    g[n:, :n] = np.eye(n)
+    flat = g.reshape(-1)
+    flat[n:2 * n * n:2 * n + 1] = 1.0  # I at (i, N + i)
+    flat[2 * n * n::2 * n + 1] = 1.0  # I at (N + i, i)
     return 1j * g
 
 
@@ -167,7 +174,8 @@ def metric_norm(sys: OscillatorSystem) -> float:
     |gamma|) / 2, so |g|_2 = (gamma_max + sqrt(gamma_max^2 + 4)) / 2 with
     gamma_max = max |gamma| over the eigenvalues of Gamma.
     """
-    gamma_max = float(np.max(np.abs(sys.gamma_eigenvalues)))
+    eigs = sys.gamma_eigenvalues  # ascending: the extremes hold the max
+    gamma_max = float(max(abs(eigs[0]), abs(eigs[-1])))
     return (gamma_max + math.hypot(gamma_max, 2.0)) / 2.0
 
 

@@ -22,11 +22,13 @@ from critmode.dynamics import (
 )
 from critmode import dynamics, jordan
 from critmode.design import catalog_system, scale_system
-from critmode.jordan import JordanBlock, _matrix_form, compute_spectrum
+from critmode.jordan import (JordanBlock, _basis_matrices, _matrix_form,
+                             compute_spectrum)
 from critmode.linalg import ArgumentError, Tolerances, as_grid
 from critmode.model import build_system, evolution_operator
 from critmode.perturb import (NonGenericPerturbationError,
-                              exact_perturbed_spectrum, loglog_slope)
+                              exact_perturbed_spectrum, j1_coefficient,
+                              loglog_slope)
 
 from conftest import well_separated_system
 
@@ -76,7 +78,8 @@ def test_tall_block_takes_every_nonzero_time_in_log_space():
     omega, size = 0.8 - 0.01j, 24
     assert size - 1 > dynamics._DIRECT_MAX_ORDER
     unit = np.eye(size, dtype=complex)
-    form = _matrix_form([JordanBlock(omega=omega, size=size, chain=unit, duals=unit)])
+    blocks = [JordanBlock(omega=omega, size=size, chain=unit, duals=unit)]
+    form = _matrix_form(blocks, *_basis_matrices(blocks))
     times = [-0.5, 0.0, 0.3, 2e3]
     for t in times:
         grid, _, peak = as_grid(t, "t", float)
@@ -407,21 +410,53 @@ _PHI = np.ones(4)
         ("DK", lambda s: cluster_cancellation_experiment(
             s.system, [["1", "0"], ["0", "0"]], 1e-6, _PHI, [0.0, 1.0],
             spectrum=s)),
+        ("state", lambda s: evolve_state(
+            s, np.array(["1", "0", "0", "0"], dtype=object), 0.0)),
+        ("t", lambda s: evolve_state(s, _PHI, np.array("0.5", dtype=object))),
+        ("t", lambda s: evolve_state(
+            s, _PHI, np.array([0.0, b"0.5"], dtype=object))),
+        ("eps", lambda s: exact_perturbed_spectrum(
+            s.system, _E11, np.array(["1e-6"], dtype=object))),
     ],
     ids=["t-complex-grid", "t-complex", "t-string", "t-ragged",
          "state-strings", "greens-time-complex", "greens-freq-string",
          "rk4-complex", "rk4-state-strings", "eps-complex-grid",
          "eps-complex", "experiment-t-grid-complex", "experiment-eps-complex",
          "dk-complex-exact", "dk-strings-exact", "dk-complex-experiment",
-         "dk-strings-experiment"],
+         "dk-strings-experiment", "state-object-strings", "t-object-string",
+         "t-object-bytes", "eps-object-string"],
 )
 def test_values_that_are_not_numbers_are_refused_by_name(catalog_spectra,
                                                           name, call):
     # a complex time, eps or DK used to lose its imaginary part (with only
     # a ComplexWarning) or raise a bare TypeError, strings in a time a bare
-    # ValueError, and numeric strings in DK were read as numbers
+    # ValueError, and numeric strings in DK were read as numbers, as were
+    # numeric strings and bytes inside an object array
     with pytest.raises(ArgumentError, match=f"^{name} "):
         call(catalog_spectra["quartic-jb4"])
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9, False, "1e-9"],
+                         ids=["zero", "float", "false", "string"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, tol: compute_spectrum(s.system, tol),
+        lambda s, tol: cluster_cancellation_experiment(
+            s.system, _E11, 1e-6, _PHI, [0.0, 1.0], tol=tol),
+        lambda s, tol: cluster_cancellation_experiment(
+            s.system, _E11, 1e-6, _PHI, [0.0, 1.0], tol=tol, spectrum=s),
+        lambda s, tol: j1_coefficient(s.system, _E11, tol=tol),
+    ],
+    ids=["compute_spectrum", "experiment", "experiment-with-spectrum",
+         "j1_coefficient"],
+)
+def test_tol_that_is_not_tolerances_is_refused_by_name(catalog_spectra, call,
+                                                       tol):
+    # every site read tol or DEFAULT_TOL: 1e-9 and "1e-9" raised a bare
+    # AttributeError, and 0 and False ran silently at the default tolerances
+    with pytest.raises(ArgumentError, match="^tol must be a Tolerances"):
+        call(catalog_spectra["quartic-jb4"], tol)
 
 
 def _tall_block_spectrum(size=24):
@@ -430,7 +465,8 @@ def _tall_block_spectrum(size=24):
     nonzero time takes the log-space branch."""
     unit = np.eye(size, dtype=complex)
     block = JordanBlock(omega=0.8 - 0.01j, size=size, chain=unit, duals=unit)
-    return SimpleNamespace(matrices=_matrix_form([block]),
+    return SimpleNamespace(matrices=_matrix_form([block],
+                                                 *_basis_matrices([block])),
                            system=SimpleNamespace(dim=size), tol=Tolerances())
 
 

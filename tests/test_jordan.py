@@ -10,6 +10,7 @@ from critmode.jordan import (
     DegenerateChainError,
     PairingError,
     VerificationError,
+    _any_linked,
     _axis_tol,
     _basis_matrices,
     _eigenstructure,
@@ -1362,6 +1363,99 @@ def test_catalog_sweep_verifies_or_raises_typed(catalog_entries, name, eps):
         assert eps not in (0.0, 1e-2, 1e-10, 1e-12)
         return
     assert verify_spectrum(spec, strict=False)["pass"]
+
+
+# --- the front of compute_spectrum against its loop forms ----------------------
+#
+# compute_spectrum decides "clustered" from one count of the eigenvalue pairs
+# within the linkage radius (_any_linked) and matches mirrors with Python
+# arithmetic on the eigenvalues; the references below are the forms they
+# replaced, a full single-linkage grouping and a numpy conjugate per (group,
+# mirror) pair, and every decision, kept group and error text must equal
+# theirs.
+
+NEAR_EPS = (0.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
+
+
+def _loop_unmirrored_groups(groups, axis_tol):
+    """Reference mirror match: every mirror scanned for every group."""
+    kept = [g for g in groups if g[0].real >= -axis_tol]
+    mirrors = [g for g in groups if g[0].real < -axis_tol]
+    for omega, sizes, _ in kept:
+        if omega.real > axis_tol:
+            match = [
+                i for i, (w, s, _) in enumerate(mirrors)
+                if abs(w + np.conj(omega)) <= 10.0 * axis_tol and s == sizes
+            ]
+            if not match:
+                raise PairingError(
+                    f"eigenvalue {omega} has no mirror partner at "
+                    f"{-np.conj(omega)}"
+                )
+            del mirrors[match[0]]
+    if mirrors:
+        raise PairingError(
+            f"eigenvalue {mirrors[0][0]} is the mirror of no eigenvalue at "
+            f"{-np.conj(mirrors[0][0])}"
+        )
+    return kept
+
+
+def _mirror_match(match, groups, axis_tol):
+    """(the ids of the kept groups, None), or (None, the PairingError text)."""
+    try:
+        return [id(g) for g in match(groups, axis_tol)], None
+    except PairingError as exc:
+        return None, str(exc)
+
+
+def _front_inputs():
+    """The near_critical inputs (each catalog system at K + eps e11, the
+    catalog itself at eps = 0) and random well-separated systems."""
+    for entry in catalog():
+        sys = entry.system
+        dk = np.zeros((sys.N, sys.N))
+        dk[0, 0] = 1.0
+        for eps in NEAR_EPS:
+            yield f"{entry.name}@{eps:g}", build_system(sys.K + eps * dk,
+                                                        sys.Gamma)
+    for n in list(range(1, 13)) + [16, 32]:
+        yield f"random-N{n}", well_separated_system(np.random.default_rng(n), n)
+
+
+FRONT_INPUTS = dict(_front_inputs())
+
+
+@pytest.mark.parametrize("name", list(FRONT_INPUTS))
+def test_front_decisions_equal_their_loop_forms(name):
+    sys = FRONT_INPUTS[name]
+    h = evolution_operator(sys)
+    # the eig reads H.imag, which is (-1j H).real bit for bit
+    assert h.imag.tobytes() == (-1j * h).real.tobytes()
+    omegas = 1j * np.linalg.eig(h.imag)[0]
+    radius = _linkage_radius(DEFAULT_TOL, omegas)
+    clustered = _any_linked(omegas, radius)
+    assert clustered == (len(_single_linkage(omegas, radius)) < omegas.size)
+    groups = [(w, [1], []) for w in omegas.tolist()]
+    if clustered:
+        coeffs = char_poly(h)
+        groups = _eigenstructure(h, coeffs, poly_roots(coeffs), DEFAULT_TOL)[0]
+    axis_tol = _axis_tol(DEFAULT_TOL, [w for w, _, _ in groups])
+    # the groups as compute_spectrum has them, reversed, and without the
+    # first group right of the axis (its mirror is left over) or the first
+    # mirror (its group has no partner)
+    variants = [groups, groups[::-1]]
+    for side in (1.0, -1.0):
+        first = next((i for i, g in enumerate(groups)
+                      if side * g[0].real > axis_tol), None)
+        if first is not None:
+            variants.append(groups[:first] + groups[first + 1:])
+    for variant in variants:
+        got = _mirror_match(_unmirrored_groups, variant, axis_tol)
+        assert got == _mirror_match(_loop_unmirrored_groups, variant, axis_tol)
+    if len(variants) > 2:  # both errors met
+        assert all(_mirror_match(_unmirrored_groups, v, axis_tol)[1]
+                   for v in variants[2:])
 
 
 # --- export ------------------------------------------------------------------

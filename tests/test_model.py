@@ -106,16 +106,31 @@ def test_symmetric_matrix_rejects_non_finite_entries(entry):
      ("Gamma", lambda: build_system([[1.0]], [["2.0"]])),
      ("K", lambda: build_system([[1.0, 0.0], [0.0]], np.eye(2))),
      ("DK", lambda: symmetric_matrix("DK", np.array([[1.0, 1j], [1j, 0.0]]))),
-     ("DK", lambda: symmetric_matrix("DK", [["1", "0"], ["0", "1"]]))],
+     ("DK", lambda: symmetric_matrix("DK", [["1", "0"], ["0", "1"]])),
+     ("K", lambda: build_system(np.array([["2"]], dtype=object), [[1.0]])),
+     ("Gamma", lambda: build_system(
+         [[1.0, 0.0], [0.0, 1.0]],
+         np.array([[1.0, 0.0], [0.0, b"1"]], dtype=object))),
+     ("DK", lambda: symmetric_matrix(
+         "DK", np.array([[1.0, "0"], ["0", 1.0]], dtype=object)))],
     ids=["K-complex", "Gamma-complex", "K-string", "Gamma-string",
-         "K-ragged", "DK-complex", "DK-string"],
+         "K-ragged", "DK-complex", "DK-string", "K-object-string",
+         "Gamma-object-bytes", "DK-object-mixed-strings"],
 )
 def test_matrices_that_are_not_real_numbers_are_refused_by_name(name, call):
     # a complex matrix used to lose its imaginary part with only a
     # ComplexWarning (K = [[1+1j]] gave K = [[1.]]), and numeric strings
-    # were read as numbers; ragged rows are refused as before
+    # were read as numbers, also inside an object array (where numpy parses
+    # a str or bytes entry); ragged rows are refused as before
     with pytest.raises(ArgumentError, match=f"^{name} "):
         call()
+
+
+def test_numbers_in_an_object_array_still_convert():
+    k = np.array([[2, 0.5], [0.5, np.float64(1.0)]], dtype=object)
+    sys = build_system(k, np.eye(2))
+    assert sys.K.dtype == float
+    assert np.array_equal(sys.K, [[2.0, 0.5], [0.5, 1.0]])
 
 
 def test_build_warns_on_indefinite_damping():
