@@ -68,7 +68,6 @@ from .jordan import (
     JordanBlock,
     MatrixForm,
     Spectrum,
-    _basis_matrices,
     _matrix_form,
     _spectrum_for,
 )
@@ -594,8 +593,7 @@ def cluster_cancellation_experiment(
         np.exp(-1j * (t_grid[:, None] * pred.eigenvalues[..., None, :]))
         * weights[..., None, :]
     ) @ pred.split_vectors
-    form = _matrix_form([block], *_basis_matrices([block]))
-    jordan = _evolve(form, phi, t_grid[:, None], peak, mass)
+    jordan = _evolve(_matrix_form([block]), phi, t_grid[:, None], peak, mass)
     return CancellationReport(
         lam=pred.lam,
         size=m,

@@ -50,14 +50,11 @@ chain at a time.  Every pairing (u, v) = u^T g v in this module comes from
 one evaluator, _pairings, two matmuls over a stack of vector pairs;
 compute_spectrum builds g and |g|_2 once and passes both to the two
 normalizers.  After the chains, the basis is handled as whole arrays: the
-partners and self-symmetry signs of the built blocks of one size come from
-one stack, the chains of all blocks are then stacked once as rows in block
-order, and the duals of each run of equal blocks come from one slab of
-those rows (one 3-D product with g, numpy running one product per stack
-entry, so every block keeps the bits of its own product); the rows and the
-duals' rows are F and D of the matrix form, and verify_spectrum forms F^T g
-once and takes its pairing, dual and completeness residuals with one
-stacked abs and one max.
+partners, self-symmetry signs and duals of all blocks of one size come from
+one stack (one 3-D product with g for the duals, numpy running one product
+per stack entry, so every block keeps the bits of its own product), and
+verify_spectrum forms F^T g once and takes its pairing, dual and
+completeness residuals with one stacked abs and one max.
 """
 
 from __future__ import annotations
@@ -672,9 +669,8 @@ def _axis_tol(tol: Tolerances, omegas) -> float:
     return tol.cluster_tol * (1.0 + max(map(abs, omegas)))
 
 
-def enforce_conjugation(spectrum: Spectrum) -> np.ndarray:
-    """Label the built blocks, append partners from the conjugation rule,
-    and return the chains of all blocks stacked as rows.
+def enforce_conjugation(spectrum: Spectrum) -> Spectrum:
+    """Label the built blocks and append partners from the conjugation rule.
 
     The spectrum holds the blocks with Re(omega) >= -axis_tol, in order.
     Blocks on the negative imaginary axis are labeled 0 and carry the
@@ -682,9 +678,7 @@ def enforce_conjugation(spectrum: Spectrum) -> np.ndarray:
     partner at -conj(omega) with the conjugated chain (sign +), labeled -j,
     without a ledger.  The conjugated chains and the self-symmetry signs
     come from one stack per block size.  The blocks are sorted afterwards,
-    so each +j comes before its -j, and their chains are stacked once, as
-    the rows of one (dim, 2N) array in block order: the stack that
-    dual_basis and _matrix_form read.
+    so each +j comes before its -j.
     """
     blocks = spectrum.blocks
     axis_tol = _axis_tol(spectrum.tol, [b.omega for b in blocks])
@@ -719,32 +713,24 @@ def enforce_conjugation(spectrum: Spectrum) -> np.ndarray:
         )
     blocks.extend(partners)
     _sort_blocks(blocks)
-    return np.concatenate([b.chain for b in blocks])
+    return spectrum
 
 
-def dual_basis(spectrum: Spectrum, rows: np.ndarray) -> np.ndarray:
-    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block, and return
-    the duals of all blocks as rows in block order.
+def dual_basis(spectrum: Spectrum) -> Spectrum:
+    """Attach duals f^{j,n} = conj(g f_{j,M-1-n}) to every block.
 
-    rows are the chains of the blocks as rows in block order, the stack
-    enforce_conjugation returns.  g is symmetric, so the duals of a block
-    are the rows of conj(R g), R the reversed chain as rows.  A run of
-    consecutive blocks of one size is a slab of rows, a stack of equal
-    chains as it stands, and one 3-D product takes the duals of the whole
-    run; numpy runs one product per stack entry, so each block gets the bits
-    of its own product.
+    g is symmetric, so the duals of a block are the rows of conj(R g), R
+    the reversed chain as rows.  One 3-D product per block size takes the
+    duals of every block of that size; numpy runs one product per stack
+    entry, so each block gets the bits of its own product.
     """
     g = spectrum.g
-    runs, pos = [], 0
-    for size, run in itertools.groupby(spectrum.blocks, lambda b: b.size):
-        run = list(run)
-        stop = pos + size * len(run)
-        duals = np.conj(rows[pos:stop].reshape(len(run), size, -1)[:, ::-1] @ g)
-        for b, d in zip(run, duals):
-            b.duals = d
-        runs.append(duals.reshape(stop - pos, -1))
-        pos = stop
-    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+    blocks = spectrum.blocks
+    for idx in _size_groups(blocks):
+        duals = np.conj(np.array([blocks[i].chain for i in idx])[:, ::-1] @ g)
+        for i, d in zip(idx, duals):
+            blocks[i].duals = d
+    return spectrum
 
 
 def _basis_matrices(blocks):
@@ -755,13 +741,11 @@ def _basis_matrices(blocks):
     )
 
 
-def _matrix_form(blocks, f_mat: np.ndarray, d_mat: np.ndarray) -> MatrixForm:
+def _matrix_form(blocks) -> MatrixForm:
     """F, the N^l D^H stack, J, P, the column eigenvalues of the blocks, and
     the flat per-column layouts that the dynamics kernels read, the outer
-    products of F's columns with the stacked dual rows among them.  f_mat
-    and d_mat are the chain vectors and the duals of the blocks as columns,
-    in block order: _basis_matrices(blocks), or the transposes of the row
-    stacks of enforce_conjugation and dual_basis."""
+    products of F's columns with the stacked dual rows among them."""
+    f_mat, d_mat = _basis_matrices(blocks)
     d_h = d_mat.conj().T
     sizes = [b.size for b in blocks]
     omega = np.repeat(np.array([b.omega for b in blocks], dtype=complex), sizes)
@@ -840,16 +824,11 @@ def verify_spectrum(spectrum: Spectrum, strict: bool = True) -> dict:
         chain_cols = _norms(h @ f_mat - f_mat @ form.j, 0) / (
             (h_norm + np.abs(form.omega)) * np.maximum(1.0, _norms(f_mat, 0))
         )
-        near = [b.near_critical for b in blocks]
-        if any(near):
-            flagged = np.repeat(near, [b.size for b in blocks])
-            chain_res = float(np.maximum.reduce(chain_cols[~flagged],
-                                                initial=0.0))
-            flagged_chain_res = float(np.maximum.reduce(chain_cols[flagged],
-                                                        initial=0.0))
-        else:
-            chain_res = float(np.maximum.reduce(chain_cols, initial=0.0))
-            flagged_chain_res = 0.0
+        flagged = np.repeat([b.near_critical for b in blocks],
+                            [b.size for b in blocks])
+        chain_res = float(np.maximum.reduce(chain_cols[~flagged], initial=0.0))
+        flagged_chain_res = float(np.maximum.reduce(chain_cols[flagged],
+                                                    initial=0.0))
         ftg = f_mat.T @ g
         eye = np.eye(dim)
         # the Gram, dual and completeness deviations, one abs and one max
@@ -1046,12 +1025,10 @@ def compute_spectrum(sys: OscillatorSystem,
         near_critical = complex(omega) in flagged_omegas
         if sizes == [1]:
             omega, chain, ledger = next(normalized)
-            blocks.append(JordanBlock(omega=omega, size=1, chain=chain,
-                                      ledger=ledger,
-                                      near_critical=near_critical))
-            continue
-        raw = build_chain(h, omega, sizes, tol, kernels=kernels)
-        built = biorthogonalize_crossing(raw, g, gnorm, h, omega, tol)
+            built = [(chain, ledger)]
+        else:
+            raw = build_chain(h, omega, sizes, tol, kernels=kernels)
+            built = biorthogonalize_crossing(raw, g, gnorm, h, omega, tol)
         blocks.extend(
             JordanBlock(
                 omega=omega,
@@ -1070,9 +1047,9 @@ def compute_spectrum(sys: OscillatorSystem,
         g=g,
         near_critical_clusters=flagged,
     )
-    rows = enforce_conjugation(spectrum)
-    dual_rows = dual_basis(spectrum, rows)
-    spectrum.matrices = _matrix_form(spectrum.blocks, rows.T, dual_rows.T)
+    enforce_conjugation(spectrum)
+    dual_basis(spectrum)
+    spectrum.matrices = _matrix_form(spectrum.blocks)
     spectrum.verification = verify_spectrum(spectrum, strict=True)
     return spectrum
 

@@ -22,8 +22,7 @@ from critmode.dynamics import (
 )
 from critmode import dynamics, jordan
 from critmode.design import catalog_system, scale_system
-from critmode.jordan import (JordanBlock, _basis_matrices, _matrix_form,
-                             compute_spectrum)
+from critmode.jordan import JordanBlock, _matrix_form, compute_spectrum
 from critmode.linalg import ArgumentError, Tolerances, as_grid
 from critmode.model import build_system, evolution_operator
 from critmode.perturb import (NonGenericPerturbationError,
@@ -78,8 +77,7 @@ def test_tall_block_takes_every_nonzero_time_in_log_space():
     omega, size = 0.8 - 0.01j, 24
     assert size - 1 > dynamics._DIRECT_MAX_ORDER
     unit = np.eye(size, dtype=complex)
-    blocks = [JordanBlock(omega=omega, size=size, chain=unit, duals=unit)]
-    form = _matrix_form(blocks, *_basis_matrices(blocks))
+    form = _matrix_form([JordanBlock(omega=omega, size=size, chain=unit, duals=unit)])
     times = [-0.5, 0.0, 0.3, 2e3]
     for t in times:
         grid, _, peak = as_grid(t, "t", float)
@@ -465,8 +463,7 @@ def _tall_block_spectrum(size=24):
     nonzero time takes the log-space branch."""
     unit = np.eye(size, dtype=complex)
     block = JordanBlock(omega=0.8 - 0.01j, size=size, chain=unit, duals=unit)
-    return SimpleNamespace(matrices=_matrix_form([block],
-                                                 *_basis_matrices([block])),
+    return SimpleNamespace(matrices=_matrix_form([block]),
                            system=SimpleNamespace(dim=size), tol=Tolerances())
 
 
