@@ -3,7 +3,8 @@
 
 Each row holds the input's name, its outcome (``ok`` or the class of the
 exception raised), the largest verification residual (``%.3e``; from the
-report of a VerificationError, empty after any other error), the block
+report compute_spectrum keeps, Spectrum.verification, or from the report of
+a VerificationError, empty after any other error), the block
 sizes and a basis digest: the first 16 hex digits of the sha256 of the bytes
 of F and of the stack N^l D^H (Spectrum.matrices) for ``ok``, of the
 exception message otherwise.  The rows hold no timings, so two versions of
@@ -16,7 +17,7 @@ Inputs:
     -1e-4 ... -1e-10, one per decade;
   - random well-separated systems (tests/conftest.py) at N = 1..12, 16
     and 32 with seeds 0..29; their eigenvalues do not cluster, so they
-    take the real-eig route of compute_spectrum, and every row is ok;
+    take the real-eig route of jordan._eigenvalues, and every row is ok;
   - the design-family points that tests/test_design.py samples;
   - semisimple systems with repeated eigenvalues: K = I2 with Gamma = 0,
     0.5 I and 3 I; K = I3, Gamma = 0.3 I; K = diag(1, 1, 2), Gamma =
@@ -52,7 +53,7 @@ from critmode.design import (
     double2_critical,
     quartic_critical,
 )
-from critmode.jordan import VerificationError, compute_spectrum, verify_spectrum
+from critmode.jordan import VerificationError, compute_spectrum
 from critmode.model import build_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -152,7 +153,7 @@ def outcome(build) -> list:
                 digest(str(exc).encode())]
     except Exception as exc:  # every exception class is an outcome here
         return [type(exc).__name__, "", "", digest(str(exc).encode())]
-    res = verify_spectrum(spectrum, strict=False)["max_residual"]
+    res = spectrum.verification["max_residual"]
     sizes = " ".join(str(b.size) for b in spectrum.blocks)
     form = spectrum.matrices
     return ["ok", f"{res:.3e}", sizes, digest(form.f.tobytes(), form.duals.tobytes())]

@@ -3,18 +3,19 @@
 another checkout.
 
 compute_spectrum runs once per input with recording wrappers on the stages
-it calls through the jordan module (the linkage radius and the clustered
-decision, root linkage, the kernel sequences of root clusters, the axis
-band, mirror matching, chain building and normalization, block sorting,
-conjugation, duals, the matrix form, verification, and the model and
-root-finder helpers).  Every recorded call is then timed on its own with
-timeit, best of 7 repeats, so no clock is read inside the pipeline; one
-np.linalg.eig of the real operator stands for the eig itself.  A stage
-called inside another (_kernel_sequence inside _eigenstructure, or
-_axis_tol and _sort_blocks inside enforce_conjugation, say) is timed as its
-own stage and taken off the one that called it, so each stage reads its own
-time.  enforce_conjugation mutates its spectrum, so it runs on a fresh copy
-each time and the copy's cost is taken off.
+it calls through the jordan module (the eigenvalue stage _eigenvalues and,
+inside it, the linkage radius, linkage, the kernel sequences of root
+clusters, the axis band, mirror matching and the simple eigenvectors; then
+chain building and normalization, block sorting, conjugation, duals, the
+matrix form, verification, and the model and root-finder helpers).  Every
+recorded call is then timed on its own with timeit, best of 7 repeats, so
+no clock is read inside the pipeline; one np.linalg.eig of the real
+operator stands for the eig itself, and is taken off _eigenvalues, which
+makes it.  A stage called inside another (_kernel_sequence inside
+_eigenstructure, or _axis_tol and _sort_blocks inside enforce_conjugation,
+say) is timed as its own stage and taken off the one that called it, so
+each stage reads its own time.  enforce_conjugation mutates its spectrum,
+so it runs on a fresh copy each time and the copy's cost is taken off.
 
 ``rest`` is the whole call minus the stages.  It holds the assembly in
 compute_spectrum's own body, and also the gap between each stage's timing
@@ -74,7 +75,7 @@ from conftest import well_separated_system  # noqa: E402
 from critmode.design import catalog  # noqa: E402
 
 STAGES = (
-    "evolution_operator", "metric", "_linkage_radius", "_any_linked",
+    "evolution_operator", "metric", "_eigenvalues", "_linkage_radius",
     "_single_linkage", "char_poly", "poly_roots", "_eigenstructure",
     "_kernel_sequence", "_axis_tol", "_unmirrored_groups", "metric_norm",
     "_simple_eigenvectors", "normalize_block", "build_chain",
@@ -144,8 +145,11 @@ class Recorder:
         self.calls.clear()
         j.compute_spectrum(system)
         real = (-1j * j.evolution_operator(system)).real
+        eig = lambda: np.linalg.eig(real)  # noqa: E731
         out = [("TOTAL", lambda: j.compute_spectrum(system), 1),
-               ("eig", lambda: np.linalg.eig(real), 1)]
+               ("eig", eig, 1)]
+        if any(name == "_eigenvalues" for name, *_ in self.calls):
+            out.append(("_eigenvalues", eig, -1))
         for name, func, args, kwargs, caller in list(self.calls):
             if name == "enforce_conjugation" and caller is None:
                 spectrum, snap = args

@@ -216,20 +216,23 @@ def _evolve(form: MatrixForm, phi: np.ndarray, x, peak: float,
     either can happen (peak * scale above _QUIET_BOUND, or the state's
     mass sum |phi_i|, from _state, above _QUIET_MASS) numpy's overflow
     warnings are silenced, so the typed error is all the caller sees; it
-    blames the state when only the mass passed its bound.
+    blames the state when the mass passed its bound and the failing time's
+    own |t| * scale did not, as a call at that time alone does.
     """
-    loud_time = peak * form.scale <= _QUIET_BOUND
-    if loud_time and mass <= _QUIET_MASS:
+    if peak * form.scale <= _QUIET_BOUND and mass <= _QUIET_MASS:
         states = _states(form, phi, x, peak)
         _check_finite(states, x, "the state")
-    else:
-        cause = None
-        if loud_time:
-            cause = (f"phi has parts up to {np.abs(phi.view(float)).max():.3g}"
-                     ", too large to propagate in float64")
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = _states(form, phi, x, peak)
-            _check_finite(states, x, "the state", cause)
+        return states
+
+    def cause(t):
+        if mass > _QUIET_MASS and abs(t) * form.scale <= _QUIET_BOUND:
+            return (f"phi has parts up to {np.abs(phi.view(float)).max():.3g}"
+                    ", too large to propagate in float64")
+        return None
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _states(form, phi, x, peak)
+        _check_finite(states, x, "the state", cause)
     return states
 
 
@@ -248,11 +251,10 @@ def _states(form: MatrixForm, phi: np.ndarray, x, peak: float) -> np.ndarray:
     return (form.f_tiled @ scaled[:, :, None])[:, :, 0]
 
 
-def _check_finite(rows: np.ndarray, x, what: str,
-                  cause: str | None = None) -> None:
+def _check_finite(rows: np.ndarray, x, what: str, cause=None) -> None:
     """ArgumentError naming the first time of the point or column x whose
-    part of rows is not finite, and the cause (by default e^(-iJt)
-    overflowing).
+    part of rows is not finite, and the cause: cause(t) of that time t, or
+    e^(-iJt) overflowing where there is no cause or it gives None.
 
     One sum screens all the entries: a point's 1-D row takes Python's sum
     over its list, which costs less than numpy's reduce on a few entries,
@@ -271,7 +273,8 @@ def _check_finite(rows: np.ndarray, x, what: str,
         if lost.size:
             raise ArgumentError(
                 f"{what} at t={lost[0]:g} is not finite: "
-                + (cause or "e^(-iJt) overflows float64 there")
+                + ((cause and cause(lost[0]))
+                   or "e^(-iJt) overflows float64 there")
             )
 
 

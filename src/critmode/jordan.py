@@ -30,18 +30,18 @@ f_{-j,n} = +/- i^M (-1)^n conj(f_{j,n}).
 Duals are metric conjugates of the reversed chain and give the resolution of
 identity used by the dynamics module.
 
-H = i a with a real, and compute_spectrum starts from np.linalg.eig(a):
-omega = i lambda.  When no two omegas lie within the linkage radius (one
-count of the pairs, _any_linked), every one is simple and the
-characteristic polynomial is never formed; otherwise single linkage at that
-radius clusters its companion-matrix roots (_eigenstructure).  A root
-cluster reads ker A^k, A = H - omega at its polished centre, from at most
-two SVD calls (_kernel_sequence: rank rule rank_tol * max(|A|_2, 1e-6)^k)
-up to the first power whose kernel grows no more, and its block sizes from
-the nullities of the sequence that build_chain then takes as its kernel
-bases.  Simple eigenvalues take no
+H = i a with a real, and one stage, _eigenvalues, decides where the
+eigenvalues come from: np.linalg.eig(a) gives omega = i lambda, and when
+single linkage at the linkage radius joins no two omegas, every one is
+simple and the characteristic polynomial is never formed; otherwise single
+linkage at that radius clusters its companion-matrix roots
+(_eigenstructure).  A root cluster reads ker A^k, A = H - omega at its
+polished centre, from at most two SVD calls (_kernel_sequence: rank rule
+rank_tol * max(|A|_2, 1e-6)^k) up to the first power whose kernel grows no
+more, and its block sizes from the nullities of the sequence that
+build_chain then takes as its kernel bases.  Simple eigenvalues take no
 rank decision: each takes the eigenvalue i lambda and eigenvector of a
-column of that eig, its own column on the eig route and, where roots
+column of that eig, its own column when no omegas link and, where roots
 clustered, the column whose i lambda lies nearest (_simple_eigenvectors).
 normalize_block is the one normalizer: it takes one chain or a stack of
 equal-height chains, and normalizes every simple eigenvector, as a stack of
@@ -267,14 +267,6 @@ def _single_linkage(roots: np.ndarray, radius: float):
     return list(groups.values())
 
 
-def _any_linked(roots: np.ndarray, radius: float) -> bool:
-    """Whether _single_linkage(roots, radius) joins any two roots, that is
-    makes fewer groups than roots: one count of the pairs within radius,
-    on the same distance test, against the count on the diagonal."""
-    close = np.abs(roots[:, None] - roots) <= radius
-    return np.count_nonzero(close) > np.count_nonzero(close.diagonal())
-
-
 def _kernel_sequence(h: np.ndarray, omega: complex, levels: int,
                      tol: Tolerances):
     """[ker A, ker A^2, ...] of A = H - omega, from at most two SVD calls.
@@ -358,15 +350,15 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
     """Cluster roots into eigenvalues and confirm block sizes via ranks.
 
     Returns (groups, flagged) where groups is a list of (omega, sizes,
-    kernels) and flagged collects near-critical clusters the rank test
-    rejected.  One pass over the root clusters: an isolated root is a simple
-    group, with an empty kernel list (compute_spectrum takes its eigenvector
-    from _simple_eigenvectors).  A cluster of m roots takes its polished
-    centre and reads ker (H - omega)^k there for up to m + 1 levels
+    kernels, near_critical) and flagged collects near-critical clusters the
+    rank test rejected.  One pass over the root clusters: an isolated root
+    is a simple group, with an empty kernel list (_eigenvalues takes its
+    eigenvector from _simple_eigenvectors).  A cluster of m roots takes its
+    polished centre and reads ker (H - omega)^k there for up to m + 1 levels
     (_kernel_sequence), and its block sizes from their nullities.  A Jordan
     group keeps that sequence as its kernels, for build_chain; a cluster
     without defective structure is flagged and its roots are demoted to
-    simple groups.
+    simple groups marked near_critical.
     """
     radius = _linkage_radius(tol, roots)
     groups, flagged = [], []
@@ -374,7 +366,7 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
         members = roots[idx]
         m = members.size
         if m == 1:
-            groups.append((complex(members[0]), [1], []))
+            groups.append((complex(members[0]), [1], [], False))
             continue
         center = complex(np.mean(members))
         omega = polish_root(coeffs, center, multiplicity=m)
@@ -383,21 +375,20 @@ def _eigenstructure(h: np.ndarray, coeffs: np.ndarray, roots: np.ndarray,
         kernels = _kernel_sequence(h, omega, m + 1, tol)
         sizes = block_sizes_at([k.shape[1] for k in kernels], m)
         if sizes is not None and sizes != [1] * m:
-            groups.append((omega, sizes, kernels))
+            groups.append((omega, sizes, kernels, False))
             continue
         # No defective structure at this tolerance: demote to simple
         # eigenvalues and flag the cluster for small-denominator studies.
         flagged.append(
             {
                 "omega": center,
-                "roots": [complex(r) for r in members],
                 "diameter": float(
                     np.max(np.abs(members[:, None] - members[None, :]))
                 ),
                 "multiplicity": m,
             }
         )
-        groups.extend((complex(r), [1], []) for r in members)
+        groups.extend((complex(r), [1], [], True) for r in members)
     return groups, flagged
 
 
@@ -902,7 +893,8 @@ def _sort_blocks(blocks):
 
 
 def _unmirrored_groups(groups, axis_tol: float):
-    """The (omega, sizes, kernels) groups with Re(omega) >= -axis_tol.
+    """The (omega, sizes, kernels, near_critical) groups with Re(omega) >=
+    -axis_tol.
 
     Every group with Re(omega) > axis_tol must have one mirror group at
     -conj(omega), within 10 axis_tol and with the same block sizes, and every
@@ -914,10 +906,10 @@ def _unmirrored_groups(groups, axis_tol: float):
     kept = [g for g in groups if g[0].real >= -axis_tol]
     mirrors = [g for g in groups if g[0].real < -axis_tol]
     reach = 10.0 * axis_tol
-    for omega, sizes, _ in kept:
+    for omega, sizes, _, _ in kept:
         if omega.real > axis_tol:
             conj = omega.conjugate()
-            for i, (w, s, _) in enumerate(mirrors):
+            for i, (w, s, _, _) in enumerate(mirrors):
                 if abs(w + conj) <= reach and s == sizes:
                     del mirrors[i]
                     break
@@ -939,8 +931,8 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
 
     H = i a with a = (-i H).real = [[0, I], [-K, -Gamma]], and (lam, vecs)
     is np.linalg.eig(a), so column j of vecs is an eigenvector of H for
-    i lam_j.  Each omega, a root of the characteristic polynomial on the
-    clustered route of compute_spectrum, takes the column whose i lam_j
+    i lam_j.  Each omega, a root of the characteristic polynomial where
+    the eigenvalues cluster (_eigenvalues), takes the column whose i lam_j
     lies nearest, and gets the eigenvalue that belongs to the vector, not
     the root.  Returns (eigenvalues, real vectors as rows), in the order of
     omegas.
@@ -959,73 +951,80 @@ def _simple_eigenvectors(lam: np.ndarray, vecs: np.ndarray, omegas):
     return columns[cols].tolist(), vecs[:, cols].T
 
 
+def _eigenvalues(h: np.ndarray, tol: Tolerances):
+    """(groups, vectors, flagged): the eigenvalues of H with Re(omega) >=
+    -axis_tol, and the eigenvectors of the simple ones.
+
+    omega = i lambda over the real eig of a = (-i H).real.  When single
+    linkage at the linkage radius leaves every omega alone, each is a
+    simple group and takes its own column of that eig.  Otherwise the
+    characteristic polynomial's roots (char_poly, poly_roots) are clustered
+    and their structure read by _eigenstructure, and each simple root takes
+    the nearest column (_simple_eigenvectors).  groups are the (omega,
+    sizes, kernels, near_critical) groups _unmirrored_groups keeps, a simple
+    group's omega the i lambda of its column, kernels the sequence for
+    build_chain ([] for a simple group), near_critical True for the members
+    of a demoted cluster; vectors holds the real eigenvectors of the simple
+    groups as rows, in group order, and flagged the demoted clusters.
+    ConvergenceError, naming both counts, when fewer roots than dim come.
+    """
+    # H = i a, and H.imag is the real a = (-i H).real bit for bit
+    lam, vecs = np.linalg.eig(h.imag)
+    omegas = 1j * lam
+    if len(_single_linkage(omegas, _linkage_radius(tol, omegas))) == lam.size:
+        axis_tol = _axis_tol(tol, omegas.tolist())
+        groups = [(w, [1], [], False) for w in omegas.tolist()]
+        return (_unmirrored_groups(groups, axis_tol),
+                vecs[:, omegas.real >= -axis_tol].T, [])
+    coeffs = char_poly(h)
+    roots = poly_roots(coeffs, tol)
+    groups, flagged = _eigenstructure(h, coeffs, roots, tol)
+    # a rank threshold that overflows at a cluster is reported first
+    if roots.size < lam.size:
+        raise ConvergenceError(
+            f"the root stage returned {roots.size} of the {lam.size} "
+            "roots of the characteristic polynomial (its leading "
+            "coefficients vanish at the polynomial's scale)"
+        )
+    kept = _unmirrored_groups(groups, _axis_tol(tol, [w for w, *_ in groups]))
+    simple = [i for i, grp in enumerate(kept) if grp[1] == [1]]
+    vectors = vecs[:, :0].T  # no column where every group is a Jordan group
+    if simple:
+        found, vectors = _simple_eigenvectors(
+            lam, vecs, [kept[i][0] for i in simple])
+        for i, w in zip(simple, found):
+            kept[i] = (w, *kept[i][1:])
+    return kept, vectors, flagged
+
+
 def compute_spectrum(sys: OscillatorSystem,
                      tol: Tolerances | None = None) -> Spectrum:
     """Full Jordan decomposition: detect, build, normalize, pair, verify.
 
-    The eigenvalues come first, as omega = i lambda over the real eig of a
-    = (-i H).real.  When no two of them lie within the linkage radius,
-    every one is a simple group and that eig is the whole root stage.
-    Otherwise the characteristic polynomial's roots (char_poly, poly_roots)
-    are clustered and their structure read by _eigenstructure.  Chains are
-    built for the eigenvalues with Re(omega) >= -axis_tol only; their
-    mirrors follow from the conjugation rule (enforce_conjugation).  Root
-    clusters with Jordan structure get their chains from build_chain, on
-    the kernels _eigenstructure read their sizes from, normalized by
-    biorthogonalize_crossing; every simple eigenvalue gets its eigenvalue
-    and eigenvector from the same eig (on the eig route its own column,
-    after the polynomial's roots the nearest, _simple_eigenvectors), and the
-    simple eigenvectors are normalized together, as one stack of
-    one-vector chains (normalize_block).  H and g are built once, and the
-    spectrum keeps them, and the report of its one verify_spectrum call.
+    _eigenvalues gives the groups with Re(omega) >= -axis_tol and the
+    eigenvectors of the simple ones; the mirrors follow from the
+    conjugation rule (enforce_conjugation).  Jordan groups get their chains
+    from build_chain, on the kernels their sizes were read from, normalized
+    by biorthogonalize_crossing; the simple eigenvectors are normalized as
+    one stack of one-vector chains (normalize_block).  H and g are built
+    once, and the spectrum keeps them, and the report of its one
+    verify_spectrum call.
 
-    Raises VerificationError when the constructed basis misses its
-    invariants at residual_tol (never silently returns a bad basis), and
-    ConvergenceError, naming both counts, when the root stage returns
-    fewer roots than dim.
+    Raises the errors of _eigenvalues, and VerificationError when the basis
+    misses its invariants at residual_tol (never returns a bad basis).
     """
     tol = as_tolerances(tol)
     h = evolution_operator(sys)
     g = metric(sys)
-    # H = i a, and H.imag is the real a = (-i H).real bit for bit
-    lam, vecs = np.linalg.eig(h.imag)
-    omegas, flagged = 1j * lam, []
-    groups = [(w, [1], []) for w in omegas.tolist()]
-    clustered = _any_linked(omegas, _linkage_radius(tol, omegas))
-    if clustered:
-        coeffs = char_poly(h)
-        roots = poly_roots(coeffs, tol)
-        groups, flagged = _eigenstructure(h, coeffs, roots, tol)
-        # a rank threshold that overflows at a cluster is reported first
-        if roots.size < lam.size:
-            raise ConvergenceError(
-                f"the root stage returned {roots.size} of the {lam.size} "
-                "roots of the characteristic polynomial (its leading "
-                "coefficients vanish at the polynomial's scale)"
-            )
-    flagged_omegas = {complex(r) for cl in flagged for r in cl["roots"]}
-    axis_tol = _axis_tol(tol, [w for w, _, _ in groups])
-    kept = _unmirrored_groups(groups, axis_tol)
+    groups, vectors, flagged = _eigenvalues(h, tol)
     gnorm = metric_norm(sys)
-    simple = [w for w, sizes, _ in kept if sizes == [1]]
-    if simple:
-        if clustered:
-            simple_omegas, vectors = _simple_eigenvectors(lam, vecs, simple)
-        else:
-            # the groups are the eig's columns in order, and
-            # _unmirrored_groups kept those with Re(omega) >= -axis_tol
-            simple_omegas = simple
-            vectors = vecs[:, omegas.real >= -axis_tol].T
-        # normalize_block takes the real columns into its complex copy
-        normalized = zip(simple_omegas, *normalize_block(
-            vectors[:, None, :], g, gnorm))
-
+    if len(vectors):
+        # normalize_block takes the real rows into its complex copy
+        normalized = zip(*normalize_block(vectors[:, None, :], g, gnorm))
     blocks = []
-    for omega, sizes, kernels in kept:
-        near_critical = complex(omega) in flagged_omegas
+    for omega, sizes, kernels, near_critical in groups:
         if sizes == [1]:
-            omega, chain, ledger = next(normalized)
-            built = [(chain, ledger)]
+            built = [next(normalized)]
         else:
             raw = build_chain(h, omega, sizes, tol, kernels=kernels)
             built = biorthogonalize_crossing(raw, g, gnorm, h, omega, tol)

@@ -623,6 +623,21 @@ def test_huge_state_is_blamed_for_its_overflow(catalog_spectra):
         assert np.isfinite(evolve_state(spec, 1e300 * np.ones(4), 0.5)).all()
 
 
+@pytest.mark.parametrize("grid", [[0.5, 1e5], [1e5, 0.5], [-1e5, 0.5]])
+def test_grid_error_words_the_failing_time_as_its_own_call(catalog_spectra,
+                                                           grid):
+    # a grid whose peak time would overflow e^(-iJt) fails first at its
+    # first lost time, and words the cause as the call at that time alone:
+    # the state at t = 0.5, e^(-iJt) at |t| = 1e5
+    spec = catalog_spectra["quartic-jb4"]
+    phi = 1e308 * np.ones(4)
+    with pytest.raises(ArgumentError) as on_grid:
+        evolve_state(spec, phi, grid)
+    with pytest.raises(ArgumentError) as alone:
+        evolve_state(spec, phi, grid[0])
+    assert str(on_grid.value) == str(alone.value)
+
+
 def _entrywise_sum(spec, coefficient):
     """sum over blocks j, chain n and l <= n of coefficient(l, omega_j)
     f_{j,n-l} conj(d_{j,n})^T, entry by entry in plain loops, with the sum

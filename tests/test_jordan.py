@@ -10,7 +10,6 @@ from critmode.jordan import (
     DegenerateChainError,
     PairingError,
     VerificationError,
-    _any_linked,
     _axis_tol,
     _basis_matrices,
     _eigenstructure,
@@ -213,25 +212,28 @@ def test_repeated_simple_eigenvalues_verify(build):
 
 def test_polynomial_route_only_where_eigenvalues_cluster(monkeypatch,
                                                        catalog_entries):
-    # a cluster-free system forms no characteristic polynomial; a cluster
-    # (single-critical's double root at -i) forms it and finds its roots
-    # once
-    import critmode.jordan as jordan
-
-    calls = []
-    for name in ("char_poly", "poly_roots"):
+    # every spectrum makes one _eigenvalues call; a cluster-free system
+    # forms no characteristic polynomial, and a cluster (single-critical's
+    # double root at -i) forms it and finds its roots once, inside that call
+    calls, depth = [], []
+    for name in ("_eigenvalues", "char_poly", "poly_roots"):
         original = getattr(jordan, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+            calls.append((_name, len(depth)))
+            depth.append(_name)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                depth.pop()
 
         monkeypatch.setattr(jordan, name, counting)
     for n in (1, 4, 11):
         compute_spectrum(well_separated_system(np.random.default_rng(0), n))
-        assert calls == [], n
+        assert calls == [("_eigenvalues", 0)], n
+        calls.clear()
     compute_spectrum(catalog_entries["single-critical"].system)
-    assert calls == ["char_poly", "poly_roots"]
+    assert calls == [("_eigenvalues", 0), ("char_poly", 1), ("poly_roots", 1)]
 
 
 def test_simple_block_takes_the_eig_eigenvalue(catalog_entries):
@@ -351,7 +353,8 @@ KERNEL_INPUTS = dict(_kernel_inputs())
 
 
 def _groups(h):
-    """The (omega, sizes, kernels) groups compute_spectrum finds for h."""
+    """The (omega, sizes, kernels, near_critical) groups _eigenstructure
+    finds for h."""
     coeffs = char_poly(h)
     roots = poly_roots(coeffs, DEFAULT_TOL)
     return _eigenstructure(h, coeffs, roots, DEFAULT_TOL)[0]
@@ -376,7 +379,7 @@ def test_kernel_stack_matches_single_omega_calls(name):
     # first kernel no wider than the one before it, counting nullity 0
     # before ker A, ends the sequence
     h = evolution_operator(KERNEL_INPUTS[name])
-    for j, (w, sizes, _) in enumerate(_groups(h)):
+    for j, (w, sizes, *_) in enumerate(_groups(h)):
         levels = max(sizes) + 1 + j % 2
         seq = _kernel_sequence(h, w, levels, DEFAULT_TOL)
         ref = _power_kernels(h - w * np.eye(h.shape[0]), levels, DEFAULT_TOL)
@@ -397,9 +400,9 @@ def test_build_chain_with_and_without_kernels_agree(name):
     h = evolution_operator(KERNEL_INPUTS[name])
     groups = _groups(h)
     sequences = [
-        _kernel_sequence(h, w, max(s) + 1, DEFAULT_TOL) for w, s, _ in groups
+        _kernel_sequence(h, w, max(s) + 1, DEFAULT_TOL) for w, s, *_ in groups
     ]
-    for (w, sizes, found), seq in zip(groups, sequences):
+    for (w, sizes, found, _), seq in zip(groups, sequences):
         # a Jordan group brings the kernels its sizes were read from
         assert bool(found) == (sizes != [1])
         try:
@@ -604,9 +607,9 @@ def test_simple_groups_take_no_rank_decision():
     h = evolution_operator(sys)
     coeffs = char_poly(h)
     groups = _eigenstructure(h, coeffs, poly_roots(coeffs, tol), tol)[0]
-    assert all(sizes == [1] for _, sizes, _ in groups)
+    assert all(sizes == [1] for _, sizes, *_ in groups)
     with pytest.raises(ChainError):
-        for w, sizes, _ in groups:
+        for w, sizes, *_ in groups:
             build_chain(h, w, sizes, tol)
     spec = compute_spectrum(sys, tol)
     assert verify_spectrum(spec, strict=False)["pass"]
@@ -715,10 +718,10 @@ def _kept_simple_eigenvalues(sys):
     h = evolution_operator(sys)
     coeffs = char_poly(h)
     groups, flagged = _eigenstructure(h, coeffs, poly_roots(coeffs), DEFAULT_TOL)
-    axis_tol = _axis_tol(DEFAULT_TOL, [w for w, _, _ in groups])
+    axis_tol = _axis_tol(DEFAULT_TOL, [w for w, *_ in groups])
     kept = _unmirrored_groups(groups, axis_tol)
     eig = np.linalg.eig((-1j * h).real)
-    return eig, [w for w, sizes, _ in kept if sizes == [1]], flagged
+    return eig, [w for w, sizes, *_ in kept if sizes == [1]], flagged
 
 
 def _bits(values):
@@ -837,7 +840,7 @@ def test_eig_route_takes_each_simple_eigenvalue_from_its_own_column(
         catalog_entries, monkeypatch):
     # with no two eigenvalues within the linkage radius every kept omega is
     # i lam_j of its own column j, so the nearest-column search would give
-    # back exactly the kept columns: compute_spectrum takes them directly
+    # back exactly the kept columns: _eigenvalues takes them directly
     # there, and searches only after the polynomial's roots
     rng = np.random.default_rng(17)
     for n in range(1, 9):
@@ -1009,18 +1012,19 @@ def test_mirror_pairs_ordered_plus_first(catalog_entries, eps):
 
 
 def test_unmirrored_groups_pairs_or_raises():
-    axis, right, left = (-2j, [1], []), (1.0 - 1j, [2], []), (-1.0 - 1j, [2], [])
+    axis = (-2j, [1], [], False)
+    right, left = (1.0 - 1j, [2], [], False), (-1.0 - 1j, [2], [], False)
     assert _unmirrored_groups([left, axis, right], 1e-9) == [axis, right]
     # two groups within reach of both of two mirrors: the first takes the
     # first mirror, the second the one left
-    near = (1.0 + 1e-9 - 1j, [2], [])
-    twin = (-1.0 - 1e-9 - 1j, [2], [])
+    near = (1.0 + 1e-9 - 1j, [2], [], False)
+    twin = (-1.0 - 1e-9 - 1j, [2], [], False)
     assert _unmirrored_groups([right, near, twin, left], 1e-9) == [right, near]
     for groups in (
         [axis, right],                     # no mirror for Re(omega) > 0
         [axis, left],                      # a mirror of nothing
-        [right, (-1.0 - 1j, [1, 1], [])],  # mirror with other block sizes
-        [right, (-1.1 - 1j, [2], [])],     # mirror too far from -conj(omega)
+        [right, (-1.0 - 1j, [1, 1], [], False)],  # other block sizes
+        [right, (-1.1 - 1j, [2], [], False)],  # too far from -conj(omega)
     ):
         with pytest.raises(PairingError):
             _unmirrored_groups(groups, 1e-9)
@@ -1367,12 +1371,9 @@ def test_catalog_sweep_verifies_or_raises_typed(catalog_entries, name, eps):
 
 # --- the front of compute_spectrum against its loop forms ----------------------
 #
-# compute_spectrum decides "clustered" from one count of the eigenvalue pairs
-# within the linkage radius (_any_linked) and matches mirrors with Python
-# arithmetic on the eigenvalues; the references below are the forms they
-# replaced, a full single-linkage grouping and a numpy conjugate per (group,
-# mirror) pair, and every decision, kept group and error text must equal
-# theirs.
+# _eigenvalues matches mirrors with Python arithmetic on the eigenvalues; the
+# reference below is the form it replaced, a numpy conjugate per (group,
+# mirror) pair, and every kept group and error text must equal its.
 
 NEAR_EPS = (0.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
 
@@ -1381,10 +1382,10 @@ def _loop_unmirrored_groups(groups, axis_tol):
     """Reference mirror match: every mirror scanned for every group."""
     kept = [g for g in groups if g[0].real >= -axis_tol]
     mirrors = [g for g in groups if g[0].real < -axis_tol]
-    for omega, sizes, _ in kept:
+    for omega, sizes, *_ in kept:
         if omega.real > axis_tol:
             match = [
-                i for i, (w, s, _) in enumerate(mirrors)
+                i for i, (w, s, *_) in enumerate(mirrors)
                 if abs(w + np.conj(omega)) <= 10.0 * axis_tol and s == sizes
             ]
             if not match:
@@ -1434,13 +1435,11 @@ def test_front_decisions_equal_their_loop_forms(name):
     assert h.imag.tobytes() == (-1j * h).real.tobytes()
     omegas = 1j * np.linalg.eig(h.imag)[0]
     radius = _linkage_radius(DEFAULT_TOL, omegas)
-    clustered = _any_linked(omegas, radius)
-    assert clustered == (len(_single_linkage(omegas, radius)) < omegas.size)
-    groups = [(w, [1], []) for w in omegas.tolist()]
-    if clustered:
+    groups = [(w, [1], [], False) for w in omegas.tolist()]
+    if len(_single_linkage(omegas, radius)) < omegas.size:
         coeffs = char_poly(h)
         groups = _eigenstructure(h, coeffs, poly_roots(coeffs), DEFAULT_TOL)[0]
-    axis_tol = _axis_tol(DEFAULT_TOL, [w for w, _, _ in groups])
+    axis_tol = _axis_tol(DEFAULT_TOL, [w for w, *_ in groups])
     # the groups as compute_spectrum has them, reversed, and without the
     # first group right of the axis (its mirror is left over) or the first
     # mirror (its group has no partner)
